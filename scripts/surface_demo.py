@@ -19,6 +19,7 @@ from drawdown_options import (
     build_call_surface,
     build_put_surface,
 )
+from drawdown_options.solver3d import _ORIENT
 
 
 def make_spec(kind):
@@ -43,7 +44,8 @@ def describe(surf):
     cap = surf.cap_curve
     ok = np.isfinite(cap)
     if ok.any():
-        axis = surf.y_grid if surf.kind == "call" else surf.s_grid
+        # one cap point per node of the axis the slices march along
+        axis = _ORIENT[surf.kind].swap(surf.s_grid, surf.y_grid)[1]
         print(
             f"  cap curve spans [{cap[ok].min():.4f}, {cap[ok].max():.4f}] "
             f"over {ok.sum()} of {axis.size} slices"

@@ -42,7 +42,7 @@ from .solver2d import (
     put_boundary_2d,
     region_index_of,
 )
-from .solver3d import CallSolution3D, PutSolution3D
+from .solver3d import _ORIENT, CallSolution3D, PutSolution3D
 
 FMT = "%.17g"
 
@@ -148,9 +148,10 @@ def _boundary_3d(cfg: RunConfig, args) -> int:
         "s,y,value,active,region_label",
         rows,
     )
+    o = _ORIENT[surf.kind]
+    slice_grid, cap_axis = o.swap(surf.s_grid, surf.y_grid)
     sw_rows = []
-    for k, rec in enumerate(surf.slice_switches):
-        slice_pos = surf.s_grid[k] if surf.kind == "call" else surf.y_grid[k]
+    for slice_pos, rec in zip(slice_grid, surf.slice_switches):
         for kind in ("reflect", "stop"):
             for pos, direction in rec[kind]:
                 sw_rows.append([_f(slice_pos), kind, _f(pos), direction])
@@ -159,15 +160,9 @@ def _boundary_3d(cfg: RunConfig, args) -> int:
         "slice,boundary,position,direction",
         sw_rows,
     )
-    if surf.kind == "call":
-        cap_header = "y,s_bar"
-        cap_axis = surf.y_grid
-    else:
-        cap_header = "s,y_bar"
-        cap_axis = surf.s_grid
     _write_rows(
         os.path.join(cfg.output_dir, "caps.csv"),
-        cap_header,
+        f"{o.moving},{o.fixed}_bar",
         ([_f(a), _f(c)] for a, c in zip(cap_axis, surf.cap_curve)),
     )
     return 0

@@ -274,6 +274,60 @@ def roots_arrays(spec: ModelSpec, s, y):
     return _roots_core(spec.r, *eval_fields(spec, s, y))
 
 
+def _critical_level(g1, g2, strike, sign):
+    """g K / (g - 1) for the root on the payoff's side: g1 for a call, g2 for a put.
+
+    sign is the payoff's slope in x, +1 for a call and -1 for a put.  At
+    this level a pinned pair needs only that root's power.
+    """
+    g = g1 if sign > 0 else g2
+    return g * strike / (g - 1.0)
+
+
+def _pinned_pair(g1, g2, level, strike, sign, target=None, x_end=None):
+    """Two-power pair (C1, C2) pinned at level by value matching and smooth fit.
+
+    C1 x**g1 + C2 x**g2 takes the value target at x = level, with the
+    payoff's slope sign there; target defaults to the payoff
+    sign * (level - strike).  Each coefficient is written in factored form,
+
+        C = [sign (g_o - 1)(level - g_o K/(g_o - 1)) + g_o e] / [(g_o - g) level**g],
+
+    with g its own root, g_o the other one and e = target - sign (level - K)
+    the target's excess over the payoff.  A payoff target gives e = 0
+    exactly, so at the critical level (:func:`_critical_level`) the
+    complementary coefficient is exactly zero, not a rounding residue that a
+    tiny x**g2 would amplify.
+
+    x_end, when given, is the exposed far end of the x-line (its floor for
+    a call, its top for a put).  A level on the wrong side of the critical
+    level makes the complementary coefficient negative; that is harmless on
+    a short line, but on a long one the value dips below the payoff at the
+    far end, which happens whenever integration noise tips a near-critical
+    level across.  Past the tangency the value is monotone toward the far
+    end, and with both coefficients positive the value-payoff gap is convex
+    with minimum zero at the level, so checking the far end alone decides
+    dominance.  When it fails, the level moves to the critical point with
+    the target following the payoff's slope (e is kept); the matching
+    conditions at the original level are then off by O(shift^2) only.
+    """
+    e = 0.0 if target is None else target - sign * (level - strike)
+
+    def pair(lv):
+        return tuple(
+            (sign * (go - 1.0) * (lv - go * strike / (go - 1.0)) + go * e)
+            / ((go - g) * lv**g)
+            for g, go in ((g1, g2), (g2, g1))
+        )
+
+    c1, c2 = pair(level)
+    if x_end is not None and x_end > 0.0:
+        val = c1 * x_end**g1 + c2 * x_end**g2
+        if val < max(sign * (x_end - strike), 0.0):
+            c1, c2 = pair(_critical_level(g1, g2, strike, sign))
+    return c1, c2
+
+
 def roots(spec: ModelSpec, s: float, y: float) -> RootPair:
     """Characteristic root pair with derivatives at a single (s, y)."""
     g1, g2, d1s, d2s, d1y, d2y = roots_arrays(spec, float(s), float(y))

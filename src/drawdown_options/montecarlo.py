@@ -28,6 +28,7 @@ import numpy as np
 
 from .coefficients import ModelSpec, StateTriple, roots_arrays
 from .errors import ConfigError
+from .solver3d import _ORIENT
 
 TRUNCATION_BUDGET = 1e-3
 
@@ -369,6 +370,7 @@ def audit_solution(
     """
     from .coefficients import generator_residual
 
+    o = _ORIENT[spec.payoff_kind]
     L = spec.strike
     n_s, n_y, n_x = dominance_shape
     surf = solution.surface
@@ -380,7 +382,6 @@ def audit_solution(
     smooth_gap = 0.0
     gen_viol = 0
     gen_resid = 0.0
-    sign = 1.0 if spec.payoff_kind == "call" else -1.0
     for s in s_nodes:
         for y in y_nodes[y_nodes < s * (1.0 - 1e-9)]:
             xs = np.linspace(s - y, s, n_x)
@@ -394,27 +395,20 @@ def audit_solution(
             dlt = float(spec.delta_field.value(s, y))
             if br == "direct" and s - y < level < s:
                 h = smooth_step * L
-                x_in = level - sign * h
+                x_in = level - o.sign * h
                 if s - y <= x_in <= s:
                     slope = (
                         solution.value(level, s, y) - solution.value(x_in, s, y)
-                    ) / (sign * h)
-                    smooth_gap = max(smooth_gap, abs(slope - sign))
+                    ) / (o.sign * h)
+                    smooth_gap = max(smooth_gap, abs(slope - o.sign))
+            cont, stopped = o.parts(level, s, y)
             if br == "stop" or (br == "direct" and level > s - y):
-                if spec.payoff_kind == "put":
-                    x_stop = 0.5 * (s - y + min(level, s))
-                    resid = dlt * x_stop - spec.r * L
-                else:
-                    x_stop = 0.5 * (max(level, s - y) + s)
-                    resid = spec.r * L - dlt * x_stop
-                if resid >= 0.0:
+                # the generator applied to the payoff, sign (r K - delta x)
+                x_stop = 0.5 * (stopped[0] + stopped[1])
+                if o.sign * (spec.r * L - dlt * x_stop) >= 0.0:
                     gen_viol += 1
             if br != "stop":
-                if br == "direct":
-                    lo = level if spec.payoff_kind == "put" else s - y
-                    hi = s if spec.payoff_kind == "put" else level
-                else:
-                    lo, hi = s - y, s
+                lo, hi = cont if br == "direct" else (s - y, s)
                 x_c = 0.5 * (lo + hi)
                 pad = 2e-5 * max(x_c, L)
                 if lo + pad < x_c < hi - pad:

@@ -15,9 +15,10 @@ closure that acts off the node lattice (on a stopping curve) is imposed
 through a virtual companion node at the closure position: there the
 coefficient pair is fully determined in closed form, because the solution
 matches the payoff in both value and slope where a stopping curve meets a
-reflecting edge.  The line's outermost lattice node is tied to that anchor by
-one more midpoint pair, and this partial pair serves as the line's closure
-equation.  The closure error then stays at the scheme's own second order with
+reflecting edge (coefficients._pinned_pair, the rule the direct branch
+uses too, with the same dominance clamp).  The line's outermost lattice
+node is tied to that anchor by one more midpoint pair, and this partial
+pair serves as the line's closure equation.  The closure error then stays at the scheme's own second order with
 the same small constants, where extrapolating lattice values onto the curve
 would dominate the error budget.  The diagonal C2 pin stays a two-node linear
 extrapolation: the y-direction relation degenerates at the diagonal (the
@@ -35,7 +36,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import lsqr, spsolve
 
-from .coefficients import ModelSpec, roots_arrays
+from .coefficients import ModelSpec, _pinned_pair, roots_arrays
 from .errors import NonConvergence, UnderdeterminedRegion
 
 
@@ -183,39 +184,27 @@ def _extrap_weights(p1, p2, p):
     return 1.0 - w2, w2
 
 
-def _anchor_pair(g1, g2, level, target, slope):
-    """Coefficient pair whose value is target and x-slope is slope at level."""
-    den = g2 - g1
-    c1 = (g2 * target - slope * level) / (den * level**g1)
-    c2 = (slope * level - g1 * target) / (den * level**g2)
-    return c1, c2
+def _pair_entries(spec: ModelSpec, s, y, along_s, h):
+    """Entries of one midpoint pair relation between line neighbours h apart.
 
-
-def _clamped_anchor(kind, g1, g2, level, target, slope, strike, x_end):
-    """Anchor level and target, moved off a dominance-violating position.
-
-    An anchor level on the wrong side of g1 K/(g1-1) (calls) or g2 K/(g2-1)
-    (puts) gives the anchored pair one negative coefficient; on a long x-line
-    that pushes the anchored value below the payoff at the line's exposed far
-    end x_end.  Only then is the level moved to the critical point, with the
-    payoff target following along its own slope; the matching conditions at
-    the original level are then off by O(shift^2).  Short lines keep their
-    raw levels, preserving smooth fit where a negative coefficient is
-    harmless.  See solver3d._direct_coeffs for the same rule on the direct
-    branch.
+    The relation sits at the midpoint (s, y) of a line along s (reflecting
+    top edge x = s) or along y (bottom edge x = s - y).  Returns, for C1 and
+    then C2, the edge power p and the factors of the nearer and the farther
+    node; a node's entry is p times its factor.
     """
-    a1, a2 = _anchor_pair(g1, g2, level, target, slope)
-    if x_end > 0.0:
-        val = a1 * x_end**g1 + a2 * x_end**g2
-        gain = x_end - strike if kind == "call" else strike - x_end
-        if val < max(gain, 0.0):
-            crit = (
-                g1 * strike / (g1 - 1.0)
-                if kind == "call"
-                else g2 * strike / (g2 - 1.0)
-            )
-            return crit, target + slope * (crit - level)
-    return level, target
+    base = s if along_s else s - y
+    if base <= 0:
+        raise UnderdeterminedRegion(
+            f"pair relation at s={s:g}, y={y:g} straddles the diagonal"
+        )
+    g1, g2, d1s, d2s, d1y, d2y = (float(v) for v in roots_arrays(spec, s, y))
+    slopes = (d1s, d2s) if along_s else (d1y, d2y)
+    lb = np.log(base)
+    out = []
+    for g, dg in zip((g1, g2), slopes):
+        p = base**g
+        out.append((p, -1.0 / h + 0.5 * dg * lb, +1.0 / h + 0.5 * dg * lb))
+    return out
 
 
 def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientGrid:
@@ -227,36 +216,31 @@ def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientG
     A solve that fails to produce finite coefficients raises NonConvergence.
     """
     s_grid, y_grid, active = region.s_grid, region.y_grid, region.active
-    n_s, n_y = active.shape
     rank = -np.ones(active.shape, dtype=int)
     rank[active] = np.arange(int(active.sum()))
     n_nodes = int(active.sum())
     if n_nodes == 0:
         raise UnderdeterminedRegion("region has no active nodes")
 
-    for i in range(n_s):
-        idx = np.flatnonzero(active[i])
-        if idx.size and not np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)):
-            raise UnderdeterminedRegion(f"active nodes in column {i} are not contiguous")
-    for j in range(n_y):
-        idx = np.flatnonzero(active[:, j])
-        if idx.size and not np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)):
-            raise UnderdeterminedRegion(f"active nodes in row {j} are not contiguous")
-
-    cols_used = {c.i for c in region.column_closures}
-    rows_used = {c.j for c in region.row_closures}
-    nonempty_cols = {i for i in range(n_s) if active[i].any()}
-    nonempty_rows = {j for j in range(n_y) if active[:, j].any()}
-    if cols_used != nonempty_cols or len(region.column_closures) != len(nonempty_cols):
-        raise UnderdeterminedRegion(
-            f"need exactly one closure per nonempty column; have closures for "
-            f"{sorted(cols_used)} vs columns {sorted(nonempty_cols)}"
-        )
-    if rows_used != nonempty_rows or len(region.row_closures) != len(nonempty_rows):
-        raise UnderdeterminedRegion(
-            f"need exactly one closure per nonempty row; have closures for "
-            f"{sorted(rows_used)} vs rows {sorted(nonempty_rows)}"
-        )
+    for name, lines, closures in (
+        ("column", active, [c.i for c in region.column_closures]),
+        ("row", active.T, [c.j for c in region.row_closures]),
+    ):
+        nonempty = set()
+        for k, line in enumerate(lines):
+            idx = np.flatnonzero(line)
+            if not idx.size:
+                continue
+            nonempty.add(k)
+            if not np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)):
+                raise UnderdeterminedRegion(
+                    f"active nodes in {name} {k} are not contiguous"
+                )
+        if set(closures) != nonempty or len(closures) != len(nonempty):
+            raise UnderdeterminedRegion(
+                f"need exactly one closure per nonempty {name}; have closures "
+                f"for {sorted(set(closures))} vs {name}s {sorted(nonempty)}"
+            )
 
     rows_ij = []
     cols_ij = []
@@ -269,139 +253,77 @@ def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientG
         cols_ij.append(c)
         vals.append(float(v))
 
-    # pair relations along s at fixed y: the reflecting top edge x = s
-    for j in range(n_y):
-        idx = np.flatnonzero(active[:, j])
-        for a, b in zip(idx, idx[1:]):
-            sm = 0.5 * (s_grid[a] + s_grid[b])
-            g1, g2, dg1, dg2, _, _ = (
-                float(v) for v in roots_arrays(spec, sm, y_grid[j])
-            )
-            ds = s_grid[b] - s_grid[a]
-            lg = np.log(sm)
-            for g, dg, off in ((g1, dg1, 0), (g2, dg2, 1)):
-                p = sm**g
-                add(eq, 2 * rank[a, j] + off, p * (-1.0 / ds + 0.5 * dg * lg))
-                add(eq, 2 * rank[b, j] + off, p * (+1.0 / ds + 0.5 * dg * lg))
-            rhs_entries.append(0.0)
-            eq += 1
+    sign = 1.0 if spec.payoff_kind == "call" else -1.0
+    # rows run along s at fixed y, columns along y at fixed s; each family
+    # as (along s?, activity and node ranks indexed [line, position], the
+    # grid the lines run along, the grid of their fixed coordinate)
+    rows = (True, active.T, rank.T, s_grid, y_grid)
+    cols = (False, active, rank, y_grid, s_grid)
 
-    # pair relations along y at fixed s: the reflecting bottom edge x = s - y
-    for i in range(n_s):
-        idx = np.flatnonzero(active[i])
-        for a, b in zip(idx, idx[1:]):
-            ym = 0.5 * (y_grid[a] + y_grid[b])
-            base = s_grid[i] - ym
-            if base <= 0:
-                raise UnderdeterminedRegion(
-                    f"node pair in column {i} straddles the diagonal"
+    def point(along_s, fixed, pos):
+        return (pos, fixed) if along_s else (fixed, pos)
+
+    # pair relations between neighbours on every row, then every column
+    for along_s, act, rnk, pos, fix in (rows, cols):
+        for k in range(act.shape[0]):
+            idx = np.flatnonzero(act[k])
+            for a, b in zip(idx, idx[1:]):
+                mid = 0.5 * (pos[a] + pos[b])
+                entries = _pair_entries(
+                    spec, *point(along_s, fix[k], mid), along_s, pos[b] - pos[a]
                 )
-            g1, g2, _, _, dg1, dg2 = (
-                float(v) for v in roots_arrays(spec, s_grid[i], ym)
-            )
-            dy = y_grid[b] - y_grid[a]
-            lb = np.log(base)
-            for g, dg, off in ((g1, dg1, 0), (g2, dg2, 1)):
-                p = base**g
-                add(eq, 2 * rank[i, a] + off, p * (-1.0 / dy + 0.5 * dg * lb))
-                add(eq, 2 * rank[i, b] + off, p * (+1.0 / dy + 0.5 * dg * lb))
-            rhs_entries.append(0.0)
-            eq += 1
+                for off, (p, near, far) in enumerate(entries):
+                    add(eq, 2 * rnk[k, a] + off, p * near)
+                    add(eq, 2 * rnk[k, b] + off, p * far)
+                rhs_entries.append(0.0)
+                eq += 1
 
-    slope = 1.0 if spec.payoff_kind == "call" else -1.0
-
-    for c in region.column_closures:
-        idx = np.flatnonzero(active[c.i])
-        j2 = idx[-1]
-        if c.kind == "c2_zero":
-            if idx.size >= 2:
-                j1 = idx[-2]
-                w1, w2 = _extrap_weights(y_grid[j1], y_grid[j2], c.y_pos)
-                add(eq, 2 * rank[c.i, j1] + 1, w1)
-                add(eq, 2 * rank[c.i, j2] + 1, w2)
+    # one closure per column, then one per row, acting at the line's last node
+    for (along_s, act, rnk, pos, fix), closures in (
+        (cols, region.column_closures),
+        (rows, region.row_closures),
+    ):
+        for c in closures:
+            k = c.j if along_s else c.i
+            idx = np.flatnonzero(act[k])
+            node = 2 * rnk[k, idx[-1]]
+            rhs = 0.0
+            if c.kind == "c1_zero":
+                add(eq, node, 1.0)
+            elif c.kind == "c2_zero":
+                if idx.size >= 2:
+                    w1, w2 = _extrap_weights(pos[idx[-2]], pos[idx[-1]], c.y_pos)
+                    add(eq, 2 * rnk[k, idx[-2]] + 1, w1)
+                    add(eq, node + 1, w2)
+                else:
+                    add(eq, node + 1, 1.0)
             else:
-                add(eq, 2 * rank[c.i, j2] + 1, 1.0)
-            rhs_entries.append(0.0)
+                at = c.s_pos if along_s else c.y_pos
+                s, y = point(along_s, fix[k], at)
+                g1, g2, *_ = (float(v) for v in roots_arrays(spec, s, y))
+                p1 = pos[idx[-1]]
+                h = at - p1
+                if abs(h) <= 1e-9 * (abs(p1) + pos[-1] - pos[0]):
+                    add(eq, node, c.x_base**g1)
+                    add(eq, node + 1, c.x_base**g2)
+                    rhs = float(c.target)
+                else:
+                    # the anchor pair at the closure position, tied to the
+                    # last node by one more midpoint pair
+                    anchor = _pinned_pair(
+                        g1, g2, c.x_base, spec.strike, sign, float(c.target),
+                        x_end=s - y if sign > 0 else s,
+                    )
+                    mid = point(along_s, fix[k], 0.5 * (p1 + at))
+                    acc = 0.0
+                    for off, ((p, near, far), av) in enumerate(
+                        zip(_pair_entries(spec, *mid, along_s, h), anchor)
+                    ):
+                        add(eq, node + off, p * near)
+                        acc += av * p * far
+                    rhs = -acc
+            rhs_entries.append(rhs)
             eq += 1
-            continue
-        g1, g2, *_ = (
-            float(v) for v in roots_arrays(spec, s_grid[c.i], c.y_pos)
-        )
-        y1 = y_grid[j2]
-        dy = c.y_pos - y1
-        if abs(dy) <= 1e-9 * (abs(y1) + y_grid[-1] - y_grid[0]):
-            add(eq, 2 * rank[c.i, j2] + 0, c.x_base**g1)
-            add(eq, 2 * rank[c.i, j2] + 1, c.x_base**g2)
-            rhs_entries.append(float(c.target))
-            eq += 1
-            continue
-        x_end = s_grid[c.i] - c.y_pos if spec.payoff_kind == "call" else s_grid[c.i]
-        lvl, tgt = _clamped_anchor(
-            spec.payoff_kind, g1, g2, c.x_base, float(c.target), slope,
-            spec.strike, x_end,
-        )
-        a1, a2 = _anchor_pair(g1, g2, lvl, tgt, slope)
-        ym = 0.5 * (y1 + c.y_pos)
-        base = s_grid[c.i] - ym
-        if base <= 0:
-            raise UnderdeterminedRegion(
-                f"closure pair in column {c.i} straddles the diagonal"
-            )
-        h1, h2, _, _, dh1, dh2 = (
-            float(v) for v in roots_arrays(spec, s_grid[c.i], ym)
-        )
-        lb = np.log(base)
-        acc = 0.0
-        for g, dg, node_col, av in (
-            (h1, dh1, 2 * rank[c.i, j2] + 0, a1),
-            (h2, dh2, 2 * rank[c.i, j2] + 1, a2),
-        ):
-            p = base**g
-            add(eq, node_col, p * (-1.0 / dy + 0.5 * dg * lb))
-            acc += av * p * (+1.0 / dy + 0.5 * dg * lb)
-        rhs_entries.append(-acc)
-        eq += 1
-
-    for c in region.row_closures:
-        idx = np.flatnonzero(active[:, c.j])
-        i2 = idx[-1]
-        if c.kind == "c1_zero":
-            add(eq, 2 * rank[i2, c.j] + 0, 1.0)
-            rhs_entries.append(0.0)
-            eq += 1
-            continue
-        g1, g2, *_ = (
-            float(v) for v in roots_arrays(spec, c.s_pos, y_grid[c.j])
-        )
-        s1 = s_grid[i2]
-        ds = c.s_pos - s1
-        if abs(ds) <= 1e-9 * (abs(s1) + s_grid[-1] - s_grid[0]):
-            add(eq, 2 * rank[i2, c.j] + 0, c.x_base**g1)
-            add(eq, 2 * rank[i2, c.j] + 1, c.x_base**g2)
-            rhs_entries.append(float(c.target))
-            eq += 1
-            continue
-        x_end = c.s_pos - y_grid[c.j] if spec.payoff_kind == "call" else c.s_pos
-        lvl, tgt = _clamped_anchor(
-            spec.payoff_kind, g1, g2, c.x_base, float(c.target), slope,
-            spec.strike, x_end,
-        )
-        a1, a2 = _anchor_pair(g1, g2, lvl, tgt, slope)
-        sm = 0.5 * (s1 + c.s_pos)
-        h1, h2, dh1, dh2, _, _ = (
-            float(v) for v in roots_arrays(spec, sm, y_grid[c.j])
-        )
-        lg = np.log(sm)
-        acc = 0.0
-        for g, dg, node_col, av in (
-            (h1, dh1, 2 * rank[i2, c.j] + 0, a1),
-            (h2, dh2, 2 * rank[i2, c.j] + 1, a2),
-        ):
-            p = sm**g
-            add(eq, node_col, p * (-1.0 / ds + 0.5 * dg * lg))
-            acc += av * p * (+1.0 / ds + 0.5 * dg * lg)
-        rhs_entries.append(-acc)
-        eq += 1
 
     if eq != 2 * n_nodes:
         raise UnderdeterminedRegion(

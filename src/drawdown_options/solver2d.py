@@ -25,7 +25,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .coefficients import ModelSpec, roots_arrays
+from .coefficients import ModelSpec, _pinned_pair, roots_arrays
 from .errors import (
     ConstraintBreach,
     DomainError,
@@ -514,13 +514,9 @@ class PutSolution2D:
 
     def coefficients(self, s: float):
         """Coefficients (D1, D2) of x**beta1 and x**beta2 on the slice."""
-        L = self.spec.strike
         g = float(self.curve(s))
         g1, g2, _, _ = _beta(self.spec, np.array([float(s)]))
-        g1, g2 = float(g1[0]), float(g2[0])
-        d1 = ((g2 - 1.0) * g - g2 * L) / ((g1 - g2) * g**g1)
-        d2 = ((g1 - 1.0) * g - g1 * L) / ((g2 - g1) * g**g2)
-        return d1, d2
+        return _pinned_pair(float(g1[0]), float(g2[0]), g, self.spec.strike, -1.0)
 
     def value(self, x, s):
         x = float(x)

@@ -13,6 +13,14 @@ Per node the barrier sorts the line into one of three branches: stopped
 (payoff), direct (barrier reachable, two-power value pinned at the barrier),
 or reflected (barrier out of reach; coefficients come from the reflection
 system solved over the whole reflected component).
+
+Call and put are one problem seen from two sides.  Everything that differs
+between the sides (payoff sign, slice axis and march direction, the line
+edge where reflection acts, the constraint band, which branch lies above s
+and which below s - y) sits in one :class:`_Orientation` record per side;
+the marcher, region detection, closures and value assembly are written once
+against it.  Direct lines are pinned by :func:`coefficients._pinned_pair`,
+the same rule the reflection closures and the maximum-only put use.
 """
 
 from __future__ import annotations
@@ -20,12 +28,20 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy import ndimage
 from scipy.interpolate import CubicSpline
 
-from .coefficients import ModelSpec, _roots_along, check_quadrant, roots_arrays
+from .coefficients import (
+    ModelSpec,
+    _critical_level,
+    _pinned_pair,
+    _roots_along,
+    check_quadrant,
+    roots_arrays,
+)
 from .errors import (
     DomainError,
     ResolutionWarning,
@@ -54,6 +70,81 @@ from .solver2d import (
 MAX_SWITCH_PAIRS = 16
 
 
+@dataclass(frozen=True)
+class _Orientation:
+    """What differs between the call side and the put side.
+
+    sign       the payoff's slope in x, +1 or -1; it also picks the critical
+               root, g1 for the call and g2 for the put (see
+               coefficients._critical_level)
+    fixed      the coordinate a boundary slice holds fixed, "s" or "y"; the
+               slice marches along the other one
+    direction  +1 when the march runs toward larger values, -1 otherwise
+    edge       (s, y) -> the end of the x-line on the continuation side:
+               where the slice ODE's reflecting condition acts, and the
+               exposed far end of a direct line
+    band       (spec, s, y) -> the open interval the barrier must stay in
+    above      label of a line whose barrier lies above s
+    below      label of a line whose barrier lies below its floor s - y
+    """
+
+    kind: str
+    sign: float
+    fixed: str
+    direction: float
+    edge: Callable
+    band: Callable
+    above: str
+    below: str
+
+    @property
+    def moving(self):
+        return "y" if self.fixed == "s" else "s"
+
+    def swap(self, a, b):
+        """(s, y) from a slice's (fixed, moving) pair, or back: the same swap."""
+        return (a, b) if self.fixed == "s" else (b, a)
+
+    def fixed_major(self, a):
+        """An (s, y) lattice array indexed [fixed, moving], or back."""
+        return a if self.fixed == "s" else a.T
+
+    def stop_side(self, x, level):
+        """Mask of the stopped part of a direct line."""
+        return x >= level if self.sign > 0 else x <= level
+
+    def parts(self, level, s, y):
+        """(lo, hi) of the continuation and the stopped part of the line.
+
+        The line is [s - y, s], cut at level; the stopped part clamps level
+        into the line.
+        """
+        if self.sign > 0:
+            return (s - y, level), (max(level, s - y), s)
+        return (level, s), (s - y, min(level, s))
+
+
+def _call_band(spec: ModelSpec, s, y):
+    d = spec.delta_field.value(s, y)
+    return np.maximum(spec.strike, spec.r * spec.strike / d), np.inf
+
+
+def _put_band(spec: ModelSpec, s, y):
+    d = spec.delta_field.value(s, y)
+    return 0.0, np.minimum(spec.strike, spec.r * spec.strike / d)
+
+
+_CALL = _Orientation(
+    kind="call", sign=1.0, fixed="s", direction=-1.0,
+    edge=lambda s, y: s - y, band=_call_band, above="reflect", below="stop",
+)
+_PUT = _Orientation(
+    kind="put", sign=-1.0, fixed="y", direction=1.0,
+    edge=lambda s, y: s, band=_put_band, above="stop", below="reflect",
+)
+_ORIENT = {o.kind: o for o in (_CALL, _PUT)}
+
+
 def call_slice_rhs(spec: ModelSpec, s, y, b):
     """db/dy on a fixed-s slice; also returns the shared denominator."""
     g1, g2, _, _, dg1, dg2 = roots_arrays(spec, s, y)
@@ -66,26 +157,10 @@ def put_slice_rhs(spec: ModelSpec, s, y, a):
     return _ode_terms(g1, g2, dg1, dg2, a, s, spec.strike)
 
 
-def _call_stage(spec: ModelSpec, s, y):
-    """call_slice_rhs frozen at (s, y), for points already checked."""
-    g1, g2, dg1, dg2 = _roots_along(spec, s, y, "y")
-    return OdeStage(g1, g2, dg1, dg2, s - y, spec.strike)
-
-
-def _put_stage(spec: ModelSpec, s, y):
-    """put_slice_rhs frozen at (s, y), for points already checked."""
-    g1, g2, dg1, dg2 = _roots_along(spec, s, y, "s")
-    return OdeStage(g1, g2, dg1, dg2, s, spec.strike)
-
-
-def _call_constraint_floor(spec: ModelSpec, s, y):
-    d = spec.delta_field.value(s, y)
-    return np.maximum(spec.strike, spec.r * spec.strike / d)
-
-
-def _put_constraint_cap(spec: ModelSpec, s, y):
-    d = spec.delta_field.value(s, y)
-    return np.minimum(spec.strike, spec.r * spec.strike / d)
+def _stage(o, spec: ModelSpec, s, y):
+    """The slice right-hand side frozen at (s, y), for points already checked."""
+    g1, g2, dg1, dg2 = _roots_along(spec, s, y, o.moving)
+    return OdeStage(g1, g2, dg1, dg2, o.edge(s, y), spec.strike)
 
 
 @dataclass
@@ -242,26 +317,16 @@ class BoundarySurface:
 
 
 def _march_surface(
-    spec,
-    fixed_grid,
-    move_grid,
-    starts,
-    seeds,
-    entry_index,
-    stage,
-    constraint_ok,
-    forward,
-    step_rel_tol,
+    spec, o, fixed_grid, move_grid, starts, seeds, entry_index, step_rel_tol
 ):
-    """Advance all slices through move_grid in lockstep.
+    """Advance all slices of orientation o through move_grid in lockstep.
 
     starts and seeds give each slice its own entry coordinate and value;
     entry_index[i] is the first move_grid node the slice lands on.  The
-    stage callback takes (fixed_value_array, coord_array) and returns the
-    slice ODE frozen there (an :class:`OdeStage`); the caller has already
-    checked that every lattice point the march visits lies in the quadrant.
-    Slices whose denominator changes sign, whose step check fails, or whose
-    state leaves the allowed band are flagged and carry NaN from there on.
+    caller has already checked that every lattice point the march visits
+    lies in the quadrant.  Slices whose denominator changes sign, whose step
+    check fails, or whose state leaves the allowed band are flagged and
+    carry NaN from there on.
 
     Each lattice level is one lockstep advance: the slices entering at the
     level (from their own start) and the slices stepping on from the
@@ -280,6 +345,14 @@ def _march_surface(
     alive = np.zeros(n_fix, dtype=bool)
     den_sign = np.zeros(n_fix)
     scale = spec.strike
+    forward = o.direction > 0
+
+    def stage(fx, t):
+        return _stage(o, spec, *o.swap(fx, t))
+
+    def constraint_ok(fx, t, g):
+        lo, hi = o.band(spec, *o.swap(fx, t))
+        return (g > lo) & (g < hi)
 
     levels = range(n_mov) if forward else range(n_mov - 1, -1, -1)
     # lattice gaps are too coarse for single steps at the target accuracy
@@ -367,6 +440,49 @@ def _march_surface(
     return values, status
 
 
+def _diagonal_seeds(o, spec: ModelSpec, fixed, starts, curve=None):
+    """Barrier levels at slice starts next to the diagonal.
+
+    A call slice starts on the critical level of its own roots, where the
+    drawdown floor is slack; a put slice starts on the diagonal-restricted
+    maximum-only curve (curve, when the caller already has it).
+    """
+    if o.sign > 0:
+        g1, g2, *_ = roots_arrays(spec, *o.swap(fixed, starts))
+        return _critical_level(g1, g2, spec.strike, o.sign)
+    return (diagonal_put_curve(spec) if curve is None else curve)(starts)
+
+
+def _build_surface(o, spec, s_grid, y_grid, step_rel_tol, curve=None):
+    """March every slice from next to the diagonal, then label the lattice."""
+    s_grid = np.asarray(s_grid, dtype=float)
+    y_grid = np.asarray(y_grid, dtype=float)
+    fixed, move = o.swap(s_grid, y_grid)
+    eps = EDGE_FRACTION * spec.strike
+    starts = fixed + o.direction * eps
+    # each slice enters the lattice at the first node its march reaches
+    if o.direction > 0:
+        entry = np.searchsorted(move, starts, side="left")
+        entry[entry == move.size] = -1
+    else:
+        entry = np.searchsorted(move, starts, side="right") - 1
+    inside = entry >= 0
+    seeds = np.full(fixed.shape, np.nan)
+    seeds[inside] = _diagonal_seeds(o, spec, fixed[inside], starts[inside], curve)
+
+    # every slice runs from its start through the far end of move
+    check_quadrant(*o.swap(fixed[inside], starts[inside]))
+    check_quadrant(*o.swap(fixed[inside], move[-1] if o.direction > 0 else move[0]))
+
+    values, status = _march_surface(
+        spec, o, fixed, move, starts, seeds, entry, step_rel_tol
+    )
+    for k in np.flatnonzero(~inside):
+        status[k] = ("outside", np.nan)
+    surf = BoundarySurface(s_grid, y_grid, o.fixed_major(values), o.kind, status)
+    return detect_regions_3d(spec, surf)
+
+
 def build_call_surface(
     spec: ModelSpec, s_grid, y_grid, step_rel_tol=STEP_REL_TOL
 ) -> BoundarySurface:
@@ -375,37 +491,9 @@ def build_call_surface(
     The seed sits at y = s - eps where the drawdown floor is slack and the
     barrier matches the reachable-maximum form for the diagonal coefficients.
     """
-    s_grid = np.asarray(s_grid, dtype=float)
-    y_grid = np.asarray(y_grid, dtype=float)
-    eps = EDGE_FRACTION * spec.strike
-    if s_grid[0] <= eps:
+    if np.asarray(s_grid, dtype=float)[0] <= EDGE_FRACTION * spec.strike:
         raise DomainError("s_grid must start above the edge offset")
-    starts = s_grid - eps
-    entry = np.searchsorted(y_grid, starts, side="right") - 1
-    entry = np.where(entry < 0, -1, entry)
-    g1 = roots_arrays(spec, s_grid, starts)[0]
-    seeds = g1 * spec.strike / (g1 - 1.0)
-    seeds = np.where(entry >= 0, seeds, np.nan)
-
-    # every slice runs from its start down through y_grid[0]
-    lanes = entry >= 0
-    check_quadrant(s_grid[lanes], starts[lanes])
-    check_quadrant(s_grid[lanes], y_grid[0])
-
-    def stage(fx, t):
-        return _call_stage(spec, fx, t)
-
-    def con(fx, t, g):
-        return g > _call_constraint_floor(spec, fx, t)
-
-    values, status = _march_surface(
-        spec, s_grid, y_grid, starts, seeds, entry, stage, con,
-        forward=False, step_rel_tol=step_rel_tol,
-    )
-    for i in np.flatnonzero(entry < 0):
-        status[i] = ("outside", np.nan)
-    surf = BoundarySurface(s_grid, y_grid, values, "call", status)
-    return detect_regions_3d(spec, surf)
+    return _build_surface(_CALL, spec, s_grid, y_grid, step_rel_tol)
 
 
 def build_put_surface(
@@ -421,36 +509,9 @@ def build_put_surface(
     so the slice starts from the diagonal-restricted maximum-only curve,
     which is integrated once and shared by every slice.
     """
-    s_grid = np.asarray(s_grid, dtype=float)
-    y_grid = np.asarray(y_grid, dtype=float)
-    eps = EDGE_FRACTION * spec.strike
     if diag_curve is None:
         diag_curve = diagonal_put_curve(spec)
-    starts = y_grid + eps
-    entry = np.searchsorted(s_grid, starts, side="left")
-    inside = entry < s_grid.size
-    entry = np.where(inside, entry, -1)
-    seeds = np.full(y_grid.shape, np.nan)
-    seeds[inside] = diag_curve(starts[inside])
-
-    # every slice runs from its start up through s_grid[-1]
-    check_quadrant(starts[inside], y_grid[inside])
-    check_quadrant(s_grid[-1], y_grid[inside])
-
-    def stage(fx, t):
-        return _put_stage(spec, t, fx)
-
-    def con(fx, t, g):
-        return (g > 0.0) & (g < _put_constraint_cap(spec, t, fx))
-
-    values, status = _march_surface(
-        spec, y_grid, s_grid, starts, seeds, entry, stage, con,
-        forward=True, step_rel_tol=step_rel_tol,
-    )
-    for j in np.flatnonzero(entry < 0):
-        status[j] = ("outside", np.nan)
-    surf = BoundarySurface(s_grid, y_grid, values.T, "put", status)
-    return detect_regions_3d(spec, surf)
+    return _build_surface(_PUT, spec, s_grid, y_grid, step_rel_tol, diag_curve)
 
 
 @lru_cache(maxsize=8)
@@ -484,6 +545,50 @@ def _march_slice(stage, t0, g0, nodes, step_rel_tol, what):
     return vals
 
 
+def _boundary_slice(o, spec, fixed, nodes, step_rel_tol):
+    """Barrier on one slice, marched from next to the diagonal through nodes."""
+    fixed = float(fixed)
+    nodes = np.asarray(nodes, dtype=float)
+    eps = EDGE_FRACTION * spec.strike
+    start = fixed + o.direction * eps
+    if nodes.size and (
+        np.any(o.direction * np.diff(nodes) <= 0)
+        or o.direction * (nodes[0] - start) < 0
+    ):
+        raise DomainError(
+            f"{o.moving}_grid must move strictly away from the diagonal, "
+            f"from {o.moving}={start:g} on"
+        )
+    seed = float(_diagonal_seeds(o, spec, fixed, start))
+    check_quadrant(*o.swap(fixed, nodes))
+    den_sign = 0.0
+    what = f"slice {o.fixed}={fixed:g}"
+
+    def stage(t):
+        s, y = o.swap(fixed, t)
+        ode = _stage(o, spec, s, y)
+        lo, hi = o.band(spec, s, y)
+
+        def f(level):
+            nonlocal den_sign
+            d, den = ode.terms(level)
+            den = float(den)
+            if den_sign == 0.0:
+                den_sign = _sign(den)
+            if den * den_sign <= 1e-12 * spec.strike:
+                raise SingularDenominator(
+                    f"slice denominator vanished near {o.moving}={float(t):g} "
+                    f"on {what}"
+                )
+            if not lo < level < hi:
+                return np.nan
+            return d
+
+        return f
+
+    return _march_slice(stage, start, seed, nodes, step_rel_tol, what)
+
+
 def call_boundary_slice(spec: ModelSpec, s, y_grid, step_rel_tol=STEP_REL_TOL):
     """Call barrier on the fixed-s slice at the given descending y nodes.
 
@@ -491,40 +596,9 @@ def call_boundary_slice(spec: ModelSpec, s, y_grid, step_rel_tol=STEP_REL_TOL):
     downward in y.  Nodes past a constraint breach (barrier at or below the
     reachable-maximum floor) are returned as NaN.
     """
-    s = float(s)
-    y_grid = np.asarray(y_grid, dtype=float)
-    eps = EDGE_FRACTION * spec.strike
-    if s <= eps:
-        raise DomainError(f"slice level s={s} must exceed the edge offset")
-    if y_grid.size and (np.any(np.diff(y_grid) >= 0) or y_grid[0] > s - eps):
-        raise DomainError("y_grid must descend strictly from below s")
-    start = s - eps
-    g1 = float(roots_arrays(spec, s, start)[0])
-    seed = g1 * spec.strike / (g1 - 1.0)
-    check_quadrant(s, y_grid)
-    den_sign = 0.0
-
-    def stage(y):
-        ode = _call_stage(spec, s, y)
-        floor = _call_constraint_floor(spec, s, y)
-
-        def f(b):
-            nonlocal den_sign
-            d, den = ode.terms(b)
-            den = float(den)
-            if den_sign == 0.0:
-                den_sign = _sign(den)
-            if den * den_sign <= 1e-12 * spec.strike:
-                raise SingularDenominator(
-                    f"slice denominator vanished near y={float(y):g} on slice s={s:g}"
-                )
-            if not b > floor:
-                return np.nan
-            return d
-
-        return f
-
-    return _march_slice(stage, start, seed, y_grid, step_rel_tol, f"slice s={s:g}")
+    if float(s) <= EDGE_FRACTION * spec.strike:
+        raise DomainError(f"slice level s={float(s)} must exceed the edge offset")
+    return _boundary_slice(_CALL, spec, s, y_grid, step_rel_tol)
 
 
 def put_boundary_slice(spec: ModelSpec, y, s_grid, step_rel_tol=STEP_REL_TOL):
@@ -534,37 +608,7 @@ def put_boundary_slice(spec: ModelSpec, y, s_grid, step_rel_tol=STEP_REL_TOL):
     integrated upward in s.  Nodes past a constraint breach (barrier leaving
     (0, min(strike, r strike / delta))) are returned as NaN.
     """
-    y = float(y)
-    s_grid = np.asarray(s_grid, dtype=float)
-    eps = EDGE_FRACTION * spec.strike
-    if s_grid.size and (np.any(np.diff(s_grid) <= 0) or s_grid[0] < y + eps):
-        raise DomainError("s_grid must ascend strictly from above y")
-    start = y + eps
-    seed = float(diagonal_put_curve(spec)(start))
-    check_quadrant(start, y)
-    den_sign = 0.0
-
-    def stage(s):
-        ode = _put_stage(spec, s, y)
-        cap = _put_constraint_cap(spec, s, y)
-
-        def f(a):
-            nonlocal den_sign
-            d, den = ode.terms(a)
-            den = float(den)
-            if den_sign == 0.0:
-                den_sign = _sign(den)
-            if den * den_sign <= 1e-12 * spec.strike:
-                raise SingularDenominator(
-                    f"slice denominator vanished near s={float(s):g} on slice y={y:g}"
-                )
-            if not (0.0 < a < cap):
-                return np.nan
-            return d
-
-        return f
-
-    return _march_slice(stage, start, seed, s_grid, step_rel_tol, f"slice y={y:g}")
+    return _boundary_slice(_PUT, spec, y, s_grid, step_rel_tol)
 
 
 def detect_regions_3d(
@@ -579,75 +623,49 @@ def detect_regions_3d(
     for the call, the last reflect-to-direct crossing in s per y-row and,
     for the put, the first floor crossing in y per s-column.
     """
+    o = _ORIENT[surface.kind]
     s_grid, y_grid, v = surface.s_grid, surface.y_grid, surface.values
-    n_s, n_y = v.shape
     valid = np.isfinite(v) & (y_grid[None, :] < s_grid[:, None])
     labels = np.full(v.shape, "", dtype="<U8")
     ss = np.broadcast_to(s_grid[:, None], v.shape)
     floor = ss - np.broadcast_to(y_grid[None, :], v.shape)
-    if surface.kind == "call":
-        labels[valid & (v > ss)] = "reflect"
-        labels[valid & (v < floor)] = "stop"
-        labels[valid & (v >= floor) & (v <= ss)] = "direct"
-    else:
-        labels[valid & (v > ss)] = "stop"
-        labels[valid & (v < floor)] = "reflect"
-        labels[valid & (v >= floor) & (v <= ss)] = "direct"
+    labels[valid & (v > ss)] = o.above
+    labels[valid & (v < floor)] = o.below
+    labels[valid & (v >= floor) & (v <= ss)] = "direct"
     surface.labels = labels
 
+    fixed, move = o.swap(s_grid, y_grid)
+    vf, okf = o.fixed_major(v), o.fixed_major(valid)
     switches = []
-    if surface.kind == "call":
-        for i in range(n_s):
-            ok = valid[i]
-            rec = {"reflect": [], "stop": []}
-            if ok.sum() >= 2:
-                yy = y_grid[ok]
-                bb = v[i, ok]
-                rec["reflect"] = _capped(
-                    detect_switch_points(yy, bb, np.full(yy.shape, s_grid[i])),
-                    max_pairs, f"slice s={s_grid[i]:g} vs reachable-max line",
-                )
-                rec["stop"] = _capped(
-                    detect_switch_points(yy, bb, s_grid[i] - yy),
-                    max_pairs, f"slice s={s_grid[i]:g} vs floor line",
-                )
-            switches.append(rec)
-        cap = np.full(n_y, np.nan)
-        for j in range(n_y):
-            ok = valid[:, j]
-            if ok.sum() >= 2:
-                pts = detect_switch_points(
-                    s_grid[ok], v[ok, j], s_grid[ok]
-                )
-                enters = [p for p, d in pts if d == "enter"]
-                if enters:
-                    cap[j] = enters[-1]
-    else:
-        for j in range(n_y):
-            ok = valid[:, j]
-            rec = {"reflect": [], "stop": []}
-            if ok.sum() >= 2:
-                ssl = s_grid[ok]
-                aa = v[ok, j]
-                rec["stop"] = _capped(
-                    detect_switch_points(ssl, aa, ssl),
-                    max_pairs, f"slice y={y_grid[j]:g} vs reachable-max line",
-                )
-                rec["reflect"] = _capped(
-                    detect_switch_points(ssl, aa, ssl - y_grid[j]),
-                    max_pairs, f"slice y={y_grid[j]:g} vs floor line",
-                )
-            switches.append(rec)
-        cap = np.full(n_s, np.nan)
-        for i in range(n_s):
-            ok = valid[i]
-            if ok.sum() >= 2:
-                pts = detect_switch_points(
-                    y_grid[ok], v[i, ok], s_grid[i] - y_grid[ok]
-                )
-                exits = [p for p, d in pts if d == "exit"]
-                if exits:
-                    cap[i] = exits[0]
+    for k, pos in enumerate(fixed):
+        ok = okf[k]
+        rec = {"reflect": [], "stop": []}
+        if ok.sum() >= 2:
+            t = move[ok]
+            s, y = o.swap(pos, t)
+            rec[o.above] = _capped(
+                detect_switch_points(t, vf[k, ok], np.broadcast_to(s, t.shape)),
+                max_pairs, f"slice {o.fixed}={pos:g} vs reachable-max line",
+            )
+            rec[o.below] = _capped(
+                detect_switch_points(t, vf[k, ok], s - y),
+                max_pairs, f"slice {o.fixed}={pos:g} vs floor line",
+            )
+        switches.append(rec)
+    # across the slices, per node of the moving axis: where the reflect band
+    # gives way to the direct one, farthest from the diagonal (which closes
+    # an s-scan at its low end and a y-scan at its high end)
+    leave = "enter" if o.above == "reflect" else "exit"
+    cap = np.full(move.size, np.nan)
+    for m in range(move.size):
+        ok = okf[:, m]
+        if ok.sum() >= 2:
+            s, y = o.swap(fixed[ok], move[m])
+            ref = s if o.above == "reflect" else s - y
+            pts = detect_switch_points(fixed[ok], vf[ok, m], ref)
+            crossings = [p for p, d in pts if d == leave]
+            if crossings:
+                cap[m] = crossings[-1 if o.fixed == "s" else 0]
     finite_cap = cap[np.isfinite(cap)]
     if finite_cap.size >= 2:
         d = np.diff(finite_cap)
@@ -710,13 +728,15 @@ def _quad_zero(ps, ds, lo, hi, lin):
     return z
 
 
-def _extra_node(valid, a, b):
-    """Index of a third sample adjacent to the bracket [a, b], if any."""
-    if valid(a - 1):
-        return a - 1
-    if valid(b + 1):
-        return b + 1
-    return None
+def _crossing(grid, d, valid, a, b):
+    """Zero of d between nodes a and b, refined through a third valid node."""
+    lin = _cell_crossing(grid[a], grid[b], d(a), d(b))
+    k3 = a - 1 if valid(a - 1) else b + 1 if valid(b + 1) else None
+    if k3 is None:
+        return lin
+    return _quad_zero(
+        (grid[k3], grid[a], grid[b]), (d(k3), d(a), d(b)), grid[a], grid[b], lin
+    )
 
 
 def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
@@ -733,9 +753,17 @@ def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
     """
     if surface.labels is None:
         detect_regions_3d(spec, surface)
+    o = _ORIENT[surface.kind]
     s_grid, y_grid, v = surface.s_grid, surface.y_grid, surface.values
     n_s, n_y = v.shape
     L = spec.strike
+    # the reflect band is bounded by x = s when it lies above s (call) and
+    # by the floor x = s - y when it lies below the floor (put)
+    band_on_s = o.above == "reflect"
+
+    def line(s, y, on_s):
+        return s if on_s else s - y
+
     mask = surface.labels == "reflect"
     comp, n_comp = ndimage.label(mask)
     grids = []
@@ -751,86 +779,44 @@ def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
             above = j2 + 1
 
             def dcol(k, i=i):
-                return v[i, k] - (s_grid[i] - y_grid[k])
+                return v[i, k] - line(s_grid[i], y_grid[k], band_on_s)
 
-            if above >= n_y or y_grid[above] >= s_grid[i]:
-                if surface.kind == "call":
-                    col_cl.append(ColumnClosure(i, "c2_zero", y_pos=s_grid[i]))
-                else:
-                    # floor crossing sits between the last node and the
-                    # diagonal; extrapolate the barrier through the top
-                    # column samples (flat only when the column is too short)
-                    if j2 >= 1 and np.isfinite(v[i, j2 - 1]):
-                        lin = _cell_crossing(
-                            y_grid[j2 - 1], y_grid[j2], dcol(j2 - 1), dcol(j2)
-                        )
-                        if j2 >= 2 and np.isfinite(v[i, j2 - 2]):
-                            y_star = _quad_zero(
-                                (y_grid[j2 - 2], y_grid[j2 - 1], y_grid[j2]),
-                                (dcol(j2 - 2), dcol(j2 - 1), dcol(j2)),
-                                y_grid[j2], s_grid[i], lin,
-                            )
-                        else:
-                            y_star = min(max(lin, y_grid[j2]), s_grid[i])
-                    else:
-                        y_star = min(s_grid[i] - v[i, j2], s_grid[i])
-                    x_base = s_grid[i] - y_star
-                    col_cl.append(
-                        ColumnClosure(
-                            i, "combo", y_pos=y_star, x_base=x_base, target=L - x_base
-                        )
-                    )
-                continue
-            lab = surface.labels[i, above]
-            if lab == "":
-                raise UnderdeterminedRegion(
-                    f"reflected column at s={s_grid[i]:g} is cut by a flagged "
-                    "slice; refine the lattice or the step tolerance"
-                )
             def col_valid(k, i=i):
                 return 0 <= k < n_y and np.isfinite(v[i, k]) and y_grid[k] < s_grid[i]
 
-            if surface.kind == "call":
-                def dcall(k, i=i):
-                    return v[i, k] - s_grid[i]
-
-                lin = _cell_crossing(
-                    y_grid[j2], y_grid[above], dcall(j2), dcall(above)
-                )
-                k3 = _extra_node(col_valid, j2, above)
-                if k3 is not None:
-                    y_star = _quad_zero(
-                        (y_grid[k3], y_grid[j2], y_grid[above]),
-                        (dcall(k3), dcall(j2), dcall(above)),
-                        y_grid[j2], y_grid[above], lin,
+            if above >= n_y or y_grid[above] >= s_grid[i]:
+                if band_on_s:
+                    col_cl.append(ColumnClosure(i, "c2_zero", y_pos=s_grid[i]))
+                    continue
+                # floor crossing sits between the last node and the
+                # diagonal; extrapolate the barrier through the top
+                # column samples (flat only when the column is too short)
+                if j2 >= 1 and np.isfinite(v[i, j2 - 1]):
+                    lin = _cell_crossing(
+                        y_grid[j2 - 1], y_grid[j2], dcol(j2 - 1), dcol(j2)
                     )
+                    if j2 >= 2 and np.isfinite(v[i, j2 - 2]):
+                        y_star = _quad_zero(
+                            (y_grid[j2 - 2], y_grid[j2 - 1], y_grid[j2]),
+                            (dcol(j2 - 2), dcol(j2 - 1), dcol(j2)),
+                            y_grid[j2], s_grid[i], lin,
+                        )
+                    else:
+                        y_star = min(max(lin, y_grid[j2]), s_grid[i])
                 else:
-                    y_star = lin
-                col_cl.append(
-                    ColumnClosure(
-                        i, "combo", y_pos=y_star,
-                        x_base=s_grid[i], target=s_grid[i] - L,
-                    )
-                )
+                    y_star = min(s_grid[i] - v[i, j2], s_grid[i])
             else:
-                lin = _cell_crossing(
-                    y_grid[j2], y_grid[above], dcol(j2), dcol(above)
-                )
-                k3 = _extra_node(col_valid, j2, above)
-                if k3 is not None:
-                    y_star = _quad_zero(
-                        (y_grid[k3], y_grid[j2], y_grid[above]),
-                        (dcol(k3), dcol(j2), dcol(above)),
-                        y_grid[j2], y_grid[above], lin,
+                if surface.labels[i, above] == "":
+                    raise UnderdeterminedRegion(
+                        f"reflected column at s={s_grid[i]:g} is cut by a flagged "
+                        "slice; refine the lattice or the step tolerance"
                     )
-                else:
-                    y_star = lin
-                x_base = s_grid[i] - y_star
-                col_cl.append(
-                    ColumnClosure(
-                        i, "combo", y_pos=y_star, x_base=x_base, target=L - x_base
-                    )
-                )
+                y_star = _crossing(y_grid, dcol, col_valid, j2, above)
+            x_base = line(s_grid[i], y_star, band_on_s)
+            target = o.sign * (x_base - L)
+            col_cl.append(
+                ColumnClosure(i, "combo", y_pos=y_star, x_base=x_base, target=target)
+            )
         for j in range(n_y):
             idx = np.flatnonzero(active[:, j])
             if not idx.size:
@@ -838,13 +824,12 @@ def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
             i2 = idx[-1]
             right = i2 + 1
             if right >= n_s:
-                if surface.kind == "put":
-                    row_cl.append(RowClosure(j, "c1_zero"))
-                else:
+                if band_on_s:
                     raise UnderdeterminedRegion(
                         f"reflected row at y={y_grid[j]:g} reaches the lattice "
                         "edge; enlarge the s-range"
                     )
+                row_cl.append(RowClosure(j, "c1_zero"))
                 continue
             lab = surface.labels[right, j]
             if lab == "":
@@ -852,94 +837,59 @@ def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
                     f"reflected row at y={y_grid[j]:g} is cut by a flagged "
                     "slice; refine the lattice or the step tolerance"
                 )
+            # a put row may run straight into the stop band above s
+            on_s = band_on_s or lab == o.above
+
+            def drow(k, j=j, on_s=on_s):
+                return v[k, j] - line(s_grid[k], y_grid[j], on_s)
+
             def row_valid(k, j=j):
                 return 0 <= k < n_s and np.isfinite(v[k, j]) and s_grid[k] > y_grid[j]
 
-            if surface.kind == "call" or lab == "stop":
-                def drow(k, j=j):
-                    return v[k, j] - s_grid[k]
-            else:
-                def drow(k, j=j):
-                    return v[k, j] - (s_grid[k] - y_grid[j])
-
-            lin = _cell_crossing(s_grid[i2], s_grid[right], drow(i2), drow(right))
-            k3 = _extra_node(row_valid, i2, right)
-            if k3 is not None:
-                s_star = _quad_zero(
-                    (s_grid[k3], s_grid[i2], s_grid[right]),
-                    (drow(k3), drow(i2), drow(right)),
-                    s_grid[i2], s_grid[right], lin,
-                )
-            else:
-                s_star = lin
-            if surface.kind == "call":
-                row_cl.append(
-                    RowClosure(
-                        j, "combo", s_pos=s_star, x_base=s_star, target=s_star - L
-                    )
-                )
-            else:
-                x_base = s_star if lab == "stop" else s_star - y_grid[j]
-                row_cl.append(
-                    RowClosure(
-                        j, "combo", s_pos=s_star, x_base=x_base, target=L - x_base
-                    )
-                )
+            s_star = _crossing(s_grid, drow, row_valid, i2, right)
+            x_base = line(s_star, y_grid[j], on_s)
+            target = o.sign * (x_base - L)
+            row_cl.append(
+                RowClosure(j, "combo", s_pos=s_star, x_base=x_base, target=target)
+            )
         region = RegionSpec(s_grid, y_grid, active, col_cl, row_cl)
         grids.append(solve_reflection_region(spec, region))
     return grids
 
 
-def _direct_coeffs(kind, g1, g2, level, strike, x_end=None):
-    """Two-power coefficients pinned by value match and smooth fit at level.
-
-    x_end is the exposed far end of the x-line (its top for puts, its floor
-    for calls).  A level on the wrong side of g1 K/(g1-1) (calls) or
-    g2 K/(g2-1) (puts) makes the complementary power's coefficient negative;
-    that is harmless on a short line but on a long one the value dips below
-    the payoff at the far end, which happens whenever integration noise tips
-    a near-critical level across.  Past the tangency such a value is monotone
-    toward the far end, and with both coefficients positive the value-payoff
-    gap is convex with minimum zero at the level, so checking the far end
-    alone decides dominance.  When it fails, the level is moved to the
-    critical point; the matching conditions there are off by O(shift^2) only.
-    """
-
-    def pair(lv):
-        if kind == "call":
-            c1 = ((g2 - 1.0) * lv - g2 * strike) / ((g2 - g1) * lv**g1)
-            c2 = ((g1 - 1.0) * lv - g1 * strike) / ((g1 - g2) * lv**g2)
-        else:
-            c1 = ((g2 - 1.0) * lv - g2 * strike) / ((g1 - g2) * lv**g1)
-            c2 = ((g1 - 1.0) * lv - g1 * strike) / ((g2 - g1) * lv**g2)
-        return c1, c2
-
-    c1, c2 = pair(level)
-    if x_end is not None and x_end > 0.0:
-        val = c1 * x_end**g1 + c2 * x_end**g2
-        gain = x_end - strike if kind == "call" else strike - x_end
-        if val < max(gain, 0.0):
-            crit = (
-                g1 * strike / (g1 - 1.0)
-                if kind == "call"
-                else g2 * strike / (g2 - 1.0)
-            )
-            c1, c2 = pair(crit)
-    return c1, c2
-
-
 class _Solution3D:
-    """Shared query machinery for the assembled three-dimensional solutions."""
+    """Assembled perpetual solution over the (x, s, y) state space."""
 
-    kind = ""
-
-    def __init__(self, spec, surface, regions):
+    def __init__(
+        self,
+        spec: ModelSpec,
+        n_s: int = 193,
+        n_y: int = 129,
+        s_lo=None,
+        s_hi=None,
+        y_hi=None,
+        step_rel_tol=STEP_REL_TOL,
+    ):
+        if spec.payoff_kind != self.kind:
+            raise DomainError(f"spec is not a {self.kind} model")
+        self._o = _ORIENT[self.kind]
+        eps = EDGE_FRACTION * spec.strike
+        s_hi = float(s_hi) if s_hi is not None else spec.domain_s_max
+        s_lo = float(s_lo) if s_lo is not None else 1e-2 * spec.strike
+        y_hi = (
+            float(y_hi)
+            if y_hi is not None
+            else min(spec.domain_y_max, s_hi - 2.0 * eps)
+        )
+        s_grid = np.linspace(s_lo, s_hi, int(n_s))
+        y_grid = np.linspace(0.0, y_hi, int(n_y))
+        build = build_call_surface if self._o is _CALL else build_put_surface
         self.spec = spec
-        self.surface = surface
-        self.regions = regions
+        self.surface = build(spec, s_grid, y_grid, step_rel_tol)
+        self.regions = build_reflection_regions(spec, self.surface)
         self._levels = {}
         self._boxes = []
-        for g in regions:
+        for g in self.regions:
             si = np.flatnonzero(g.active.any(axis=1))
             yi = np.flatnonzero(g.active.any(axis=0))
             self._boxes.append(
@@ -951,13 +901,9 @@ class _Solution3D:
 
     def _hop(self, fixed, t0, v0, t1):
         """Short checked march of the slice state from t0 to t1."""
-        spec = self.spec
-        if self.kind == "call":
-            check_quadrant(fixed, [t0, t1])
-            stage = ReuseStages(lambda t: _call_stage(spec, fixed, t))
-        else:
-            check_quadrant([t0, t1], fixed)
-            stage = ReuseStages(lambda t: _put_stage(spec, t, fixed))
+        spec, o = self.spec, self._o
+        check_quadrant(*o.swap(fixed, [t0, t1]))
+        stage = ReuseStages(lambda t: _stage(o, spec, *o.swap(fixed, t)))
         h = spec.strike / 64.0
         n = max(1, int(np.ceil(abs(t1 - t0) / h)))
         t, v = float(t0), float(v0)
@@ -986,18 +932,16 @@ class _Solution3D:
         hit = self._levels.get((s, y))
         if hit is not None:
             return hit
-        spec = self.spec
+        spec, o = self.spec, self._o
         eps = EDGE_FRACTION * spec.strike
         out = cheap = float(self.surface.level_smooth(s, y))
         if 0.0 <= y < s and s - y <= cheap <= s and s - y - eps <= 8.0 * spec.strike:
+            fixed, t = o.swap(s, y)
+            start = fixed + o.direction * eps
             try:
-                if self.kind == "call":
-                    g1 = float(roots_arrays(spec, s, s - eps)[0])
-                    seed = g1 * spec.strike / (g1 - 1.0)
-                    out = seed if y >= s - eps else self._hop(s, s - eps, seed, y)
-                else:
-                    seed = float(diagonal_put_curve(spec)(y + eps))
-                    out = seed if s <= y + eps else self._hop(y, y + eps, seed, s)
+                seed = float(_diagonal_seeds(o, spec, fixed, start))
+                reached = o.direction * (t - start) > 0.0
+                out = self._hop(fixed, start, seed, t) if reached else seed
             except (StepError, SingularDenominator, DomainError):
                 out = cheap
         if len(self._levels) > 4096:
@@ -1021,32 +965,39 @@ class _Solution3D:
     def branch(self, s, y):
         """Which branch the x-line at (s, y) takes: stop, direct, or reflect."""
         level = float(self.boundary(s, y))
-        if self.kind == "call":
-            if level > s:
-                return "reflect"
-            if level < s - y:
-                return "stop"
-            return "direct"
         if level > s:
-            return "stop"
+            return self._o.above
         if level < s - y:
-            return "reflect"
+            return self._o.below
         return "direct"
 
-    def coefficients(self, s, y):
-        """Branch tag and two-power coefficients for the x-line at (s, y)."""
+    def _line(self, s, y):
+        """Branch, direct level, roots and coefficients of the x-line at (s, y).
+
+        The level is None off the direct branch; a stopped line has no
+        roots or coefficients.
+        """
         br = self.branch(s, y)
         if br == "stop":
-            return br, 0.0, 0.0
+            return br, None, None
         g1, g2, *_ = (float(v) for v in roots_arrays(self.spec, s, y))
+        level = None
         if br == "reflect":
             c1, c2 = self._region_coeffs(s, y)
         else:
-            c1, c2 = _direct_coeffs(
-                self.kind, g1, g2, float(self.boundary(s, y)), self.spec.strike,
-                x_end=s - y if self.kind == "call" else s,
+            level = float(self.boundary(s, y))
+            c1, c2 = _pinned_pair(
+                g1, g2, level, self.spec.strike, self._o.sign,
+                x_end=self._o.edge(s, y),
             )
-        return br, float(c1), float(c2)
+        return br, level, (g1, g2, c1, c2)
+
+    def coefficients(self, s, y):
+        """Branch tag and two-power coefficients for the x-line at (s, y)."""
+        br, _, pair = self._line(s, y)
+        if pair is None:
+            return br, 0.0, 0.0
+        return br, float(pair[2]), float(pair[3])
 
     def value_line(self, x, s, y):
         """Value along one x-line; x may be an array within [s - y, s]."""
@@ -1060,22 +1011,14 @@ class _Solution3D:
             raise DomainError("x outside [s - y, s]")
         x = np.clip(x, s - y, s)
         payoff = self.spec.payoff(x)
-        br = self.branch(s, y)
-        if br == "stop":
+        br, level, pair = self._line(s, y)
+        if pair is None:
             return payoff
-        g1, g2, *_ = (float(v) for v in roots_arrays(self.spec, s, y))
-        if br == "reflect":
-            c1, c2 = self._region_coeffs(s, y)
-        else:
-            level = float(self.boundary(s, y))
-            c1, c2 = _direct_coeffs(
-                self.kind, g1, g2, level, self.spec.strike,
-                x_end=s - y if self.kind == "call" else s,
-            )
-            on_stop_side = x >= level if self.kind == "call" else x <= level
-            cont = c1 * x**g1 + c2 * x**g2
-            return np.where(on_stop_side, payoff, cont)
-        return c1 * x**g1 + c2 * x**g2
+        g1, g2, c1, c2 = pair
+        cont = c1 * x**g1 + c2 * x**g2
+        if br == "direct":
+            return np.where(self._o.stop_side(x, level), payoff, cont)
+        return cont
 
     def value(self, x, s, y):
         return float(self.value_line(np.asarray([x], dtype=float), s, y)[0])
@@ -1086,78 +1029,21 @@ class CallSolution3D(_Solution3D):
 
     kind = "call"
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        n_s: int = 193,
-        n_y: int = 129,
-        s_lo=None,
-        s_hi=None,
-        y_hi=None,
-        step_rel_tol=STEP_REL_TOL,
-    ):
-        if spec.payoff_kind != "call":
-            raise DomainError("spec is not a call model")
-        eps = EDGE_FRACTION * spec.strike
-        s_hi = float(s_hi) if s_hi is not None else spec.domain_s_max
-        s_lo = float(s_lo) if s_lo is not None else 1e-2 * spec.strike
-        y_hi = (
-            float(y_hi)
-            if y_hi is not None
-            else min(spec.domain_y_max, s_hi - 2.0 * eps)
-        )
-        s_grid = np.linspace(s_lo, s_hi, int(n_s))
-        y_grid = np.linspace(0.0, y_hi, int(n_y))
-        surface = build_call_surface(spec, s_grid, y_grid, step_rel_tol)
-        regions = build_reflection_regions(spec, surface)
-        super().__init__(spec, surface, regions)
-
 
 class PutSolution3D(_Solution3D):
     """Assembled perpetual put solution over the (x, s, y) state space."""
 
     kind = "put"
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        n_s: int = 193,
-        n_y: int = 129,
-        s_lo=None,
-        s_hi=None,
-        y_hi=None,
-        step_rel_tol=STEP_REL_TOL,
-    ):
-        if spec.payoff_kind != "put":
-            raise DomainError("spec is not a put model")
-        eps = EDGE_FRACTION * spec.strike
-        s_hi = float(s_hi) if s_hi is not None else spec.domain_s_max
-        s_lo = float(s_lo) if s_lo is not None else 1e-2 * spec.strike
-        y_hi = (
-            float(y_hi)
-            if y_hi is not None
-            else min(spec.domain_y_max, s_hi - 2.0 * eps)
-        )
-        s_grid = np.linspace(s_lo, s_hi, int(n_s))
-        y_grid = np.linspace(0.0, y_hi, int(n_y))
-        surface = build_put_surface(spec, s_grid, y_grid, step_rel_tol)
-        regions = build_reflection_regions(spec, surface)
-        super().__init__(spec, surface, regions)
-
 
 @lru_cache(maxsize=4)
-def _default_solution_3d(spec: ModelSpec):
-    cls = CallSolution3D if spec.payoff_kind == "call" else PutSolution3D
+def _default_solution_3d(spec: ModelSpec, cls):
     return cls(spec)
 
 
 def call_value_3d(spec: ModelSpec, x, s, y):
-    if spec.payoff_kind != "call":
-        raise DomainError("spec is not a call model")
-    return _default_solution_3d(spec).value(x, s, y)
+    return _default_solution_3d(spec, CallSolution3D).value(x, s, y)
 
 
 def put_value_3d(spec: ModelSpec, x, s, y):
-    if spec.payoff_kind != "put":
-        raise DomainError("spec is not a put model")
-    return _default_solution_3d(spec).value(x, s, y)
+    return _default_solution_3d(spec, PutSolution3D).value(x, s, y)

@@ -234,3 +234,36 @@ def test_generator_residual_fd_fallback_matches_exact():
     )
     fd = generator_residual(spec, lambda x: x**2, point)
     npt.assert_allclose(fd, exact, rtol=1e-6, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# two-power pinning
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1.05, 3.0), st.floats(-4.0, -0.3), st.floats(0.5, 1.5),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_pinned_pair_matches_value_and_payoff_slope(g1, g2, shift, sign):
+    from drawdown_options.coefficients import _critical_level, _pinned_pair
+
+    level = shift * float(_critical_level(g1, g2, 1.0, sign))
+    target = sign * (level - 1.0) + 0.01
+    c1, c2 = _pinned_pair(g1, g2, level, 1.0, sign, target)
+    value = c1 * level**g1 + c2 * level**g2
+    slope = c1 * g1 * level ** (g1 - 1.0) + c2 * g2 * level ** (g2 - 1.0)
+    assert value == pytest.approx(target, rel=1e-12, abs=1e-12)
+    assert slope == pytest.approx(sign, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.05, 3.0), st.floats(-4.0, -0.3))
+def test_pinned_pair_at_critical_level_drops_the_complementary_power(g1, g2):
+    # exactly, not to rounding: the tiny x at a line's floor amplifies x**g2
+    from drawdown_options.coefficients import _critical_level, _pinned_pair
+
+    call = _pinned_pair(g1, g2, _critical_level(g1, g2, 1.0, 1.0), 1.0, 1.0)
+    put = _pinned_pair(g1, g2, _critical_level(g1, g2, 1.0, -1.0), 1.0, -1.0)
+    assert call[1] == 0.0 and call[0] > 0.0
+    assert put[0] == 0.0 and put[1] > 0.0

@@ -8,6 +8,7 @@ from drawdown_options import (
     CoefficientField,
     ColumnClosure,
     ModelSpec,
+    PutSolution3D,
     RegionSpec,
     RowClosure,
     UnderdeterminedRegion,
@@ -131,6 +132,33 @@ def test_residuals_detect_a_perturbed_field():
     res_c_pert, _ = pde_residuals(spec, grid)
     assert res_c_pert > 1e-4
     assert res_c_pert > 100.0 * max(res_c_base, 1e-12)
+
+
+def test_drawdown_put_region_matches_recorded_coefficients():
+    # spot values of a drawdown put's reflected component, recorded from the
+    # code that assembled column and row closures in separate blocks; they
+    # hold to rounding, since only the anchor pair's arithmetic was refactored
+    spec = ModelSpec(
+        r=0.06,
+        strike=1.0,
+        payoff_kind="put",
+        delta_field=CoefficientField("bounded_rational", (0.02, 0.0, 0.01)),
+        sigma_field=CoefficientField("constant", (0.2,)),
+    )
+    (grid,) = PutSolution3D(spec, n_s=49, n_y=33).regions
+    assert int(grid.active.sum()) == 752
+    both = {
+        (2, 0): (0.004668025680633134, 0.13797200560338635),
+        (5, 1): (0.0004558720621597662, 0.14151437171371342),
+        (8, 4): (3.942397697747113e-05, 0.14338698768117855),
+        (12, 6): (9.930523463514745e-06, 0.14493464194118316),
+    }
+    for (i, j), (c1, c2) in both.items():
+        npt.assert_allclose([grid.C1[i, j], grid.C2[i, j]], [c1, c2], rtol=1e-12)
+    c2_only = {(20, 11): 0.14620914083236292, (35, 1): 0.21071074029680112,
+               (48, 29): 0.14733504823304783}
+    for (i, j), c2 in c2_only.items():
+        npt.assert_allclose(grid.C2[i, j], c2, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,21 @@ def _junction_jump(sol, s):
     return abs(v_lo - v_hi) / max(abs(v_hi), 1e-12)
 
 
+def test_sloped_call_corner_lines_stay_on_or_above_payoff(sloped_call):
+    # a maximum-only call's direct level is the critical point g1 K/(g1 - 1)
+    # itself, where the x**g2 power drops out exactly; a rounding residue in
+    # its coefficient, amplified by the tiny x at the corner, used to push
+    # the value below the payoff on some of these lines
+    spec, sol = sloped_call
+    for s in np.linspace(3.0, 18.0, 61):
+        y = s - 2e-6
+        br, c1, c2 = sol.coefficients(s, y)
+        assert br == "direct"
+        assert c2 == 0.0
+        xs = np.linspace(s - y, s, 201)
+        assert np.all(sol.value_line(xs, s, y) >= spec.payoff(xs))
+
+
 def test_flat_put_value_continuous_across_branch_junction(flat_put):
     # with flat coefficients both branches carry exact coefficients, so the
     # junction itself introduces no seam
@@ -419,6 +434,42 @@ def test_sloped_put_surface_matches_recorded_bits():
     assert float(v[3, 1]).hex() == "0x1.ca9bd16319682p-1"
     assert float(v[12, 5]).hex() == "0x1.c604b85f97144p-1"
     assert digest == "c24a1ac19886d9ba15f682ae3cf919e990322f2b102e61494a6da44236b4c23a"
+
+
+def test_sloped_call_surface_matches_recorded_bits():
+    """The call orientation of the march set-up, pinned bit for bit.
+
+    Twin of the put pin above, recorded from the code that still wrote the
+    call and put marches out separately: a small surface whose first eight
+    slices finish and whose other slices are flagged at their first node,
+    with all three labels and a two-point cap curve.  Same caveat about the
+    platform's libm as the put pin.
+    """
+    import hashlib
+
+    spec = ModelSpec(
+        r=0.06,
+        strike=1.0,
+        payoff_kind="call",
+        delta_field=CoefficientField("bounded_rational", (0.03, 0.01, 0.005)),
+        sigma_field=CoefficientField("constant", (0.2,)),
+    )
+    surf = build_call_surface(
+        spec, np.linspace(0.05, 20.0, 24), np.linspace(0.0, 19.9, 16)
+    )
+    v = surf.values
+    digest = hashlib.sha256(np.nan_to_num(v, nan=-1.0).tobytes()).hexdigest()
+    assert int(np.isfinite(v).sum()) == 177
+    assert digest == "6102b4fdb3f34ac730aeb908a84b9dac799dae9a1d49525427ad274b21e0f409"
+    assert [kd for kd, _ in surf.slice_status] == ["ok"] * 8 + ["step"] * 16
+    assert [pos for _, pos in surf.slice_status[8:]] == [0.0] * 16
+    labels = hashlib.sha256(surf.labels.tobytes()).hexdigest()
+    assert labels == "3d46e5644231ae3d6d7016356a1b329b958d48a4c70a885f5c9eb4dc2fb10e27"
+    cap = surf.cap_curve
+    assert np.flatnonzero(np.isfinite(cap)).tolist() == [0, 1]
+    assert [float(c).hex() for c in cap[:2]] == [
+        "0x1.34adabbfcfdefp+1", "0x1.2f7f1ab6d2a81p+1"
+    ]
 
 
 @pytest.mark.parametrize("order", ["F", "C"])
