@@ -309,7 +309,9 @@ def _pinned_pair(g1, g2, level, strike, sign, target=None, x_end=None):
     with minimum zero at the level, so checking the far end alone decides
     dominance.  When it fails, the level moves to the critical point with
     the target following the payoff's slope (e is kept); the matching
-    conditions at the original level are then off by O(shift^2) only.
+    conditions at the original level are then off by O(shift^2) only.  A far
+    end at the level itself holds the target by construction and is not
+    tested: the test would only compare two roundings of one number.
     """
     e = 0.0 if target is None else target - sign * (level - strike)
 
@@ -321,7 +323,7 @@ def _pinned_pair(g1, g2, level, strike, sign, target=None, x_end=None):
         )
 
     c1, c2 = pair(level)
-    if x_end is not None and x_end > 0.0:
+    if x_end is not None and x_end > 0.0 and x_end != level:
         val = c1 * x_end**g1 + c2 * x_end**g2
         if val < max(sign * (x_end - strike), 0.0):
             c1, c2 = pair(_critical_level(g1, g2, strike, sign))

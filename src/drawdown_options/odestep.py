@@ -1,7 +1,8 @@
 """Fixed-step RK4 with a halved-step Richardson error check.
 
-Shared by the boundary integrators.  Works elementwise on scalars or numpy
-arrays, so a stack of independent slices can advance in lockstep.
+Works elementwise on scalars or numpy arrays, for the two marches: one line
+on scalars (``solver2d._march_line``) and a surface's slices in lockstep
+(``solver3d._march_surface``).
 
 The right-hand side is handed to :func:`checked_step` in two stages: the
 part that depends on the abscissa alone (roots, field values) and the part

@@ -62,8 +62,8 @@ from .solver2d import (
     STEP_REL_TOL,
     OdeStage,
     PutSolution2D,
+    _march_line,
     _ode_terms,
-    _sign,
     detect_switch_points,
 )
 
@@ -521,32 +521,11 @@ def diagonal_put_curve(spec: ModelSpec):
     return PutSolution2D(dspec).curve
 
 
-def _march_slice(stage, t0, g0, nodes, step_rel_tol, what):
-    """Strict single-slice march used by the per-slice entry points.
-
-    Raises on a failed step check; the caller's stage raises on a
-    denominator sign change.  A constraint breach (signalled by the stage
-    returning NaN) ends the slice: remaining nodes stay NaN.
-    """
-    stage = ReuseStages(stage)
-    vals = np.full(len(nodes), np.nan)
-    t, g = float(t0), float(g0)
-    for k, t_next in enumerate(nodes):
-        g_new, rel = checked_step(stage, t, g, float(t_next) - t)
-        if not np.isfinite(g_new):
-            break
-        if float(rel) > step_rel_tol:
-            raise StepError(
-                f"{what} step from {t:g} failed its error check "
-                f"(relative estimate {float(rel):.3e}); use a finer grid"
-            )
-        t, g = float(t_next), float(g_new)
-        vals[k] = g
-    return vals
-
-
 def _boundary_slice(o, spec, fixed, nodes, step_rel_tol):
-    """Barrier on one slice, marched from next to the diagonal through nodes."""
+    """Barrier on one slice, marched from next to the diagonal through nodes.
+
+    A level outside the band gives NaN, so the nodes from a breach on are NaN.
+    """
     fixed = float(fixed)
     nodes = np.asarray(nodes, dtype=float)
     eps = EDGE_FRACTION * spec.strike
@@ -561,32 +540,19 @@ def _boundary_slice(o, spec, fixed, nodes, step_rel_tol):
         )
     seed = float(_diagonal_seeds(o, spec, fixed, start))
     check_quadrant(*o.swap(fixed, nodes))
-    den_sign = 0.0
-    what = f"slice {o.fixed}={fixed:g}"
 
     def stage(t):
         s, y = o.swap(fixed, t)
         ode = _stage(o, spec, s, y)
         lo, hi = o.band(spec, s, y)
 
-        def f(level):
-            nonlocal den_sign
+        def terms(level):
             d, den = ode.terms(level)
-            den = float(den)
-            if den_sign == 0.0:
-                den_sign = _sign(den)
-            if den * den_sign <= 1e-12 * spec.strike:
-                raise SingularDenominator(
-                    f"slice denominator vanished near {o.moving}={float(t):g} "
-                    f"on {what}"
-                )
-            if not lo < level < hi:
-                return np.nan
-            return d
+            return (d if lo < level < hi else np.nan), den
 
-        return f
+        return terms
 
-    return _march_slice(stage, start, seed, nodes, step_rel_tol, what)
+    return _march_line(stage, start, seed, nodes, step_rel_tol, spec.strike)[0]
 
 
 def call_boundary_slice(spec: ModelSpec, s, y_grid, step_rel_tol=STEP_REL_TOL):
@@ -887,6 +853,7 @@ class _Solution3D:
         self.spec = spec
         self.surface = build(spec, s_grid, y_grid, step_rel_tol)
         self.regions = build_reflection_regions(spec, self.surface)
+        self._step_rel_tol = step_rel_tol
         self._levels = {}
         self._boxes = []
         for g in self.regions:
@@ -898,24 +865,6 @@ class _Solution3D:
                     g.y_grid[yi[0]], g.y_grid[yi[-1]],
                 )
             )
-
-    def _hop(self, fixed, t0, v0, t1):
-        """Short checked march of the slice state from t0 to t1."""
-        spec, o = self.spec, self._o
-        check_quadrant(*o.swap(fixed, [t0, t1]))
-        stage = ReuseStages(lambda t: _stage(o, spec, *o.swap(fixed, t)))
-        h = spec.strike / 64.0
-        n = max(1, int(np.ceil(abs(t1 - t0) / h)))
-        t, v = float(t0), float(v0)
-        for k in range(n):
-            t_next = t0 + (t1 - t0) * ((k + 1.0) / n)
-            v, rel = checked_step(
-                stage, t, v, t_next - t, scale_floor=1e-12 * spec.strike
-            )
-            if not np.isfinite(v) or float(rel) > STEP_REL_TOL:
-                raise StepError("refinement hop failed its error check")
-            t = t_next
-        return float(v)
 
     def boundary(self, s, y):
         """Barrier level of the x-line at (s, y).
@@ -939,10 +888,16 @@ class _Solution3D:
             fixed, t = o.swap(s, y)
             start = fixed + o.direction * eps
             try:
-                seed = float(_diagonal_seeds(o, spec, fixed, start))
-                reached = o.direction * (t - start) > 0.0
-                out = self._hop(fixed, start, seed, t) if reached else seed
+                if o.direction * (t - start) > 0.0:
+                    n = max(1, int(np.ceil(abs(t - start) / (spec.strike / 64.0))))
+                    nodes = start + (t - start) * (np.arange(1, n + 1) / n)
+                    line = _boundary_slice(o, spec, fixed, nodes, self._step_rel_tol)
+                    out = float(line[-1])
+                else:
+                    out = float(_diagonal_seeds(o, spec, fixed, start))
             except (StepError, SingularDenominator, DomainError):
+                pass
+            if not np.isfinite(out):
                 out = cheap
         if len(self._levels) > 4096:
             self._levels.clear()

@@ -267,3 +267,18 @@ def test_pinned_pair_at_critical_level_drops_the_complementary_power(g1, g2):
     put = _pinned_pair(g1, g2, _critical_level(g1, g2, 1.0, -1.0), 1.0, -1.0)
     assert call[1] == 0.0 and call[0] > 0.0
     assert put[0] == 0.0 and put[1] > 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1.05, 3.0), st.floats(-4.0, -0.3), st.floats(0.3, 3.0),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_pinned_pair_ignores_a_far_end_at_the_level(g1, g2, level, sign):
+    # a zero-length line: its value there is the target by construction, so
+    # the dominance clamp has nothing to decide
+    from drawdown_options.coefficients import _pinned_pair
+
+    assert _pinned_pair(g1, g2, level, 1.0, sign, x_end=level) == _pinned_pair(
+        g1, g2, level, 1.0, sign
+    )

@@ -273,3 +273,51 @@ def test_default_put_grid_shape():
     assert grid[0] == spec.domain_s_max
     assert np.all(np.diff(grid) < 0)
     assert grid[-1] < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the scalar stage pinned to the array stage, and to recorded bits
+
+
+def _array_put_stage(spec):
+    """The put ODE through OdeStage and roots_arrays at y = 0."""
+    from drawdown_options.coefficients import roots_arrays
+    from drawdown_options.solver2d import OdeStage
+
+    def stage(s):
+        g1, g2, dg1, dg2, _, _ = roots_arrays(spec, s, 0.0)
+        return OdeStage(g1, g2, dg1, dg2, s, spec.strike).terms
+
+    return stage
+
+
+@pytest.mark.parametrize(
+    "kind, offset",
+    [("flat", 0.0), ("sloped", 0.0), ("sloped", 1e-4)],
+)
+def test_scalar_put_stage_matches_array_stage_bit_for_bit(kind, offset):
+    from drawdown_options.solver2d import STEP_REL_TOL, _march_line
+
+    spec = flat_spec("put") if kind == "flat" else sloped_spec("put")
+    curve = put_boundary_2d(spec, shoot_offset=offset)
+    s_desc = default_put_grid(spec)
+    g0 = float(put_asymptote(spec, s_desc[0])) - offset
+    vals, worst = _march_line(
+        _array_put_stage(spec), s_desc[0], g0, s_desc[1:], STEP_REL_TOL, spec.strike
+    )
+    assert np.array_equal(curve.values[::-1], np.concatenate([[g0], vals]))
+    assert worst == curve.max_step_error
+
+
+def test_put_curve_matches_recorded_bits():
+    """The default sloped put curve, recorded from the loop that marched it
+    before the 2D curve, the slices and the query re-march shared one line
+    march.  Same caveat about the platform's libm as the surface pins."""
+    import hashlib
+
+    curve = put_boundary_2d(sloped_spec("put"))
+    digest = hashlib.sha256(curve.values.tobytes()).hexdigest()
+    assert digest == "a118e4f2ed623d5e9c9abe9b9bc8fa955742f529a8dca07d09b2f108d30da666"
+    assert float(curve.values[100]).hex() == "0x1.473e3ae21a853p-1"
+    assert float(curve.max_step_error).hex() == "0x1.f3d924aca8711p-37"
+    assert len(curve.switches) == 1

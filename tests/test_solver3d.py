@@ -507,3 +507,77 @@ def test_level_at_matches_clamped_bilinear_formula_bit_for_bit(order):
     assert np.array_equal(got, want, equal_nan=True)
     # scalars take the same route
     assert surf.level_at(3.0, 1.0) == surf.level_at(np.array([3.0]), np.array([1.0]))[0]
+
+
+# ---------------------------------------------------------------------------
+# the slice entry points and the query re-march, pinned to recorded bits
+
+# direct-line ranges of (s, s - y) per payoff, inside each fixture's band
+_DIRECT_LINES = {"call": ((3.0, 8.0), (0.3, 2.0)), "put": ((1.0, 8.0), (0.05, 0.5))}
+
+
+def _digest(a):
+    import hashlib
+
+    filled = np.nan_to_num(np.asarray(a, float), nan=-1.0)
+    return hashlib.sha256(filled.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind, digest, first",
+    [
+        ("call", "c876c799e92ad92a06076785b1e81174141b5464c5053730b099a2c11eb042d3",
+         "0x1.3ecc5695989bdp+1"),
+        ("put", "de58ab27b630ce45df996796452dcdaede02db824bcc4eb711eb4a8daaa2ffe0",
+         "0x1.57738c8233bafp-1"),
+    ],
+)
+def test_direct_line_levels_match_recorded_bits(kind, digest, first, request):
+    """Re-marched levels of 48 direct lines, recorded from the dedicated
+    query march that preceded the shared line march.  Same caveat about the
+    platform's libm as the surface pins."""
+    spec, sol = request.getfixturevalue("sloped_" + kind)
+    rng = np.random.default_rng(5)
+    s_range, floor_range = _DIRECT_LINES[kind]
+    s = rng.uniform(*s_range, 48)
+    y = s - rng.uniform(*floor_range, 48)
+    levels = np.array([sol.boundary(a, b) for a, b in zip(s, y)])
+    assert all(sol.branch(a, b) == "direct" for a, b in zip(s, y))
+    # every level is re-marched, not read off the lattice
+    smooth = np.array([sol.surface.level_smooth(a, b) for a, b in zip(s, y)])
+    assert np.all(levels != smooth)
+    assert float(levels[0]).hex() == first
+    assert _digest(levels) == digest
+
+
+def test_slice_entry_points_match_recorded_bits():
+    # recorded from the per-slice march that preceded the shared line march
+    call = call_boundary_slice(
+        make_spec("call", ("s_only", (0.02, 0.02))), 4.0, np.linspace(3.9, 0.0, 40)
+    )
+    put = put_boundary_slice(
+        make_spec("put", ("s_only", (0.02, 0.01))), 0.5, np.linspace(0.6, 8.0, 75)
+    )
+    assert float(call[10]).hex() == "0x1.49986b693bbd3p+1"
+    assert _digest(call) == (
+        "a48ebaa725e4280b11bae09ce19ad7f56fa163527d72ee186dbe64a291e5e437"
+    )
+    assert float(put[10]).hex() == "0x1.5b4f21d21348bp-1"
+    assert _digest(put) == (
+        "b649af93345dafe5d2b7328bf20155b1540224e8379e0854c7d64c96070dc0bb"
+    )
+
+
+def test_direct_line_remarch_uses_the_solution_tolerance(sloped_put, monkeypatch):
+    # the re-march follows the tolerance the solution was built with, not
+    # whatever the module default reads at query time
+    from drawdown_options import solver3d
+
+    spec, sol = sloped_put
+    s, y = 3.1, 2.9
+    assert sol.branch(s, y) == "direct"
+    want = sol.boundary(s, y)
+    assert want != sol.surface.level_smooth(s, y)
+    sol._levels.pop((s, y))
+    monkeypatch.setattr(solver3d, "STEP_REL_TOL", 0.0)
+    assert sol.boundary(s, y) == want
