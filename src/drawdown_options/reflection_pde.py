@@ -8,6 +8,13 @@ discretized with midpoint (trapezoidal) differencing between adjacent nodes,
 assembled into one sparse linear system over all active nodes, and solved
 directly.
 
+The system is built per line family as arrays: the pair relations of all
+rows in one batch, then those of all columns, each batch with one
+roots_arrays call, and the closures by kind.  The edge powers base**g go
+through libm's pow, not numpy's SIMD power, whose last bit depends on which
+SIMD path the CPU dispatches to; so every entry has the bits of the same
+relation evaluated on its own, on any CPU.
+
 Each nonempty grid row and column contributes one fewer pair relation than it
 has nodes, so the system closes exactly when every nonempty column carries one
 closure condition and every nonempty row carries one.  A value-matching
@@ -29,6 +36,7 @@ that drive accuracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from math import isnan, nan
 
@@ -184,27 +192,142 @@ def _extrap_weights(p1, p2, p):
     return 1.0 - w2, w2
 
 
-def _pair_entries(spec: ModelSpec, s, y, along_s, h):
-    """Entries of one midpoint pair relation between line neighbours h apart.
+def _libm_pow(base, g):
+    """base**g elementwise over 1-D arrays, through the C library's pow.
 
-    The relation sits at the midpoint (s, y) of a line along s (reflecting
-    top edge x = s) or along y (bottom edge x = s - y).  Returns, for C1 and
-    then C2, the edge power p and the factors of the nearer and the farther
-    node; a node's entry is p times its factor.
+    numpy's SIMD power can round the last bit differently from libm's pow,
+    and which SIMD path runs depends on the CPU; libm keeps each entry equal
+    to the scalar base**g on any CPU.
+    """
+    return np.array(list(map(math.pow, base.tolist(), g.tolist())), dtype=float)
+
+
+def _point(along_s, fixed, pos):
+    """(s, y) of a position along a line, given the line's fixed coordinate."""
+    return (pos, fixed) if along_s else (fixed, pos)
+
+
+def _pair_entries(spec: ModelSpec, s, y, along_s, h):
+    """Entries of midpoint pair relations between line neighbours h apart.
+
+    Each relation sits at a midpoint (s, y) of a line along s (reflecting top
+    edge x = s) or along y (bottom edge x = s - y); s, y and h are 1-D arrays
+    with one entry per relation.  Returns, for C1 and then C2, the edge power
+    p and the factors of the nearer and the farther node, as arrays; a
+    node's entry is p times its factor.
     """
     base = s if along_s else s - y
-    if base <= 0:
+    bad = np.flatnonzero(base <= 0)
+    if bad.size:
+        k = bad[0]
         raise UnderdeterminedRegion(
-            f"pair relation at s={s:g}, y={y:g} straddles the diagonal"
+            f"pair relation at s={s[k]:g}, y={y[k]:g} straddles the diagonal"
         )
-    g1, g2, d1s, d2s, d1y, d2y = (float(v) for v in roots_arrays(spec, s, y))
+    g1, g2, d1s, d2s, d1y, d2y = roots_arrays(spec, s, y)
     slopes = (d1s, d2s) if along_s else (d1y, d2y)
     lb = np.log(base)
     out = []
     for g, dg in zip((g1, g2), slopes):
-        p = base**g
-        out.append((p, -1.0 / h + 0.5 * dg * lb, +1.0 / h + 0.5 * dg * lb))
+        half = 0.5 * dg * lb
+        out.append((_libm_pow(base, g), -1.0 / h + half, 1.0 / h + half))
     return out
+
+
+def _pair_block(spec: ModelSpec, family):
+    """Pair relations of one line family, one per pair of active neighbours.
+
+    Returns (eq, cols, vals, rhs): the relation (counted within the block) of
+    each entry, its unknown and value, and each relation's right-hand side.
+    A relation's entries run C1 near, C1 far, C2 near, C2 far.
+    """
+    along_s, act, rnk, pos, fix = family
+    # lines are contiguous, so the far neighbour of position a is a + 1, and
+    # nonzero walks the lines in order and each line from its start
+    k, a = np.nonzero(act[:, :-1] & act[:, 1:])
+    b = a + 1
+    mid = 0.5 * (pos[a] + pos[b])
+    (p1, near1, far1), (p2, near2, far2) = _pair_entries(
+        spec, *_point(along_s, fix[k], mid), along_s, pos[b] - pos[a]
+    )
+    node_a, node_b = 2 * rnk[k, a], 2 * rnk[k, b]
+    cols = np.stack([node_a, node_b, node_a + 1, node_b + 1], axis=1)
+    vals = np.stack([p1 * near1, p1 * far1, p2 * near2, p2 * far2], axis=1)
+    eq = np.repeat(np.arange(k.size), 4)
+    return eq, cols.ravel(), vals.ravel(), np.zeros(k.size)
+
+
+def _closure_block(spec: ModelSpec, family, closures):
+    """Closure equations of one line family, one per closure, in list order.
+
+    Each closure acts at its line's last active node.  Returns (eq, cols,
+    vals, rhs) as :func:`_pair_block` does.
+    """
+    along_s, act, rnk, pos, fix = family
+    n = len(closures)
+    kind = np.array([c.kind for c in closures], dtype=object)
+    k = np.array([c.j if along_s else c.i for c in closures], dtype=int)
+    at = np.array([c.s_pos if along_s else c.y_pos for c in closures], dtype=float)
+    x_base = np.array([c.x_base for c in closures], dtype=float)
+    target = np.array([c.target for c in closures], dtype=float)
+    size = act[k].sum(axis=1)
+    last = np.argmax(act[k], axis=1) + size - 1
+    node = 2 * rnk[k, last]
+    # two entry slots per equation, C1 then C2 of the last node by default;
+    # one-entry closures leave the second slot unused
+    cols = np.stack([node, node + 1], axis=1)
+    vals = np.ones((n, 2))
+    used = np.ones((n, 2), dtype=bool)
+    rhs = np.zeros(n)
+    used[kind == "c1_zero", 1] = False
+    c2_zero = kind == "c2_zero"
+    one = c2_zero & (size == 1)
+    cols[one, 0] = node[one] + 1
+    used[one, 1] = False
+    two = np.flatnonzero(c2_zero & (size >= 2))
+    prev = last[two] - 1
+    cols[two, 0] = 2 * rnk[k[two], prev] + 1
+    vals[two] = np.stack(_extrap_weights(pos[prev], pos[last[two]], at[two]), axis=1)
+
+    combo = np.flatnonzero(kind == "combo")
+    s, y = _point(along_s, fix[k[combo]], at[combo])
+    g1, g2, *_ = roots_arrays(spec, s, y)
+    end = pos[last[combo]]
+    h = at[combo] - end
+    tie = ~(np.abs(h) <= 1e-9 * (np.abs(end) + pos[-1] - pos[0]))
+    # a closure at the last node pins the value there directly
+    on = combo[~tie]
+    vals[on, 0] = _libm_pow(x_base[on], g1[~tie])
+    vals[on, 1] = _libm_pow(x_base[on], g2[~tie])
+    rhs[on] = target[on]
+    # otherwise the anchor pair at the closure position is tied to the last
+    # node by one more midpoint pair
+    off = combo[tie]
+    sign = 1.0 if spec.payoff_kind == "call" else -1.0
+    x_end = s - y if sign > 0 else s
+    anchor = np.array(
+        [
+            _pinned_pair(a, b, xb, spec.strike, sign, t, x_end=e)
+            for a, b, xb, t, e in zip(
+                g1[tie].tolist(), g2[tie].tolist(), x_base[off].tolist(),
+                target[off].tolist(), x_end[tie].tolist(),
+            )
+        ],
+        dtype=float,
+    ).reshape(-1, 2)
+    (p1, near1, far1), (p2, near2, far2) = _pair_entries(
+        spec,
+        *_point(along_s, fix[k[off]], 0.5 * (end[tie] + at[off])),
+        along_s,
+        h[tie],
+    )
+    vals[off, 0] = p1 * near1
+    vals[off, 1] = p2 * near2
+    # summed from +0.0, so two -0.0 terms leave no -0.0 in the system
+    rhs[off] = -(0.0 + anchor[:, 0] * p1 * far1 + anchor[:, 1] * p2 * far2)
+
+    keep = used.ravel()
+    eq = np.repeat(np.arange(n), 2)[keep]
+    return eq, cols.ravel()[keep], vals.ravel()[keep], rhs
 
 
 def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientGrid:
@@ -226,114 +349,51 @@ def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientG
         ("column", active, [c.i for c in region.column_closures]),
         ("row", active.T, [c.j for c in region.row_closures]),
     ):
-        nonempty = set()
-        for k, line in enumerate(lines):
-            idx = np.flatnonzero(line)
-            if not idx.size:
-                continue
-            nonempty.add(k)
-            if not np.array_equal(idx, np.arange(idx[0], idx[-1] + 1)):
-                raise UnderdeterminedRegion(
-                    f"active nodes in {name} {k} are not contiguous"
-                )
+        # a line is contiguous when at most one run of active nodes starts on it
+        starts = lines[:, 0] + np.sum(lines[:, 1:] & ~lines[:, :-1], axis=1)
+        split = np.flatnonzero(starts > 1)
+        if split.size:
+            raise UnderdeterminedRegion(
+                f"active nodes in {name} {split[0]} are not contiguous"
+            )
+        nonempty = set(np.flatnonzero(starts).tolist())
         if set(closures) != nonempty or len(closures) != len(nonempty):
             raise UnderdeterminedRegion(
                 f"need exactly one closure per nonempty {name}; have closures "
                 f"for {sorted(set(closures))} vs {name}s {sorted(nonempty)}"
             )
 
-    rows_ij = []
-    cols_ij = []
-    vals = []
-    rhs_entries = []
-    eq = 0
-
-    def add(r, c, v):
-        rows_ij.append(r)
-        cols_ij.append(c)
-        vals.append(float(v))
-
-    sign = 1.0 if spec.payoff_kind == "call" else -1.0
     # rows run along s at fixed y, columns along y at fixed s; each family
     # as (along s?, activity and node ranks indexed [line, position], the
     # grid the lines run along, the grid of their fixed coordinate)
     rows = (True, active.T, rank.T, s_grid, y_grid)
     cols = (False, active, rank, y_grid, s_grid)
-
-    def point(along_s, fixed, pos):
-        return (pos, fixed) if along_s else (fixed, pos)
-
-    # pair relations between neighbours on every row, then every column
-    for along_s, act, rnk, pos, fix in (rows, cols):
-        for k in range(act.shape[0]):
-            idx = np.flatnonzero(act[k])
-            for a, b in zip(idx, idx[1:]):
-                mid = 0.5 * (pos[a] + pos[b])
-                entries = _pair_entries(
-                    spec, *point(along_s, fix[k], mid), along_s, pos[b] - pos[a]
-                )
-                for off, (p, near, far) in enumerate(entries):
-                    add(eq, 2 * rnk[k, a] + off, p * near)
-                    add(eq, 2 * rnk[k, b] + off, p * far)
-                rhs_entries.append(0.0)
-                eq += 1
-
-    # one closure per column, then one per row, acting at the line's last node
-    for (along_s, act, rnk, pos, fix), closures in (
-        (cols, region.column_closures),
-        (rows, region.row_closures),
-    ):
-        for c in closures:
-            k = c.j if along_s else c.i
-            idx = np.flatnonzero(act[k])
-            node = 2 * rnk[k, idx[-1]]
-            rhs = 0.0
-            if c.kind == "c1_zero":
-                add(eq, node, 1.0)
-            elif c.kind == "c2_zero":
-                if idx.size >= 2:
-                    w1, w2 = _extrap_weights(pos[idx[-2]], pos[idx[-1]], c.y_pos)
-                    add(eq, 2 * rnk[k, idx[-2]] + 1, w1)
-                    add(eq, node + 1, w2)
-                else:
-                    add(eq, node + 1, 1.0)
-            else:
-                at = c.s_pos if along_s else c.y_pos
-                s, y = point(along_s, fix[k], at)
-                g1, g2, *_ = (float(v) for v in roots_arrays(spec, s, y))
-                p1 = pos[idx[-1]]
-                h = at - p1
-                if abs(h) <= 1e-9 * (abs(p1) + pos[-1] - pos[0]):
-                    add(eq, node, c.x_base**g1)
-                    add(eq, node + 1, c.x_base**g2)
-                    rhs = float(c.target)
-                else:
-                    # the anchor pair at the closure position, tied to the
-                    # last node by one more midpoint pair
-                    anchor = _pinned_pair(
-                        g1, g2, c.x_base, spec.strike, sign, float(c.target),
-                        x_end=s - y if sign > 0 else s,
-                    )
-                    mid = point(along_s, fix[k], 0.5 * (p1 + at))
-                    acc = 0.0
-                    for off, ((p, near, far), av) in enumerate(
-                        zip(_pair_entries(spec, *mid, along_s, h), anchor)
-                    ):
-                        add(eq, node + off, p * near)
-                        acc += av * p * far
-                    rhs = -acc
-            rhs_entries.append(rhs)
-            eq += 1
-
+    # equations: pair relations on every row, then every column; then one
+    # closure per column, then one per row
+    blocks = (
+        _pair_block(spec, rows),
+        _pair_block(spec, cols),
+        _closure_block(spec, cols, region.column_closures),
+        _closure_block(spec, rows, region.row_closures),
+    )
+    eqs = []
+    eq = 0
+    for block_eq, _, _, block_rhs in blocks:
+        eqs.append(block_eq + eq)
+        eq += block_rhs.size
     if eq != 2 * n_nodes:
         raise UnderdeterminedRegion(
             f"assembled {eq} equations for {2 * n_nodes} unknowns"
         )
 
     mat = sparse.coo_matrix(
-        (vals, (rows_ij, cols_ij)), shape=(eq, 2 * n_nodes)
+        (
+            np.concatenate([blk[2] for blk in blocks]),
+            (np.concatenate(eqs), np.concatenate([blk[1] for blk in blocks])),
+        ),
+        shape=(eq, 2 * n_nodes),
     ).tocsr()
-    rhs = np.asarray(rhs_entries)
+    rhs = np.concatenate([blk[3] for blk in blocks])
     # equilibrate rows: the power factors span many orders of magnitude
     scale = np.maximum.reduceat(np.abs(mat.data), mat.indptr[:-1])
     scale[np.diff(mat.indptr) == 0] = 1.0
@@ -370,46 +430,41 @@ def residual_grids(spec: ModelSpec, grid: CoefficientGrid):
     normalized by the larger of the two power-term magnitudes at that node.
     Only fully interior nodes are evaluated (all four neighbors active): line
     ends are governed by closure data rather than by the relations, so
-    residuals there would measure the closures, not convergence.
+    residuals there would measure the closures, not convergence.  Every
+    other node, and every node with s - y <= 0, holds NaN.
     """
     s_grid, y_grid, active = grid.s_grid, grid.y_grid, grid.active
     res_c = np.full((s_grid.size, y_grid.size), np.nan)
     res_d = np.full((s_grid.size, y_grid.size), np.nan)
+    inner = np.zeros(res_c.shape, dtype=bool)
+    inner[1:-1, 1:-1] = (
+        active[1:-1, 1:-1]
+        & active[:-2, 1:-1]
+        & active[2:, 1:-1]
+        & active[1:-1, :-2]
+        & active[1:-1, 2:]
+    )
+    i, j = np.nonzero(inner)
+    keep = s_grid[i] - y_grid[j] > 0
+    i, j = i[keep], j[keep]
+    s, y = s_grid[i], y_grid[j]
+    g1, g2, dg1s, dg2s, dg1y, dg2y = roots_arrays(spec, s, y)
+    ds = s_grid[i + 1] - s_grid[i - 1]
+    dy = y_grid[j + 1] - y_grid[j - 1]
     floor = 1e-300
-    for i in range(1, s_grid.size - 1):
-        for j in range(1, y_grid.size - 1):
-            if not (
-                active[i, j]
-                and active[i - 1, j]
-                and active[i + 1, j]
-                and active[i, j - 1]
-                and active[i, j + 1]
-            ):
-                continue
-            base = s_grid[i] - y_grid[j]
-            if base <= 0:
-                continue
-            g1, g2, dg1s, dg2s, dg1y, dg2y = (
-                float(v) for v in roots_arrays(spec, s_grid[i], y_grid[j])
-            )
-            ds = s_grid[i + 1] - s_grid[i - 1]
-            lg = np.log(s_grid[i])
-            r = 0.0
-            mag = floor
-            for g, dg, C in ((g1, dg1s, grid.C1), (g2, dg2s, grid.C2)):
-                p = s_grid[i] ** g
-                r += p * ((C[i + 1, j] - C[i - 1, j]) / ds + C[i, j] * dg * lg)
-                mag = max(mag, abs(p * C[i, j]))
-            res_c[i, j] = abs(r) / mag
-            dy = y_grid[j + 1] - y_grid[j - 1]
-            lb = np.log(base)
-            r = 0.0
-            mag = floor
-            for g, dg, C in ((g1, dg1y, grid.C1), (g2, dg2y, grid.C2)):
-                p = base**g
-                r += p * ((C[i, j + 1] - C[i, j - 1]) / dy + C[i, j] * dg * lb)
-                mag = max(mag, abs(p * C[i, j]))
-            res_d[i, j] = abs(r) / mag
+    for res, edge, lo, hi, step, slopes in (
+        (res_c, s, (i - 1, j), (i + 1, j), ds, (dg1s, dg2s)),
+        (res_d, s - y, (i, j - 1), (i, j + 1), dy, (dg1y, dg2y)),
+    ):
+        log_edge = np.log(edge)
+        r = 0.0
+        mag = floor
+        for g, dg, C in zip((g1, g2), slopes, (grid.C1, grid.C2)):
+            p = _libm_pow(edge, g)
+            r = r + p * ((C[hi] - C[lo]) / step + C[i, j] * dg * log_edge)
+            # fmax: a NaN product does not replace the running maximum
+            mag = np.fmax(mag, np.abs(p * C[i, j]))
+        res[i, j] = np.abs(r) / mag
     return res_c, res_d
 
 

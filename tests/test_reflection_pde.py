@@ -1,12 +1,18 @@
+import hashlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from drawdown_options import (
     CallSolution2D,
+    CallSolution3D,
     CoefficientField,
     ColumnClosure,
+    DomainError,
     ModelSpec,
     PutSolution3D,
     RegionSpec,
@@ -14,8 +20,11 @@ from drawdown_options import (
     UnderdeterminedRegion,
     call_boundary_2d,
     pde_residuals,
+    residual_grids,
+    roots_arrays,
     solve_reflection_region,
 )
+from drawdown_options.reflection_pde import _pair_entries
 
 
 def flat_call_spec():
@@ -161,6 +170,112 @@ def test_drawdown_put_region_matches_recorded_coefficients():
         npt.assert_allclose(grid.C2[i, j], c2, rtol=1e-12)
 
 
+def _drawdown_put_spec():
+    return ModelSpec(
+        r=0.06,
+        strike=1.0,
+        payoff_kind="put",
+        delta_field=CoefficientField("bounded_rational", (0.02, 0.0, 0.01)),
+        sigma_field=CoefficientField("constant", (0.2,)),
+    )
+
+
+def test_reflection_grids_match_recorded_bits():
+    """Regions of a drawdown put and a y-independent call, pinned bit for bit.
+
+    Recorded from the assembly that built the system one node pair at a
+    time, before it was built per line family as arrays.  Recorded with
+    numpy 2.4 on x86-64; a libm that rounds log or pow differently can move
+    the last bits.
+    """
+    call = ModelSpec(
+        r=0.06,
+        strike=1.0,
+        payoff_kind="call",
+        delta_field=CoefficientField("s_only", (0.03, 0.01)),
+        sigma_field=CoefficientField("constant", (0.2,)),
+    )
+    recorded = (
+        (PutSolution3D, _drawdown_put_spec(), 2945,
+         "52d443e58c9040d324f6ee476fb65c9d2ecd3118546c75075c10510a72d69210",
+         ("0x1.4917cf25572b9p-9", "0x1.b3ed46ccd5697p-5")),
+        (CallSolution3D, call, 61,
+         "ec2e2640856ed2405040d2b4e23e463db246f125b68f4b206669aa8e2f0a806a",
+         ("0x1.9ee203235c407p-9", "0x1.cead3c3d65743p-49")),
+    )
+    for cls, spec, n_active, digest, residuals in recorded:
+        (grid,) = cls(spec, n_s=97, n_y=65).regions
+        assert int(grid.active.sum()) == n_active
+        h = hashlib.sha256()
+        for c in (grid.C1, grid.C2):
+            h.update(np.nan_to_num(c, nan=-1.0).tobytes())
+        assert h.hexdigest() == digest
+        assert tuple(float(r).hex() for r in pde_residuals(spec, grid)) == residuals
+
+
+def test_residual_grids_match_node_by_node_evaluation():
+    # the relations evaluated one interior node at a time, as residual_grids
+    # defines them; roots come from one-node arrays, since numpy scalars can
+    # round the fields' partials differently from arrays in the last bit
+    spec = _drawdown_put_spec()
+    (grid,) = PutSolution3D(spec, n_s=49, n_y=33).regions
+    s_grid, y_grid, active = grid.s_grid, grid.y_grid, grid.active
+    want_c = np.full(active.shape, np.nan)
+    want_d = np.full(active.shape, np.nan)
+    for i in range(1, s_grid.size - 1):
+        for j in range(1, y_grid.size - 1):
+            if not active[i - 1 : i + 2, j].all() or not active[i, j - 1 : j + 2].all():
+                continue
+            s, y = s_grid[i], y_grid[j]
+            if s - y <= 0:
+                continue
+            roots = roots_arrays(spec, np.array([s]), np.array([y]))
+            g1, g2, d1s, d2s, d1y, d2y = (float(v[0]) for v in roots)
+            ds = s_grid[i + 1] - s_grid[i - 1]
+            dy = y_grid[j + 1] - y_grid[j - 1]
+            for want, edge, lo, hi, step, slopes in (
+                (want_c, s, (i - 1, j), (i + 1, j), ds, (d1s, d2s)),
+                (want_d, s - y, (i, j - 1), (i, j + 1), dy, (d1y, d2y)),
+            ):
+                r = 0.0
+                mag = 1e-300
+                for g, dg, C in zip((g1, g2), slopes, (grid.C1, grid.C2)):
+                    p = edge**g
+                    r += p * ((C[hi] - C[lo]) / step + C[i, j] * dg * np.log(edge))
+                    mag = max(mag, abs(p * C[i, j]))
+                want[i, j] = abs(r) / mag
+    res_c, res_d = residual_grids(spec, grid)
+    assert np.isfinite(want_c).sum() > 100
+    npt.assert_array_equal(res_c, want_c)
+    npt.assert_array_equal(res_d, want_d)
+
+
+@given(
+    points=st.lists(
+        st.tuples(st.floats(0.05, 20.0), st.floats(0.0, 0.99), st.floats(1e-3, 1.0)),
+        min_size=1,
+        max_size=24,
+    ),
+    along_s=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_pair_entries_batch_equals_one_at_a_time(points, along_s):
+    spec = ModelSpec(
+        r=0.06,
+        strike=1.0,
+        payoff_kind="put",
+        delta_field=CoefficientField("bounded_rational", (0.02, 0.01, 0.01)),
+        sigma_field=CoefficientField("bounded_rational", (0.2, 0.02, 0.03)),
+    )
+    s, share, h = (np.array(v) for v in zip(*points))
+    y = share * s
+    batch = _pair_entries(spec, s, y, along_s, h)
+    for m in range(s.size):
+        one = _pair_entries(spec, s[m : m + 1], y[m : m + 1], along_s, h[m : m + 1])
+        for got, want in zip(np.array(batch)[:, :, m], np.array(one)[:, :, 0]):
+            assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # closure bookkeeping
 
@@ -208,3 +323,28 @@ def test_coeffs_at_clamps_to_grid_box():
     above = grid.coeffs_at(50.0, 9.0)
     npt.assert_allclose(below, inside, rtol=1e-12, atol=1e-14)
     npt.assert_allclose(above, inside, rtol=1e-12, atol=1e-14)
+
+
+def _corner_region(s_grid, y_grid):
+    active = np.ones((len(s_grid), len(y_grid)), dtype=bool)
+    cols = [ColumnClosure(i, "c2_zero", y_pos=y_grid[-1]) for i in range(len(s_grid))]
+    rows = [RowClosure(j, "c1_zero") for j in range(len(y_grid))]
+    return RegionSpec(s_grid, y_grid, active, cols, rows)
+
+
+def test_column_pair_across_the_diagonal_rejected():
+    # both pairs of the column at s = 1 reach past the diagonal; the error
+    # names the first, at the midpoint y = 1, while every row stays inside
+    # the quadrant
+    region = _corner_region([1.0, 6.0], [0.5, 1.5, 2.5])
+    msg = r"^pair relation at s=1, y=1 straddles the diagonal$"
+    with pytest.raises(UnderdeterminedRegion, match=msg):
+        solve_reflection_region(flat_call_spec(), region)
+
+
+def test_row_pair_off_the_quadrant_rejected_before_columns():
+    # the row at y = 1.5 has its midpoint at s = 1.1 < y; rows are assembled
+    # before columns, so this wins over the straddling column pairs
+    region = _corner_region([1.0, 1.2], [0.5, 1.5])
+    with pytest.raises(DomainError):
+        solve_reflection_region(flat_call_spec(), region)
