@@ -70,11 +70,11 @@ class CoefficientField:
     def d_ds(self, s, y):
         if self.family == "constant":
             return 0.0 * s + 0.0 * y
-        return self.params[1] / (1.0 + s) ** 2 + 0.0 * y
+        return self.params[1] / ((1.0 + s) * (1.0 + s)) + 0.0 * y
 
     def d_dy(self, s, y):
         if self.family == "bounded_rational":
-            return self.params[2] / (1.0 + y) ** 2 + 0.0 * s
+            return self.params[2] / ((1.0 + y) * (1.0 + y)) + 0.0 * s
         return 0.0 * s + 0.0 * y
 
     def limit_at_infinity(self) -> float:

@@ -18,7 +18,7 @@ class SingularDenominator(RuntimeError):
 
 
 class StepError(RuntimeError):
-    """Richardson check on an RK4 step exceeded the per-step error budget."""
+    """A step at the shortest allowed length still missed the per-step error target."""
 
 
 class NonConvergence(RuntimeError):

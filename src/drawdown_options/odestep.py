@@ -1,42 +1,78 @@
-"""Fixed-step RK4 with a halved-step Richardson error check.
+"""Dormand–Prince 5(4) steps and the one step-size rule of both marches.
 
 Works elementwise on scalars or numpy arrays, for the two marches: one line
 on scalars (``solver2d._march_line``) and a surface's slices in lockstep
 (``solver3d._march_surface``).
 
+:func:`checked_step` is one step of the embedded pair of Dormand & Prince
+(1980): it propagates the fifth-order state and reports the difference to
+the fourth-order one, relative to the state, as its error estimate
+(Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4).  :class:`StepSize`
+turns the estimates into step lengths.  A march asks it for the length of
+each try; a try whose worst estimate exceeds the tolerance is retried
+shorter, down to a floor of 1/1024 of the extent the march measures: a
+surface's whole span, a line's node interval.  Only a step that lands on
+an output node may be shorter than that floor, and every step that
+reaches a node lands on it exactly, so no dense output is needed.  A step
+at the floor always stands: the lanes still above the tolerance there
+fail, which is the march's business (a surface flags the slice, a line
+raises ``StepError``), and leave the controller.
+
 The right-hand side is handed to :func:`checked_step` in two stages: the
 part that depends on the abscissa alone (roots, field values) and the part
-that depends on the state.  A checked step evaluates the state part eleven
-times but needs the abscissa part at six points only, so splitting the two
-is what keeps a vectorised march from paying for the roots eleven times.
+that depends on the state.  A step evaluates the state part seven times
+but needs the abscissa part at six points only, the last of which the next
+step starts from, so splitting the two is what keeps a vectorised march
+from paying for the roots seven times.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+# the tableau: nodes c2..c5 (c6 = c7 = 1), the stage rows, the fifth-order
+# weights (b2 = 0) and the error weights e = b - b* (e2 = 0)
+_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = (
+    19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0,
+)
+_A61, _A62, _A63, _A64, _A65 = (
+    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+    -5103.0 / 18656.0,
+)
+_B1, _B3, _B4, _B5, _B6 = (
+    35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0,
+)
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
+    22.0 / 525.0, -1.0 / 40.0,
+)
 
-def rk4_step(f, t, x, h):
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# the shortest step, as a share of the extent a march measures; a node may
+# cut a step shorter
+STEP_FLOOR = 1.0 / 1024.0
+# bounds on the factor between consecutive step lengths
+_SHRINK, _GROW = 0.2, 5.0
 
 
 class ReuseStages:
     """Stage factory that builds each distinct abscissa once.
 
-    Wraps ``stage`` and remembers the stages of the last four abscissae it
+    Wraps ``stage`` and remembers the stages of the last six abscissae it
     was asked for, keyed by their exact bits, so an abscissa that a step
     revisits, or that the next step starts from, costs a lookup instead of
-    a fresh evaluation.  Four is what :func:`checked_step` needs: its end
-    abscissa t + h must survive the two quarter points and its second
-    rounding of t + h.  Identical inputs give identical stages, so reuse
-    changes no result.  One instance serves one fixed set of lanes.
+    a fresh evaluation.  Six is what :func:`checked_step` needs: a retried
+    step starts from the same abscissa as the try it replaces.  Identical
+    inputs give identical stages, so reuse changes no result.  One
+    instance serves one fixed set of lanes.
     """
 
-    _SIZE = 4
+    _SIZE = 6
 
     def __init__(self, stage):
         self._stage = stage
@@ -53,51 +89,91 @@ class ReuseStages:
 
 
 def checked_step(stage, t, x, h, scale_floor=1e-300):
-    """Advance one step, returning the two-half-step value and error estimate.
+    """Advance one Dormand–Prince step; return the new state and its estimate.
 
     ``stage(t)`` returns the right-hand side frozen at abscissa t, as a
     function of the state alone; a plain f(t, x) becomes
-    ``lambda t: lambda x: f(t, x)``.
-    The step is bit for bit the composition of three :func:`rk4_step` calls,
-    one full step and two half steps, but the half steps reuse the full
-    step's first slope, so it costs eleven state evaluations instead of
-    twelve, and it asks for the abscissa stage once per distinct abscissa:
-    t, t + h/4, t + h/2, t + 3h/4, and t + h twice (the full step and the
-    half steps reach it with their own rounding).  Wrapping the factory in
-    :class:`ReuseStages` folds those two when their bits agree, and the
-    start of the next step onto the end of this one.  The evaluation order
-    is that of the three plain steps.
+    ``lambda t: lambda x: f(t, x)``.  The step asks for the abscissa stage
+    at t, t + h/5, t + 3h/10, t + 4h/5, t + 8h/9 and t + h, once each, and
+    evaluates the state part seven times: six stages, then the slope at the
+    new state, which the error estimate needs.  Wrapping the factory in
+    :class:`ReuseStages` lets the next step start from this one's end
+    abscissa without building it again.
 
-    The estimate is the classic |fine - full| / 15 for a fourth-order scheme,
-    reported relative to max(|fine|, scale_floor).  The more accurate
-    two-half-step result is what gets propagated.  Floating-point warnings
-    are silenced for the whole step: lanes past a constraint breach carry
-    NaN on purpose.
+    The propagated state is the fifth-order solution; the estimate is its
+    distance to the embedded fourth-order one, reported relative to
+    max(|new state|, scale_floor).  A right-hand side that vanishes leaves
+    the state's bits unchanged and the estimate at 0.  Floating-point
+    warnings are silenced for the whole step: lanes past a constraint
+    breach carry NaN on purpose.
     """
-    half = 0.5 * h
-    quarter = 0.5 * half
-    t_mid = t + half
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # full step
         k1 = stage(t)(x)
-        f_mid = stage(t_mid)
-        k2 = f_mid(x + half * k1)
-        k3 = f_mid(x + half * k2)
-        k4 = stage(t + h)(x + h * k3)
-        full = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # first half step, sharing k1
-        f_q = stage(t + quarter)
-        k2 = f_q(x + quarter * k1)
-        k3 = f_q(x + quarter * k2)
-        k4 = f_mid(x + half * k3)
-        mid = x + (half / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # second half step
-        k1 = f_mid(mid)
-        f_3q = stage(t_mid + quarter)
-        k2 = f_3q(mid + quarter * k1)
-        k3 = f_3q(mid + quarter * k2)
-        k4 = stage(t_mid + half)(mid + half * k3)
-        fine = mid + (half / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        err = np.abs(fine - full) / 15.0
-        rel = err / np.maximum(np.abs(fine), scale_floor)
-    return fine, rel
+        k2 = stage(t + _C2 * h)(x + h * (_A21 * k1))
+        k3 = stage(t + _C3 * h)(x + h * (_A31 * k1 + _A32 * k2))
+        k4 = stage(t + _C4 * h)(x + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+        k5 = stage(t + _C5 * h)(
+            x + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+        )
+        f_end = stage(t + h)
+        k6 = f_end(
+            x + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+        )
+        x_new = x + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        k7 = f_end(x_new)
+        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        rel = np.abs(err) / np.maximum(np.abs(x_new), scale_floor)
+    return x_new, rel
+
+
+class StepSize:
+    """The step-size rule of both marches, in absolute lengths along the march.
+
+    tol is the per-step target for the relative estimate.  The floor is
+    1/1024 of the extent last given to :meth:`measure`.  The first try of
+    a march goes straight to the next node.
+    """
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.floor = 0.0
+        self._h = math.inf
+
+    def measure(self, extent):
+        """Put the floor at STEP_FLOOR times the extent the steps cover."""
+        self.floor = STEP_FLOOR * abs(float(extent))
+
+    def length(self, rest):
+        """Length of the next try toward a node rest away; rest itself lands."""
+        return min(max(self._h, self.floor), rest)
+
+    def stands(self, a, worst):
+        """Whether a try of length a with worst estimate ``worst`` stands.
+
+        A non-finite estimate counts as too large.  A try above the floor
+        that misses the tolerance does not stand, and the next one is
+        shorter; a try at or below the floor always stands.
+        """
+        if worst <= self.tol or a <= self.floor:
+            return True
+        self._h = a * _factor(worst, self.tol)
+        return False
+
+    def after(self, a, landed, worst):
+        """Take the next length from a standing step of length a.
+
+        worst is the largest estimate over the lanes still under control.
+        A step cut short to land on a node says nothing against a longer
+        one, so landing never shortens the next try.
+        """
+        h = a * _factor(worst, self.tol)
+        self._h = max(self._h, h) if landed else h
+
+
+def _factor(worst, tol):
+    """Length factor 0.9 (tol / worst)^(1/5), kept within [1/5, 5]."""
+    if worst == 0.0:
+        return _GROW
+    if not worst < math.inf:
+        return _SHRINK
+    return min(_GROW, max(_SHRINK, 0.9 * (tol / worst) ** 0.2))

@@ -159,30 +159,39 @@ class CoefficientGrid:
 
 
 def _fill_inactive(a, active):
-    """Pad NaN nodes by the nearest active value, first along y then along s."""
-    out = np.array(a, dtype=float, copy=True)
-    n_s, n_y = out.shape
-    for i in range(n_s):
-        col = out[i]
-        mask = active[i]
-        if not mask.any():
-            continue
-        idx = np.flatnonzero(mask)
-        lo, hi = idx[0], idx[-1]
-        col[:lo] = col[lo]
-        col[hi + 1 :] = col[hi]
-        inner = ~mask[lo : hi + 1]
-        if inner.any():
-            k = np.arange(lo, hi + 1)
-            col[lo : hi + 1][inner] = np.interp(k[inner], k[~inner], col[lo : hi + 1][~inner])
-    for j in range(n_y):
-        row = out[:, j]
-        good = np.isfinite(row)
-        if not good.any():
-            continue
-        idx = np.flatnonzero(good)
-        row[: idx[0]] = row[idx[0]]
-        row[idx[-1] + 1 :] = row[idx[-1]]
+    """Pad NaN nodes by the nearest active value, first along y then along s.
+
+    Along y, a column's nodes before its first active node take that node's
+    value and those after its last take that one's; a hole between two
+    active nodes is filled linearly in the node index, by the arithmetic of
+    ``np.interp``.  A column with no active node is left as it is.  Along
+    s, each row's non-finite ends then take the nearest finite value.
+    """
+    a = np.asarray(a, dtype=float)
+    n_s, n_y = a.shape
+    k = np.arange(n_y)
+    rows = np.arange(n_s)[:, None]
+    # nearest active node at or below and at or above each node; past a
+    # column's last active node (or before its first) both are that node
+    below = np.maximum.accumulate(np.where(active, k, -1), axis=1)
+    above = np.minimum.accumulate(np.where(active, k, n_y)[:, ::-1], axis=1)[:, ::-1]
+    lo = np.clip(np.where(below < 0, above, below), 0, n_y - 1)
+    hi = np.clip(np.where(above == n_y, below, above), 0, n_y - 1)
+    v_lo, v_hi = a[rows, lo], a[rows, hi]
+    hole = lo != hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (v_hi - v_lo) / np.where(hole, hi - lo, 1)
+        fill = slope * (k - lo) + v_lo
+        # np.interp's retry from the other end when the first try is NaN
+        fill = np.where(np.isnan(fill), slope * (k - hi) + v_hi, fill)
+        fill = np.where(np.isnan(fill) & (v_lo == v_hi), v_lo, fill)
+    col = np.where(active.any(axis=1)[:, None], np.where(hole, fill, v_lo), a)
+    good = np.isfinite(col)
+    first = np.argmax(good, axis=0)
+    last = n_s - 1 - np.argmax(good[::-1], axis=0)
+    padded = col[np.clip(rows, first, last), k]
+    out = np.empty_like(a)  # in a's memory order
+    out[...] = np.where(good.any(axis=0), padded, col)
     return out
 
 

@@ -33,9 +33,9 @@ from .errors import (
     SingularDenominator,
     StepError,
 )
-from .odestep import ReuseStages, checked_step
+from .odestep import ReuseStages, StepSize, checked_step
 
-STEP_REL_TOL = 1e-6
+STEP_REL_TOL = 1e-10
 DEFAULT_N_STEPS = 4096
 EDGE_FRACTION = 1e-6
 
@@ -322,7 +322,7 @@ def _scalar_field_s(field, s):
     p = field.params
     if field.family == "constant":
         return p[0], 0.0
-    return p[0] + p[1] * s / (1.0 + s), p[1] / (1.0 + s) ** 2
+    return p[0] + p[1] * s / (1.0 + s), p[1] / ((1.0 + s) * (1.0 + s))
 
 
 def _scalar_bracket(delta, u):
@@ -337,15 +337,18 @@ def _scalar_bracket(delta, u):
 
 
 def _march_line(stage, t0, g0, nodes, step_rel_tol, scale, check=None):
-    """Checked march of one boundary line from (t0, g0) through nodes.
+    """Controlled march of one boundary line from (t0, g0) through nodes.
 
     stage(t) freezes the boundary ODE at abscissa t as a function of the
-    level that gives (rhs, den).  One :func:`checked_step` reaches each node.
-    A flip of den's first sign, or |den| <= 1e-12 scale, raises
-    SingularDenominator; a step estimate above step_rel_tol raises StepError;
-    check(t, level), when given, may raise on a node's level.  A non-finite
-    level (a stage gives NaN outside its band) ends the march, leaving NaN
-    from there.  Returns the node levels and the worst step estimate.
+    level that gives (rhs, den).  Steps follow :class:`odestep.StepSize`
+    with step_rel_tol as the per-step target, at least one per node, each
+    node landed on exactly.  A flip of den's first sign, or
+    |den| <= 1e-12 scale, raises SingularDenominator; a step at the floor
+    whose estimate still exceeds step_rel_tol raises StepError; check(t,
+    level), when given, may raise on a node's level.  A non-finite level or
+    estimate at the floor (a stage gives NaN outside its band) ends the
+    march, leaving NaN from there.  Returns the node levels and the worst
+    estimate of the steps taken.
     """
     floor = 1e-12 * scale
     den_sign = 0.0
@@ -372,19 +375,33 @@ def _march_line(stage, t0, g0, nodes, step_rel_tol, scale, check=None):
     line_stage = ReuseStages(guarded)
     vals = np.full(len(nodes), np.nan)
     t, g, worst = float(t0), float(g0), 0.0
-    for k, t_next in enumerate(nodes):
-        t_next = float(t_next)
-        g_new, rel = checked_step(line_stage, t, g, t_next - t, scale_floor=floor)
-        rel = float(rel)
-        worst = max(worst, rel)
-        if rel > step_rel_tol:
-            raise StepError(
-                f"step from {t:g} failed its error check "
-                f"(relative estimate {rel:.3e}); use a finer grid"
-            )
-        t, g = t_next, float(g_new)
+    size = StepSize(step_rel_tol)
+    for k, t_node in enumerate(nodes):
+        t_node = float(t_node)
+        # a line has no group to hold up, so each node interval is measured
+        # on its own: nodes closer than a surface step can still be split
+        size.measure(t_node - t)
+        while t != t_node:
+            rest = abs(t_node - t)
+            a = size.length(rest)
+            t_next = t_node if a == rest else t + math.copysign(a, t_node - t)
+            g_new, rel = checked_step(line_stage, t, g, t_next - t, scale_floor=floor)
+            g_new, rel = float(g_new), float(rel)
+            if not size.stands(a, rel):
+                continue
+            if not (math.isfinite(g_new) and math.isfinite(rel)):
+                g = math.nan
+                break
+            if rel > step_rel_tol:
+                raise StepError(
+                    f"step from {t:g} failed its error check at the shortest "
+                    f"step (relative estimate {rel:.3e})"
+                )
+            worst = max(worst, rel)
+            size.after(a, a == rest, rel)
+            t, g = t_next, g_new
         if check is not None:
-            check(t, g)
+            check(t_node, g)
         if not math.isfinite(g):
             break
         vals[k] = g
@@ -464,8 +481,9 @@ def put_boundary_2d(
     from the largest point, seeded with the asymptote there, minus any
     shoot_offset.  The curve must stay strictly inside (0, min(L, rL/delta));
     leaving that band raises ConstraintBreach.  A sign change or collapse of
-    the shared denominator raises SingularDenominator, and a step whose
-    Richardson estimate exceeds step_rel_tol raises StepError.
+    the shared denominator raises SingularDenominator, and a step at the
+    shortest allowed length whose estimate exceeds step_rel_tol raises
+    StepError.
     """
     _require_s_only(spec)
     L = spec.strike

@@ -49,7 +49,7 @@ from .errors import (
     StepError,
     UnderdeterminedRegion,
 )
-from .odestep import ReuseStages, checked_step
+from .odestep import ReuseStages, StepSize, checked_step
 from .reflection_pde import (
     ColumnClosure,
     RegionSpec,
@@ -325,17 +325,17 @@ def _march_surface(
     entry_index[i] is the first move_grid node the slice lands on.  The
     caller has already checked that every lattice point the march visits
     lies in the quadrant.  Slices whose denominator changes sign, whose step
-    check fails, or whose state leaves the allowed band are flagged and
-    carry NaN from there on.
+    check fails at the shortest step, or whose state leaves the allowed band
+    are flagged and carry NaN from there on.
 
     Each lattice level is one lockstep advance: the slices entering at the
     level (from their own start) and the slices stepping on from the
-    previous level share every right-hand-side evaluation.  Each group keeps
-    its own substep count, which is all that decides its abscissae, so a
-    slice gets the same bits as if its group were advanced alone; a slice
-    whose group has finished just holds its value while the other group's
-    substeps complete.  Within an advance each distinct abscissa costs one
-    abscissa stage (see :func:`checked_step`).
+    previous level move together, each from its own start to the node at
+    one shared fraction of its own span, so they share every right-hand-side
+    evaluation.  The step lengths follow one :class:`odestep.StepSize` for
+    the whole march, measured on the group's longest span; the worst lane
+    still under control sets them.  Within an advance each distinct
+    abscissa costs one abscissa stage (see :func:`checked_step`).
     """
     n_fix = fixed_grid.size
     n_mov = move_grid.size
@@ -346,6 +346,11 @@ def _march_surface(
     den_sign = np.zeros(n_fix)
     scale = spec.strike
     forward = o.direction > 0
+    # the floor is measured on the whole march's span, so that a slice the
+    # controller cannot satisfy is dropped after a few short steps instead
+    # of making its group crawl
+    size = StepSize(step_rel_tol)
+    size.measure(float(move_grid[-1]) - float(move_grid[0]))
 
     def stage(fx, t):
         return _stage(o, spec, *o.swap(fx, t))
@@ -355,41 +360,41 @@ def _march_surface(
         return (g > lo) & (g < hi)
 
     levels = range(n_mov) if forward else range(n_mov - 1, -1, -1)
-    # lattice gaps are too coarse for single steps at the target accuracy
-    target_h = abs(float(move_grid[-1]) - float(move_grid[0])) / 1024.0
 
-    def n_substeps(diff):
-        span = float(np.max(np.abs(diff))) if diff.size else 0.0
-        return max(1, int(np.ceil(span / target_h)))
+    def advance(sel, t_from, t_to):
+        """Controlled advance of the selected slices from t_from to t_to.
 
-    def advance(sel, t_from, t_to, n_sub):
-        """Substepped checked advance of the selected slices to t_to.
-
-        t_from and n_sub hold each slice's start and substep count; returns
-        the new states, the ok mask and the failure kind per slice.
+        Returns the new states, the ok mask and the failure kind per slice.
+        A slice whose estimate misses the tolerance at the shortest step
+        leaves the controller and is flagged "step".
         """
         fx = fixed_grid[sel]
         t_to = np.broadcast_to(t_to, fx.shape)
         lane_stage = ReuseStages(lambda t: stage(fx, t))
         diff = t_to - t_from
-        g_new = state[sel].copy()
-        rel = np.zeros(fx.shape)
-        t_cur = t_from
-        for k in range(int(n_sub.max())):
-            # land the last substep exactly on the node
-            # (a finished group holds still on its node)
-            t_nxt = np.where(k >= n_sub - 1, t_to, t_from + diff * ((k + 1.0) / n_sub))
-            g_k, rel_k = checked_step(
-                lane_stage, t_cur, g_new, t_nxt - t_cur, scale_floor=1e-12 * scale
+        span = float(np.max(np.abs(diff)))
+        g = state[sel].copy()
+        held = np.ones(fx.shape, dtype=bool)
+        t_cur, done = t_from, 0.0
+        while done < 1.0:
+            rest = (1.0 - done) * span
+            a = size.length(rest)
+            frac = 1.0 if a == rest else done + a / span
+            landed = frac >= 1.0
+            t_nxt = t_to if landed else t_from + diff * frac
+            g_k, rel = checked_step(
+                lane_stage, t_cur, g, t_nxt - t_cur, scale_floor=1e-12 * scale
             )
-            live = k < n_sub
-            g_new = np.where(live, g_k, g_new)
-            rel = np.where(live, np.maximum(rel, rel_k), rel)
-            t_cur = np.where(live, t_nxt, t_cur)
+            rel = np.where(held, rel, 0.0)
+            if not size.stands(a, float(np.max(rel))):
+                continue
+            held &= rel <= step_rel_tol
+            size.after(a, landed, float(np.max(rel, where=held, initial=0.0)))
+            g, t_cur, done = g_k, t_nxt, min(frac, 1.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            den = lane_stage(t_to).den(g_new)
-        ok = np.isfinite(g_new) & (rel <= step_rel_tol)
-        kind = np.where(rel <= step_rel_tol, "ok", "step")
+            den = lane_stage(t_to).den(g)
+        ok = np.isfinite(g) & held
+        kind = np.where(held, "ok", "step")
         sign = np.sign(den)
         fresh = den_sign[sel] == 0.0
         den_sign[sel] = np.where(fresh, sign, den_sign[sel])
@@ -398,10 +403,10 @@ def _march_surface(
         )
         kind = np.where(ok & den_bad, "singular", kind)
         ok &= ~den_bad
-        con = constraint_ok(fx, t_to, g_new)
+        con = constraint_ok(fx, t_to, g)
         kind = np.where(ok & ~con, "constraint", kind)
         ok &= con
-        return g_new, ok, kind
+        return g, ok, kind
 
     for lv in levels:
         t_node = move_grid[lv]
@@ -426,12 +431,9 @@ def _march_surface(
             continue
         sel = np.concatenate([entering, stepping])
         t_from = starts[sel]
-        n_sub = np.full(sel.size, float(n_substeps(t_node - starts[entering])))
         if stepping.size:
-            prev = move_grid[lv - 1] if forward else move_grid[lv + 1]
-            t_from[entering.size:] = prev
-            n_sub[entering.size:] = n_substeps(np.asarray([t_node - prev]))
-        g_new, ok, kind = advance(sel, t_from, t_node, n_sub)
+            t_from[entering.size:] = move_grid[lv - 1] if forward else move_grid[lv + 1]
+        g_new, ok, kind = advance(sel, t_from, t_node)
         values[sel[ok], lv] = g_new[ok]
         state[sel[ok]] = g_new[ok]
         alive[sel[~ok]] = False
@@ -854,6 +856,9 @@ class _Solution3D:
         self.surface = build(spec, s_grid, y_grid, step_rel_tol)
         self.regions = build_reflection_regions(spec, self.surface)
         self._step_rel_tol = step_rel_tol
+        # direct-line queries whose re-march failed and that returned the
+        # interpolated level instead
+        self.remarch_fallbacks = 0
         self._levels = {}
         self._boxes = []
         for g in self.regions:
@@ -874,7 +879,8 @@ class _Solution3D:
         their diagonal seed to the query point, so the returned level
         carries integration accuracy rather than lattice interpolation
         accuracy.  Other lines, and lines the march cannot reach, return
-        the interpolated surface level.
+        the interpolated surface level; each line that falls back so adds
+        one to ``remarch_fallbacks``.
         """
         s = float(s)
         y = float(y)
@@ -889,15 +895,14 @@ class _Solution3D:
             start = fixed + o.direction * eps
             try:
                 if o.direction * (t - start) > 0.0:
-                    n = max(1, int(np.ceil(abs(t - start) / (spec.strike / 64.0))))
-                    nodes = start + (t - start) * (np.arange(1, n + 1) / n)
-                    line = _boundary_slice(o, spec, fixed, nodes, self._step_rel_tol)
+                    line = _boundary_slice(o, spec, fixed, [t], self._step_rel_tol)
                     out = float(line[-1])
                 else:
                     out = float(_diagonal_seeds(o, spec, fixed, start))
             except (StepError, SingularDenominator, DomainError):
-                pass
+                out = np.nan
             if not np.isfinite(out):
+                self.remarch_fallbacks += 1
                 out = cheap
         if len(self._levels) > 4096:
             self._levels.clear()

@@ -145,6 +145,34 @@ def test_root_identities_hold(s, frac):
     assert np.isclose(g1 + g2, 1 - 2 * (spec.r - dlt) / sig**2, rtol=1e-10)
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_scalar_roots_equal_the_one_array_call_bit_for_bit(seed):
+    # the fields square by multiplying, which rounds the same on numpy
+    # scalars, Python floats and arrays; a scalar pow rounds differently on
+    # about one input in a thousand (the first two points are such inputs,
+    # for the s- and the y-partials), which the line march (scalars) and
+    # the lane march (arrays) would then see as different roots
+    from drawdown_options.coefficients import _roots_along
+
+    spec = make_spec(
+        delta=("bounded_rational", (0.02, 0.01, 0.005)),
+        sigma=("bounded_rational", (0.15, 0.05, 0.02)),
+    )
+    rng = np.random.default_rng(seed)
+    s = np.concatenate([[14.187684540552567, 15.0], rng.uniform(1e-3, 20.0, 254)])
+    y = np.concatenate([[0.0, 14.187684540552567], s[2:] * rng.uniform(0.0, 1.0, 254)])
+    want = roots_arrays(spec, s, y)
+    along = {wrt: _roots_along(spec, s, y, wrt) for wrt in ("s", "y")}
+    for k in range(s.size):
+        for a, b in ((s[k], y[k]), (float(s[k]), float(y[k]))):
+            got = roots_arrays(spec, a, b)
+            assert [float(v).hex() for v in got] == [float(v[k]).hex() for v in want]
+            for wrt, one in along.items():
+                got = _roots_along(spec, a, b, wrt)
+                assert [float(v).hex() for v in got] == [float(v[k]).hex() for v in one]
+
+
 @given(
     s=st.floats(0.3, 10.0),
     frac=st.floats(0.05, 0.9),

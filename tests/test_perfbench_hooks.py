@@ -8,12 +8,50 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_installs_on_the_program():
+def _run(code):
     env = dict(os.environ)
     paths = [str(ROOT / "perfbench"), str(ROOT / "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_tracer_installs_on_the_program():
+    proc = _run("import tracer; tracer.install(tracer.Tracer())")
     assert proc.returncode == 0, proc.stderr
+
+
+_TRACED_BUILD = """
+import numpy as np
+import tracer
+
+tr = tracer.Tracer()
+tracer.install(tr)
+from drawdown_options import CoefficientField, ModelSpec, solver3d
+
+spec = ModelSpec(
+    r=0.06, strike=1.0, payoff_kind="put",
+    delta_field=CoefficientField("s_only", (0.02, 0.01)),
+    sigma_field=CoefficientField("constant", (0.2,)),
+)
+solver3d.diagonal_put_curve(spec)  # untraced, so only the surface march counts
+with tr.span("op"):
+    solver3d.build_put_surface(
+        spec, np.linspace(0.05, 20.0, 24), np.linspace(0.0, 19.9, 16)
+    )
+acc = tr.spans[0].acc
+print(acc["checked_steps"], acc["stage_builds"], acc["rhs_calls"])
+"""
+
+
+def test_tracer_counts_the_steps_of_a_traced_build():
+    # a march that stepped past the names the tracer patches would leave
+    # these counters at zero, and the benchmark's step metrics with them
+    proc = _run(_TRACED_BUILD)
+    assert proc.returncode == 0, proc.stderr
+    steps, builds, rhs = (float(v) for v in proc.stdout.split())
+    assert steps > 0 and builds > 0 and rhs > 0
+    # each step evaluates the state part seven times
+    assert rhs == 7 * steps

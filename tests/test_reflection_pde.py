@@ -145,8 +145,8 @@ def test_residuals_detect_a_perturbed_field():
 
 def test_drawdown_put_region_matches_recorded_coefficients():
     # spot values of a drawdown put's reflected component, recorded from the
-    # code that assembled column and row closures in separate blocks; they
-    # hold to rounding, since only the anchor pair's arithmetic was refactored
+    # controlled Dormand-Prince march; they moved by up to 3.5e-12 from the
+    # fixed-substep march's, through the diagonal curve that seeds the slices
     spec = ModelSpec(
         r=0.06,
         strike=1.0,
@@ -157,15 +157,15 @@ def test_drawdown_put_region_matches_recorded_coefficients():
     (grid,) = PutSolution3D(spec, n_s=49, n_y=33).regions
     assert int(grid.active.sum()) == 752
     both = {
-        (2, 0): (0.004668025680633134, 0.13797200560338635),
-        (5, 1): (0.0004558720621597662, 0.14151437171371342),
-        (8, 4): (3.942397697747113e-05, 0.14338698768117855),
-        (12, 6): (9.930523463514745e-06, 0.14493464194118316),
+        (2, 0): (0.004668025684172928, 0.13797200559813463),
+        (5, 1): (0.0004558720621597447, 0.14151437171371328),
+        (8, 4): (3.942397697746688e-05, 0.14338698768117847),
+        (12, 6): (9.930523463513936e-06, 0.1449346419411831),
     }
     for (i, j), (c1, c2) in both.items():
         npt.assert_allclose([grid.C1[i, j], grid.C2[i, j]], [c1, c2], rtol=1e-12)
-    c2_only = {(20, 11): 0.14620914083236292, (35, 1): 0.21071074029680112,
-               (48, 29): 0.14733504823304783}
+    c2_only = {(20, 11): 0.14620914083236286, (35, 1): 0.21071074029680154,
+               (48, 29): 0.1473350482330478}
     for (i, j), c2 in c2_only.items():
         npt.assert_allclose(grid.C2[i, j], c2, rtol=1e-12)
 
@@ -183,10 +183,12 @@ def _drawdown_put_spec():
 def test_reflection_grids_match_recorded_bits():
     """Regions of a drawdown put and a y-independent call, pinned bit for bit.
 
-    Recorded from the assembly that built the system one node pair at a
-    time, before it was built per line family as arrays.  Recorded with
-    numpy 2.4 on x86-64; a libm that rounds log or pow differently can move
-    the last bits.
+    The call's were recorded from the assembly that built the system one
+    node pair at a time, before it was built per line family as arrays.
+    The put's were recorded after the march became error-controlled, which
+    moved its coefficients by up to 1.3e-11 of max|C| through the diagonal
+    curve that seeds the slices.  Recorded with numpy 2.4 on x86-64; a libm
+    that rounds log or pow differently can move the last bits.
     """
     call = ModelSpec(
         r=0.06,
@@ -197,8 +199,8 @@ def test_reflection_grids_match_recorded_bits():
     )
     recorded = (
         (PutSolution3D, _drawdown_put_spec(), 2945,
-         "52d443e58c9040d324f6ee476fb65c9d2ecd3118546c75075c10510a72d69210",
-         ("0x1.4917cf25572b9p-9", "0x1.b3ed46ccd5697p-5")),
+         "ba90d411388e61a12d776353782f4ff6106676fb11f7bea506c63f6dcf0743b2",
+         ("0x1.4917cf2554a18p-9", "0x1.b3ed46ccd5697p-5")),
         (CallSolution3D, call, 61,
          "ec2e2640856ed2405040d2b4e23e463db246f125b68f4b206669aa8e2f0a806a",
          ("0x1.9ee203235c407p-9", "0x1.cead3c3d65743p-49")),
@@ -213,10 +215,62 @@ def test_reflection_grids_match_recorded_bits():
         assert tuple(float(r).hex() for r in pde_residuals(spec, grid)) == residuals
 
 
+def _fill_inactive_by_node_loops(a, active):
+    """The padding written as loops over every column and row."""
+    out = np.array(a, dtype=float, copy=True)
+    n_s, n_y = out.shape
+    for i in range(n_s):
+        col = out[i]
+        mask = active[i]
+        if not mask.any():
+            continue
+        idx = np.flatnonzero(mask)
+        lo, hi = idx[0], idx[-1]
+        col[:lo] = col[lo]
+        col[hi + 1 :] = col[hi]
+        inner = ~mask[lo : hi + 1]
+        if inner.any():
+            k = np.arange(lo, hi + 1)
+            col[lo : hi + 1][inner] = np.interp(
+                k[inner], k[~inner], col[lo : hi + 1][~inner]
+            )
+    for j in range(n_y):
+        row = out[:, j]
+        good = np.isfinite(row)
+        if not good.any():
+            continue
+        idx = np.flatnonzero(good)
+        row[: idx[0]] = row[idx[0]]
+        row[idx[-1] + 1 :] = row[idx[-1]]
+    return out
+
+
+def test_fill_inactive_matches_the_node_loops_bit_for_bit():
+    from drawdown_options.reflection_pde import _fill_inactive
+
+    rng = np.random.default_rng(12)
+    holes = 0
+    for _ in range(400):
+        n_s, n_y = (int(n) for n in rng.integers(1, 14, 2))
+        active = rng.random((n_s, n_y)) < rng.uniform(0.2, 0.95)
+        a = rng.normal(size=(n_s, n_y)) * 10.0 ** rng.integers(-6, 6)
+        # inactive nodes mostly NaN, some left finite; a few infinite values
+        a[~active & (rng.random((n_s, n_y)) < 0.7)] = np.nan
+        a[rng.random((n_s, n_y)) < 0.02] = np.inf
+        order = "F" if rng.random() < 0.5 else "C"
+        a = np.asarray(a, order=order)
+        got = _fill_inactive(a, active)
+        assert np.array_equal(got, _fill_inactive_by_node_loops(a, active), equal_nan=True)
+        assert got.flags[order + "_CONTIGUOUS"]
+        for row in active:
+            idx = np.flatnonzero(row)
+            holes += idx.size and not row[idx[0] : idx[-1] + 1].all()
+    assert holes > 200
+
+
 def test_residual_grids_match_node_by_node_evaluation():
     # the relations evaluated one interior node at a time, as residual_grids
-    # defines them; roots come from one-node arrays, since numpy scalars can
-    # round the fields' partials differently from arrays in the last bit
+    # defines them; roots come from one-node arrays
     spec = _drawdown_put_spec()
     (grid,) = PutSolution3D(spec, n_s=49, n_y=33).regions
     s_grid, y_grid, active = grid.s_grid, grid.y_grid, grid.active

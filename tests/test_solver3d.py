@@ -417,12 +417,12 @@ def _pin_surface():
 def test_sloped_put_surface_matches_recorded_bits():
     """A small surface of a model sloped in s and y, pinned bit for bit.
 
-    The digest and spot values were recorded from the slice-by-slice march
-    with twelve right-hand-side evaluations per checked step, before the
-    march shared its abscissae and advanced entering and stepping slices
-    together; any change to the arithmetic shows up here.  Recorded with
-    numpy 2.4 on x86-64; a libm that rounds log or expm1 differently can
-    move the last bits.
+    The digest and spot values were recorded from the march with
+    error-controlled Dormand-Prince steps; any change to the arithmetic
+    shows up here.  They lie within 4.1e-11 K of those of the fixed-substep
+    RK4 march before it, with the same finite nodes and slice status.
+    Recorded with numpy 2.4 on x86-64; a libm that rounds log or expm1
+    differently can move the last bits.
     """
     import hashlib
 
@@ -431,18 +431,19 @@ def test_sloped_put_surface_matches_recorded_bits():
     digest = hashlib.sha256(np.nan_to_num(v, nan=-1.0).tobytes()).hexdigest()
     assert int(np.isfinite(v).sum()) == 169
     assert surf.slice_status[0] == ("step", 0.05)
-    assert float(v[3, 1]).hex() == "0x1.ca9bd16319682p-1"
-    assert float(v[12, 5]).hex() == "0x1.c604b85f97144p-1"
-    assert digest == "c24a1ac19886d9ba15f682ae3cf919e990322f2b102e61494a6da44236b4c23a"
+    assert float(v[3, 1]).hex() == "0x1.ca9bd163738fap-1"
+    assert float(v[12, 5]).hex() == "0x1.c604b85f8ebbfp-1"
+    assert digest == "2d4d51ecb7c48815320392f07cc6779c7ada2950f6319058f7aff9b5bbe040e3"
 
 
 def test_sloped_call_surface_matches_recorded_bits():
     """The call orientation of the march set-up, pinned bit for bit.
 
-    Twin of the put pin above, recorded from the code that still wrote the
-    call and put marches out separately: a small surface whose first eight
-    slices finish and whose other slices are flagged at their first node,
-    with all three labels and a two-point cap curve.  Same caveat about the
+    Twin of the put pin above: a small surface whose first seven slices
+    finish and whose other slices are flagged at their first node, with
+    all three labels and a two-point cap curve.  The fixed-substep march
+    before the controlled one finished the eighth slice too; the values
+    both keep lie within 6.5e-10 K of each other.  Same caveat about the
     platform's libm as the put pin.
     """
     import hashlib
@@ -459,16 +460,16 @@ def test_sloped_call_surface_matches_recorded_bits():
     )
     v = surf.values
     digest = hashlib.sha256(np.nan_to_num(v, nan=-1.0).tobytes()).hexdigest()
-    assert int(np.isfinite(v).sum()) == 177
-    assert digest == "6102b4fdb3f34ac730aeb908a84b9dac799dae9a1d49525427ad274b21e0f409"
-    assert [kd for kd, _ in surf.slice_status] == ["ok"] * 8 + ["step"] * 16
-    assert [pos for _, pos in surf.slice_status[8:]] == [0.0] * 16
+    assert int(np.isfinite(v).sum()) == 176
+    assert digest == "c56ca4b40e6520305ce59f22c7caf109478ecdbb3f02a3843bbe0c5d6ff09769"
+    assert [kd for kd, _ in surf.slice_status] == ["ok"] * 7 + ["step"] * 17
+    assert [pos for _, pos in surf.slice_status[7:]] == [0.0] * 17
     labels = hashlib.sha256(surf.labels.tobytes()).hexdigest()
-    assert labels == "3d46e5644231ae3d6d7016356a1b329b958d48a4c70a885f5c9eb4dc2fb10e27"
+    assert labels == "c22b022ebe55b704097c5c9a85da48d54b0982245ba2769ba990e4158bd4e92a"
     cap = surf.cap_curve
     assert np.flatnonzero(np.isfinite(cap)).tolist() == [0, 1]
     assert [float(c).hex() for c in cap[:2]] == [
-        "0x1.34adabbfcfdefp+1", "0x1.2f7f1ab6d2a81p+1"
+        "0x1.34adabbfc0e5dp+1", "0x1.2f7f1ab6bdc7ep+1"
     ]
 
 
@@ -528,14 +529,17 @@ def _digest(a):
     [
         ("call", "c876c799e92ad92a06076785b1e81174141b5464c5053730b099a2c11eb042d3",
          "0x1.3ecc5695989bdp+1"),
-        ("put", "de58ab27b630ce45df996796452dcdaede02db824bcc4eb711eb4a8daaa2ffe0",
-         "0x1.57738c8233bafp-1"),
+        ("put", "38f8b3896eb610b1451984f3b8e9b60b1b09b626d586fe50bed7037848daff12",
+         "0x1.57738c8233bb3p-1"),
     ],
 )
 def test_direct_line_levels_match_recorded_bits(kind, digest, first, request):
-    """Re-marched levels of 48 direct lines, recorded from the dedicated
-    query march that preceded the shared line march.  Same caveat about the
-    platform's libm as the surface pins."""
+    """Re-marched levels of 48 direct lines.  The call's were recorded from
+    the dedicated query march that preceded the shared line march, and its
+    slice right-hand side vanishes, so no stepper moves them.  The put's
+    were recorded from the controlled march with the query point as its
+    only node, within 2.5e-11 K of the fixed-step march before it.  Same
+    caveat about the platform's libm as the surface pins."""
     spec, sol = request.getfixturevalue("sloped_" + kind)
     rng = np.random.default_rng(5)
     s_range, floor_range = _DIRECT_LINES[kind]
@@ -551,7 +555,10 @@ def test_direct_line_levels_match_recorded_bits(kind, digest, first, request):
 
 
 def test_slice_entry_points_match_recorded_bits():
-    # recorded from the per-slice march that preceded the shared line march
+    # the call half was recorded from the per-slice march that preceded the
+    # shared line march (its right-hand side vanishes); the put half from
+    # the controlled march, within 5.3e-9 K of the one-step-per-node march
+    # before it, which was the less accurate of the two
     call = call_boundary_slice(
         make_spec("call", ("s_only", (0.02, 0.02))), 4.0, np.linspace(3.9, 0.0, 40)
     )
@@ -562,9 +569,9 @@ def test_slice_entry_points_match_recorded_bits():
     assert _digest(call) == (
         "a48ebaa725e4280b11bae09ce19ad7f56fa163527d72ee186dbe64a291e5e437"
     )
-    assert float(put[10]).hex() == "0x1.5b4f21d21348bp-1"
+    assert float(put[10]).hex() == "0x1.5b4f21a4ffdb6p-1"
     assert _digest(put) == (
-        "b649af93345dafe5d2b7328bf20155b1540224e8379e0854c7d64c96070dc0bb"
+        "6e250c67a83afda6489827cdea7ddc9a1cf6f8bf1d4db719a600788c0694025a"
     )
 
 
@@ -581,3 +588,57 @@ def test_direct_line_remarch_uses_the_solution_tolerance(sloped_put, monkeypatch
     sol._levels.pop((s, y))
     monkeypatch.setattr(solver3d, "STEP_REL_TOL", 0.0)
     assert sol.boundary(s, y) == want
+
+
+# ---------------------------------------------------------------------------
+# the controlled march: cost follows the lattice, failures are counted
+
+
+def test_surface_step_count_follows_the_lattice(monkeypatch):
+    # steps are set per lattice level by the error controller, not by a
+    # fixed substep of the whole span, so a coarse lattice costs a fraction
+    # of a fine one
+    from drawdown_options import solver3d
+
+    spec = make_spec("put", ("s_only", (0.02, 0.01)))
+    calls = []
+    step = solver3d.checked_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(solver3d, "checked_step", counted)
+    counts = []
+    for n_s, n_y in ((24, 16), (256, 256)):
+        calls.clear()
+        build_put_surface(
+            spec, np.linspace(0.05, 20.0, n_s), np.linspace(0.0, 19.9, n_y)
+        )
+        counts.append(len(calls))
+    assert 0 < counts[0] < counts[1] / 4
+
+
+def test_failed_remarch_falls_back_to_the_lattice_and_is_counted(monkeypatch):
+    from drawdown_options import solver3d
+
+    spec = make_spec("put", ("s_only", (0.02, 0.01)))
+    sol = PutSolution3D(spec, n_s=65, n_y=49)
+    s, y = 3.1, 2.9
+    assert sol.branch(s, y) == "direct"
+    assert sol.remarch_fallbacks == 0
+    # a per-step target that no step meets makes the re-march raise
+    # StepError at the floor
+    sol._step_rel_tol = 0.0
+    sol._levels.clear()
+    assert sol.boundary(s, y) == sol.surface.level_smooth(s, y)
+    assert sol.remarch_fallbacks == 1
+    # a cached level is not counted again
+    sol.boundary(s, y)
+    assert sol.remarch_fallbacks == 1
+    # a re-march that ends in NaN falls back the same way
+    monkeypatch.setattr(
+        solver3d, "_boundary_slice", lambda *args: np.array([np.nan])
+    )
+    assert sol.boundary(s, 2.8) == sol.surface.level_smooth(s, 2.8)
+    assert sol.remarch_fallbacks == 2
