@@ -366,7 +366,9 @@ def audit_solution(
     noise), the slope of the value at the barrier against the payoff slope by
     one-sided difference, the sign of the stopped generator at stopping-region
     samples, and the finite-difference generator residual of the value at
-    continuation-region samples.  Returns a plain dict of counts and gaps.
+    continuation-region samples.  Each probed (s, y) line is assembled once
+    (``solution.line``) and every check on it reads that record.  Returns a
+    plain dict of counts and gaps.
     """
     from .coefficients import generator_residual
 
@@ -385,21 +387,19 @@ def audit_solution(
     for s in s_nodes:
         for y in y_nodes[y_nodes < s * (1.0 - 1e-9)]:
             xs = np.linspace(s - y, s, n_x)
-            vals = solution.value_line(xs, s, y)
+            ln = solution.line(s, y)
+            vals = ln.values(xs)
             gap = np.min(vals - spec.payoff(xs))
             worst = min(worst, float(gap))
             violations += int(np.sum(vals - spec.payoff(xs) < -dominance_tol * L))
 
-            br = solution.branch(s, y)
-            level = float(solution.boundary(s, y))
+            br, level = ln.branch, ln.level
             dlt = float(spec.delta_field.value(s, y))
             if br == "direct" and s - y < level < s:
                 h = smooth_step * L
                 x_in = level - o.sign * h
                 if s - y <= x_in <= s:
-                    slope = (
-                        solution.value(level, s, y) - solution.value(x_in, s, y)
-                    ) / (o.sign * h)
+                    slope = (ln.value(level) - ln.value(x_in)) / (o.sign * h)
                     smooth_gap = max(smooth_gap, abs(slope - o.sign))
             cont, stopped = o.parts(level, s, y)
             if br == "stop" or (br == "direct" and level > s - y):
@@ -414,7 +414,7 @@ def audit_solution(
                 if lo + pad < x_c < hi - pad:
                     resid = generator_residual(
                         spec,
-                        lambda x: solution.value(float(x), s, y),
+                        lambda x: ln.value(float(x)),
                         StateTriple(x=x_c, s=s, y=y),
                     )
                     gen_resid = max(gen_resid, abs(float(resid)))

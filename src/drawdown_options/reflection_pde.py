@@ -117,6 +117,38 @@ class RegionSpec:
             raise ValueError("grids must be strictly increasing")
 
 
+def _bilinear(s_grid, y_grid, field):
+    """Bilinear lookup(s, y) of a field on an (s, y) lattice, clamped to its box.
+
+    Counting the interior nodes below a clamped query gives its cell, already
+    clamped to 0 .. n - 2.  The field is read through a flat C-order copy,
+    where node (i, j) sits at i*n + j.
+    """
+    n = len(y_grid)
+    flat = np.ascontiguousarray(field).ravel()
+    (s_lo, s_hi, s_in, ds), (y_lo, y_hi, y_in, dy) = (
+        (float(g[0]), float(g[-1]), g[1:-1], np.diff(g)) for g in (s_grid, y_grid)
+    )
+
+    def lookup(s, y):
+        s = np.minimum(np.maximum(np.asarray(s, dtype=float), s_lo), s_hi)
+        y = np.minimum(np.maximum(np.asarray(y, dtype=float), y_lo), y_hi)
+        i = s_in.searchsorted(s)
+        j = y_in.searchsorted(y)
+        ts = (s - s_grid[i]) / ds[i]
+        ty = (y - y_grid[j]) / dy[j]
+        rs, ry = 1.0 - ts, 1.0 - ty
+        k = i * n + j
+        return (
+            rs * ry * flat[k]
+            + ts * ry * flat[k + n]
+            + rs * ty * flat[k + 1]
+            + ts * ty * flat[k + (n + 1)]
+        )
+
+    return lookup
+
+
 @dataclass
 class CoefficientGrid:
     """Solved coefficients on a region; inactive nodes hold NaN."""
@@ -128,8 +160,8 @@ class CoefficientGrid:
     active: np.ndarray
 
     def __post_init__(self):
-        self._fill1 = _fill_inactive(self.C1, self.active)
-        self._fill2 = _fill_inactive(self.C2, self.active)
+        filled = [_fill_inactive(c, self.active) for c in (self.C1, self.C2)]
+        self._lookups = [_bilinear(self.s_grid, self.y_grid, f) for f in filled]
 
     def coeffs_at(self, s, y):
         """Bilinear coefficients at (s, y), clamped to the grid box.
@@ -137,25 +169,7 @@ class CoefficientGrid:
         Inactive nodes are padded by nearest active values first, so queries
         in cells that straddle the region edge stay finite.
         """
-        s = np.clip(np.asarray(s, dtype=float), self.s_grid[0], self.s_grid[-1])
-        y = np.clip(np.asarray(y, dtype=float), self.y_grid[0], self.y_grid[-1])
-        i = np.clip(np.searchsorted(self.s_grid, s) - 1, 0, self.s_grid.size - 2)
-        j = np.clip(np.searchsorted(self.y_grid, y) - 1, 0, self.y_grid.size - 2)
-        ts = (s - self.s_grid[i]) / (self.s_grid[i + 1] - self.s_grid[i])
-        ty = (y - self.y_grid[j]) / (self.y_grid[j + 1] - self.y_grid[j])
-        out = []
-        for filled in (self._fill1, self._fill2):
-            v00 = filled[i, j]
-            v10 = filled[i + 1, j]
-            v01 = filled[i, j + 1]
-            v11 = filled[i + 1, j + 1]
-            out.append(
-                (1 - ts) * (1 - ty) * v00
-                + ts * (1 - ty) * v10
-                + (1 - ts) * ty * v01
-                + ts * ty * v11
-            )
-        return out[0], out[1]
+        return tuple(lookup(s, y) for lookup in self._lookups)
 
 
 def _fill_inactive(a, active):

@@ -54,6 +54,7 @@ from .reflection_pde import (
     ColumnClosure,
     RegionSpec,
     RowClosure,
+    _bilinear,
     _fill_inactive,
     solve_reflection_region,
 )
@@ -199,33 +200,8 @@ class BoundarySurface:
         bilinear error gets amplified by the two-power pair construction.
         """
         if self._lookup is None:
-            f = self.filled_values()
-            if not (f.flags.c_contiguous or f.flags.f_contiguous):
-                f = self._filled = np.ascontiguousarray(f)
-            # a flat view in memory order; node (i, j) sits at i*si + j*sj
-            si, sj = (st // f.itemsize for st in f.strides)
-            self._lookup = tuple(
-                (float(g[0]), float(g[-1]), g[1:-1], np.diff(g))
-                for g in (self.s_grid, self.y_grid)
-            ) + (f.ravel(order="K"), si, sj)
-        (s_lo, s_hi, s_inner, ds), (y_lo, y_hi, y_inner, dy), flat, si, sj = self._lookup
-        sg, yg = self.s_grid, self.y_grid
-        s = np.minimum(np.maximum(np.asarray(s, dtype=float), s_lo), s_hi)
-        y = np.minimum(np.maximum(np.asarray(y, dtype=float), y_lo), y_hi)
-        # counting interior nodes below the query gives the cell index,
-        # already clamped to 0 .. n - 2
-        i = s_inner.searchsorted(s)
-        j = y_inner.searchsorted(y)
-        ts = (s - sg[i]) / ds[i]
-        ty = (y - yg[j]) / dy[j]
-        rs, ry = 1.0 - ts, 1.0 - ty
-        k = i * si + j * sj
-        return (
-            rs * ry * flat[k]
-            + ts * ry * flat[k + si]
-            + rs * ty * flat[k + sj]
-            + ts * ty * flat[k + (si + sj)]
-        )
+            self._lookup = _bilinear(self.s_grid, self.y_grid, self.filled_values())
+        return self._lookup(s, y)
 
     def _row_fit(self, j):
         """Cubic fits of row j over its contiguous finite runs."""
@@ -825,6 +801,47 @@ def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
     return grids
 
 
+@dataclass(frozen=True)
+class Line:
+    """One x-line of a solution: its barrier level, branch and C1 x**g1 + C2 x**g2.
+
+    A "stop" line has no roots and C1 = C2 = 0; a "direct" line is pinned at
+    level; a "reflect" line takes its pair from the reflection system.
+    """
+
+    spec: ModelSpec
+    orient: _Orientation
+    s: float
+    y: float
+    level: float
+    branch: str
+    g1: float = np.nan
+    g2: float = np.nan
+    c1: float = 0.0
+    c2: float = 0.0
+
+    def values(self, x):
+        """Value along the line; x may be an array within [s - y, s]."""
+        s, y = self.s, self.y
+        x = np.asarray(x, dtype=float)
+        slack = 1e-9 * self.spec.strike
+        if not (0.0 <= y < s):
+            raise DomainError(f"need 0 <= y < s, got s={s}, y={y}")
+        if np.any(x < s - y - slack) or np.any(x > s + slack):
+            raise DomainError("x outside [s - y, s]")
+        x = np.clip(x, s - y, s)
+        payoff = self.spec.payoff(x)
+        if self.branch == "stop":
+            return payoff
+        cont = self.c1 * x**self.g1 + self.c2 * x**self.g2
+        if self.branch == "direct":
+            return np.where(self.orient.stop_side(x, self.level), payoff, cont)
+        return cont
+
+    def value(self, x):
+        return float(self.values(np.asarray([x], dtype=float))[0])
+
+
 class _Solution3D:
     """Assembled perpetual solution over the (x, s, y) state space."""
 
@@ -856,57 +873,42 @@ class _Solution3D:
         self.surface = build(spec, s_grid, y_grid, step_rel_tol)
         self.regions = build_reflection_regions(spec, self.surface)
         self._step_rel_tol = step_rel_tol
-        # direct-line queries whose re-march failed and that returned the
+        # line queries whose direct-line re-march failed and that took the
         # interpolated level instead
         self.remarch_fallbacks = 0
-        self._levels = {}
         self._boxes = []
         for g in self.regions:
             si = np.flatnonzero(g.active.any(axis=1))
             yi = np.flatnonzero(g.active.any(axis=0))
-            self._boxes.append(
-                (
-                    g.s_grid[si[0]], g.s_grid[si[-1]],
-                    g.y_grid[yi[0]], g.y_grid[yi[-1]],
-                )
-            )
+            self._boxes.append((g.s_grid[si[[0, -1]]], g.y_grid[yi[[0, -1]]]))
 
-    def boundary(self, s, y):
-        """Barrier level of the x-line at (s, y).
+    def _level(self, s, y):
+        """Barrier level of the x-line at (s, y), re-marched where it is pinned.
 
-        Lines whose interpolated level lies inside the line (the branch
-        whose value assembly is pinned to the level) are re-marched from
-        their diagonal seed to the query point, so the returned level
-        carries integration accuracy rather than lattice interpolation
-        accuracy.  Other lines, and lines the march cannot reach, return
-        the interpolated surface level; each line that falls back so adds
-        one to ``remarch_fallbacks``.
+        A line whose interpolated level lies inside it (the branch whose value
+        is pinned to the level) is re-marched from its diagonal seed to the
+        query point, for integration rather than interpolation accuracy.
+        Other lines, and lines the march cannot reach, take the interpolated
+        level; each query that falls back so adds one to remarch_fallbacks.
         """
-        s = float(s)
-        y = float(y)
-        hit = self._levels.get((s, y))
-        if hit is not None:
-            return hit
         spec, o = self.spec, self._o
         eps = EDGE_FRACTION * spec.strike
-        out = cheap = float(self.surface.level_smooth(s, y))
-        if 0.0 <= y < s and s - y <= cheap <= s and s - y - eps <= 8.0 * spec.strike:
-            fixed, t = o.swap(s, y)
-            start = fixed + o.direction * eps
-            try:
-                if o.direction * (t - start) > 0.0:
-                    line = _boundary_slice(o, spec, fixed, [t], self._step_rel_tol)
-                    out = float(line[-1])
-                else:
-                    out = float(_diagonal_seeds(o, spec, fixed, start))
-            except (StepError, SingularDenominator, DomainError):
-                out = np.nan
-            if not np.isfinite(out):
-                self.remarch_fallbacks += 1
-                out = cheap
-        if len(self._levels) > 4096:
-            self._levels.clear()
-        self._levels[(s, y)] = out
+        cheap = float(self.surface.level_smooth(s, y))
+        inside = 0.0 <= y < s and s - y <= cheap <= s
+        if not (inside and s - y - eps <= 8.0 * spec.strike):
+            return cheap
+        fixed, t = o.swap(s, y)
+        start = fixed + o.direction * eps
+        try:
+            if o.direction * (t - start) > 0.0:
+                out = float(_boundary_slice(o, spec, fixed, [t], self._step_rel_tol)[-1])
+            else:
+                out = float(_diagonal_seeds(o, spec, fixed, start))
+        except (StepError, SingularDenominator, DomainError):
+            out = np.nan
+        if not np.isfinite(out):
+            self.remarch_fallbacks += 1
+            out = cheap
         return out
 
     def _region_coeffs(self, s, y):
@@ -915,73 +917,56 @@ class _Solution3D:
                 "query falls in a reflected band but no reflected component "
                 "was solved; enlarge the lattice"
             )
-        best = None
-        for g, (s0, s1, y0, y1) in zip(self.regions, self._boxes):
-            d = max(s0 - s, 0.0, s - s1) ** 2 + max(y0 - y, 0.0, y - y1) ** 2
-            if best is None or d < best[0]:
-                best = (d, g)
-        return best[1].coeffs_at(s, y)
+        gaps = [
+            max(s0 - s, 0.0, s - s1) ** 2 + max(y0 - y, 0.0, y - y1) ** 2
+            for (s0, s1), (y0, y1) in self._boxes
+        ]
+        return self.regions[gaps.index(min(gaps))].coeffs_at(s, y)
+
+    def line(self, s, y) -> Line:
+        """The x-line at (s, y), built afresh: at most one re-march, no cache.
+
+        A caller that reads a line more than once keeps the record.  Roots
+        exist on the quadrant s > 0, 0 <= y <= s only, so a line outside it
+        that is not stopped raises DomainError.
+        """
+        s, y = float(s), float(y)
+        spec, o = self.spec, self._o
+        level = self._level(s, y)
+        branch = o.above if level > s else o.below if level < s - y else "direct"
+        if branch == "stop":
+            return Line(spec, o, s, y, level, branch)
+        if s <= 0.0 or y < 0.0 or y > s:
+            raise DomainError(f"need 0 <= y < s, got s={s}, y={y}")
+        g1, g2, *_ = (float(v) for v in roots_arrays(spec, s, y))
+        if branch == "reflect":
+            c1, c2 = self._region_coeffs(s, y)
+        else:
+            c1, c2 = _pinned_pair(g1, g2, level, spec.strike, o.sign, x_end=o.edge(s, y))
+        return Line(spec, o, s, y, level, branch, g1, g2, float(c1), float(c2))
+
+    def boundary(self, s, y):
+        """Barrier level of the x-line at (s, y), re-marched afresh (see _level)."""
+        return self.line(s, y).level
 
     def branch(self, s, y):
         """Which branch the x-line at (s, y) takes: stop, direct, or reflect."""
-        level = float(self.boundary(s, y))
-        if level > s:
-            return self._o.above
-        if level < s - y:
-            return self._o.below
-        return "direct"
-
-    def _line(self, s, y):
-        """Branch, direct level, roots and coefficients of the x-line at (s, y).
-
-        The level is None off the direct branch; a stopped line has no
-        roots or coefficients.
-        """
-        br = self.branch(s, y)
-        if br == "stop":
-            return br, None, None
-        g1, g2, *_ = (float(v) for v in roots_arrays(self.spec, s, y))
-        level = None
-        if br == "reflect":
-            c1, c2 = self._region_coeffs(s, y)
-        else:
-            level = float(self.boundary(s, y))
-            c1, c2 = _pinned_pair(
-                g1, g2, level, self.spec.strike, self._o.sign,
-                x_end=self._o.edge(s, y),
-            )
-        return br, level, (g1, g2, c1, c2)
+        return self.line(s, y).branch
 
     def coefficients(self, s, y):
         """Branch tag and two-power coefficients for the x-line at (s, y)."""
-        br, _, pair = self._line(s, y)
-        if pair is None:
-            return br, 0.0, 0.0
-        return br, float(pair[2]), float(pair[3])
+        ln = self.line(s, y)
+        return ln.branch, ln.c1, ln.c2
 
     def value_line(self, x, s, y):
-        """Value along one x-line; x may be an array within [s - y, s]."""
-        s = float(s)
-        y = float(y)
-        x = np.asarray(x, dtype=float)
-        slack = 1e-9 * self.spec.strike
-        if not (0.0 <= y < s):
-            raise DomainError(f"need 0 <= y < s, got s={s}, y={y}")
-        if np.any(x < s - y - slack) or np.any(x > s + slack):
-            raise DomainError("x outside [s - y, s]")
-        x = np.clip(x, s - y, s)
-        payoff = self.spec.payoff(x)
-        br, level, pair = self._line(s, y)
-        if pair is None:
-            return payoff
-        g1, g2, c1, c2 = pair
-        cont = c1 * x**g1 + c2 * x**g2
-        if br == "direct":
-            return np.where(self._o.stop_side(x, level), payoff, cont)
-        return cont
+        """Value along the x-line at (s, y) for x within [s - y, s].
+
+        Each call assembles the line; to read it again, keep ``line(s, y)``.
+        """
+        return self.line(s, y).values(x)
 
     def value(self, x, s, y):
-        return float(self.value_line(np.asarray([x], dtype=float), s, y)[0])
+        return self.line(s, y).value(x)
 
 
 class CallSolution3D(_Solution3D):

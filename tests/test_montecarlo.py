@@ -272,6 +272,66 @@ def test_audit_flat_put_solution_clean():
     assert audit["smooth_fit_gap"] <= 1e-3
     assert audit["generator_sign_violations"] == 0
     assert audit["generator_residual_max"] <= 1e-5
+    # recorded from the audit that queried the solution method by method;
+    # same caveat about the platform's libm as the surface pins
+    assert audit["dominance_worst_gap"] == 0.0
+    assert audit["smooth_fit_gap"].hex() == "0x1.d7c3ccf688000p-13"
+    assert audit["generator_residual_max"].hex() == "0x1.dc7eba2a00000p-29"
+
+
+@pytest.fixture(scope="module")
+def drawdown_put():
+    spec = ModelSpec(
+        r=0.06,
+        strike=1.0,
+        payoff_kind="put",
+        delta_field=CoefficientField("bounded_rational", (0.02, 0.0, 0.01)),
+        sigma_field=CoefficientField("constant", (0.2,)),
+    )
+    return spec, PutSolution3D(spec, n_s=33, n_y=25)
+
+
+def test_audit_drawdown_put_matches_recorded_bits(drawdown_put):
+    # recorded like the flat put's pin above
+    spec, sol = drawdown_put
+    audit = audit_solution(spec, sol, dominance_shape=(12, 12, 12))
+    assert audit["dominance_violations"] == 0
+    assert audit["generator_sign_violations"] == 0
+    assert audit["dominance_worst_gap"] == 0.0
+    assert audit["smooth_fit_gap"].hex() == "0x1.e0787f8868000p-13"
+    assert audit["generator_residual_max"].hex() == "0x1.a555c1dc00000p-31"
+
+
+def test_audit_assembles_each_probed_line_once(drawdown_put, monkeypatch):
+    # one line record per probed (s, y), and so one coefficient lookup per
+    # reflected probe, however many checks read the line
+    from drawdown_options.reflection_pde import CoefficientGrid
+
+    spec, sol = drawdown_put
+    surf = sol.surface
+    s_nodes = np.linspace(surf.s_grid[0], surf.s_grid[-1], 12)
+    y_nodes = np.linspace(0.0, surf.y_grid[-1], 12)
+    probes = [(s, y) for s in s_nodes for y in y_nodes[y_nodes < s * (1.0 - 1e-9)]]
+    n_reflect = sum(sol.branch(s, y) == "reflect" for s, y in probes)
+    assert n_reflect > 0
+
+    lines, lookups = [], []
+    line = sol.line
+    coeffs_at = CoefficientGrid.coeffs_at
+
+    def counted_line(s, y):
+        lines.append((s, y))
+        return line(s, y)
+
+    def counted_coeffs_at(grid, s, y):
+        lookups.append((s, y))
+        return coeffs_at(grid, s, y)
+
+    monkeypatch.setattr(sol, "line", counted_line)
+    monkeypatch.setattr(CoefficientGrid, "coeffs_at", counted_coeffs_at)
+    audit_solution(spec, sol, dominance_shape=(12, 12, 12))
+    assert lines == probes
+    assert len(lookups) == n_reflect
 
 
 def test_report_pass_logic():

@@ -369,6 +369,48 @@ def test_combo_closure_requires_anchor_data():
         RowClosure(0, "no_such_kind")
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_coeffs_at_matches_clamped_bilinear_formula_bit_for_bit(order):
+    # the lookup shares BoundarySurface.level_at's clamp-and-cell rule; the
+    # reference is the plain formula: clip, search the full grid, blend
+    from drawdown_options.reflection_pde import CoefficientGrid, _fill_inactive
+
+    rng = np.random.default_rng(8)
+    s_grid = np.cumsum(rng.uniform(0.1, 0.5, 13))
+    y_grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.3, 8))])
+    active = rng.uniform(size=(13, 9)) < 0.7
+    c1 = np.where(active, rng.normal(size=active.shape), np.nan)
+    c2 = np.asarray(np.where(active, rng.normal(size=active.shape), np.nan), order=order)
+    grid = CoefficientGrid(s_grid, y_grid, c1, c2, active)
+    # interior points, exact nodes, points off the box and a NaN
+    s = np.concatenate([
+        rng.uniform(-1.0, s_grid[-1] + 1.0, 300), s_grid, [s_grid[0], np.nan],
+    ])
+    y = np.concatenate([
+        rng.uniform(-1.0, y_grid[-1] + 1.0, 300),
+        y_grid[rng.integers(0, y_grid.size, s_grid.size)], [y_grid[-1], 0.5],
+    ])
+    sc = np.clip(s, s_grid[0], s_grid[-1])
+    yc = np.clip(y, y_grid[0], y_grid[-1])
+    i = np.clip(np.searchsorted(s_grid, sc) - 1, 0, s_grid.size - 2)
+    j = np.clip(np.searchsorted(y_grid, yc) - 1, 0, y_grid.size - 2)
+    ts = (sc - s_grid[i]) / (s_grid[i + 1] - s_grid[i])
+    ty = (yc - y_grid[j]) / (y_grid[j + 1] - y_grid[j])
+    got = grid.coeffs_at(s, y)
+    for c, g in zip((c1, c2), got):
+        f = _fill_inactive(c, active)
+        want = (
+            (1 - ts) * (1 - ty) * f[i, j]
+            + ts * (1 - ty) * f[i + 1, j]
+            + (1 - ts) * ty * f[i, j + 1]
+            + ts * ty * f[i + 1, j + 1]
+        )
+        assert np.array_equal(g, want, equal_nan=True)
+    # scalars take the same route
+    one = grid.coeffs_at(float(s[0]), float(y[0]))
+    assert one == (got[0][0], got[1][0])
+
+
 def test_coeffs_at_clamps_to_grid_box():
     spec = flat_call_spec()
     grid = solve_reflection_region(spec, flat_region())

@@ -55,6 +55,12 @@ def sloped_put():
     return spec, PutSolution3D(spec)
 
 
+@pytest.fixture(scope="module")
+def drawdown_put():
+    spec = make_spec("put", ("bounded_rational", (0.02, 0.0, 0.01)))
+    return spec, PutSolution3D(spec, n_s=64, n_y=64)
+
+
 # ---------------------------------------------------------------------------
 # degeneracy: constant coefficients collapse to the flat slice answers
 
@@ -344,13 +350,32 @@ def test_put_surface_tracks_diagonal_curve_near_corner(sloped_put):
 # assembled solution plumbing
 
 
-def test_value_line_matches_scalar_values(flat_put):
-    _, sol = flat_put
-    s, y = 1.2, 0.7
-    xs = np.linspace(s - y, s, 9)
-    line = sol.value_line(xs, s, y)
-    for xk, vk in zip(xs, line):
-        assert abs(sol.value(float(xk), s, y) - float(vk)) < 1e-14
+@pytest.mark.parametrize(
+    "model", ["flat_put", "sloped_put", "drawdown_put", "flat_call", "sloped_call"]
+)
+def test_value_line_matches_scalar_values(model, request):
+    # every query method is a read of line(s, y), and value on a single x
+    # equals value_line at that x exactly
+    _, sol = request.getfixturevalue(model)
+    rng = np.random.default_rng(3)
+    s = rng.uniform(0.5, 8.0, 9)
+    # plus a stopped put line, a stopped call line and a direct flat-put line
+    lines = [(0.5, 0.1), (5.0, 1.0), (1.2, 0.7)]
+    lines += list(zip(s, s * rng.uniform(0.0, 0.95, s.size)))
+    seen = set()
+    for sk, yk in lines:
+        s_, y_ = float(sk), float(yk)
+        ln = sol.line(s_, y_)
+        seen.add(ln.branch)
+        assert sol.boundary(s_, y_) == ln.level
+        assert sol.branch(s_, y_) == ln.branch
+        assert sol.coefficients(s_, y_) == (ln.branch, ln.c1, ln.c2)
+        xs = np.linspace(s_ - y_, s_, 9)
+        line = sol.value_line(xs, s_, y_)
+        assert np.array_equal(line, ln.values(xs))
+        for xk, vk in zip(xs, line):
+            assert sol.value(float(xk), s_, y_) == float(vk)
+    assert seen == {"stop", "direct", "reflect"}
 
 
 def test_value_line_rejects_bad_input(flat_put):
@@ -359,10 +384,13 @@ def test_value_line_rejects_bad_input(flat_put):
         sol.value_line(np.array([0.3]), 1.2, 0.7)  # below the floor
     with pytest.raises(DomainError):
         sol.value_line(np.array([1.3]), 1.2, 0.7)  # above the maximum
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="need 0 <= y < s"):
         sol.value_line(np.array([1.0]), 1.2, -0.1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="need 0 <= y < s"):
         sol.value_line(np.array([1.0]), 1.2, 1.2)
+    # off the quadrant a line that is not stopped has no roots to build on
+    with pytest.raises(DomainError, match="need 0 <= y < s"):
+        sol.boundary(1.2, -0.1)
 
 
 def test_coefficients_tag_matches_branch(flat_call):
@@ -585,9 +613,35 @@ def test_direct_line_remarch_uses_the_solution_tolerance(sloped_put, monkeypatch
     assert sol.branch(s, y) == "direct"
     want = sol.boundary(s, y)
     assert want != sol.surface.level_smooth(s, y)
-    sol._levels.pop((s, y))
+    fallbacks = sol.remarch_fallbacks
     monkeypatch.setattr(solver3d, "STEP_REL_TOL", 0.0)
     assert sol.boundary(s, y) == want
+    assert sol.remarch_fallbacks == fallbacks
+
+
+def test_direct_query_remarches_once(sloped_put, monkeypatch):
+    # no level is cached: each query re-marches its line exactly once
+    from drawdown_options import solver3d
+
+    _, sol = sloped_put
+    s, y = 3.1, 2.9
+    calls = []
+    march = solver3d._boundary_slice
+
+    def counted(*args):
+        calls.append(1)
+        return march(*args)
+
+    monkeypatch.setattr(solver3d, "_boundary_slice", counted)
+    for query in (
+        lambda: sol.value(3.0, s, y),
+        lambda: sol.value_line(np.array([2.5, 3.0]), s, y),
+        lambda: sol.coefficients(s, y),
+        lambda: sol.boundary(s, y),
+    ):
+        calls.clear()
+        query()
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -630,15 +684,14 @@ def test_failed_remarch_falls_back_to_the_lattice_and_is_counted(monkeypatch):
     # a per-step target that no step meets makes the re-march raise
     # StepError at the floor
     sol._step_rel_tol = 0.0
-    sol._levels.clear()
     assert sol.boundary(s, y) == sol.surface.level_smooth(s, y)
     assert sol.remarch_fallbacks == 1
-    # a cached level is not counted again
-    sol.boundary(s, y)
-    assert sol.remarch_fallbacks == 1
+    # every query that falls back is counted, a repeat of the line included
+    assert sol.branch(s, y) == "direct"
+    assert sol.remarch_fallbacks == 2
     # a re-march that ends in NaN falls back the same way
     monkeypatch.setattr(
         solver3d, "_boundary_slice", lambda *args: np.array([np.nan])
     )
     assert sol.boundary(s, 2.8) == sol.surface.level_smooth(s, 2.8)
-    assert sol.remarch_fallbacks == 2
+    assert sol.remarch_fallbacks == 3
