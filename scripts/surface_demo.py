@@ -19,7 +19,7 @@ from drawdown_options import (
     build_call_surface,
     build_put_surface,
 )
-from drawdown_options.solver3d import _ORIENT
+from drawdown_options.coefficients import _ORIENT
 
 
 def make_spec(kind):

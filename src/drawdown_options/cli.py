@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .coefficients import ModelSpec, StateTriple, roots_arrays
+from .coefficients import _ORIENT, StateTriple, roots_arrays
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
@@ -42,7 +42,7 @@ from .solver2d import (
     put_boundary_2d,
     region_index_of,
 )
-from .solver3d import _ORIENT, CallSolution3D, PutSolution3D
+from .solver3d import CallSolution3D, PutSolution3D
 
 FMT = "%.17g"
 
@@ -58,10 +58,10 @@ def _write_rows(path: str, header: str, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _solution_2d(cfg: RunConfig, shoot_offset: float = 0.0):
+def _solution_2d(cfg: RunConfig):
     if cfg.spec.payoff_kind == "call":
         return CallSolution2D(cfg.spec)
-    return PutSolution2D(cfg.spec, shoot_offset=shoot_offset)
+    return PutSolution2D(cfg.spec)
 
 
 def _solution_3d(cfg: RunConfig):
@@ -238,28 +238,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ddopt parser: each subcommand accepts only the flags it reads."""
     parser = _Parser(prog="ddopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("roots", cmd_roots),
-        ("boundary", cmd_boundary),
-        ("value", cmd_value),
-        ("verify", cmd_verify),
-        ("simulate", cmd_simulate),
-    ):
-        sp = sub.add_parser(name)
+
+    def command(name, fn, dim=None):
+        # no prefix matching: "--s" on boundary must not mean --shoot-offset
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.set_defaults(fn=fn)
         sp.add_argument("--config", required=True)
-        sp.add_argument("--dim", type=int, choices=(2, 3),
-                        default=3 if name in ("verify", "simulate") else 2)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--shoot-offset", dest="shoot_offset", type=float,
-                        default=0.0)
-        sp.add_argument("--perturb", default="0.9,1.1")
-        sp.add_argument("--x", type=float, default=None)
-        sp.add_argument("--s", type=float, default=None)
-        sp.add_argument("--y", type=float, default=None)
+        if dim is not None:
+            sp.add_argument("--dim", type=int, choices=(2, 3), default=dim)
+        return sp
+
+    def point(sp):
+        for flag in ("--x", "--s", "--y"):
+            sp.add_argument(flag, type=float, default=None)
+
+    command("roots", cmd_roots)
+    sp = command("boundary", cmd_boundary, dim=2)
+    sp.add_argument("--shoot-offset", dest="shoot_offset", type=float, default=0.0)
+    point(command("value", cmd_value, dim=2))
+    sp = command("verify", cmd_verify)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--perturb", default="0.9,1.1")
+    point(sp)
+    sp = command("simulate", cmd_simulate, dim=3)
+    sp.add_argument("--seed", type=int, default=None)
+    point(sp)
     return parser
 
 
@@ -267,15 +274,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(
-                cfg, sim=dataclasses.replace(cfg.sim, seed=args.seed)
-            )
+        # only verify and simulate take --seed
+        seed = getattr(args, "seed", None)
+        if seed is not None:
+            cfg = dataclasses.replace(cfg, sim=dataclasses.replace(cfg.sim, seed=seed))
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
         os.makedirs(cfg.output_dir, exist_ok=True)
-        if args.fn is cmd_verify and args.dim == 2:
-            raise ConfigError("verify requires --dim 3")
         return args.fn(cfg, args)
     except ConstraintBreach as exc:
         print(f"constraint breach: {exc}", file=sys.stderr)

@@ -11,6 +11,10 @@ For frozen ``(s, y)`` the pricing operator applied to a power ``x**gamma``
 yields the quadratic ``sigma^2/2 * gamma*(gamma-1) + (r-delta)*gamma - r``,
 whose two real roots straddle the interval [0, 1].  ``roots`` evaluates the
 pair and its four partial derivatives in a cancellation-safe way.
+
+Call and put are one problem seen from two sides; what differs between the
+sides sits in one ``_Orientation`` record per side, which the solvers, the
+reflection closures and the simulator read.
 """
 
 from __future__ import annotations
@@ -76,9 +80,6 @@ class CoefficientField:
         if self.family == "bounded_rational":
             return self.params[2] / ((1.0 + y) * (1.0 + y)) + 0.0 * s
         return 0.0 * s + 0.0 * y
-
-    def limit_at_infinity(self) -> float:
-        return float(sum(self.params))
 
     def diagonal_restriction(self) -> "CoefficientField":
         """The field seen along s = y, expressed as an s_only member."""
@@ -216,21 +217,6 @@ def check_quadrant(s, y) -> None:
         raise DomainError("eval_fields requires s > 0 and 0 <= y <= s")
 
 
-def _roots_core(r, delta, sigma, dd_ds, dd_dy, dsg_ds, dsg_dy):
-    """Vector-safe root pair and derivatives.
-
-    The larger-magnitude root comes straight from the quadratic formula, the
-    other via the product identity gamma1*gamma2 = -2r/sigma^2, which avoids
-    the cancellation m -+ R when |m| is close to R.
-    """
-    pair = _root_pair(r, delta, sigma)
-    return (
-        pair[:2]
-        + _root_slopes(r, delta, sigma, pair, dd_ds, dsg_ds)
-        + _root_slopes(r, delta, sigma, pair, dd_dy, dsg_dy)
-    )
-
-
 def _root_pair(r, delta, sigma):
     """(gamma1, gamma2, m, R, sigma^3): the roots and the pieces their slopes reuse."""
     sig2 = sigma * sigma
@@ -270,8 +256,19 @@ def _roots_along(spec: ModelSpec, s, y, wrt):
 
 
 def roots_arrays(spec: ModelSpec, s, y):
-    """Array form of :func:`roots`; returns six ndarrays (or scalars)."""
-    return _roots_core(spec.r, *eval_fields(spec, s, y))
+    """Array form of :func:`roots`; returns six ndarrays (or scalars).
+
+    The larger-magnitude root comes straight from the quadratic formula, the
+    other via the product identity gamma1*gamma2 = -2r/sigma^2, which avoids
+    the cancellation m -+ R when |m| is close to R.
+    """
+    delta, sigma, dd_ds, dd_dy, dsg_ds, dsg_dy = eval_fields(spec, s, y)
+    pair = _root_pair(spec.r, delta, sigma)
+    return (
+        pair[:2]
+        + _root_slopes(spec.r, delta, sigma, pair, dd_ds, dsg_ds)
+        + _root_slopes(spec.r, delta, sigma, pair, dd_dy, dsg_dy)
+    )
 
 
 def _critical_level(g1, g2, strike, sign):
@@ -330,6 +327,89 @@ def _pinned_pair(g1, g2, level, strike, sign, target=None, x_end=None):
     return c1, c2
 
 
+@dataclass(frozen=True)
+class _Orientation:
+    """What differs between the call side and the put side.
+
+    sign       the payoff's slope in x, +1 or -1; it also picks the critical
+               root, g1 for the call and g2 for the put (see
+               _critical_level)
+    fixed      the coordinate a boundary slice holds fixed, "s" or "y"; the
+               slice marches along the other one
+    direction  +1 when the march runs toward larger values, -1 otherwise
+    edge       (s, y) -> the end of the x-line on the continuation side:
+               where the slice ODE's reflecting condition acts, and the
+               exposed far end of a direct line
+    band       (spec, s, y) -> the open interval the barrier must stay in
+    above      label of a line whose barrier lies above s
+    below      label of a line whose barrier lies below its floor s - y
+    """
+
+    kind: str
+    sign: float
+    fixed: str
+    direction: float
+    edge: Callable
+    band: Callable
+    above: str
+    below: str
+
+    @property
+    def moving(self):
+        return "y" if self.fixed == "s" else "s"
+
+    def swap(self, a, b):
+        """(s, y) from a slice's (fixed, moving) pair, or back: the same swap."""
+        return (a, b) if self.fixed == "s" else (b, a)
+
+    def fixed_major(self, a):
+        """An (s, y) lattice array indexed [fixed, moving], or back."""
+        return a if self.fixed == "s" else a.T
+
+    def stop_side(self, x, level):
+        """Mask of the prices x on the stopped side of level."""
+        return x >= level if self.sign > 0 else x <= level
+
+    def gap(self, level, x):
+        """Signed distance from x to level, positive on the continuation side.
+
+        x and level may be any increasing transform of price and barrier,
+        such as their logs.
+        """
+        return level - x if self.sign > 0 else x - level
+
+    def parts(self, level, s, y):
+        """(lo, hi) of the continuation and the stopped part of the line.
+
+        The line is [s - y, s], cut at level; the stopped part clamps level
+        into the line.
+        """
+        if self.sign > 0:
+            return (s - y, level), (max(level, s - y), s)
+        return (level, s), (s - y, min(level, s))
+
+
+def _call_band(spec: ModelSpec, s, y):
+    d = spec.delta_field.value(s, y)
+    return np.maximum(spec.strike, spec.r * spec.strike / d), np.inf
+
+
+def _put_band(spec: ModelSpec, s, y):
+    d = spec.delta_field.value(s, y)
+    return 0.0, np.minimum(spec.strike, spec.r * spec.strike / d)
+
+
+_CALL = _Orientation(
+    kind="call", sign=1.0, fixed="s", direction=-1.0,
+    edge=lambda s, y: s - y, band=_call_band, above="reflect", below="stop",
+)
+_PUT = _Orientation(
+    kind="put", sign=-1.0, fixed="y", direction=1.0,
+    edge=lambda s, y: s, band=_put_band, above="stop", below="reflect",
+)
+_ORIENT = {o.kind: o for o in (_CALL, _PUT)}
+
+
 def roots(spec: ModelSpec, s: float, y: float) -> RootPair:
     """Characteristic root pair with derivatives at a single (s, y)."""
     g1, g2, d1s, d2s, d1y, d2y = roots_arrays(spec, float(s), float(y))
@@ -342,7 +422,6 @@ def generator_residual(
     point: StateTriple,
     dfdx: Callable[[float], float] | None = None,
     d2fdx2: Callable[[float], float] | None = None,
-    fd_step: float | None = None,
 ) -> float:
     """(L f - r f)(x) with coefficients frozen at the point's (s, y).
 
@@ -358,8 +437,7 @@ def generator_residual(
     if dfdx is not None and d2fdx2 is not None:
         fp, fpp = dfdx(x), d2fdx2(x)
     else:
-        h = fd_step if fd_step is not None else 1e-5 * max(abs(x), spec.strike)
-        h = min(h, 0.5 * (x - (s - y)), 0.5 * (s - x))
+        h = min(1e-5 * max(abs(x), spec.strike), 0.5 * (x - (s - y)), 0.5 * (s - x))
         fp = (f(x + h) - f(x - h)) / (2.0 * h)
         fpp = (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
     return (spec.r - delta) * x * fp + 0.5 * sigma**2 * x * x * fpp - spec.r * f(x)

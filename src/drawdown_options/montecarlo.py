@@ -26,9 +26,8 @@ from typing import Literal
 
 import numpy as np
 
-from .coefficients import ModelSpec, StateTriple, roots_arrays
+from .coefficients import _ORIENT, ModelSpec, StateTriple
 from .errors import ConfigError
-from .solver3d import _ORIENT
 
 TRUNCATION_BUDGET = 1e-3
 
@@ -165,7 +164,7 @@ def simulate_stopped_payoffs(
             f"horizon {cfg.horizon} leaves discount weight {tail:.2e} above "
             f"the truncation budget {TRUNCATION_BUDGET:g}; extend it"
         )
-    is_call = spec.payoff_kind == "call"
+    o = _ORIENT[spec.payoff_kind]
     n_steps = int(round(cfg.horizon / cfg.dt))
     payoffs = np.empty((len(rules), cfg.n_paths))
     stop_times = np.empty((len(rules), cfg.n_paths))
@@ -177,7 +176,7 @@ def simulate_stopped_payoffs(
         rng = np.random.Generator(np.random.Philox(key=[cfg.seed, block_idx]))
         block = slice(filled, filled + n_b)
         n_horizon += _run_block(
-            spec, rules, start, cfg, rng, n_steps, is_call,
+            spec, o, rules, start, cfg, rng, n_steps,
             payoffs[:, block], stop_times[:, block],
         )
         filled += n_b
@@ -209,8 +208,11 @@ def _step_coeffs(spec, dt, s, y):
     return (spec.r - dlt - 0.5 * sig**2) * dt, sig * np.sqrt(dt), sig**2 * dt
 
 
-def _run_block(spec, rules, start, cfg, rng, n_steps, is_call, payoff, stop_time):
+def _run_block(spec, o, rules, start, cfg, rng, n_steps, payoff, stop_time):
     """Simulate one block of paths under every rule at once.
+
+    o is the payoff's orientation record: it says which side of a barrier
+    stops a path.
 
     Fills ``payoff`` and ``stop_time`` (one row per rule, one column per
     path of the block) and returns the horizon cash-out count per rule.
@@ -239,7 +241,7 @@ def _run_block(spec, rules, start, cfg, rng, n_steps, is_call, payoff, stop_time
     live = np.empty((n_rules, n_b), dtype=bool)
     for k, rule in enumerate(rules):
         lvl[k] = rule.level(s, y)
-        hit0 = x >= lvl[k] if is_call else x <= lvl[k]
+        hit0 = o.stop_side(x, lvl[k])
         if np.any(hit0):
             payoff[k, hit0] = spec.payoff(x[hit0])
             stop_time[k, hit0] = 0.0
@@ -273,12 +275,8 @@ def _run_block(spec, rules, start, cfg, rng, n_steps, is_call, payoff, stop_time
             lx_new = np.log(x_new)
             n_stopped = 0
             for j in range(n_rules):
-                if is_call:
-                    hit = x_new >= lvl[j]
-                    d_prev, d_new = la[j] - lx, la[j] - lx_new
-                else:
-                    hit = x_new <= lvl[j]
-                    d_prev, d_new = lx - la[j], lx_new - la[j]
+                hit = o.stop_side(x_new, lvl[j])
+                d_prev, d_new = o.gap(la[j], lx), o.gap(la[j], lx_new)
                 # the log-Euler step is a Brownian bridge between endpoints,
                 # so an unhit pair still crosses with this exact probability
                 # (both gaps positive already rules out an endpoint hit)

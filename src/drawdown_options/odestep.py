@@ -9,14 +9,15 @@ on scalars (``solver2d._march_line``) and a surface's slices in lockstep
 the fourth-order one, relative to the state, as its error estimate
 (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4).  :class:`StepSize`
 turns the estimates into step lengths.  A march asks it for the length of
-each try; a try whose worst estimate exceeds the tolerance is retried
-shorter, down to a floor of 1/1024 of the extent the march measures: a
-surface's whole span, a line's node interval.  Only a step that lands on
-an output node may be shorter than that floor, and every step that
-reaches a node lands on it exactly, so no dense output is needed.  A step
-at the floor always stands: the lanes still above the tolerance there
-fail, which is the march's business (a surface flags the slice, a line
-raises ``StepError``), and leave the controller.
+each try; a try whose worst estimate exceeds the tolerance
+(:data:`STEP_REL_TOL`) is retried shorter, down to a floor of 1/1024 of
+the extent the march measures: a surface's whole span, a line's node
+interval.  Only a step that lands on an output node may be shorter than
+that floor, and every step that reaches a node lands on it exactly, so no
+dense output is needed.  A step at the floor always stands: the lanes
+still above the tolerance there fail, which is the march's business (a
+surface flags the slice, a line raises ``StepError``), and leave the
+controller.
 
 The right-hand side is handed to :func:`checked_step` in two stages: the
 part that depends on the abscissa alone (roots, field values) and the part
@@ -53,6 +54,9 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     22.0 / 525.0, -1.0 / 40.0,
 )
 
+# the per-step target for the relative estimate, read by each march as it
+# starts
+STEP_REL_TOL = 1e-10
 # the shortest step, as a share of the extent a march measures; a node may
 # cut a step shorter
 STEP_FLOOR = 1.0 / 1024.0

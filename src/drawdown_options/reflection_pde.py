@@ -44,7 +44,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import lsqr, spsolve
 
-from .coefficients import ModelSpec, _pinned_pair, roots_arrays
+from .coefficients import _ORIENT, ModelSpec, _pinned_pair, roots_arrays
 from .errors import NonConvergence, UnderdeterminedRegion
 
 
@@ -325,11 +325,11 @@ def _closure_block(spec: ModelSpec, family, closures):
     # otherwise the anchor pair at the closure position is tied to the last
     # node by one more midpoint pair
     off = combo[tie]
-    sign = 1.0 if spec.payoff_kind == "call" else -1.0
-    x_end = s - y if sign > 0 else s
+    o = _ORIENT[spec.payoff_kind]
+    x_end = o.edge(s, y)
     anchor = np.array(
         [
-            _pinned_pair(a, b, xb, spec.strike, sign, t, x_end=e)
+            _pinned_pair(a, b, xb, spec.strike, o.sign, t, x_end=e)
             for a, b, xb, t, e in zip(
                 g1[tie].tolist(), g2[tie].tolist(), x_base[off].tolist(),
                 target[off].tolist(), x_end[tie].tolist(),

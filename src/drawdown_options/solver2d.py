@@ -25,7 +25,8 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .coefficients import ModelSpec, _pinned_pair, roots_arrays
+from . import odestep
+from .coefficients import _PUT, ModelSpec, _pinned_pair, roots_arrays
 from .errors import (
     ConstraintBreach,
     DomainError,
@@ -35,7 +36,6 @@ from .errors import (
 )
 from .odestep import ReuseStages, StepSize, checked_step
 
-STEP_REL_TOL = 1e-10
 DEFAULT_N_STEPS = 4096
 EDGE_FRACTION = 1e-6
 
@@ -59,7 +59,7 @@ def _beta(spec: ModelSpec, s):
 # switch-point detection
 
 
-def detect_switch_points(grid, curve_values, ref_values, refine=None, min_gap=None):
+def detect_switch_points(grid, curve_values, ref_values, refine=None):
     """Locate sign changes of curve - reference along an increasing grid.
 
     Returns a list of (position, direction) pairs where direction is
@@ -147,9 +147,6 @@ class BoundaryCurve:
             raise DomainError("query outside the sampled range of the boundary curve")
         return self._spline(np.clip(s, self.grid[0], self.grid[-1]))
 
-    def region_index(self, s) -> int:
-        return region_index_of(self.switches, float(s))
-
 
 # ---------------------------------------------------------------------------
 # call side
@@ -162,8 +159,8 @@ def call_boundary_2d(spec: ModelSpec, s):
     return g1 * spec.strike / (g1 - 1.0)
 
 
-def call_switches(spec: ModelSpec, s_lo, s_hi, n=DEFAULT_N_STEPS + 1):
-    grid = np.linspace(float(s_lo), float(s_hi), int(n))
+def call_switches(spec: ModelSpec, s_lo, s_hi):
+    grid = np.linspace(s_lo, s_hi, DEFAULT_N_STEPS + 1)
     vals = call_boundary_2d(spec, grid)
 
     def gap(s):
@@ -181,12 +178,12 @@ class CallSolution2D:
     factor accumulated from the quotient of root derivatives.
     """
 
-    def __init__(self, spec: ModelSpec, s_lo=None, s_hi=None, n=DEFAULT_N_STEPS + 1):
+    def __init__(self, spec: ModelSpec):
         _require_s_only(spec)
         self.spec = spec
-        self.s_lo = float(s_lo) if s_lo is not None else EDGE_FRACTION * spec.strike
-        self.s_hi = float(s_hi) if s_hi is not None else spec.domain_s_max
-        self.switches = call_switches(spec, self.s_lo, self.s_hi, n)
+        self.s_lo = EDGE_FRACTION * spec.strike
+        self.s_hi = spec.domain_s_max
+        self.switches = call_switches(spec, self.s_lo, self.s_hi)
 
     def boundary(self, s):
         return call_boundary_2d(self.spec, s)
@@ -241,29 +238,19 @@ def put_asymptote(spec: ModelSpec, s=None):
     return g2 * spec.strike / (g2 - 1.0)
 
 
-def _ode_terms(g1, g2, dg1, dg2, level, ref, strike):
-    """Right-hand side of the boundary ODE and its shared denominator.
-
-    level is the current boundary value, ref the coordinate at which the
-    reflecting condition acts (s for the put, s - y for the call).  The two
-    bracket terms degenerate as ref approaches level, so each switches to a
-    quadratic expansion once |log(ref / level)| drops below 1e-6.
-    """
-    # lanes past a constraint breach carry NaN levels on purpose; let the
-    # NaN flow through instead of warning
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        return OdeStage(g1, g2, dg1, dg2, ref, strike).terms(level)
-
-
 class OdeStage:
     """The boundary ODE frozen at one abscissa, as a function of the level.
+
+    ref is the coordinate at which the reflecting condition acts (s for the
+    put, s - y for the call).  :meth:`terms` gives the right-hand side and
+    its shared denominator at a level.  The two bracket terms degenerate as
+    ref approaches the level, so each switches to a quadratic expansion
+    once |log(ref / level)| drops below 1e-6.
 
     Construction computes everything that does not depend on the level (the
     factors of the denominator and numerators, the reciprocals inside the
     brackets), so a stepper that revisits the abscissa only pays for the
-    level-dependent part.  Every expression is the one :func:`_ode_terms`
-    has always evaluated, split at the same operations, so the results are
-    bit for bit the same.  Callers silence floating-point warnings.
+    level-dependent part.  Callers silence floating-point warnings.
     """
 
     __slots__ = ("a", "b", "c1", "c2", "e1", "e2", "d12", "d21",
@@ -311,12 +298,6 @@ def _bracket(delta, inv, u, small):
     return main
 
 
-def put_rhs(spec: ModelSpec, s, g):
-    """dg/ds for the put boundary; also returns the matching denominator."""
-    g1, g2, dg1, dg2 = _beta(spec, s)
-    return _ode_terms(g1, g2, dg1, dg2, g, s, spec.strike)
-
-
 def _scalar_field_s(field, s):
     """(value, d/ds) of a maximum-only coefficient field at scalar s."""
     p = field.params
@@ -336,15 +317,15 @@ def _scalar_bracket(delta, u):
     return 1.0 / delta + u / (-math.expm1(w))
 
 
-def _march_line(stage, t0, g0, nodes, step_rel_tol, scale, check=None):
+def _march_line(stage, t0, g0, nodes, scale, check=None):
     """Controlled march of one boundary line from (t0, g0) through nodes.
 
     stage(t) freezes the boundary ODE at abscissa t as a function of the
     level that gives (rhs, den).  Steps follow :class:`odestep.StepSize`
-    with step_rel_tol as the per-step target, at least one per node, each
-    node landed on exactly.  A flip of den's first sign, or
+    with odestep.STEP_REL_TOL as the per-step target, at least one per
+    node, each node landed on exactly.  A flip of den's first sign, or
     |den| <= 1e-12 scale, raises SingularDenominator; a step at the floor
-    whose estimate still exceeds step_rel_tol raises StepError; check(t,
+    whose estimate still exceeds the target raises StepError; check(t,
     level), when given, may raise on a node's level.  A non-finite level or
     estimate at the floor (a stage gives NaN outside its band) ends the
     march, leaving NaN from there.  Returns the node levels and the worst
@@ -375,7 +356,7 @@ def _march_line(stage, t0, g0, nodes, step_rel_tol, scale, check=None):
     line_stage = ReuseStages(guarded)
     vals = np.full(len(nodes), np.nan)
     t, g, worst = float(t0), float(g0), 0.0
-    size = StepSize(step_rel_tol)
+    size = StepSize(odestep.STEP_REL_TOL)
     for k, t_node in enumerate(nodes):
         t_node = float(t_node)
         # a line has no group to hold up, so each node interval is measured
@@ -392,7 +373,7 @@ def _march_line(stage, t0, g0, nodes, step_rel_tol, scale, check=None):
             if not (math.isfinite(g_new) and math.isfinite(rel)):
                 g = math.nan
                 break
-            if rel > step_rel_tol:
+            if rel > size.tol:
                 raise StepError(
                     f"step from {t:g} failed its error check at the shortest "
                     f"step (relative estimate {rel:.3e})"
@@ -409,7 +390,7 @@ def _march_line(stage, t0, g0, nodes, step_rel_tol, scale, check=None):
 
 
 def _scalar_put_stage(spec: ModelSpec, s):
-    """Scalar twin of put_rhs in plain float arithmetic, split at the abscissa.
+    """Scalar twin of the put's OdeStage at y = 0, in plain float arithmetic.
 
     The descending march evaluates the right-hand side tens of thousands of
     times on scalars, where ndarray dispatch is pure overhead; formulas are
@@ -470,10 +451,7 @@ def default_put_grid(spec: ModelSpec, n=DEFAULT_N_STEPS + 1):
 
 
 def put_boundary_2d(
-    spec: ModelSpec,
-    s_grid=None,
-    shoot_offset: float = 0.0,
-    step_rel_tol: float = STEP_REL_TOL,
+    spec: ModelSpec, s_grid=None, shoot_offset: float = 0.0
 ) -> BoundaryCurve:
     """Integrate the put boundary downward from its truncation asymptote.
 
@@ -482,8 +460,8 @@ def put_boundary_2d(
     shoot_offset.  The curve must stay strictly inside (0, min(L, rL/delta));
     leaving that band raises ConstraintBreach.  A sign change or collapse of
     the shared denominator raises SingularDenominator, and a step at the
-    shortest allowed length whose estimate exceeds step_rel_tol raises
-    StepError.
+    shortest allowed length whose estimate exceeds odestep.STEP_REL_TOL
+    raises StepError.
     """
     _require_s_only(spec)
     L = spec.strike
@@ -502,7 +480,7 @@ def put_boundary_2d(
         raise DomainError("the boundary grid must stay strictly positive")
 
     def check(s, g):
-        cap = min(L, spec.r * L / float(spec.delta_field.value(s, 0.0)))
+        _, cap = _PUT.band(spec, s, 0.0)
         if not (0.0 < g < cap):
             raise ConstraintBreach(
                 f"put boundary {g:g} left (0, {cap:g}) at s={s:g}"
@@ -512,7 +490,7 @@ def put_boundary_2d(
     check(float(s_desc[0]), g0)
     vals, worst = _march_line(
         lambda s: _scalar_put_stage(spec, s),
-        s_desc[0], g0, s_desc[1:], step_rel_tol, L, check,
+        s_desc[0], g0, s_desc[1:], L, check,
     )
     vals = np.concatenate([[g0], vals])
 
@@ -536,18 +514,10 @@ class PutSolution2D:
     the stopping region.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        s_grid=None,
-        shoot_offset: float = 0.0,
-        step_rel_tol: float = STEP_REL_TOL,
-    ):
+    def __init__(self, spec: ModelSpec):
         _require_s_only(spec)
         self.spec = spec
-        self.curve = put_boundary_2d(
-            spec, s_grid, shoot_offset=shoot_offset, step_rel_tol=step_rel_tol
-        )
+        self.curve = put_boundary_2d(spec)
 
     def boundary(self, s):
         return self.curve(s)
@@ -556,7 +526,9 @@ class PutSolution2D:
         """Coefficients (D1, D2) of x**beta1 and x**beta2 on the slice."""
         g = float(self.curve(s))
         g1, g2, _, _ = _beta(self.spec, np.array([float(s)]))
-        return _pinned_pair(float(g1[0]), float(g2[0]), g, self.spec.strike, -1.0)
+        return _pinned_pair(
+            float(g1[0]), float(g2[0]), g, self.spec.strike, _PUT.sign
+        )
 
     def value(self, x, s):
         x = float(x)

@@ -17,10 +17,11 @@ system solved over the whole reflected component).
 Call and put are one problem seen from two sides.  Everything that differs
 between the sides (payoff sign, slice axis and march direction, the line
 edge where reflection acts, the constraint band, which branch lies above s
-and which below s - y) sits in one :class:`_Orientation` record per side;
-the marcher, region detection, closures and value assembly are written once
-against it.  Direct lines are pinned by :func:`coefficients._pinned_pair`,
-the same rule the reflection closures and the maximum-only put use.
+and which below s - y) sits in one ``coefficients._Orientation`` record per
+side; the marcher, region detection, closures and value assembly are
+written once against it.  Direct lines are pinned by
+:func:`coefficients._pinned_pair`, the same rule the reflection closures
+and the maximum-only put use.
 """
 
 from __future__ import annotations
@@ -28,15 +29,19 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy import ndimage
 from scipy.interpolate import CubicSpline
 
+from . import odestep
 from .coefficients import (
+    _CALL,
+    _ORIENT,
+    _PUT,
     ModelSpec,
     _critical_level,
+    _Orientation,
     _pinned_pair,
     _roots_along,
     check_quadrant,
@@ -60,102 +65,13 @@ from .reflection_pde import (
 )
 from .solver2d import (
     EDGE_FRACTION,
-    STEP_REL_TOL,
     OdeStage,
     PutSolution2D,
     _march_line,
-    _ode_terms,
     detect_switch_points,
 )
 
 MAX_SWITCH_PAIRS = 16
-
-
-@dataclass(frozen=True)
-class _Orientation:
-    """What differs between the call side and the put side.
-
-    sign       the payoff's slope in x, +1 or -1; it also picks the critical
-               root, g1 for the call and g2 for the put (see
-               coefficients._critical_level)
-    fixed      the coordinate a boundary slice holds fixed, "s" or "y"; the
-               slice marches along the other one
-    direction  +1 when the march runs toward larger values, -1 otherwise
-    edge       (s, y) -> the end of the x-line on the continuation side:
-               where the slice ODE's reflecting condition acts, and the
-               exposed far end of a direct line
-    band       (spec, s, y) -> the open interval the barrier must stay in
-    above      label of a line whose barrier lies above s
-    below      label of a line whose barrier lies below its floor s - y
-    """
-
-    kind: str
-    sign: float
-    fixed: str
-    direction: float
-    edge: Callable
-    band: Callable
-    above: str
-    below: str
-
-    @property
-    def moving(self):
-        return "y" if self.fixed == "s" else "s"
-
-    def swap(self, a, b):
-        """(s, y) from a slice's (fixed, moving) pair, or back: the same swap."""
-        return (a, b) if self.fixed == "s" else (b, a)
-
-    def fixed_major(self, a):
-        """An (s, y) lattice array indexed [fixed, moving], or back."""
-        return a if self.fixed == "s" else a.T
-
-    def stop_side(self, x, level):
-        """Mask of the stopped part of a direct line."""
-        return x >= level if self.sign > 0 else x <= level
-
-    def parts(self, level, s, y):
-        """(lo, hi) of the continuation and the stopped part of the line.
-
-        The line is [s - y, s], cut at level; the stopped part clamps level
-        into the line.
-        """
-        if self.sign > 0:
-            return (s - y, level), (max(level, s - y), s)
-        return (level, s), (s - y, min(level, s))
-
-
-def _call_band(spec: ModelSpec, s, y):
-    d = spec.delta_field.value(s, y)
-    return np.maximum(spec.strike, spec.r * spec.strike / d), np.inf
-
-
-def _put_band(spec: ModelSpec, s, y):
-    d = spec.delta_field.value(s, y)
-    return 0.0, np.minimum(spec.strike, spec.r * spec.strike / d)
-
-
-_CALL = _Orientation(
-    kind="call", sign=1.0, fixed="s", direction=-1.0,
-    edge=lambda s, y: s - y, band=_call_band, above="reflect", below="stop",
-)
-_PUT = _Orientation(
-    kind="put", sign=-1.0, fixed="y", direction=1.0,
-    edge=lambda s, y: s, band=_put_band, above="stop", below="reflect",
-)
-_ORIENT = {o.kind: o for o in (_CALL, _PUT)}
-
-
-def call_slice_rhs(spec: ModelSpec, s, y, b):
-    """db/dy on a fixed-s slice; also returns the shared denominator."""
-    g1, g2, _, _, dg1, dg2 = roots_arrays(spec, s, y)
-    return _ode_terms(g1, g2, dg1, dg2, b, s - y, spec.strike)
-
-
-def put_slice_rhs(spec: ModelSpec, s, y, a):
-    """da/ds on a fixed-y slice; also returns the shared denominator."""
-    g1, g2, dg1, dg2, _, _ = roots_arrays(spec, s, y)
-    return _ode_terms(g1, g2, dg1, dg2, a, s, spec.strike)
 
 
 def _stage(o, spec: ModelSpec, s, y):
@@ -292,9 +208,7 @@ class BoundarySurface:
         return (1.0 - ty) * v0 + ty * v1
 
 
-def _march_surface(
-    spec, o, fixed_grid, move_grid, starts, seeds, entry_index, step_rel_tol
-):
+def _march_surface(spec, o, fixed_grid, move_grid, starts, seeds, entry_index):
     """Advance all slices of orientation o through move_grid in lockstep.
 
     starts and seeds give each slice its own entry coordinate and value;
@@ -325,7 +239,7 @@ def _march_surface(
     # the floor is measured on the whole march's span, so that a slice the
     # controller cannot satisfy is dropped after a few short steps instead
     # of making its group crawl
-    size = StepSize(step_rel_tol)
+    size = StepSize(odestep.STEP_REL_TOL)
     size.measure(float(move_grid[-1]) - float(move_grid[0]))
 
     def stage(fx, t):
@@ -364,7 +278,7 @@ def _march_surface(
             rel = np.where(held, rel, 0.0)
             if not size.stands(a, float(np.max(rel))):
                 continue
-            held &= rel <= step_rel_tol
+            held &= rel <= size.tol
             size.after(a, landed, float(np.max(rel, where=held, initial=0.0)))
             g, t_cur, done = g_k, t_nxt, min(frac, 1.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -418,20 +332,20 @@ def _march_surface(
     return values, status
 
 
-def _diagonal_seeds(o, spec: ModelSpec, fixed, starts, curve=None):
+def _diagonal_seeds(o, spec: ModelSpec, fixed, starts):
     """Barrier levels at slice starts next to the diagonal.
 
     A call slice starts on the critical level of its own roots, where the
     drawdown floor is slack; a put slice starts on the diagonal-restricted
-    maximum-only curve (curve, when the caller already has it).
+    maximum-only curve.
     """
     if o.sign > 0:
         g1, g2, *_ = roots_arrays(spec, *o.swap(fixed, starts))
         return _critical_level(g1, g2, spec.strike, o.sign)
-    return (diagonal_put_curve(spec) if curve is None else curve)(starts)
+    return diagonal_put_curve(spec)(starts)
 
 
-def _build_surface(o, spec, s_grid, y_grid, step_rel_tol, curve=None):
+def _build_surface(o, spec, s_grid, y_grid):
     """March every slice from next to the diagonal, then label the lattice."""
     s_grid = np.asarray(s_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
@@ -446,24 +360,20 @@ def _build_surface(o, spec, s_grid, y_grid, step_rel_tol, curve=None):
         entry = np.searchsorted(move, starts, side="right") - 1
     inside = entry >= 0
     seeds = np.full(fixed.shape, np.nan)
-    seeds[inside] = _diagonal_seeds(o, spec, fixed[inside], starts[inside], curve)
+    seeds[inside] = _diagonal_seeds(o, spec, fixed[inside], starts[inside])
 
     # every slice runs from its start through the far end of move
     check_quadrant(*o.swap(fixed[inside], starts[inside]))
     check_quadrant(*o.swap(fixed[inside], move[-1] if o.direction > 0 else move[0]))
 
-    values, status = _march_surface(
-        spec, o, fixed, move, starts, seeds, entry, step_rel_tol
-    )
+    values, status = _march_surface(spec, o, fixed, move, starts, seeds, entry)
     for k in np.flatnonzero(~inside):
         status[k] = ("outside", np.nan)
     surf = BoundarySurface(s_grid, y_grid, o.fixed_major(values), o.kind, status)
     return detect_regions_3d(spec, surf)
 
 
-def build_call_surface(
-    spec: ModelSpec, s_grid, y_grid, step_rel_tol=STEP_REL_TOL
-) -> BoundarySurface:
+def build_call_surface(spec: ModelSpec, s_grid, y_grid) -> BoundarySurface:
     """Integrate the call barrier down each fixed-s slice from the diagonal.
 
     The seed sits at y = s - eps where the drawdown floor is slack and the
@@ -471,25 +381,17 @@ def build_call_surface(
     """
     if np.asarray(s_grid, dtype=float)[0] <= EDGE_FRACTION * spec.strike:
         raise DomainError("s_grid must start above the edge offset")
-    return _build_surface(_CALL, spec, s_grid, y_grid, step_rel_tol)
+    return _build_surface(_CALL, spec, s_grid, y_grid)
 
 
-def build_put_surface(
-    spec: ModelSpec,
-    s_grid,
-    y_grid,
-    step_rel_tol=STEP_REL_TOL,
-    diag_curve=None,
-) -> BoundarySurface:
+def build_put_surface(spec: ModelSpec, s_grid, y_grid) -> BoundarySurface:
     """Integrate the put barrier up each fixed-y slice from the corner s = y.
 
     Next to the corner the drawdown floor sits at the bottom of the x-line,
     so the slice starts from the diagonal-restricted maximum-only curve,
     which is integrated once and shared by every slice.
     """
-    if diag_curve is None:
-        diag_curve = diagonal_put_curve(spec)
-    return _build_surface(_PUT, spec, s_grid, y_grid, step_rel_tol, diag_curve)
+    return _build_surface(_PUT, spec, s_grid, y_grid)
 
 
 @lru_cache(maxsize=8)
@@ -499,7 +401,7 @@ def diagonal_put_curve(spec: ModelSpec):
     return PutSolution2D(dspec).curve
 
 
-def _boundary_slice(o, spec, fixed, nodes, step_rel_tol):
+def _boundary_slice(o, spec, fixed, nodes):
     """Barrier on one slice, marched from next to the diagonal through nodes.
 
     A level outside the band gives NaN, so the nodes from a breach on are NaN.
@@ -530,10 +432,10 @@ def _boundary_slice(o, spec, fixed, nodes, step_rel_tol):
 
         return terms
 
-    return _march_line(stage, start, seed, nodes, step_rel_tol, spec.strike)[0]
+    return _march_line(stage, start, seed, nodes, spec.strike)[0]
 
 
-def call_boundary_slice(spec: ModelSpec, s, y_grid, step_rel_tol=STEP_REL_TOL):
+def call_boundary_slice(spec: ModelSpec, s, y_grid):
     """Call barrier on the fixed-s slice at the given descending y nodes.
 
     Seeded at y = s - eps from the reachable-maximum form and integrated
@@ -542,30 +444,28 @@ def call_boundary_slice(spec: ModelSpec, s, y_grid, step_rel_tol=STEP_REL_TOL):
     """
     if float(s) <= EDGE_FRACTION * spec.strike:
         raise DomainError(f"slice level s={float(s)} must exceed the edge offset")
-    return _boundary_slice(_CALL, spec, s, y_grid, step_rel_tol)
+    return _boundary_slice(_CALL, spec, s, y_grid)
 
 
-def put_boundary_slice(spec: ModelSpec, y, s_grid, step_rel_tol=STEP_REL_TOL):
+def put_boundary_slice(spec: ModelSpec, y, s_grid):
     """Put barrier on the fixed-y slice at the given ascending s nodes.
 
     Seeded at s = y + eps from the diagonal-restricted maximum-only curve and
     integrated upward in s.  Nodes past a constraint breach (barrier leaving
     (0, min(strike, r strike / delta))) are returned as NaN.
     """
-    return _boundary_slice(_PUT, spec, y, s_grid, step_rel_tol)
+    return _boundary_slice(_PUT, spec, y, s_grid)
 
 
-def detect_regions_3d(
-    spec: ModelSpec, surface: BoundarySurface, max_pairs=MAX_SWITCH_PAIRS
-) -> BoundarySurface:
+def detect_regions_3d(spec: ModelSpec, surface: BoundarySurface) -> BoundarySurface:
     """Label every lattice node and trace the region-splitting curves.
 
     Nodes sort into "stop", "direct", "reflect" (empty string off the state
     space or past a flagged slice).  Each integration slice is scanned for
-    crossings against both reference lines; runs of more than max_pairs
-    crossing pairs are truncated with a warning.  The cap curve collects,
-    for the call, the last reflect-to-direct crossing in s per y-row and,
-    for the put, the first floor crossing in y per s-column.
+    crossings against both reference lines; runs of more than
+    MAX_SWITCH_PAIRS crossing pairs are truncated with a warning.  The cap
+    curve collects, for the call, the last reflect-to-direct crossing in s
+    per y-row and, for the put, the first floor crossing in y per s-column.
     """
     o = _ORIENT[surface.kind]
     s_grid, y_grid, v = surface.s_grid, surface.y_grid, surface.values
@@ -589,11 +489,11 @@ def detect_regions_3d(
             s, y = o.swap(pos, t)
             rec[o.above] = _capped(
                 detect_switch_points(t, vf[k, ok], np.broadcast_to(s, t.shape)),
-                max_pairs, f"slice {o.fixed}={pos:g} vs reachable-max line",
+                f"slice {o.fixed}={pos:g} vs reachable-max line",
             )
             rec[o.below] = _capped(
                 detect_switch_points(t, vf[k, ok], s - y),
-                max_pairs, f"slice {o.fixed}={pos:g} vs floor line",
+                f"slice {o.fixed}={pos:g} vs floor line",
             )
         switches.append(rec)
     # across the slices, per node of the moving axis: where the reflect band
@@ -625,15 +525,15 @@ def detect_regions_3d(
     return surface
 
 
-def _capped(points, max_pairs, what):
-    if len(points) > 2 * max_pairs:
+def _capped(points, what):
+    if len(points) > 2 * MAX_SWITCH_PAIRS:
         warnings.warn(
-            f"more than {max_pairs} switch pairs on {what}; keeping the first "
-            f"{2 * max_pairs}",
+            f"more than {MAX_SWITCH_PAIRS} switch pairs on {what}; keeping the "
+            f"first {2 * MAX_SWITCH_PAIRS}",
             ResolutionWarning,
             stacklevel=3,
         )
-        return points[: 2 * max_pairs]
+        return points[: 2 * MAX_SWITCH_PAIRS]
     return points
 
 
@@ -845,34 +745,22 @@ class Line:
 class _Solution3D:
     """Assembled perpetual solution over the (x, s, y) state space."""
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        n_s: int = 193,
-        n_y: int = 129,
-        s_lo=None,
-        s_hi=None,
-        y_hi=None,
-        step_rel_tol=STEP_REL_TOL,
-    ):
+    def __init__(self, spec: ModelSpec, n_s: int = 193, n_y: int = 129):
         if spec.payoff_kind != self.kind:
             raise DomainError(f"spec is not a {self.kind} model")
         self._o = _ORIENT[self.kind]
+        # s runs over [0.01 K, domain_s_max]; y stops 2 eps short of s_max so
+        # that the top put slice, which starts eps above its y, enters the
+        # lattice
         eps = EDGE_FRACTION * spec.strike
-        s_hi = float(s_hi) if s_hi is not None else spec.domain_s_max
-        s_lo = float(s_lo) if s_lo is not None else 1e-2 * spec.strike
-        y_hi = (
-            float(y_hi)
-            if y_hi is not None
-            else min(spec.domain_y_max, s_hi - 2.0 * eps)
-        )
-        s_grid = np.linspace(s_lo, s_hi, int(n_s))
+        s_hi = spec.domain_s_max
+        y_hi = min(spec.domain_y_max, s_hi - 2.0 * eps)
+        s_grid = np.linspace(1e-2 * spec.strike, s_hi, int(n_s))
         y_grid = np.linspace(0.0, y_hi, int(n_y))
         build = build_call_surface if self._o is _CALL else build_put_surface
         self.spec = spec
-        self.surface = build(spec, s_grid, y_grid, step_rel_tol)
+        self.surface = build(spec, s_grid, y_grid)
         self.regions = build_reflection_regions(spec, self.surface)
-        self._step_rel_tol = step_rel_tol
         # line queries whose direct-line re-march failed and that took the
         # interpolated level instead
         self.remarch_fallbacks = 0
@@ -901,7 +789,7 @@ class _Solution3D:
         start = fixed + o.direction * eps
         try:
             if o.direction * (t - start) > 0.0:
-                out = float(_boundary_slice(o, spec, fixed, [t], self._step_rel_tol)[-1])
+                out = float(_boundary_slice(o, spec, fixed, [t])[-1])
             else:
                 out = float(_diagonal_seeds(o, spec, fixed, start))
         except (StepError, SingularDenominator, DomainError):

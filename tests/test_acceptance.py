@@ -34,8 +34,9 @@ from drawdown_options import (
     solve_reflection_region,
     verify_solution,
 )
-from drawdown_options.solver2d import put_asymptote, put_boundary_2d, put_rhs
-from drawdown_options.solver3d import call_slice_rhs, put_slice_rhs
+from drawdown_options.coefficients import _CALL, _PUT
+from drawdown_options.solver2d import _scalar_put_stage, put_asymptote, put_boundary_2d
+from drawdown_options.solver3d import _stage
 
 RESULTS = {}
 
@@ -119,12 +120,13 @@ def test_criterion_2_flat_model_reduction():
 
 def test_criterion_3_degeneracy_ladder():
     flat_call, flat_put = _flat("call"), _flat("put")
-    # flat coefficients freeze every boundary ODE right-hand side
+    # flat coefficients freeze every boundary ODE right-hand side; these are
+    # the stages the curve and slice marches evaluate
     rhs_max = 0.0
     for s, g in ((0.8, 0.6), (3.0, 0.65), (12.0, 0.66)):
-        rhs_max = max(rhs_max, abs(float(put_rhs(flat_put, s, g)[0])))
-        rhs_max = max(rhs_max, abs(float(call_slice_rhs(flat_call, s, 0.3 * s, 3.0)[0])))
-        rhs_max = max(rhs_max, abs(float(put_slice_rhs(flat_put, s, 0.3 * s, g)[0])))
+        rhs_max = max(rhs_max, abs(float(_scalar_put_stage(flat_put, s)(g)[0])))
+        rhs_max = max(rhs_max, abs(float(_stage(_CALL, flat_call, s, 0.3 * s)(3.0))))
+        rhs_max = max(rhs_max, abs(float(_stage(_PUT, flat_put, s, 0.3 * s)(g))))
     curve = put_boundary_2d(flat_put)
     flat_2d = float(np.ptp(curve.values))
 

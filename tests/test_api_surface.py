@@ -1,0 +1,123 @@
+"""The settable surface of the package, pinned.
+
+Every parameter of an exported callable and every flag of a ``ddopt``
+subcommand is a setting someone can reach.  A new one changes these pins,
+so it shows up as a test diff to review rather than slipping in.
+"""
+
+import argparse
+import inspect
+
+import drawdown_options
+from drawdown_options.cli import build_parser
+
+EXCEPTION = "exception"
+
+API = {
+    "BoundaryCurve": ("grid", "values", "kind", "switches", "max_step_error"),
+    "BoundarySurface": (
+        "s_grid", "y_grid", "values", "kind", "slice_status", "labels",
+        "slice_switches", "cap_curve",
+    ),
+    "CallSolution2D": ("spec",),
+    "CallSolution3D": ("spec", "n_s", "n_y"),
+    "CoefficientField": ("family", "params"),
+    "CoefficientGrid": ("s_grid", "y_grid", "C1", "C2", "active"),
+    "ColumnClosure": ("i", "kind", "y_pos", "x_base", "target"),
+    "ConfigError": EXCEPTION,
+    "ConstraintBreach": EXCEPTION,
+    "DomainError": EXCEPTION,
+    "ModelSpec": (
+        "r", "strike", "payoff_kind", "delta_field", "sigma_field",
+        "domain_s_max", "domain_y_max",
+    ),
+    "NonConvergence": EXCEPTION,
+    "NonPositiveCoefficient": EXCEPTION,
+    "PutSolution2D": ("spec",),
+    "PutSolution3D": ("spec", "n_s", "n_y"),
+    "RegionSpec": ("s_grid", "y_grid", "active", "column_closures", "row_closures"),
+    "ResolutionWarning": EXCEPTION,
+    "RootPair": (
+        "gamma1", "gamma2", "dgamma1_ds", "dgamma2_ds", "dgamma1_dy", "dgamma2_dy",
+    ),
+    "RowClosure": ("j", "kind", "s_pos", "x_base", "target"),
+    "RunConfig": ("spec", "s_min", "s_max", "y_max", "n_s", "n_y", "sim", "output_dir"),
+    "SimConfig": ("n_paths", "dt", "horizon", "seed", "scheme", "block_size"),
+    "SimResult": ("mean", "stderr", "n_paths", "n_horizon", "mean_stop_time"),
+    "SingularDenominator": EXCEPTION,
+    "StateTriple": ("x", "s", "y"),
+    "StepError": EXCEPTION,
+    "UnderdeterminedRegion": EXCEPTION,
+    "VerificationReport": (
+        "mc_mean", "mc_stderr", "analytic_value", "match_gap", "match_threshold",
+        "dominance_violations", "dominance_worst_gap", "smooth_fit_gap",
+        "generator_sign_violations", "generator_residual_max",
+        "perturbation_table", "perturbation_violations", "n_paths",
+    ),
+    "audit_solution": (
+        "spec", "solution", "dominance_shape", "dominance_tol", "smooth_step",
+    ),
+    "build_call_surface": ("spec", "s_grid", "y_grid"),
+    "build_config": ("pairs",),
+    "build_put_surface": ("spec", "s_grid", "y_grid"),
+    "call_boundary_2d": ("spec", "s"),
+    "call_boundary_slice": ("spec", "s", "y_grid"),
+    "call_value_2d": ("spec", "x", "s"),
+    "call_value_3d": ("spec", "x", "s", "y"),
+    "detect_switch_points": ("grid", "curve_values", "ref_values", "refine"),
+    "eval_fields": ("spec", "s", "y"),
+    "generator_residual": ("spec", "f", "point", "dfdx", "d2fdx2"),
+    "load_config": ("path",),
+    "parse_flat": ("text",),
+    "pde_residuals": ("spec", "grid"),
+    "put_boundary_2d": ("spec", "s_grid", "shoot_offset"),
+    "put_boundary_slice": ("spec", "y", "s_grid"),
+    "put_value_2d": ("spec", "x", "s"),
+    "put_value_3d": ("spec", "x", "s", "y"),
+    "residual_grids": ("spec", "grid"),
+    "roots": ("spec", "s", "y"),
+    "roots_arrays": ("spec", "s", "y"),
+    "rule_from_solution": ("solution",),
+    "simulate_stopped_payoff": ("spec", "start", "rule", "cfg"),
+    "simulate_stopped_payoffs": ("spec", "start", "rules", "cfg"),
+    "solve_reflection_region": ("spec", "region"),
+    "verify_solution": (
+        "spec", "solution", "start", "cfg", "perturb_factors", "dominance_shape",
+        "dominance_tol", "smooth_step",
+    ),
+}
+
+CLI = {
+    "roots": ("--config", "--out"),
+    "boundary": ("--config", "--out", "--dim", "--shoot-offset"),
+    "value": ("--config", "--out", "--dim", "--x", "--s", "--y"),
+    "verify": ("--config", "--out", "--seed", "--perturb", "--x", "--s", "--y"),
+    "simulate": ("--config", "--out", "--dim", "--seed", "--x", "--s", "--y"),
+}
+
+
+def _parameters(obj):
+    if isinstance(obj, type) and issubclass(obj, BaseException):
+        return EXCEPTION
+    return tuple(inspect.signature(obj).parameters)
+
+
+def test_exported_callables_take_the_pinned_parameters():
+    got = {name: _parameters(getattr(drawdown_options, name))
+           for name in drawdown_options.__all__}
+    assert got == API
+
+
+def test_ddopt_subcommands_take_the_pinned_flags():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: tuple(
+            flag
+            for action in sp._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        )
+        for name, sp in sub.choices.items()
+    }
+    assert got == CLI

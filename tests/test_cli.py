@@ -200,6 +200,31 @@ def test_bad_subcommand_usage_exits_1(tmp_path, capsys):
     assert main(["boundary", "--config", cfg, "--dim", "7"]) == 1
 
 
+# every flag some subcommand reads, with a value it would accept
+_FLAG_VALUES = {
+    "--dim": "2", "--seed": "1", "--shoot-offset": "1e-4", "--perturb": "0.9",
+    "--x": "1.0", "--s": "1.0", "--y": "0.0",
+}
+_READS = {
+    "roots": set(),
+    "boundary": {"--dim", "--shoot-offset"},
+    "value": {"--dim", "--x", "--s", "--y"},
+    "verify": {"--seed", "--perturb", "--x", "--s", "--y"},
+    "simulate": {"--dim", "--seed", "--x", "--s", "--y"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, reads in _READS.items() for f in _FLAG_VALUES if f not in reads],
+)
+def test_flag_a_subcommand_does_not_read_exits_1(tmp_path, capsys, command, flag):
+    cfg, out = write_config(tmp_path)
+    assert main([command, "--config", cfg, flag, _FLAG_VALUES[flag]]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_flag_overrides_config_directory(tmp_path):
     cfg, out = write_config(tmp_path)
     other = tmp_path / "elsewhere"
@@ -234,7 +259,7 @@ def test_simulate_writes_json_and_respects_seed(tmp_path, capsys):
 def test_verify_rejects_dim_2(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, text=FAST)
     assert main(["verify", "--config", cfg, "--dim", "2"]) == 1
-    assert "verify requires --dim 3" in capsys.readouterr().err
+    assert "unrecognized arguments: --dim 2" in capsys.readouterr().err
 
 
 def test_verify_passes_on_flat_model(tmp_path, capsys):

@@ -67,8 +67,9 @@ def test_field_arity_rejected(family, params):
 
 
 def test_limit_at_infinity_is_param_sum():
+    # the saturating ratios tend to 1, so the field tends to its parameter sum
     f = CoefficientField("bounded_rational", (0.02, 0.01, 0.005))
-    assert np.isclose(f.limit_at_infinity(), 0.035, rtol=1e-15)
+    assert np.isclose(f.value(1e12, 1e12), 0.035, rtol=1e-11)
 
 
 def test_diagonal_restriction_merges_y_slope():

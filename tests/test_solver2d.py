@@ -244,10 +244,13 @@ def test_put_shoot_offset_transported_without_amplification():
         assert 2e-5 < diff < 5e-4
 
 
-def test_put_step_check_trips_on_coarse_grid():
+def test_put_step_check_trips_on_coarse_grid(monkeypatch):
+    from drawdown_options import odestep
+
     spec = sloped_spec("put")
+    monkeypatch.setattr(odestep, "STEP_REL_TOL", 1e-14)
     with pytest.raises(StepError):
-        put_boundary_2d(spec, np.linspace(0.01, 20.0, 24), step_rel_tol=1e-14)
+        put_boundary_2d(spec, np.linspace(0.01, 20.0, 24))
 
 
 def test_put_constraint_breach_on_bad_seed():
@@ -296,14 +299,14 @@ def _array_put_stage(spec):
     [("flat", 0.0), ("sloped", 0.0), ("sloped", 1e-4)],
 )
 def test_scalar_put_stage_matches_array_stage_bit_for_bit(kind, offset):
-    from drawdown_options.solver2d import STEP_REL_TOL, _march_line
+    from drawdown_options.solver2d import _march_line
 
     spec = flat_spec("put") if kind == "flat" else sloped_spec("put")
     curve = put_boundary_2d(spec, shoot_offset=offset)
     s_desc = default_put_grid(spec)
     g0 = float(put_asymptote(spec, s_desc[0])) - offset
     vals, worst = _march_line(
-        _array_put_stage(spec), s_desc[0], g0, s_desc[1:], STEP_REL_TOL, spec.strike
+        _array_put_stage(spec), s_desc[0], g0, s_desc[1:], spec.strike
     )
     assert np.array_equal(curve.values[::-1], np.concatenate([[g0], vals]))
     assert worst == curve.max_step_error

@@ -603,22 +603,6 @@ def test_slice_entry_points_match_recorded_bits():
     )
 
 
-def test_direct_line_remarch_uses_the_solution_tolerance(sloped_put, monkeypatch):
-    # the re-march follows the tolerance the solution was built with, not
-    # whatever the module default reads at query time
-    from drawdown_options import solver3d
-
-    spec, sol = sloped_put
-    s, y = 3.1, 2.9
-    assert sol.branch(s, y) == "direct"
-    want = sol.boundary(s, y)
-    assert want != sol.surface.level_smooth(s, y)
-    fallbacks = sol.remarch_fallbacks
-    monkeypatch.setattr(solver3d, "STEP_REL_TOL", 0.0)
-    assert sol.boundary(s, y) == want
-    assert sol.remarch_fallbacks == fallbacks
-
-
 def test_direct_query_remarches_once(sloped_put, monkeypatch):
     # no level is cached: each query re-marches its line exactly once
     from drawdown_options import solver3d
@@ -674,7 +658,7 @@ def test_surface_step_count_follows_the_lattice(monkeypatch):
 
 
 def test_failed_remarch_falls_back_to_the_lattice_and_is_counted(monkeypatch):
-    from drawdown_options import solver3d
+    from drawdown_options import odestep, solver3d
 
     spec = make_spec("put", ("s_only", (0.02, 0.01)))
     sol = PutSolution3D(spec, n_s=65, n_y=49)
@@ -683,7 +667,7 @@ def test_failed_remarch_falls_back_to_the_lattice_and_is_counted(monkeypatch):
     assert sol.remarch_fallbacks == 0
     # a per-step target that no step meets makes the re-march raise
     # StepError at the floor
-    sol._step_rel_tol = 0.0
+    monkeypatch.setattr(odestep, "STEP_REL_TOL", 0.0)
     assert sol.boundary(s, y) == sol.surface.level_smooth(s, y)
     assert sol.remarch_fallbacks == 1
     # every query that falls back is counted, a repeat of the line included
@@ -695,3 +679,30 @@ def test_failed_remarch_falls_back_to_the_lattice_and_is_counted(monkeypatch):
     )
     assert sol.boundary(s, 2.8) == sol.surface.level_smooth(s, 2.8)
     assert sol.remarch_fallbacks == 3
+
+
+def test_step_tolerance_constant_reaches_every_march(sloped_put, monkeypatch):
+    # one per-step target, read by each march as it starts: the 2D curve,
+    # the surface march and a direct query's re-march all see a patch of it
+    from drawdown_options import odestep
+    from drawdown_options.errors import StepError
+    from drawdown_options.solver2d import put_boundary_2d
+
+    spec, sol = sloped_put
+    s, y = 3.1, 2.9
+    assert sol.branch(s, y) == "direct"
+    assert sol.boundary(s, y) != sol.surface.level_smooth(s, y)
+    fallbacks = sol.remarch_fallbacks
+    grids = np.linspace(0.05, 20.0, 24), np.linspace(0.0, 19.9, 16)
+    # the seeds come from the cached diagonal curve, which a patched target
+    # would fail to march
+    diagonal_put_curve(spec)
+    assert "ok" in [kind for kind, _ in build_put_surface(spec, *grids).slice_status]
+
+    monkeypatch.setattr(odestep, "STEP_REL_TOL", 0.0)
+    with pytest.raises(StepError):
+        put_boundary_2d(spec)
+    status = build_put_surface(spec, *grids).slice_status
+    assert {kind for kind, _ in status} == {"step"}
+    assert sol.boundary(s, y) == sol.surface.level_smooth(s, y)
+    assert sol.remarch_fallbacks == fallbacks + 1
