@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -178,6 +179,12 @@ def _point(cfg: RunConfig, args) -> StateTriple:
     x = cfg.spec.strike if args.x is None else args.x
     s = cfg.spec.strike if args.s is None else args.s
     y = 0.0 if args.y is None else args.y
+    if args.y is None and getattr(args, "dim", 3) == 2 and x < s:
+        # the maximum-only model reads no drawdown: give the point the
+        # smallest one it admits, s - y <= x
+        y = s - x
+        while s - y > x:
+            y = math.nextafter(y, math.inf)
     return StateTriple(x=x, s=s, y=y)
 
 

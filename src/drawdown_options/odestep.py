@@ -11,13 +11,23 @@ the fourth-order one, relative to the state, as its error estimate
 turns the estimates into step lengths.  A march asks it for the length of
 each try; a try whose worst estimate exceeds the tolerance
 (:data:`STEP_REL_TOL`) is retried shorter, down to a floor of 1/1024 of
-the extent the march measures: a surface's whole span, a line's node
-interval.  Only a step that lands on an output node may be shorter than
-that floor, and every step that reaches a node lands on it exactly, so no
-dense output is needed.  A step at the floor always stands: the lanes
-still above the tolerance there fail, which is the march's business (a
-surface flags the slice, a line raises ``StepError``), and leave the
+the extent the march measures: a surface's whole span, the node interval
+a line's step starts in.  Only a step that lands on a node it heads for
+may be shorter than that floor.  A step at the floor always stands: the
+lanes still above the tolerance there fail, which is the march's business
+(a surface flags the slice, a line raises ``StepError``), and leave the
 controller.
+
+A surface lands every step on its lattice levels.  A line heads for its
+last node, steps where the controller says, and reads the nodes a step
+passes from the step's continuous extension, :func:`dense_output`: the
+fourth-order interpolant of Dormand & Prince's code DOPRI5 (Hairer,
+Nørsett & Wanner, §II.6; Shampine 1986), built from slopes the step has
+already evaluated, so it costs no right-hand-side call.  The extension's
+error runs about five times the step's estimate, so such a line targets
+:data:`DENSE_TOL_SHARE` of the tolerance: on the default put curve that
+keeps its nodes within about 5e-13 of the ODE's flow, as close as steps
+landed on every node kept them, with about 340 steps instead of 4096.
 
 The right-hand side is handed to :func:`checked_step` in two stages: the
 part that depends on the abscissa alone (roots, field values) and the part
@@ -53,10 +63,21 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0,
     22.0 / 525.0, -1.0 / 40.0,
 )
+# the continuous extension's fourth-order term (d2 = 0)
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
+)
 
 # the per-step target for the relative estimate, read by each march as it
 # starts
 STEP_REL_TOL = 1e-10
+# a line that reads nodes from the continuous extension targets this share
+# of STEP_REL_TOL: the extension's error runs several times the step's
+# estimate, and its nodes must follow the ODE's flow about as closely as
+# steps landed on them would
+DENSE_TOL_SHARE = 1e-3
 # the shortest step, as a share of the extent a march measures; a node may
 # cut a step shorter
 STEP_FLOOR = 1.0 / 1024.0
@@ -93,7 +114,7 @@ class ReuseStages:
 
 
 def checked_step(stage, t, x, h, scale_floor=1e-300):
-    """Advance one Dormand–Prince step; return the new state and its estimate.
+    """Advance one Dormand–Prince step: the new state, its estimate, its slopes.
 
     ``stage(t)`` returns the right-hand side frozen at abscissa t, as a
     function of the state alone; a plain f(t, x) becomes
@@ -106,10 +127,11 @@ def checked_step(stage, t, x, h, scale_floor=1e-300):
 
     The propagated state is the fifth-order solution; the estimate is its
     distance to the embedded fourth-order one, reported relative to
-    max(|new state|, scale_floor).  A right-hand side that vanishes leaves
-    the state's bits unchanged and the estimate at 0.  Floating-point
-    warnings are silenced for the whole step: lanes past a constraint
-    breach carry NaN on purpose.
+    max(|new state|, scale_floor).  The slopes (k1, k3, k4, k5, k6, k7)
+    are what :func:`dense_output` needs besides the two states.  A
+    right-hand side that vanishes leaves the state's bits unchanged and the
+    estimate at 0.  Floating-point warnings are silenced for the whole
+    step: lanes past a constraint breach carry NaN on purpose.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k1 = stage(t)(x)
@@ -127,7 +149,29 @@ def checked_step(stage, t, x, h, scale_floor=1e-300):
         k7 = f_end(x_new)
         err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
         rel = np.abs(err) / np.maximum(np.abs(x_new), scale_floor)
-    return x_new, rel
+    return x_new, rel, (k1, k3, k4, k5, k6, k7)
+
+
+def dense_output(x, x_new, h, slopes, theta):
+    """State at t + theta h inside a step from (t, x) to (t + h, x_new).
+
+    slopes are the step's, as :func:`checked_step` returns them.  This is
+    DOPRI5's fourth-order continuous extension, written around the step's
+    end so that theta = 1 gives x_new's bits: with dx = x_new - x,
+
+        x_new - (1 - theta) (dx - theta (r3 + theta (r4 + (1 - theta) r5))),
+
+    r3 = h k1 - dx, r4 = dx - h k7 - r3 and r5 the d-weighted slopes.  A
+    right-hand side that vanishes gives x_new's bits at every theta.
+    Works elementwise, so lanes may carry their own theta.
+    """
+    k1, k3, k4, k5, k6, k7 = slopes
+    dx = x_new - x
+    r3 = h * k1 - dx
+    r4 = dx - h * k7 - r3
+    r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
+    eta = 1.0 - theta
+    return x_new - eta * (dx - theta * (r3 + theta * (r4 + eta * r5)))
 
 
 class StepSize:

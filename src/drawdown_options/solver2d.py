@@ -34,7 +34,7 @@ from .errors import (
     SingularDenominator,
     StepError,
 )
-from .odestep import ReuseStages, StepSize, checked_step
+from .odestep import ReuseStages, StepSize, checked_step, dense_output
 
 DEFAULT_N_STEPS = 4096
 EDGE_FRACTION = 1e-6
@@ -81,30 +81,25 @@ def detect_switch_points(grid, curve_values, ref_values, refine=None):
     sgn = np.sign(d)
     # carry the previous nonzero sign through exact zeros so a touch that
     # comes back on the same side is not counted
-    filled = sgn.copy()
-    for k in range(1, filled.size):
-        if filled[k] == 0.0:
-            filled[k] = filled[k - 1]
+    last = np.maximum.accumulate(np.where(sgn != 0.0, np.arange(sgn.size), 0))
+    filled = sgn[last]
+    a, b = filled[:-1], filled[1:]
+    cells = np.flatnonzero((a != 0.0) & (b != 0.0) & (a != b))
+    lo, hi = grid[cells], grid[cells + 1]
+    dl, dh = d[cells], d[cells + 1]
+    # where the two linear interpolants meet
+    linear = lo + (hi - lo) * dl / (dl - dh)
     crossings = []
-    for k in range(d.size - 1):
-        a, b = filled[k], filled[k + 1]
-        if a == 0.0 or b == 0.0 or a == b:
-            continue
+    for k, pos in enumerate(linear):
         if refine is not None:
-            lo, hi = grid[k], grid[k + 1]
-            flo, fhi = refine(lo), refine(hi)
+            flo, fhi = refine(lo[k]), refine(hi[k])
             if flo == 0.0:
-                pos = lo
+                pos = lo[k]
             elif fhi == 0.0:
-                pos = hi
+                pos = hi[k]
             elif np.sign(flo) != np.sign(fhi):
-                pos = brentq(refine, lo, hi, xtol=1e-10, rtol=8.9e-16)
-            else:
-                pos = grid[k] + (grid[k + 1] - grid[k]) * d[k] / (d[k] - d[k + 1])
-        else:
-            pos = grid[k] + (grid[k + 1] - grid[k]) * d[k] / (d[k] - d[k + 1])
-        direction = "enter" if a > 0 else "exit"
-        crossings.append((float(pos), direction))
+                pos = brentq(refine, lo[k], hi[k], xtol=1e-10, rtol=8.9e-16)
+        crossings.append((float(pos), "enter" if a[cells[k]] > 0 else "exit"))
 
     for (p1, _), (p2, _) in zip(crossings, crossings[1:]):
         i1 = np.searchsorted(grid, p1)
@@ -314,7 +309,7 @@ def _scalar_bracket(delta, u):
         w = 700.0
     elif w < -700.0:
         w = -700.0
-    return 1.0 / delta + u / (-math.expm1(w))
+    return 1.0 / delta + u / (-float(np.expm1(w)))
 
 
 def _march_line(stage, t0, g0, nodes, scale, check=None):
@@ -322,14 +317,22 @@ def _march_line(stage, t0, g0, nodes, scale, check=None):
 
     stage(t) freezes the boundary ODE at abscissa t as a function of the
     level that gives (rhs, den).  Steps follow :class:`odestep.StepSize`
-    with odestep.STEP_REL_TOL as the per-step target, at least one per
-    node, each node landed on exactly.  A flip of den's first sign, or
-    |den| <= 1e-12 scale, raises SingularDenominator; a step at the floor
-    whose estimate still exceeds the target raises StepError; check(t,
-    level), when given, may raise on a node's level.  A non-finite level or
+    and head for the last node, which is landed on exactly; the
+    controller, not the nodes, sets their length, and the floor is
+    measured on the node interval a step starts in.  A node a step passes
+    takes its level from the step's continuous extension
+    (:func:`odestep.dense_output`), which gives a node on the step's end
+    the step's own level.  The per-step target is odestep.STEP_REL_TOL,
+    times odestep.DENSE_TOL_SHARE when any node comes from the extension;
+    a march to one node (a query's re-march) keeps the plain target.
+
+    A flip of den's first sign, or |den| <= 1e-12 scale, raises
+    SingularDenominator; a step at the floor whose estimate still exceeds
+    the target raises StepError; check(ts, levels), when given, sees the
+    nodes each step fills as arrays and may raise.  A non-finite level or
     estimate at the floor (a stage gives NaN outside its band) ends the
-    march, leaving NaN from there.  Returns the node levels and the worst
-    estimate of the steps taken.
+    march, leaving NaN from the next node on; check sees that node's NaN.
+    Returns the node levels and the worst estimate of the steps taken.
     """
     floor = 1e-12 * scale
     den_sign = 0.0
@@ -354,51 +357,84 @@ def _march_line(stage, t0, g0, nodes, scale, check=None):
 
     # consecutive steps share their end and start abscissae
     line_stage = ReuseStages(guarded)
-    vals = np.full(len(nodes), np.nan)
+    nodes = np.asarray(nodes, dtype=float)
+    vals = np.full(nodes.size, np.nan)
     t, g, worst = float(t0), float(g0), 0.0
-    size = StepSize(odestep.STEP_REL_TOL)
-    for k, t_node in enumerate(nodes):
-        t_node = float(t_node)
-        # a line has no group to hold up, so each node interval is measured
-        # on its own: nodes closer than a surface step can still be split
-        size.measure(t_node - t)
-        while t != t_node:
-            rest = abs(t_node - t)
-            a = size.length(rest)
-            t_next = t_node if a == rest else t + math.copysign(a, t_node - t)
-            g_new, rel = checked_step(line_stage, t, g, t_next - t, scale_floor=floor)
-            g_new, rel = float(g_new), float(rel)
-            if not size.stands(a, rel):
-                continue
-            if not (math.isfinite(g_new) and math.isfinite(rel)):
-                g = math.nan
-                break
-            if rel > size.tol:
-                raise StepError(
-                    f"step from {t:g} failed its error check at the shortest "
-                    f"step (relative estimate {rel:.3e})"
-                )
-            worst = max(worst, rel)
-            size.after(a, a == rest, rel)
-            t, g = t_next, g_new
+    # k counts the nodes filled; a node on the start takes the start level
+    k = int(nodes.size > 0 and nodes[0] == t)
+    if k:
         if check is not None:
-            check(t_node, g)
-        if not math.isfinite(g):
+            check(nodes[:1], np.array([g]))
+        vals[0] = g
+    if k == nodes.size:
+        return vals, worst
+    t_end = float(nodes[-1])
+    ahead = math.copysign(1.0, t_end - t)
+    # the nodes in the order the march reaches them, ascending
+    reach = ahead * nodes
+    # every node short of the last comes from the extension
+    tol = odestep.STEP_REL_TOL
+    if nodes.size - k > 1:
+        tol *= odestep.DENSE_TOL_SHARE
+    size = StepSize(tol)
+    measured = -1
+    while k < nodes.size:
+        if k != measured:
+            # the floor is measured on the node interval the step starts in
+            size.measure(nodes[k] - (nodes[k - 1] if k else t0))
+            measured = k
+        rest = abs(t_end - t)
+        a = size.length(rest)
+        t_next = t_end if a == rest else t + ahead * a
+        h = t_next - t
+        g_new, rel, slopes = checked_step(line_stage, t, g, h, scale_floor=floor)
+        g_new, rel = float(g_new), float(rel)
+        if not size.stands(a, rel):
+            continue
+        if not (math.isfinite(g_new) and math.isfinite(rel)):
+            if check is not None:
+                check(nodes[k:k + 1], np.array([math.nan]))
             break
-        vals[k] = g
+        if rel > size.tol:
+            raise StepError(
+                f"step from {t:g} failed its error check at the shortest "
+                f"step (relative estimate {rel:.3e})"
+            )
+        worst = max(worst, rel)
+        landed = a == rest
+        size.after(a, landed, rel)
+        if landed:
+            j = nodes.size
+        else:
+            j = int(np.searchsorted(reach, ahead * t_next, side="right"))
+        if j > k:
+            passed = nodes[k:j]
+            if passed[0] == t_next:
+                # the one node reached is the step's end
+                levels = np.array([g_new])
+            else:
+                levels = dense_output(g, g_new, h, slopes, (passed - t) / h)
+            if check is not None:
+                check(passed, levels)
+            vals[k:j] = levels
+            k = j
+        t, g = t_next, g_new
     return vals, worst
 
 
 def _scalar_put_stage(spec: ModelSpec, s):
-    """Scalar twin of the put's OdeStage at y = 0, in plain float arithmetic.
+    """Scalar twin of the put's OdeStage at y = 0, in float arithmetic.
 
-    The descending march evaluates the right-hand side tens of thousands of
-    times on scalars, where ndarray dispatch is pure overhead; formulas are
-    identical to the array path, and a test pins the two curves bit for bit.
-    It stays for speed: the default 4097-node put curve takes about 0.11 s
-    on it against 0.84 s on an :class:`OdeStage` from ``roots_arrays`` (2-CPU
-    x86-64, numpy 2.4).  The roots at s are computed here once; the returned
-    function of the level g gives (rhs, den).
+    The descending march evaluates the right-hand side on scalars, where
+    ndarray dispatch is overhead; formulas are identical to the array path,
+    and a test pins the two curves bit for bit.  log and expm1 are numpy's,
+    as on the array path: the math module's differ from them in the last
+    bit on some inputs, and the step controller turns such a bit into a
+    different step.  It stays for speed: the default put curve takes about
+    0.03 s on it against 0.11 s on an :class:`OdeStage` from
+    ``roots_arrays`` (2-CPU x86-64, numpy 2.4).  The roots at s are
+    computed here once; the returned function of the level g gives (rhs,
+    den).
     """
     delta, dd_ds = _scalar_field_s(spec.delta_field, s)
     sigma, dsg_ds = _scalar_field_s(spec.sigma_field, s)
@@ -420,10 +456,13 @@ def _scalar_put_stage(spec: ModelSpec, s):
     c1, c2 = g1 - 1.0, g2 - 1.0
     e1, e2 = g1 * L, g2 * L
     d21, d12 = g2 - g1, g1 - g2
+    s64 = np.float64(s)
 
     def terms(g):
         den = a * g - b
-        u = math.log(s / g)
+        # where a rejected try drives the level to 0 or below this gives
+        # inf or NaN, as the array stage does, and the try is retried
+        u = float(np.log(s64 / g))
         n1 = (c2 * g - e2) * g
         n2 = (c1 * g - e1) * g
         rhs = (n1 / den) * _scalar_bracket(d21, u) * dg1 + (
@@ -435,11 +474,14 @@ def _scalar_put_stage(spec: ModelSpec, s):
 
 
 def default_put_grid(spec: ModelSpec, n=DEFAULT_N_STEPS + 1):
-    """Descending integration grid from the truncation point to the edge.
+    """Descending grid of the put curve's nodes, truncation point to edge.
 
-    Linear spacing down to a knee, then geometric: the boundary slope picks
-    up a log(s) factor near s = 0, so fixed linear steps there would fail
-    their error check while geometric steps keep log s moving evenly.
+    Linear spacing down to a knee, then geometric: the boundary picks up a
+    log(s) factor near s = 0, so the geometric tail keeps log s moving
+    evenly between the nodes the curve's spline is built on.  The nodes do
+    not set the march's steps; they set where the steps' extensions are
+    read, and the step floor, which is measured on the node interval a
+    step starts in.
     """
     L = spec.strike
     knee = 0.05 * L
@@ -457,11 +499,14 @@ def put_boundary_2d(
 
     s_grid may be given in either orientation; integration always proceeds
     from the largest point, seeded with the asymptote there, minus any
-    shoot_offset.  The curve must stay strictly inside (0, min(L, rL/delta));
-    leaving that band raises ConstraintBreach.  A sign change or collapse of
-    the shared denominator raises SingularDenominator, and a step at the
-    shortest allowed length whose estimate exceeds odestep.STEP_REL_TOL
-    raises StepError.
+    shoot_offset.  The controller picks the steps (about 340 on the default
+    4097-node grid); the nodes between step ends are read from the steps'
+    continuous extensions (see :func:`_march_line`).  The curve must stay
+    strictly inside (0, min(L, rL/delta)) at every node; leaving that band
+    raises ConstraintBreach.  A sign change or collapse of the shared
+    denominator raises SingularDenominator, and a step at the shortest
+    allowed length whose estimate exceeds the line's target raises
+    StepError.
     """
     _require_s_only(spec)
     L = spec.strike
@@ -481,13 +526,15 @@ def put_boundary_2d(
 
     def check(s, g):
         _, cap = _PUT.band(spec, s, 0.0)
-        if not (0.0 < g < cap):
+        out = ~((0.0 < g) & (g < cap))
+        if out.any():
+            i = int(np.argmax(out))
             raise ConstraintBreach(
-                f"put boundary {g:g} left (0, {cap:g}) at s={s:g}"
+                f"put boundary {g[i]:g} left (0, {cap[i]:g}) at s={s[i]:g}"
             )
 
     g0 = float(put_asymptote(spec, s_desc[0])) - float(shoot_offset)
-    check(float(s_desc[0]), g0)
+    check(s_desc[:1], np.array([g0]))
     vals, worst = _march_line(
         lambda s: _scalar_put_stage(spec, s),
         s_desc[0], g0, s_desc[1:], L, check,

@@ -272,7 +272,7 @@ def _march_surface(spec, o, fixed_grid, move_grid, starts, seeds, entry_index):
             frac = 1.0 if a == rest else done + a / span
             landed = frac >= 1.0
             t_nxt = t_to if landed else t_from + diff * frac
-            g_k, rel = checked_step(
+            g_k, rel, _ = checked_step(
                 lane_stage, t_cur, g, t_nxt - t_cur, scale_floor=1e-12 * scale
             )
             rel = np.where(held, rel, 0.0)

@@ -164,6 +164,24 @@ def test_value_2d_matches_3d_for_flat_model(tmp_path):
     assert abs(v2 - v3) < 1e-10
 
 
+def test_value_2d_below_the_maximum_needs_no_drawdown(tmp_path, capsys):
+    # the maximum-only model has no y: the point takes the drawdown s - x
+    from drawdown_options import PutSolution2D
+    from drawdown_options.cli import _f
+    from drawdown_options.config import load_config
+
+    cfg, out = write_config(tmp_path)
+    argv = ["value", "--config", cfg, "--dim", "2", "--x", "0.9", "--s", "1.3"]
+    assert main(argv) == 0
+    want = PutSolution2D(load_config(cfg).spec).value(0.9, 1.3)
+    line = f"value({_f(0.9)}, {_f(1.3)}, {_f(1.3 - 0.9)}) = {_f(want)}\n"
+    assert capsys.readouterr().out == line
+    blob = (out / "value.csv").read_bytes()
+    # the same point with that drawdown given writes the same file
+    assert main(argv + ["--y", "0.4"]) == 0
+    assert (out / "value.csv").read_bytes() == blob
+
+
 def test_value_outside_state_space_exits_3(tmp_path, capsys):
     cfg, _ = write_config(tmp_path)
     assert main(["value", "--config", cfg, "--x", "2.5", "--s", "2.0"]) == 3
@@ -254,6 +272,18 @@ def test_simulate_writes_json_and_respects_seed(tmp_path, capsys):
     assert (out / "simulate.json").read_bytes() == blob1
     main(["simulate", "--config", cfg, "--dim", "2", "--seed", "2"])
     assert json.loads((out / "simulate.json").read_text())["mean"] != rec["mean"]
+
+
+def test_simulate_2d_below_the_maximum_needs_no_drawdown(tmp_path):
+    cfg, out = write_config(tmp_path, text=FAST)
+    argv = ["simulate", "--config", cfg, "--dim", "2", "--seed", "1",
+            "--x", "0.9", "--s", "1.3"]
+    assert main(argv) == 0
+    blob = (out / "simulate.json").read_bytes()
+    rec = json.loads(blob)
+    assert rec["s"] - rec["y"] <= rec["x"] == 0.9
+    assert main(argv + ["--y", "0.4"]) == 0
+    assert (out / "simulate.json").read_bytes() == blob
 
 
 def test_verify_rejects_dim_2(tmp_path, capsys):

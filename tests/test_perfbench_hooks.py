@@ -55,3 +55,48 @@ def test_tracer_counts_the_steps_of_a_traced_build():
     assert steps > 0 and builds > 0 and rhs > 0
     # each step evaluates the state part seven times
     assert rhs == 7 * steps
+
+
+_TRACED_CURVE = """
+import tracer
+
+tr = tracer.Tracer()
+tracer.install(tr)
+from drawdown_options import CoefficientField, ModelSpec, odestep, solver2d
+
+# every try of the line march is one checked step followed by one verdict
+# on it, so counting the verdicts counts the steps apart from the tracer
+tries = []
+stands = odestep.StepSize.stands
+
+
+def counted(self, a, worst):
+    tries.append(a)
+    return stands(self, a, worst)
+
+
+odestep.StepSize.stands = counted
+spec = ModelSpec(
+    r=0.06, strike=1.0, payoff_kind="put",
+    delta_field=CoefficientField("s_only", (0.02, 0.01)),
+    sigma_field=CoefficientField("constant", (0.2,)),
+)
+with tr.span("op"):
+    solver2d.put_boundary_2d(spec)
+acc = tr.spans[0].acc
+print(acc["checked_steps"], acc["rhs_calls"], len(tries))
+"""
+
+
+def test_tracer_counts_the_steps_of_a_traced_put_curve():
+    # the put curve steps through solver2d.checked_step, so the benchmark's
+    # checked_steps and diag_curve_ms keep measuring it
+    proc = _run(_TRACED_CURVE)
+    assert proc.returncode == 0, proc.stderr
+    steps, rhs, tries = (float(v) for v in proc.stdout.split())
+    assert steps > 0 and steps == tries
+    assert rhs == 7 * steps
+    # the default curve reads its 4097 nodes off the steps' continuous
+    # extensions, so the controller, not the grid, sets the step count
+    # (342 on this model; one step per node made 4096)
+    assert steps <= 400

@@ -144,9 +144,10 @@ def test_residuals_detect_a_perturbed_field():
 
 
 def test_drawdown_put_region_matches_recorded_coefficients():
-    # spot values of a drawdown put's reflected component, recorded from the
-    # controlled Dormand-Prince march; they moved by up to 3.5e-12 from the
-    # fixed-substep march's, through the diagonal curve that seeds the slices
+    # spot values of a drawdown put's reflected component, recorded once the
+    # diagonal curve that seeds the slices was read off its steps' continuous
+    # extensions; they moved by up to 5.6e-13 from those seeded from the
+    # curve that landed a step on every node
     spec = ModelSpec(
         r=0.06,
         strike=1.0,
@@ -157,15 +158,15 @@ def test_drawdown_put_region_matches_recorded_coefficients():
     (grid,) = PutSolution3D(spec, n_s=49, n_y=33).regions
     assert int(grid.active.sum()) == 752
     both = {
-        (2, 0): (0.004668025684172928, 0.13797200559813463),
-        (5, 1): (0.0004558720621597447, 0.14151437171371328),
-        (8, 4): (3.942397697746688e-05, 0.14338698768117847),
-        (12, 6): (9.930523463513936e-06, 0.1449346419411831),
+        (2, 0): (0.004668025684307413, 0.1379720055981389),
+        (5, 1): (0.0004558720621697881, 0.14151437171371314),
+        (8, 4): (3.9423976976846596e-05, 0.14338698768118605),
+        (12, 6): (9.93052346323315e-06, 0.1449346419412898),
     }
     for (i, j), (c1, c2) in both.items():
         npt.assert_allclose([grid.C1[i, j], grid.C2[i, j]], [c1, c2], rtol=1e-12)
-    c2_only = {(20, 11): 0.14620914083236286, (35, 1): 0.21071074029680154,
-               (48, 29): 0.1473350482330478}
+    c2_only = {(20, 11): 0.14620914083239864, (35, 1): 0.21071074029676837,
+               (48, 29): 0.14733504823301677}
     for (i, j), c2 in c2_only.items():
         npt.assert_allclose(grid.C2[i, j], c2, rtol=1e-12)
 
@@ -185,9 +186,9 @@ def test_reflection_grids_match_recorded_bits():
 
     The call's were recorded from the assembly that built the system one
     node pair at a time, before it was built per line family as arrays.
-    The put's were recorded after the march became error-controlled, which
-    moved its coefficients by up to 1.3e-11 of max|C| through the diagonal
-    curve that seeds the slices.  Recorded with numpy 2.4 on x86-64; a libm
+    The put's were recorded once the diagonal curve that seeds the slices
+    was read off its steps' continuous extensions, which moved its
+    coefficients by up to 6.6e-13 of max|C|.  Recorded with numpy 2.4 on x86-64; a libm
     that rounds log or pow differently can move the last bits.
     """
     call = ModelSpec(
@@ -199,8 +200,8 @@ def test_reflection_grids_match_recorded_bits():
     )
     recorded = (
         (PutSolution3D, _drawdown_put_spec(), 2945,
-         "ba90d411388e61a12d776353782f4ff6106676fb11f7bea506c63f6dcf0743b2",
-         ("0x1.4917cf2554a18p-9", "0x1.b3ed46ccd5697p-5")),
+         "134826692ddca99b3c405be528b08d1cd994fde38e6d4bd59b7540675f780629",
+         ("0x1.4917cf2550b89p-9", "0x1.b3ed46ccd5610p-5")),
         (CallSolution3D, call, 61,
          "ec2e2640856ed2405040d2b4e23e463db246f125b68f4b206669aa8e2f0a806a",
          ("0x1.9ee203235c407p-9", "0x1.cead3c3d65743p-49")),

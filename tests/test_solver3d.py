@@ -446,9 +446,11 @@ def test_sloped_put_surface_matches_recorded_bits():
     """A small surface of a model sloped in s and y, pinned bit for bit.
 
     The digest and spot values were recorded from the march with
-    error-controlled Dormand-Prince steps; any change to the arithmetic
-    shows up here.  They lie within 4.1e-11 K of those of the fixed-substep
-    RK4 march before it, with the same finite nodes and slice status.
+    error-controlled Dormand-Prince steps, seeded from the diagonal put
+    curve read off its steps' continuous extensions; any change to the
+    arithmetic shows up here.  They lie within 6.6e-13 K of those seeded
+    from the curve that landed a step on every node, with the same finite
+    nodes and slice status.
     Recorded with numpy 2.4 on x86-64; a libm that rounds log or expm1
     differently can move the last bits.
     """
@@ -459,9 +461,9 @@ def test_sloped_put_surface_matches_recorded_bits():
     digest = hashlib.sha256(np.nan_to_num(v, nan=-1.0).tobytes()).hexdigest()
     assert int(np.isfinite(v).sum()) == 169
     assert surf.slice_status[0] == ("step", 0.05)
-    assert float(v[3, 1]).hex() == "0x1.ca9bd163738fap-1"
-    assert float(v[12, 5]).hex() == "0x1.c604b85f8ebbfp-1"
-    assert digest == "2d4d51ecb7c48815320392f07cc6779c7ada2950f6319058f7aff9b5bbe040e3"
+    assert float(v[3, 1]).hex() == "0x1.ca9bd163729fcp-1"
+    assert float(v[12, 5]).hex() == "0x1.c604b85f8dcccp-1"
+    assert digest == "e26d2266079cba010e5f2577eaaffa5be076b43b17bc18f3fd1a364c67c1e2e5"
 
 
 def test_sloped_call_surface_matches_recorded_bits():
@@ -557,8 +559,8 @@ def _digest(a):
     [
         ("call", "c876c799e92ad92a06076785b1e81174141b5464c5053730b099a2c11eb042d3",
          "0x1.3ecc5695989bdp+1"),
-        ("put", "38f8b3896eb610b1451984f3b8e9b60b1b09b626d586fe50bed7037848daff12",
-         "0x1.57738c8233bb3p-1"),
+        ("put", "f21fe45f1b76f99cd6349fe56c6df20222c7a058a0459d5aaf90dc26d426635b",
+         "0x1.57738c8233e60p-1"),
     ],
 )
 def test_direct_line_levels_match_recorded_bits(kind, digest, first, request):
@@ -566,8 +568,10 @@ def test_direct_line_levels_match_recorded_bits(kind, digest, first, request):
     the dedicated query march that preceded the shared line march, and its
     slice right-hand side vanishes, so no stepper moves them.  The put's
     were recorded from the controlled march with the query point as its
-    only node, within 2.5e-11 K of the fixed-step march before it.  Same
-    caveat about the platform's libm as the surface pins."""
+    only node, seeded from the diagonal curve read off its steps'
+    continuous extensions: within 4.7e-13 K of those seeded from the curve
+    that landed a step on every node.  Same caveat about the platform's
+    libm as the surface pins."""
     spec, sol = request.getfixturevalue("sloped_" + kind)
     rng = np.random.default_rng(5)
     s_range, floor_range = _DIRECT_LINES[kind]
@@ -585,8 +589,9 @@ def test_direct_line_levels_match_recorded_bits(kind, digest, first, request):
 def test_slice_entry_points_match_recorded_bits():
     # the call half was recorded from the per-slice march that preceded the
     # shared line march (its right-hand side vanishes); the put half from
-    # the controlled march, within 5.3e-9 K of the one-step-per-node march
-    # before it, which was the less accurate of the two
+    # the march that reads its nodes from the steps' continuous extensions,
+    # within 6.1e-13 K of a 16x finer march at a 1e-14 target, where the
+    # one-step-per-node march before it was off by 2.3e-11
     call = call_boundary_slice(
         make_spec("call", ("s_only", (0.02, 0.02))), 4.0, np.linspace(3.9, 0.0, 40)
     )
@@ -597,9 +602,9 @@ def test_slice_entry_points_match_recorded_bits():
     assert _digest(call) == (
         "a48ebaa725e4280b11bae09ce19ad7f56fa163527d72ee186dbe64a291e5e437"
     )
-    assert float(put[10]).hex() == "0x1.5b4f21a4ffdb6p-1"
+    assert float(put[10]).hex() == "0x1.5b4f21a4cf781p-1"
     assert _digest(put) == (
-        "6e250c67a83afda6489827cdea7ddc9a1cf6f8bf1d4db719a600788c0694025a"
+        "cf60d3fea89318c9ff2b065e8eca0c2e06701f4656ab82d84ee03cdff4645b4d"
     )
 
 
