@@ -363,8 +363,8 @@ def audit_solution(
     a small documented slack of dominance_tol times strike for interpolation
     noise), the slope of the value at the barrier against the payoff slope by
     one-sided difference, the sign of the stopped generator at stopping-region
-    samples, and the finite-difference generator residual of the value at
-    continuation-region samples.  Each probed (s, y) line is assembled once
+    samples, and the generator residual of the line's two-power value at
+    continuation-region samples, taken with its exact x-derivatives.  Each probed (s, y) line is assembled once
     (``solution.line``) and every check on it reads that record.  Returns a
     plain dict of counts and gaps.
     """
@@ -412,8 +412,10 @@ def audit_solution(
                 if lo + pad < x_c < hi - pad:
                     resid = generator_residual(
                         spec,
-                        lambda x: ln.value(float(x)),
+                        ln.value,
                         StateTriple(x=x_c, s=s, y=y),
+                        dfdx=ln.dvalue_dx,
+                        d2fdx2=ln.d2value_dx2,
                     )
                     gen_resid = max(gen_resid, abs(float(resid)))
     return {

@@ -4,10 +4,10 @@ Each x-line carries the two-power value C1 x**g1 + C2 x**g2 with roots taken
 at that line's (s, y).  The stopping boundary solves a slice ODE: for calls,
 in y at fixed s, seeded next to the diagonal where the drawdown floor is
 slack; for puts, in s at fixed y, seeded next to the corner s = y from the
-matching diagonal-restricted curve.  Slices advance in lockstep across the
-grid so the right-hand side stays vectorized; a slice that fails its step
-check or a constraint keeps its partial history and is flagged instead of
-aborting the whole surface.
+matching diagonal-restricted curve.  Slices advance together, each in its
+own lane time, so they share every step and the right-hand side stays
+vectorized; a slice that fails its step check or a constraint keeps its
+partial history and is flagged instead of aborting the whole surface.
 
 Per node the barrier sorts the line into one of three branches: stopped
 (payoff), direct (barrier reachable, two-power value pinned at the barrier),
@@ -54,7 +54,7 @@ from .errors import (
     StepError,
     UnderdeterminedRegion,
 )
-from .odestep import ReuseStages, StepSize, checked_step
+from .odestep import ReuseStages, StepSize, checked_step, dense_output
 from .reflection_pde import (
     ColumnClosure,
     RegionSpec,
@@ -209,126 +209,145 @@ class BoundarySurface:
 
 
 def _march_surface(spec, o, fixed_grid, move_grid, starts, seeds, entry_index):
-    """Advance all slices of orientation o through move_grid in lockstep.
+    """Advance all slices of orientation o through move_grid together, in lane time.
 
     starts and seeds give each slice its own entry coordinate and value;
-    entry_index[i] is the first move_grid node the slice lands on.  The
+    entry_index[i] is the first move_grid node the slice reaches.  The
     caller has already checked that every lattice point the march visits
     lies in the quadrant.  Slices whose denominator changes sign, whose step
     check fails at the shortest step, or whose state leaves the allowed band
-    are flagged and carry NaN from there on.
+    are flagged at the first node they miss and carry NaN from there on.
 
-    Each lattice level is one lockstep advance: the slices entering at the
-    level (from their own start) and the slices stepping on from the
-    previous level move together, each from its own start to the node at
-    one shared fraction of its own span, so they share every right-hand-side
-    evaluation.  The step lengths follow one :class:`odestep.StepSize` for
-    the whole march, measured on the group's longest span; the worst lane
-    still under control sets them.  Within an advance each distinct
-    abscissa costs one abscissa stage (see :func:`checked_step`).
+    Each slice is a lane with its own lane time tau in [0, 1], linear in a
+    lane coordinate u from the slice's start (tau = 0) to the far end of
+    move_grid (tau = 1): u is y for a call; for a put it is log(s - y),
+    since the put slope carries a log s factor where the y = 0 slice starts
+    next to s = 0.  Every lane is present from tau = 0, so the group never
+    changes: all lanes share every step, and so every right-hand-side
+    evaluation.  The steps take the lengths one :class:`odestep.StepSize`
+    gives from the worst lane still under control, at the plain
+    ``odestep.STEP_REL_TOL``, with the floor at 1/1024 of lane time.  A lane
+    reads each of its lattice nodes, at its own tau, from the continuous
+    extension of the step that passes it (:func:`odestep.dense_output`); a
+    node on a lane's start takes the seed.  The denominator guard and the
+    band check run on the nodes each step fills, as arrays at the nodes'
+    lattice coordinates; the denominator's sign is taken at a lane's first
+    node.
     """
     n_fix = fixed_grid.size
-    n_mov = move_grid.size
-    values = np.full((n_fix, n_mov), np.nan)
+    values = np.full((n_fix, move_grid.size), np.nan)
     status = [("ok", np.nan)] * n_fix
-    state = np.full(n_fix, np.nan)
-    alive = np.zeros(n_fix, dtype=bool)
-    den_sign = np.zeros(n_fix)
     scale = spec.strike
     forward = o.direction > 0
-    # the floor is measured on the whole march's span, so that a slice the
-    # controller cannot satisfy is dropped after a few short steps instead
-    # of making its group crawl
-    size = StepSize(odestep.STEP_REL_TOL)
-    size.measure(float(move_grid[-1]) - float(move_grid[0]))
+    end = move_grid[-1] if forward else move_grid[0]
 
-    def stage(fx, t):
-        return _stage(o, spec, *o.swap(fx, t))
+    entering = np.flatnonzero((entry_index >= 0) & np.isfinite(seeds))
+    lo, hi = o.band(spec, *o.swap(fixed_grid[entering], starts[entering]))
+    cx = (seeds[entering] > lo) & (seeds[entering] < hi)
+    for i in entering[~cx]:
+        status[i] = ("constraint", float(starts[i]))
+    lanes = entering[cx]
+    n = lanes.size
+    fx, entry = fixed_grid[lanes], entry_index[lanes]
+    log_lane = o.fixed == "y"
 
-    def constraint_ok(fx, t, g):
-        lo, hi = o.band(spec, *o.swap(fx, t))
-        return (g > lo) & (g < hi)
+    def lane_u(t, fixed):
+        return np.log(t - fixed) if log_lane else t
 
-    levels = range(n_mov) if forward else range(n_mov - 1, -1, -1)
+    u0 = lane_u(starts[lanes], fx)
+    du = lane_u(end, fx) - u0
 
-    def advance(sel, t_from, t_to):
-        """Controlled advance of the selected slices from t_from to t_to.
+    # every (lane, node) pair the march reaches, in the order of its tau
+    m = np.arange(move_grid.size)
+    li, ki = np.nonzero(m >= entry[:, None] if forward else m <= entry[:, None])
+    node_tau = (lane_u(move_grid[ki], fx[li]) - u0[li]) / du[li]
+    order = np.argsort(node_tau, kind="stable")
+    li, ki, node_tau = li[order], ki[order], node_tau[order]
+    is_first = ki == entry[li]
+    node_s, node_y = o.swap(fx[li], move_grid[ki])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        node_ode = _stage(o, spec, node_s, node_y)
+    node_lo, node_hi = (
+        np.broadcast_to(b, node_tau.shape) for b in o.band(spec, node_s, node_y)
+    )
 
-        Returns the new states, the ok mask and the failure kind per slice.
-        A slice whose estimate misses the tolerance at the shortest step
-        leaves the controller and is flagged "step".
-        """
-        fx = fixed_grid[sel]
-        t_to = np.broadcast_to(t_to, fx.shape)
-        lane_stage = ReuseStages(lambda t: stage(fx, t))
-        diff = t_to - t_from
-        span = float(np.max(np.abs(diff)))
-        g = state[sel].copy()
-        held = np.ones(fx.shape, dtype=bool)
-        t_cur, done = t_from, 0.0
-        while done < 1.0:
-            rest = (1.0 - done) * span
-            a = size.length(rest)
-            frac = 1.0 if a == rest else done + a / span
-            landed = frac >= 1.0
-            t_nxt = t_to if landed else t_from + diff * frac
-            g_k, rel, _ = checked_step(
-                lane_stage, t_cur, g, t_nxt - t_cur, scale_floor=1e-12 * scale
-            )
-            rel = np.where(held, rel, 0.0)
-            if not size.stands(a, float(np.max(rel))):
-                continue
-            held &= rel <= size.tol
-            size.after(a, landed, float(np.max(rel, where=held, initial=0.0)))
-            g, t_cur, done = g_k, t_nxt, min(frac, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            den = lane_stage(t_to).den(g)
-        ok = np.isfinite(g) & held
-        kind = np.where(held, "ok", "step")
+    held = np.ones(n, dtype=bool)
+    den_sign = np.zeros(n)
+
+    def fill(p, q, level_of):
+        """Write the nodes p:q of the lanes still held, after their checks."""
+        idx = np.arange(p, q)
+        idx = idx[held[li[idx]]]
+        lane = li[idx]
+        with np.errstate(invalid="ignore", over="ignore"):
+            lev = level_of(lane, idx)
+            den = node_ode.a[idx] * lev - node_ode.b[idx]
         sign = np.sign(den)
-        fresh = den_sign[sel] == 0.0
-        den_sign[sel] = np.where(fresh, sign, den_sign[sel])
-        den_bad = (~fresh) & (
-            (sign != den_sign[sel]) | (np.abs(den) < 1e-12 * scale)
+        first = is_first[idx]
+        den_sign[lane[first]] = sign[first]
+        bad_den = ~first & (
+            (sign != den_sign[lane]) | (np.abs(den) < 1e-12 * scale)
         )
-        kind = np.where(ok & den_bad, "singular", kind)
-        ok &= ~den_bad
-        con = constraint_ok(fx, t_to, g)
-        kind = np.where(ok & ~con, "constraint", kind)
-        ok &= con
-        return g, ok, kind
+        bad = bad_den | ~((lev > node_lo[idx]) & (lev < node_hi[idx]))
+        if bad.any():
+            b = np.flatnonzero(bad)
+            cut_lanes, at = np.unique(lane[b], return_index=True)
+            cut = np.full(n, idx.size)
+            cut[cut_lanes] = b[at]
+            for j, c in zip(cut_lanes, b[at]):
+                kind = "singular" if bad_den[c] else "constraint"
+                status[lanes[j]] = (kind, float(move_grid[ki[idx[c]]]))
+            held[cut_lanes] = False
+            keep = np.arange(idx.size) < cut[lane]
+            idx, lane, lev = idx[keep], lane[keep], lev[keep]
+        values[lanes[lane], ki[idx]] = lev
 
-    for lv in levels:
-        t_node = move_grid[lv]
-        entering = np.flatnonzero((entry_index == lv) & np.isfinite(seeds))
-        if entering.size:
-            state[entering] = seeds[entering]
-            cx = constraint_ok(
-                fixed_grid[entering],
-                starts[entering],
-                seeds[entering],
-            )
-            alive[entering[cx]] = True
-            for i in entering[~cx]:
-                status[i] = ("constraint", float(starts[i]))
-            entering = entering[cx]
-        stepping = np.flatnonzero(
-            alive
-            & (entry_index != lv)
-            & ((entry_index < lv) if forward else (entry_index > lv))
+    g = seeds[lanes]
+    # a node on a lane's start takes the seed
+    p = int(np.searchsorted(node_tau, 0.0, side="right"))
+    fill(0, p, lambda lane, idx: g[lane])
+
+    def stage(tau):
+        u = u0 + tau * du
+        if log_lane:
+            e = np.exp(u)
+            t, rate = fx + e, du * e
+        else:
+            t, rate = u, du
+        ode = _stage(o, spec, *o.swap(fx, t))
+        return lambda level: rate * ode(level)
+
+    lane_stage = ReuseStages(stage)
+    size = StepSize(odestep.STEP_REL_TOL)
+    size.measure(1.0)
+    tau = 0.0
+    while tau < 1.0 and held.any():
+        rest = 1.0 - tau
+        a = size.length(rest)
+        landed = a == rest
+        tau_next = 1.0 if landed else tau + a
+        h = tau_next - tau
+        g_new, rel, slopes = checked_step(
+            lane_stage, tau, g, h, scale_floor=1e-12 * scale
         )
-        if not (entering.size or stepping.size):
+        rel = np.where(held, rel, 0.0)
+        if not size.stands(a, float(np.max(rel))):
             continue
-        sel = np.concatenate([entering, stepping])
-        t_from = starts[sel]
-        if stepping.size:
-            t_from[entering.size:] = move_grid[lv - 1] if forward else move_grid[lv + 1]
-        g_new, ok, kind = advance(sel, t_from, t_node)
-        values[sel[ok], lv] = g_new[ok]
-        state[sel[ok]] = g_new[ok]
-        alive[sel[~ok]] = False
-        for i, kd in zip(sel[~ok], kind[~ok]):
-            status[i] = (str(kd), float(t_node))
+        failed = held & ~(rel <= size.tol)
+        if failed.any():
+            # flagged at the first node the step would have filled
+            later = np.flatnonzero(failed[li[p:]]) + p
+            cut_lanes, at = np.unique(li[later], return_index=True)
+            for j, c in zip(cut_lanes, later[at]):
+                status[lanes[j]] = ("step", float(move_grid[ki[c]]))
+            held &= ~failed
+        size.after(a, landed, float(np.max(rel, where=held, initial=0.0)))
+        q = int(np.searchsorted(node_tau, tau_next, side="right"))
+        fill(p, q, lambda lane, idx: dense_output(
+            g[lane], g_new[lane], h, [k[lane] for k in slopes],
+            (node_tau[idx] - tau) / h,
+        ))
+        p, g, tau = q, g_new, tau_next
     return values, status
 
 
@@ -740,6 +759,17 @@ class Line:
 
     def value(self, x):
         return float(self.values(np.asarray([x], dtype=float))[0])
+
+    def dvalue_dx(self, x):
+        """First x-derivative of the two-power form C1 x**g1 + C2 x**g2."""
+        g1, g2 = self.g1, self.g2
+        return self.c1 * g1 * x ** (g1 - 1.0) + self.c2 * g2 * x ** (g2 - 1.0)
+
+    def d2value_dx2(self, x):
+        """Second x-derivative of the two-power form C1 x**g1 + C2 x**g2."""
+        g1, g2 = self.g1, self.g2
+        first = self.c1 * g1 * (g1 - 1.0) * x ** (g1 - 2.0)
+        return first + self.c2 * g2 * (g2 - 1.0) * x ** (g2 - 2.0)
 
 
 class _Solution3D:

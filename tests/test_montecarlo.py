@@ -165,17 +165,21 @@ def test_surface_rule_simulation_matches_recorded_bits():
     mean stop time 2.2e-12 lower), and again when the diagonal curve that
     seeds it was read off its steps' continuous extensions (same path
     counts, the mean 1.5e-13 and the mean stop time 3.9e-14 higher).
-    Recorded with numpy 2.4 on x86-64.
+    Re-recorded when the march in lane time kept the surface's y = 0 row,
+    which the start (1, 1, 0) reads and which the lattice lookup had filled
+    from the next row before: the mean fell from 0.0351 to 0.0212, the
+    horizon cash-outs rose from 296 to 421 and the mean stop time from 14.5
+    to 20.5.  Recorded with numpy 2.4 on x86-64.
     """
     spec, rule = _pin_surface_rule()
     cfg = SimConfig(n_paths=500, dt=0.02, horizon=24.0, seed=2026, block_size=128)
     res = simulate_stopped_payoff(spec, StateTriple(1.0, 1.0, 0.0), rule, cfg)
     assert res == SimResult(
-        mean=0.035089400007297426,
-        stderr=0.0019593608638557945,
+        mean=0.021163205869250044,
+        stderr=0.002371253419115381,
         n_paths=500,
-        n_horizon=296,
-        mean_stop_time=14.506738878924242,
+        n_horizon=421,
+        mean_stop_time=20.494519351741115,
     )
 
 
@@ -276,10 +280,12 @@ def test_audit_flat_put_solution_clean():
     assert audit["generator_sign_violations"] == 0
     assert audit["generator_residual_max"] <= 1e-5
     # recorded from the audit that queried the solution method by method;
-    # same caveat about the platform's libm as the surface pins
+    # the residual again once it took the line's exact x-derivatives instead
+    # of central differences (3.5e-9 before); same caveat about the
+    # platform's libm as the surface pins
     assert audit["dominance_worst_gap"] == 0.0
     assert audit["smooth_fit_gap"].hex() == "0x1.d7c3ccf688000p-13"
-    assert audit["generator_residual_max"].hex() == "0x1.dc7eba2a00000p-29"
+    assert audit["generator_residual_max"].hex() == "0x1.0000000000000p-60"
 
 
 @pytest.fixture(scope="module")
@@ -298,14 +304,46 @@ def test_audit_drawdown_put_matches_recorded_bits(drawdown_put):
     # recorded like the flat put's pin above, then again once the diagonal
     # curve that seeds the slices was read off its steps' continuous
     # extensions: the smooth-fit gap moved by 5.6e-13 and the residual, a
-    # central second difference at rounding level, from 7.7e-10 to 2.7e-9
+    # central second difference at rounding level, from 7.7e-10 to 2.7e-9;
+    # with the line's exact x-derivatives the residual is 8.7e-19
     spec, sol = drawdown_put
     audit = audit_solution(spec, sol, dominance_shape=(12, 12, 12))
     assert audit["dominance_violations"] == 0
     assert audit["generator_sign_violations"] == 0
     assert audit["dominance_worst_gap"] == 0.0
     assert audit["smooth_fit_gap"].hex() == "0x1.e0787f74e0000p-13"
-    assert audit["generator_residual_max"].hex() == "0x1.763ba3f400000p-29"
+    assert audit["generator_residual_max"].hex() == "0x1.0000000000000p-60"
+
+
+def test_audit_residual_takes_the_line_derivatives(drawdown_put):
+    # the audit hands generator_residual the line's exact power-form
+    # x-derivatives; central differences of the line's value, the reference,
+    # agree with them to within their own rounding
+    from drawdown_options import generator_residual
+
+    spec, sol = drawdown_put
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(60):
+        s = rng.uniform(0.5, 10.0)
+        y = rng.uniform(0.05, 0.95) * s
+        ln = sol.line(s, y)
+        if ln.branch == "stop":
+            continue
+        lo = ln.level if ln.branch == "direct" else s - y
+        x = 0.5 * (lo + s)
+        h = 1e-4 * x
+        up, mid, down = ln.value(x + h), ln.value(x), ln.value(x - h)
+        assert abs((up - down) / (2.0 * h) - ln.dvalue_dx(x)) < 1e-6
+        assert abs((up - 2.0 * mid + down) / (h * h) - ln.d2value_dx2(x)) < 1e-6
+        point = StateTriple(x=x, s=s, y=y)
+        exact = generator_residual(
+            spec, ln.value, point, dfdx=ln.dvalue_dx, d2fdx2=ln.d2value_dx2
+        )
+        assert abs(exact) < 1e-15
+        assert abs(generator_residual(spec, ln.value, point) - exact) < 1e-7
+        checked += 1
+    assert checked > 40
 
 
 def test_audit_assembles_each_probed_line_once(drawdown_put, monkeypatch):

@@ -445,12 +445,13 @@ def _pin_surface():
 def test_sloped_put_surface_matches_recorded_bits():
     """A small surface of a model sloped in s and y, pinned bit for bit.
 
-    The digest and spot values were recorded from the march with
-    error-controlled Dormand-Prince steps, seeded from the diagonal put
-    curve read off its steps' continuous extensions; any change to the
-    arithmetic shows up here.  They lie within 6.6e-13 K of those seeded
-    from the curve that landed a step on every node, with the same finite
-    nodes and slice status.
+    The digest and spot values were recorded from the march in lane time,
+    whose nodes are read off the steps' continuous extensions; any change
+    to the arithmetic shows up here.  The march that landed a step on every
+    lattice level lost the y = 0 row, whose first node interval was shorter
+    than its step floor; the 169 nodes both keep lie within 1.9e-10 K of
+    each other, and the 24 nodes of the kept row within 6.1e-10 K of a
+    DOP853 march of that slice in log s at a 1e-13 target.
     Recorded with numpy 2.4 on x86-64; a libm that rounds log or expm1
     differently can move the last bits.
     """
@@ -459,22 +460,22 @@ def test_sloped_put_surface_matches_recorded_bits():
     surf = _pin_surface()
     v = surf.values
     digest = hashlib.sha256(np.nan_to_num(v, nan=-1.0).tobytes()).hexdigest()
-    assert int(np.isfinite(v).sum()) == 169
-    assert surf.slice_status[0] == ("step", 0.05)
-    assert float(v[3, 1]).hex() == "0x1.ca9bd163729fcp-1"
-    assert float(v[12, 5]).hex() == "0x1.c604b85f8dcccp-1"
-    assert digest == "e26d2266079cba010e5f2577eaaffa5be076b43b17bc18f3fd1a364c67c1e2e5"
+    assert int(np.isfinite(v).sum()) == 193
+    assert {kind for kind, _ in surf.slice_status} == {"ok"}
+    assert float(v[3, 1]).hex() == "0x1.ca9bd1631755fp-1"
+    assert float(v[12, 5]).hex() == "0x1.c604b85f7ea58p-1"
+    assert digest == "dafd9a56d3560d3f47725ce0b30bbe58cf4a43f36867739f3b2600efceab7a8a"
 
 
 def test_sloped_call_surface_matches_recorded_bits():
     """The call orientation of the march set-up, pinned bit for bit.
 
-    Twin of the put pin above: a small surface whose first seven slices
-    finish and whose other slices are flagged at their first node, with
-    all three labels and a two-point cap curve.  The fixed-substep march
-    before the controlled one finished the eighth slice too; the values
-    both keep lie within 6.5e-10 K of each other.  Same caveat about the
-    platform's libm as the put pin.
+    Twin of the put pin above: a small surface whose first eight slices
+    finish and whose other slices are flagged in their last node interval,
+    with all three labels and a two-point cap curve.  The march that landed
+    a step on every lattice level finished seven; the values both keep lie
+    within 2.1e-9 K of each other, and the eighth slice's extra node is
+    labelled stop.  Same caveat about the platform's libm as the put pin.
     """
     import hashlib
 
@@ -490,17 +491,89 @@ def test_sloped_call_surface_matches_recorded_bits():
     )
     v = surf.values
     digest = hashlib.sha256(np.nan_to_num(v, nan=-1.0).tobytes()).hexdigest()
-    assert int(np.isfinite(v).sum()) == 176
-    assert digest == "c56ca4b40e6520305ce59f22c7caf109478ecdbb3f02a3843bbe0c5d6ff09769"
-    assert [kd for kd, _ in surf.slice_status] == ["ok"] * 7 + ["step"] * 17
-    assert [pos for _, pos in surf.slice_status[7:]] == [0.0] * 17
+    assert int(np.isfinite(v).sum()) == 177
+    assert digest == "ab9a7ba1dc4c8c390f8c7122c919465b2df5315c4b535ac42bc92d4c44baf740"
+    assert [kd for kd, _ in surf.slice_status] == ["ok"] * 8 + ["step"] * 16
+    assert [pos for _, pos in surf.slice_status[8:]] == [0.0] * 16
     labels = hashlib.sha256(surf.labels.tobytes()).hexdigest()
-    assert labels == "c22b022ebe55b704097c5c9a85da48d54b0982245ba2769ba990e4158bd4e92a"
+    assert labels == "3d46e5644231ae3d6d7016356a1b329b958d48a4c70a885f5c9eb4dc2fb10e27"
     cap = surf.cap_curve
     assert np.flatnonzero(np.isfinite(cap)).tolist() == [0, 1]
     assert [float(c).hex() for c in cap[:2]] == [
-        "0x1.34adabbfc0e5dp+1", "0x1.2f7f1ab6bdc7ep+1"
+        "0x1.34adabbfd7f59p+1", "0x1.2f7f1ab6c63b4p+1"
     ]
+
+
+def _solution_digests(sol):
+    """SHA-256 digests of a solution's surface and reflection grids."""
+    import hashlib
+
+    def sha(b):
+        return hashlib.sha256(b).hexdigest()
+
+    def filled(a):
+        return np.nan_to_num(np.asarray(a, float), nan=-1.0).tobytes()
+
+    surf = sol.surface
+    status = [(kind, float(pos).hex()) for kind, pos in surf.slice_status]
+    switches = [
+        {k: [(float(p).hex(), d) for p, d in rec[k]] for k in sorted(rec)}
+        for rec in surf.slice_switches
+    ]
+    return {
+        "values": sha(filled(surf.values)),
+        "status": sha(repr(status).encode()),
+        "labels": sha(surf.labels.tobytes()),
+        "cap": sha(filled(surf.cap_curve)),
+        "switches": sha(repr(switches).encode()),
+        "grids": sha(b"".join(filled(c) for g in sol.regions for c in (g.C1, g.C2))),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, delta, spot, c_spot, digests",
+    [
+        ("put", ("bounded_rational", (0.02, 0.0, 0.01)),
+         "0x1.56928379f127dp-1",
+         ((3, 0), "-0x1.2cd818a81af26p-12", "0x1.1f03b9b912c90p-3"),
+         {"values": "9a3b3db405f3e13dfc37ca78366805c397ae9c28b718fe989c10df1bbd8edc6c",
+          "status": "faa934f092e56bb1a7806b6a776b0cdb7e59dc9f0a777f2132ebb7231905500f",
+          "labels": "c70ed7bddb33e2aeccd2bdf02fc89c60761df3a247a8e4be7b3eb58e200e16fc",
+          "cap": "a76154acb3b2673dc2b832b8af92995004d20ae5c411d635757b4643b43a42f1",
+          "switches": "7b7cc1d264ef1ed0ad63cb94c4857c311adbdaba270cc508d0aa35d3d5c4bf15",
+          "grids": "ccbccdac6d59f7db115848f265ead3817295d616f0d597b3cbb44913fd5dfbf0"}),
+        ("call", ("s_only", (0.02, 0.02)),
+         "0x1.37124faaf57eap+1",
+         ((0, 0), "0x1.2e50afa5d142ep-2", "0x0.0p+0"),
+         {"values": "4b7a91ed8acbd0397ccbe4249848fe9618b30de8edf8d8ce2d5c6882d4edd49e",
+          "status": "7769bee13de1a1a4c09da5c2c84c36a7851d6c30f963c9a8db1901a7ac909e94",
+          "labels": "619f3edd7d8787480cb557f2a6d6d55ed2f13d194cd59fe6cb7443259a2650fa",
+          "cap": "ee986e885ea014b85874222ca57a58c98a74244dfb8fa6162d56f6f5cbbceebb",
+          "switches": "5bf69097533e294a83bfd528678771a1690ef0fb235819d92f4d7a8878cca64b",
+          "grids": "4153658fdd21361ddd2150a1a7b76ec434fe8d05731d35cf1256108a34990412"}),
+    ],
+)
+def test_vanishing_rhs_surfaces_match_recorded_bits(kind, delta, spot, c_spot, digests):
+    """Solutions whose slice right-hand side vanishes, pinned bit for bit.
+
+    The put's dividend depends on y only and the call's on s only, so no
+    step of the surface march moves a slice off its seed: the nodes carry
+    the seeds' bits whatever steps the march takes.  Recorded from the
+    march that landed a step on every lattice level; the march in lane
+    time must keep every bit.  Same caveat about the platform's libm as
+    the surface pins.
+    """
+    cls = PutSolution3D if kind == "put" else CallSolution3D
+    sol = cls(make_spec(kind, delta), n_s=65, n_y=49)
+    v = sol.surface.values
+    assert int(np.isfinite(v).sum()) == 1601
+    assert {kd for kd, _ in sol.surface.slice_status} == {"ok"}
+    assert float(v[45, 29]).hex() == spot
+    assert len(sol.regions) == 1
+    node, c1, c2 = c_spot
+    g = sol.regions[0]
+    assert (float(g.C1[node]).hex(), float(g.C2[node]).hex()) == (c1, c2)
+    assert _solution_digests(sol) == digests
 
 
 @pytest.mark.parametrize("order", ["F", "C"])
@@ -634,16 +707,12 @@ def test_direct_query_remarches_once(sloped_put, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the controlled march: cost follows the lattice, failures are counted
+# the lane march: cost follows the controller, failures are counted
 
 
-def test_surface_step_count_follows_the_lattice(monkeypatch):
-    # steps are set per lattice level by the error controller, not by a
-    # fixed substep of the whole span, so a coarse lattice costs a fraction
-    # of a fine one
+def _count_surface_steps(monkeypatch, build, spec, n_s, n_y):
     from drawdown_options import solver3d
 
-    spec = make_spec("put", ("s_only", (0.02, 0.01)))
     calls = []
     step = solver3d.checked_step
 
@@ -652,14 +721,63 @@ def test_surface_step_count_follows_the_lattice(monkeypatch):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(solver3d, "checked_step", counted)
-    counts = []
-    for n_s, n_y in ((24, 16), (256, 256)):
-        calls.clear()
-        build_put_surface(
-            spec, np.linspace(0.05, 20.0, n_s), np.linspace(0.0, 19.9, n_y)
-        )
-        counts.append(len(calls))
-    assert 0 < counts[0] < counts[1] / 4
+    build(spec, np.linspace(0.05, 20.0, n_s), np.linspace(0.0, 19.9, n_y))
+    monkeypatch.setattr(solver3d, "checked_step", step)
+    return len(calls)
+
+
+def test_surface_steps_follow_the_controller_not_the_lattice(monkeypatch):
+    # all slices march together in lane time and read their nodes from the
+    # steps' continuous extensions, so a fine lattice costs about as many
+    # steps as a coarse one (70 and 66 on the s-sloped put)
+    spec = make_spec("put", ("s_only", (0.02, 0.01)))
+    coarse = _count_surface_steps(monkeypatch, build_put_surface, spec, 24, 16)
+    fine = _count_surface_steps(monkeypatch, build_put_surface, spec, 256, 256)
+    assert 0 < fine <= 2 * coarse
+
+
+@pytest.mark.parametrize(
+    "kind, delta",
+    [("put", ("bounded_rational", (0.02, 0.0, 0.01))), ("call", ("s_only", (0.02, 0.02)))],
+)
+def test_vanishing_rhs_surface_takes_few_steps(kind, delta, monkeypatch):
+    # no slice moves off its seed, so the first try over the whole lane
+    # time stands
+    build = build_put_surface if kind == "put" else build_call_surface
+    steps = _count_surface_steps(monkeypatch, build, make_spec(kind, delta), 256, 256)
+    assert 0 < steps <= 5
+
+
+def test_sloped_put_keeps_the_y0_row(sloped_put):
+    # the y = 0 slice starts at s = 1e-6 K, where the put slope carries a
+    # log s factor; a put lane marches in log(s - y), so the controller can
+    # take the short steps it needs there
+    _, sol = sloped_put
+    surf = sol.surface
+    assert surf.slice_status[0][0] == "ok"
+    assert np.all(np.isfinite(surf.values[:, 0]))
+
+
+@pytest.mark.parametrize(
+    "delta", [("s_only", (0.02, 0.01)), ("bounded_rational", (0.02, 0.01, 0.01))]
+)
+def test_surface_nodes_follow_the_flow(delta, monkeypatch):
+    # every node comes from a step's continuous extension; at the plain
+    # target the nodes stay within 1e-9 K of the same march at a 1e-13
+    # target (6.1e-10 and 4.3e-10 K)
+    from drawdown_options import odestep
+
+    spec = make_spec("put", delta)
+    # the default lattice of PutSolution3D
+    s_grid = np.linspace(1e-2, spec.domain_s_max, 193)
+    y_grid = np.linspace(0.0, spec.domain_s_max - 2e-6, 129)
+    # the seeds come from the cached diagonal curve, built at the plain target
+    diagonal_put_curve(spec)
+    surf = build_put_surface(spec, s_grid, y_grid).values
+    monkeypatch.setattr(odestep, "STEP_REL_TOL", 1e-13)
+    ref = build_put_surface(spec, s_grid, y_grid).values
+    assert np.array_equal(np.isfinite(surf), np.isfinite(ref))
+    assert np.nanmax(np.abs(surf - ref)) < 1e-9
 
 
 def test_failed_remarch_falls_back_to_the_lattice_and_is_counted(monkeypatch):
