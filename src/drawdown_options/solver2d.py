@@ -59,6 +59,54 @@ def _beta(spec: ModelSpec, s):
 # switch-point detection
 
 
+def _sign_changes(d, ok):
+    """Cells where d changes sign along every line of a lattice, in one scan.
+
+    d and ok are indexed [line, node]; each line is read through its valid
+    nodes (ok) in order, so an invalid node is skipped, not a break.  The
+    previous nonzero sign is carried through exact zeros, so a touch that
+    comes back on the same side is no change, and zeros at a line's start
+    carry no sign.  Returns, per change in line order, its line, the valid
+    nodes lo and hi on either side, and whether d falls from positive to
+    negative.
+    """
+    line, node = np.nonzero(ok)
+    sgn = np.sign(d[line, node])
+    first = np.searchsorted(line, line)  # where each node's line starts
+    # the sign of the last nonzero at or before each node on its line
+    sgn = sgn[np.maximum.accumulate(np.where(sgn != 0.0, np.arange(sgn.size), first))]
+    a, b = sgn[:-1], sgn[1:]
+    c = np.flatnonzero((line[1:] == line[:-1]) & (a != 0.0) & (b != 0.0) & (a != b))
+    return line[c], node[c], node[c + 1], a[c] > 0
+
+
+def _cell_crossing(p0, p1, d0, d1):
+    """Linear zero of d between positions p0 and p1."""
+    return p0 + (p1 - p0) * d0 / (d0 - d1)
+
+
+def _adjacent_messages(grid, ok, line, pos):
+    """Warnings for consecutive crossings of a line that fall in adjacent cells.
+
+    grid runs along the lines of ok, and line and pos give each crossing in
+    line order.  A crossing's cell is counted among its line's valid nodes,
+    as a search of the valid nodes alone would count it.  Returns (line,
+    message) pairs.
+    """
+    below = np.zeros((ok.shape[0], ok.shape[1] + 1), dtype=int)
+    np.cumsum(ok, axis=1, out=below[:, 1:])
+    cell = below[line, np.searchsorted(grid, pos)]
+    near = np.flatnonzero((line[1:] == line[:-1]) & (np.abs(np.diff(cell)) <= 1))
+    return [
+        (
+            int(line[i]),
+            f"switch points at s={pos[i]:.6g} and s={pos[i + 1]:.6g} fall in "
+            "adjacent grid cells; refine the grid to resolve the region ordering",
+        )
+        for i in near
+    ]
+
+
 def detect_switch_points(grid, curve_values, ref_values, refine=None):
     """Locate sign changes of curve - reference along an increasing grid.
 
@@ -78,17 +126,11 @@ def detect_switch_points(grid, curve_values, ref_values, refine=None):
     if not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
 
-    sgn = np.sign(d)
-    # carry the previous nonzero sign through exact zeros so a touch that
-    # comes back on the same side is not counted
-    last = np.maximum.accumulate(np.where(sgn != 0.0, np.arange(sgn.size), 0))
-    filled = sgn[last]
-    a, b = filled[:-1], filled[1:]
-    cells = np.flatnonzero((a != 0.0) & (b != 0.0) & (a != b))
-    lo, hi = grid[cells], grid[cells + 1]
-    dl, dh = d[cells], d[cells + 1]
+    every = np.ones((1, d.size), dtype=bool)
+    line, lo_k, hi_k, falls = _sign_changes(d[None, :], every)
+    lo, hi = grid[lo_k], grid[hi_k]
     # where the two linear interpolants meet
-    linear = lo + (hi - lo) * dl / (dl - dh)
+    linear = _cell_crossing(lo, hi, d[lo_k], d[hi_k])
     crossings = []
     for k, pos in enumerate(linear):
         if refine is not None:
@@ -99,18 +141,11 @@ def detect_switch_points(grid, curve_values, ref_values, refine=None):
                 pos = hi[k]
             elif np.sign(flo) != np.sign(fhi):
                 pos = brentq(refine, lo[k], hi[k], xtol=1e-10, rtol=8.9e-16)
-        crossings.append((float(pos), "enter" if a[cells[k]] > 0 else "exit"))
+        crossings.append((float(pos), "enter" if falls[k] else "exit"))
 
-    for (p1, _), (p2, _) in zip(crossings, crossings[1:]):
-        i1 = np.searchsorted(grid, p1)
-        i2 = np.searchsorted(grid, p2)
-        if abs(int(i2) - int(i1)) <= 1:
-            warnings.warn(
-                f"switch points at s={p1:.6g} and s={p2:.6g} fall in adjacent "
-                "grid cells; refine the grid to resolve the region ordering",
-                ResolutionWarning,
-                stacklevel=2,
-            )
+    pos = np.array([p for p, _ in crossings])
+    for _, msg in _adjacent_messages(grid, every, line, pos):
+        warnings.warn(msg, ResolutionWarning, stacklevel=2)
     return crossings
 
 

@@ -67,8 +67,10 @@ from .solver2d import (
     EDGE_FRACTION,
     OdeStage,
     PutSolution2D,
+    _adjacent_messages,
+    _cell_crossing,
     _march_line,
-    detect_switch_points,
+    _sign_changes,
 )
 
 MAX_SWITCH_PAIRS = 16
@@ -485,6 +487,11 @@ def detect_regions_3d(spec: ModelSpec, surface: BoundarySurface) -> BoundarySurf
     MAX_SWITCH_PAIRS crossing pairs are truncated with a warning.  The cap
     curve collects, for the call, the last reflect-to-direct crossing in s
     per y-row and, for the put, the first floor crossing in y per s-column.
+
+    Each reference line is scanned once over the whole lattice (and the
+    reflecting one once more across the slices, for the cap curve), with
+    the crossings and warnings ``detect_switch_points`` gives on each
+    slice's valid nodes, bit for bit.
     """
     o = _ORIENT[surface.kind]
     s_grid, y_grid, v = surface.s_grid, surface.y_grid, surface.values
@@ -498,37 +505,43 @@ def detect_regions_3d(spec: ModelSpec, surface: BoundarySurface) -> BoundarySurf
     surface.labels = labels
 
     fixed, move = o.swap(s_grid, y_grid)
-    vf, okf = o.fixed_major(v), o.fixed_major(valid)
+    okf = o.fixed_major(valid)
+    # gap to each reference line, indexed [slice, node along the slice]
+    gaps = {o.above: o.fixed_major(v - ss), o.below: o.fixed_major(v - floor)}
+    scans = [
+        (o.above, _switches(move, gaps[o.above], okf), "reachable-max line"),
+        (o.below, _switches(move, gaps[o.below], okf), "floor line"),
+    ]
     switches = []
     for k, pos in enumerate(fixed):
-        ok = okf[k]
         rec = {"reflect": [], "stop": []}
-        if ok.sum() >= 2:
-            t = move[ok]
-            s, y = o.swap(pos, t)
-            rec[o.above] = _capped(
-                detect_switch_points(t, vf[k, ok], np.broadcast_to(s, t.shape)),
-                f"slice {o.fixed}={pos:g} vs reachable-max line",
-            )
-            rec[o.below] = _capped(
-                detect_switch_points(t, vf[k, ok], s - y),
-                f"slice {o.fixed}={pos:g} vs floor line",
-            )
+        for label, (points, notes), ref in scans:
+            for msg in notes[k]:
+                warnings.warn(msg, ResolutionWarning, stacklevel=2)
+            pts = points[k]
+            if len(pts) > 2 * MAX_SWITCH_PAIRS:
+                warnings.warn(
+                    f"more than {MAX_SWITCH_PAIRS} switch pairs on slice "
+                    f"{o.fixed}={pos:g} vs {ref}; keeping the first "
+                    f"{2 * MAX_SWITCH_PAIRS}",
+                    ResolutionWarning,
+                    stacklevel=2,
+                )
+                pts = pts[: 2 * MAX_SWITCH_PAIRS]
+            rec[label] = pts
         switches.append(rec)
     # across the slices, per node of the moving axis: where the reflect band
     # gives way to the direct one, farthest from the diagonal (which closes
     # an s-scan at its low end and a y-scan at its high end)
     leave = "enter" if o.above == "reflect" else "exit"
+    points, notes = _switches(fixed, gaps["reflect"].T, okf.T)
     cap = np.full(move.size, np.nan)
-    for m in range(move.size):
-        ok = okf[:, m]
-        if ok.sum() >= 2:
-            s, y = o.swap(fixed[ok], move[m])
-            ref = s if o.above == "reflect" else s - y
-            pts = detect_switch_points(fixed[ok], vf[ok, m], ref)
-            crossings = [p for p, d in pts if d == leave]
-            if crossings:
-                cap[m] = crossings[-1 if o.fixed == "s" else 0]
+    for m, pts in enumerate(points):
+        for msg in notes[m]:
+            warnings.warn(msg, ResolutionWarning, stacklevel=2)
+        crossings = [p for p, d in pts if d == leave]
+        if crossings:
+            cap[m] = crossings[-1 if o.fixed == "s" else 0]
     finite_cap = cap[np.isfinite(cap)]
     if finite_cap.size >= 2:
         d = np.diff(finite_cap)
@@ -544,21 +557,22 @@ def detect_regions_3d(spec: ModelSpec, surface: BoundarySurface) -> BoundarySurf
     return surface
 
 
-def _capped(points, what):
-    if len(points) > 2 * MAX_SWITCH_PAIRS:
-        warnings.warn(
-            f"more than {MAX_SWITCH_PAIRS} switch pairs on {what}; keeping the "
-            f"first {2 * MAX_SWITCH_PAIRS}",
-            ResolutionWarning,
-            stacklevel=3,
-        )
-        return points[: 2 * MAX_SWITCH_PAIRS]
-    return points
+def _switches(grid, d, ok):
+    """Switch points of d along every line of a lattice, in one scan.
 
-
-def _cell_crossing(p0, p1, d0, d1):
-    """Linear zero of d between positions p0 and p1."""
-    return p0 + (p1 - p0) * d0 / (d0 - d1)
+    d and ok are indexed [line, node along grid].  Returns, per line, the
+    (position, direction) pairs and the adjacent-cell warning messages that
+    ``detect_switch_points`` gives on the line's valid nodes.
+    """
+    line, lo, hi, falls = _sign_changes(d, ok)
+    pos = _cell_crossing(grid[lo], grid[hi], d[line, lo], d[line, hi])
+    points = [[] for _ in range(d.shape[0])]
+    for k, p, f in zip(line.tolist(), pos.tolist(), falls.tolist()):
+        points[k].append((p, "enter" if f else "exit"))
+    notes = [[] for _ in range(d.shape[0])]
+    for k, msg in _adjacent_messages(grid, ok, line, pos):
+        notes[k].append(msg)
+    return points, notes
 
 
 def _quad_zero(ps, ds, lo, hi, lin):

@@ -100,3 +100,39 @@ def test_tracer_counts_the_steps_of_a_traced_put_curve():
     # extensions, so the controller, not the grid, sets the step count
     # (342 on this model; one step per node made 4096)
     assert steps <= 400
+
+
+_TRACED_SOLUTION = """
+import tracer
+
+tr = tracer.Tracer()
+tracer.install(tr)
+from drawdown_options import CoefficientField, ModelSpec, PutSolution3D
+
+spec = ModelSpec(
+    r=0.06, strike=1.0, payoff_kind="put",
+    delta_field=CoefficientField("bounded_rational", (0.02, 0.0, 0.01)),
+    sigma_field=CoefficientField("constant", (0.2,)),
+)
+with tr.span("op"):
+    sol = PutSolution3D(spec, n_s=33, n_y=25)
+names = [sp.name for sp in tr.spans]
+acc = tr.spans[0].acc
+print(len(sol.regions), sum(int(g.active.sum()) for g in sol.regions),
+      names.count("reflection_pde.spsolve"), names.count("solver3d.detect_regions_3d"),
+      acc["unknowns"], acc["lsqr_calls"])
+"""
+
+
+def test_tracer_sees_each_reflection_solve_and_region_scan():
+    # the solve and the region scan are reached through the names the tracer
+    # wraps, so spsolve_ms, unknowns and regions_ms keep measuring them
+    proc = _run(_TRACED_SOLUTION)
+    assert proc.returncode == 0, proc.stderr
+    regions, active, solves, scans, unknowns, lsqr = (
+        float(v) for v in proc.stdout.split()
+    )
+    assert regions >= 1 and solves == regions
+    assert unknowns == 2 * active
+    assert scans == 1  # one surface
+    assert lsqr == 0

@@ -184,12 +184,12 @@ def _drawdown_put_spec():
 def test_reflection_grids_match_recorded_bits():
     """Regions of a drawdown put and a y-independent call, pinned bit for bit.
 
-    The call's were recorded from the assembly that built the system one
-    node pair at a time, before it was built per line family as arrays.
-    The put's were recorded once the diagonal curve that seeds the slices
-    was read off its steps' continuous extensions, which moved its
-    coefficients by up to 6.6e-13 of max|C|.  Recorded with numpy 2.4 on x86-64; a libm
-    that rounds log or pow differently can move the last bits.
+    Both were recorded once the sparse LU took the unknowns in their
+    natural order instead of COLAMD's: that moved the put's coefficients
+    by up to 1.3e-14 of max|C| and the call's by up to 1.1e-14, and the
+    residuals in their last digits.  Recorded with numpy 2.4 and scipy 1.17
+    on x86-64; a libm that rounds log or pow differently, or another
+    SuperLU, can move the last bits.
     """
     call = ModelSpec(
         r=0.06,
@@ -200,11 +200,11 @@ def test_reflection_grids_match_recorded_bits():
     )
     recorded = (
         (PutSolution3D, _drawdown_put_spec(), 2945,
-         "134826692ddca99b3c405be528b08d1cd994fde38e6d4bd59b7540675f780629",
-         ("0x1.4917cf2550b89p-9", "0x1.b3ed46ccd5610p-5")),
+         "68369f89ef6f699ad05421413d3a13c02ed985838345486736e3549fbf898261",
+         ("0x1.4917cf2550c18p-9", "0x1.b3ed46ccd5644p-5")),
         (CallSolution3D, call, 61,
-         "ec2e2640856ed2405040d2b4e23e463db246f125b68f4b206669aa8e2f0a806a",
-         ("0x1.9ee203235c407p-9", "0x1.cead3c3d65743p-49")),
+         "3af7d94dd8be2c771cdce754d53ebaa05826c7f02d42b86d5145ac998f9b115f",
+         ("0x1.9ee203235bdcfp-9", "0x1.0664e8c53984fp-49")),
     )
     for cls, spec, n_active, digest, residuals in recorded:
         (grid,) = cls(spec, n_s=97, n_y=65).regions
@@ -214,6 +214,46 @@ def test_reflection_grids_match_recorded_bits():
             h.update(np.nan_to_num(c, nan=-1.0).tobytes())
         assert h.hexdigest() == digest
         assert tuple(float(r).hex() for r in pde_residuals(spec, grid)) == residuals
+
+
+@pytest.mark.parametrize("case", ["drawdown_put", "criterion_7"])
+def test_reflection_solve_is_accurate(case, monkeypatch):
+    """The direct solve's residual, and its distance from a COLAMD-ordered LU.
+
+    The solve factors in the natural order of the unknowns; COLAMD's
+    fill-reducing column order, scipy's default, is kept here as the
+    reference.  Both systems are the row-equilibrated ones handed to
+    spsolve: the 193x129 drawdown put's reflected component and the
+    criterion-7 band of the s-sloped call.  That band's C2 is exactly zero
+    (the model depends on s alone), and every column order leaves rounding
+    of about 1e-12 of max|C| on it: 2.5e-12 with COLAMD and 4.8e-12 in the
+    natural order, against the solution refined in extended precision.
+    There only C1 is held to the reference; the integral-oracle test
+    bounds that C2 noise.
+    """
+    from scipy.sparse.linalg import spsolve
+
+    from drawdown_options import reflection_pde
+
+    systems = []
+
+    def captured(mat, rhs, **kwargs):
+        sol = spsolve(mat, rhs, **kwargs)
+        systems.append((mat, rhs, sol))
+        return sol
+
+    monkeypatch.setattr(reflection_pde, "spsolve", captured)
+    if case == "drawdown_put":
+        (grid,) = PutSolution3D(_drawdown_put_spec()).regions
+    else:
+        grid = solve_reflection_region(*sloped_region())
+    ((mat, rhs, sol),) = systems
+    assert np.max(np.abs(mat @ sol - rhs)) <= 1e-13
+    ref = spsolve(mat, rhs, permc_spec="COLAMD")
+    scale = np.max(np.abs(ref))
+    held = (grid.C1, grid.C2) if case == "drawdown_put" else (grid.C1,)
+    for k, c in enumerate(held):
+        assert np.max(np.abs(c[grid.active] - ref[k::2])) <= 1e-12 * scale
 
 
 def _fill_inactive_by_node_loops(a, active):

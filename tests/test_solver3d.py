@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drawdown_options import (
     CallSolution2D,
@@ -18,7 +22,15 @@ from drawdown_options import (
     put_boundary_slice,
     put_value_3d,
 )
-from drawdown_options.solver3d import BoundarySurface, diagonal_put_curve
+from drawdown_options.coefficients import _ORIENT
+from drawdown_options.errors import ResolutionWarning
+from drawdown_options.solver3d import (
+    MAX_SWITCH_PAIRS,
+    BoundarySurface,
+    detect_regions_3d,
+    diagonal_put_curve,
+)
+from test_solver2d import _switch_points_loop, _switches_and_warnings
 
 
 def make_spec(kind, delta, sigma=("constant", (0.2,))):
@@ -151,6 +163,140 @@ def test_flat_put_slice_switch_and_cap():
     cap = surf.cap_curve
     ok = np.isfinite(cap)
     npt.assert_allclose(cap[ok], surf.s_grid[ok] - 2.0 / 3.0, atol=1e-9)
+
+
+def _regions_by_slice_loops(surface):
+    """Region detection as loops over the slices, the reference of the scan.
+
+    The switch points of each slice's valid nodes against both reference
+    lines, and once more per node of the moving axis across the slices for
+    the cap curve, come from the element loop that is the reference of
+    detect_switch_points, so that the reference shares no code with the scan.
+    """
+    o = _ORIENT[surface.kind]
+    s_grid, y_grid, v = surface.s_grid, surface.y_grid, surface.values
+    valid = np.isfinite(v) & (y_grid[None, :] < s_grid[:, None])
+    labels = np.full(v.shape, "", dtype="<U8")
+    ss = np.broadcast_to(s_grid[:, None], v.shape)
+    floor = ss - np.broadcast_to(y_grid[None, :], v.shape)
+    labels[valid & (v > ss)] = o.above
+    labels[valid & (v < floor)] = o.below
+    labels[valid & (v >= floor) & (v <= ss)] = "direct"
+
+    def capped(points, what):
+        if len(points) > 2 * MAX_SWITCH_PAIRS:
+            warnings.warn(
+                f"more than {MAX_SWITCH_PAIRS} switch pairs on {what}; keeping the "
+                f"first {2 * MAX_SWITCH_PAIRS}",
+                ResolutionWarning,
+            )
+            return points[: 2 * MAX_SWITCH_PAIRS]
+        return points
+
+    fixed, move = o.swap(s_grid, y_grid)
+    vf, okf = o.fixed_major(v), o.fixed_major(valid)
+    switches = []
+    for k, pos in enumerate(fixed):
+        ok = okf[k]
+        rec = {"reflect": [], "stop": []}
+        if ok.sum() >= 2:
+            t = move[ok]
+            s, y = o.swap(pos, t)
+            rec[o.above] = capped(
+                _switch_points_loop(t, vf[k, ok], np.broadcast_to(s, t.shape)),
+                f"slice {o.fixed}={pos:g} vs reachable-max line",
+            )
+            rec[o.below] = capped(
+                _switch_points_loop(t, vf[k, ok], s - y),
+                f"slice {o.fixed}={pos:g} vs floor line",
+            )
+        switches.append(rec)
+    leave = "enter" if o.above == "reflect" else "exit"
+    cap = np.full(move.size, np.nan)
+    for m in range(move.size):
+        ok = okf[:, m]
+        if ok.sum() >= 2:
+            s, y = o.swap(fixed[ok], move[m])
+            ref = s if o.above == "reflect" else s - y
+            pts = _switch_points_loop(fixed[ok], vf[ok, m], ref)
+            crossings = [p for p, d in pts if d == leave]
+            if crossings:
+                cap[m] = crossings[-1 if o.fixed == "s" else 0]
+    finite_cap = cap[np.isfinite(cap)]
+    if finite_cap.size >= 2:
+        d = np.diff(finite_cap)
+        if np.any(d > 0) and np.any(d < 0):
+            warnings.warn(
+                "region cap curve is not monotone; treat region ordering "
+                "with care or refine the lattice",
+                ResolutionWarning,
+            )
+    return labels, switches, cap
+
+
+def _random_surface(kind, n_s, n_y, seed, flagged, alternating):
+    """A lattice of barrier values built to exercise every path of the scan.
+
+    Each node sits above s, exactly on s, strictly between the two lines,
+    exactly on the floor s - y, below the floor, or is a NaN hole; some
+    slices are cut (NaN past a node, as a flagged slice leaves them) and
+    some alternate across both lines at every node, so that adjacent-cell
+    and MAX_SWITCH_PAIRS warnings occur.
+    """
+    rng = np.random.default_rng(seed)
+    s_grid = 0.05 + np.cumsum(rng.uniform(1e-3, 0.5, n_s))
+    y_grid = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 0.5, n_y - 1))])
+    ss, yy = np.meshgrid(s_grid, y_grid, indexing="ij")
+    floor = ss - yy
+    gap = rng.uniform(1e-3, 1.0, ss.shape)
+    where = rng.choice(6, size=ss.shape, p=rng.dirichlet(np.ones(6)))
+    o = _ORIENT[kind]
+    # the alternating slices, in the fixed-major view of where
+    wf = o.fixed_major(where)
+    for k in rng.choice(wf.shape[0], size=min(alternating, wf.shape[0]), replace=False):
+        wf[k] = np.where(np.arange(wf.shape[1]) % 2 == 0, 0, 4)
+        wf[k, rng.random(wf.shape[1]) < 0.1] = rng.choice([1, 3])
+    v = np.choose(
+        where,
+        [ss + gap, ss, floor + rng.random(ss.shape) * yy, floor, floor - gap,
+         np.full(ss.shape, np.nan)],
+    )
+    vf = o.fixed_major(v)
+    for k in rng.choice(vf.shape[0], size=min(flagged, vf.shape[0]), replace=False):
+        vf[k, rng.integers(0, vf.shape[1]):] = np.nan
+    return BoundarySurface(s_grid, y_grid, v, kind)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["call", "put"]),
+    n_s=st.integers(2, 40),
+    n_y=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    flagged=st.integers(0, 4),
+    alternating=st.integers(0, 2),
+)
+# lattices on which every warning occurs: adjacent cells, more than
+# MAX_SWITCH_PAIRS pairs on a slice, and a cap curve that is not monotone
+@example(kind="put", n_s=40, n_y=40, seed=4, flagged=2, alternating=2)
+@example(kind="call", n_s=40, n_y=40, seed=0, flagged=2, alternating=2)
+def test_region_scan_matches_the_slice_loops_bit_for_bit(
+    kind, n_s, n_y, seed, flagged, alternating
+):
+    surf = _random_surface(kind, n_s, n_y, seed, flagged, alternating)
+    want_out, want = _switches_and_warnings(_regions_by_slice_loops, surf)
+    labels, switches, cap = want_out
+    got_surf, got = _switches_and_warnings(detect_regions_3d, None, surf)
+    assert np.array_equal(got_surf.labels, labels)
+
+    def hexed(recs):
+        return [{k: [(p.hex(), d) for p, d in rec[k]] for k in rec} for rec in recs]
+
+    assert hexed(got_surf.slice_switches) == hexed(switches)
+    assert [c.hex() for c in got_surf.cap_curve.tolist()] == [
+        c.hex() for c in cap.tolist()
+    ]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +687,7 @@ def _solution_digests(sol):
           "labels": "c70ed7bddb33e2aeccd2bdf02fc89c60761df3a247a8e4be7b3eb58e200e16fc",
           "cap": "a76154acb3b2673dc2b832b8af92995004d20ae5c411d635757b4643b43a42f1",
           "switches": "7b7cc1d264ef1ed0ad63cb94c4857c311adbdaba270cc508d0aa35d3d5c4bf15",
-          "grids": "ccbccdac6d59f7db115848f265ead3817295d616f0d597b3cbb44913fd5dfbf0"}),
+          "grids": "f7a35c49be88a13709d2de2e01f5170fc907eb214232bb82b6c923e03f9e1125"}),
         ("call", ("s_only", (0.02, 0.02)),
          "0x1.37124faaf57eap+1",
          ((0, 0), "0x1.2e50afa5d142ep-2", "0x0.0p+0"),
@@ -550,7 +696,7 @@ def _solution_digests(sol):
           "labels": "619f3edd7d8787480cb557f2a6d6d55ed2f13d194cd59fe6cb7443259a2650fa",
           "cap": "ee986e885ea014b85874222ca57a58c98a74244dfb8fa6162d56f6f5cbbceebb",
           "switches": "5bf69097533e294a83bfd528678771a1690ef0fb235819d92f4d7a8878cca64b",
-          "grids": "4153658fdd21361ddd2150a1a7b76ec434fe8d05731d35cf1256108a34990412"}),
+          "grids": "5bd0d8014093e1065b255ebcafd2fd6bbc4bef60334625478dffb8389f2c90b2"}),
     ],
 )
 def test_vanishing_rhs_surfaces_match_recorded_bits(kind, delta, spot, c_spot, digests):
@@ -560,8 +706,11 @@ def test_vanishing_rhs_surfaces_match_recorded_bits(kind, delta, spot, c_spot, d
     step of the surface march moves a slice off its seed: the nodes carry
     the seeds' bits whatever steps the march takes.  Recorded from the
     march that landed a step on every lattice level; the march in lane
-    time must keep every bit.  Same caveat about the platform's libm as
-    the surface pins.
+    time must keep every bit.  The reflection grids were recorded again
+    once the sparse LU took the unknowns in their natural order, which
+    moved them by up to 6.9e-15 (put) and 1.4e-14 (call) of max|C|; the
+    spot coefficients kept their bits.  Same caveat about the platform's
+    libm as the surface pins.
     """
     cls = PutSolution3D if kind == "put" else CallSolution3D
     sol = cls(make_spec(kind, delta), n_s=65, n_y=49)
