@@ -218,16 +218,19 @@ def check_quadrant(s, y) -> None:
 
 
 def _root_pair(r, delta, sigma):
-    """(gamma1, gamma2, m, R, sigma^3): the roots and the pieces their slopes reuse."""
+    """(gamma1, gamma2, m, R, sigma^3): the roots and the pieces their slopes reuse.
+
+    With r > 0 the roots have opposite signs, so gamma1 is the larger one;
+    written with ufuncs alone, scalar inputs stay numpy scalars.
+    """
     sig2 = sigma * sigma
     m = 0.5 - (r - delta) / sig2
     root = np.sqrt(m * m + 2.0 * r / sig2)
     prod = -2.0 * r / sig2
-    big = np.where(m >= 0, m + root, m - root)
+    # m -+ R for m >= 0 and m < 0 (m is never -0.0)
+    big = m + np.copysign(root, m)
     other = prod / big
-    gamma1 = np.where(m >= 0, big, other)
-    gamma2 = np.where(m >= 0, other, big)
-    return gamma1, gamma2, m, root, sig2 * sigma
+    return np.maximum(big, other), np.minimum(big, other), m, root, sig2 * sigma
 
 
 def _root_slopes(r, delta, sigma, pair, d_delta, d_sigma):

@@ -1,37 +1,34 @@
-"""Dormand–Prince 5(4) steps and the one step-size rule of both marches.
+"""Dormand–Prince 5(4) steps and the step-size rule of the one lane march.
 
-Works elementwise on scalars or numpy arrays, for the two marches: one line
-on scalars (``solver2d._march_line``) and a surface's slices as lanes that
-share every step (``solver3d._march_surface``).
+Works elementwise on scalars or numpy arrays.  Every boundary ODE is
+integrated by ``solver2d._march_lanes``: one or many lanes, each in its own
+lane time tau in [0, 1], sharing every step.  A surface's slices are its
+lanes; the 2D put curve, a public boundary slice and a direct line's
+re-march are one lane each, kept on floats.
 
 :func:`checked_step` is one step of the embedded pair of Dormand & Prince
 (1980): it propagates the fifth-order state and reports the difference to
 the fourth-order one, relative to the state, as its error estimate
 (Hairer, Nørsett & Wanner, *Solving ODEs I*, §II.4).  :class:`StepSize`
-turns the estimates into step lengths.  A march asks it for the length of
-each try; a try whose worst estimate exceeds the tolerance
-(:data:`STEP_REL_TOL`) is retried shorter, down to a floor of 1/1024 of
-the extent the march measures: a surface's lane time, the node interval
-a line's step starts in.  Only a step that lands on a node it heads for
-may be shorter than that floor.  A step at the floor always stands: the
-lanes still above the tolerance there fail, which is the march's business
-(a surface flags the slice, a line raises ``StepError``), and leave the
-controller.
+turns the estimates into step lengths.  The march asks it for the length
+of each try; a try whose worst estimate exceeds the target is retried
+shorter, down to a floor of 1/1024 of lane time.  Only the step that
+lands on tau = 1 may be shorter than that floor.  A step at the floor
+always stands: the lanes still above the target there fail, with status
+``"step"``, and leave the controller.
 
-Both marches head for their far end, step where the controller says, and
-read the nodes a step passes from the step's continuous extension,
+The march heads for tau = 1, steps where the controller says, and reads
+every node from the continuous extension of the step that passes it,
 :func:`dense_output`: the fourth-order interpolant of Dormand & Prince's
 code DOPRI5 (Hairer, Nørsett & Wanner, §II.6; Shampine 1986), built from
 slopes the step has already evaluated, so it costs no right-hand-side
 call.  The extension's error runs about five times the step's estimate.
-A surface keeps the plain tolerance: its nodes stay within 1e-9 of the
-ODE's flow (6.1e-10 on the s-sloped 193 x 129 put) with about 67 steps,
-where landing a step on every lattice level took 210 and a tolerance of
-:data:`DENSE_TOL_SHARE` would take as many.  A line that reads nodes from
-the extension targets :data:`DENSE_TOL_SHARE` of the tolerance, since the
-2D put curve's nodes must follow the flow as closely as steps landed on
-every node did (within about 5e-13), which costs about 340 steps instead
-of 4096; a one-node line keeps the plain tolerance.
+A surface keeps the plain target :data:`STEP_REL_TOL`: its nodes stay
+within 1e-9 of the ODE's flow (6.7e-10 on the s-sloped 193 x 129 put)
+with about 69 steps.  The 2D put curve targets :data:`DENSE_TOL_SHARE` of
+it, since its nodes feed the 3D seeds and the maximum-only oracle and
+must follow the flow within about 1e-12: it marches down in log s in
+about 210 steps, against 4096 when a step landed on every node.
 
 The right-hand side is handed to :func:`checked_step` in two stages: the
 part that depends on the abscissa alone (roots, field values) and the part
@@ -77,13 +74,13 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
 # the per-step target for the relative estimate, read by each march as it
 # starts
 STEP_REL_TOL = 1e-10
-# a line that reads nodes from the continuous extension targets this share
-# of STEP_REL_TOL: the extension's error runs several times the step's
-# estimate, and its nodes must follow the ODE's flow about as closely as
-# steps landed on them would (a surface keeps the plain target)
+# the 2D put curve targets this share of STEP_REL_TOL: the continuous
+# extension's error runs several times the step's estimate, and the curve's
+# nodes must follow the ODE's flow within about 1e-12 (a surface, a slice
+# and a re-march keep the plain target)
 DENSE_TOL_SHARE = 1e-3
-# the shortest step, as a share of the extent a march measures; a node may
-# cut a step shorter
+# the shortest step, as a share of lane time; the step that lands on the
+# end of lane time may be shorter
 STEP_FLOOR = 1.0 / 1024.0
 # bounds on the factor between consecutive step lengths
 _SHRINK, _GROW = 0.2, 5.0
@@ -179,24 +176,19 @@ def dense_output(x, x_new, h, slopes, theta):
 
 
 class StepSize:
-    """The step-size rule of both marches, in lengths along the march.
+    """The step-size rule of the lane march, in lengths of lane time.
 
     tol is the per-step target for the relative estimate.  The floor is
-    1/1024 of the extent last given to :meth:`measure`.  The first try of
-    a march goes straight to the next node.
+    STEP_FLOOR.  The first try of a march goes straight to its end.
     """
 
     def __init__(self, tol):
         self.tol = tol
-        self.floor = 0.0
+        self.floor = STEP_FLOOR
         self._h = math.inf
 
-    def measure(self, extent):
-        """Put the floor at STEP_FLOOR times the extent the steps cover."""
-        self.floor = STEP_FLOOR * abs(float(extent))
-
     def length(self, rest):
-        """Length of the next try toward a node rest away; rest itself lands."""
+        """Length of the next try toward an end rest away; rest itself lands."""
         return min(max(self._h, self.floor), rest)
 
     def stands(self, a, worst):
@@ -215,7 +207,7 @@ class StepSize:
         """Take the next length from a standing step of length a.
 
         worst is the largest estimate over the lanes still under control.
-        A step cut short to land on a node says nothing against a longer
+        A step cut short to land on the end says nothing against a longer
         one, so landing never shortens the next try.
         """
         h = a * _factor(worst, self.tol)

@@ -272,10 +272,10 @@ class OdeStage:
     """The boundary ODE frozen at one abscissa, as a function of the level.
 
     ref is the coordinate at which the reflecting condition acts (s for the
-    put, s - y for the call).  :meth:`terms` gives the right-hand side and
-    its shared denominator at a level.  The two bracket terms degenerate as
-    ref approaches the level, so each switches to a quadratic expansion
-    once |log(ref / level)| drops below 1e-6.
+    put, s - y for the call).  Calling it gives the right-hand side at a
+    level; its shared denominator is a * level - b.  The two bracket terms
+    degenerate as ref approaches the level, so each switches to a quadratic
+    expansion once |log(ref / level)| drops below 1e-6.
 
     Construction computes everything that does not depend on the level (the
     factors of the denominator and numerators, the reciprocals inside the
@@ -287,8 +287,7 @@ class OdeStage:
                  "inv12", "inv21", "dg1", "dg2", "ref")
 
     def __init__(self, g1, g2, dg1, dg2, ref, strike):
-        self.a = (g1 - 1.0) * (g2 - 1.0)
-        self.b = g1 * g2 * strike
+        self.a, self.b = _den_factors(g1, g2, strike)
         self.c1, self.c2 = g1 - 1.0, g2 - 1.0
         self.e1, self.e2 = g1 * strike, g2 * strike
         self.d21, self.d12 = g2 - g1, g1 - g2
@@ -296,11 +295,8 @@ class OdeStage:
         self.dg1, self.dg2 = dg1, dg2
         self.ref = ref
 
-    def den(self, level):
-        return self.a * level - self.b
-
-    def terms(self, level):
-        den = self.den(level)
+    def __call__(self, level):
+        den = self.a * level - self.b
         u = np.log(self.ref / level)
         n1 = (self.c2 * level - self.e2) * level
         n2 = (self.c1 * level - self.e1) * level
@@ -308,10 +304,12 @@ class OdeStage:
         small = small if small.any() else None
         b1 = _bracket(self.d21, self.inv21, u, small)
         b2 = _bracket(self.d12, self.inv12, u, small)
-        return (n1 / den) * b1 * self.dg1 + (n2 / den) * b2 * self.dg2, den
+        return (n1 / den) * b1 * self.dg1 + (n2 / den) * b2 * self.dg2
 
-    def __call__(self, level):
-        return self.terms(level)[0]
+
+def _den_factors(g1, g2, strike):
+    """(a, b) of the boundary ODE's shared denominator a * level - b."""
+    return (g1 - 1.0) * (g2 - 1.0), g1 * g2 * strike
 
 
 def _bracket(delta, inv, u, small):
@@ -347,129 +345,125 @@ def _scalar_bracket(delta, u):
     return 1.0 / delta + u / (-float(np.expm1(w)))
 
 
-def _march_line(stage, t0, g0, nodes, scale, check=None):
-    """Controlled march of one boundary line from (t0, g0) through nodes.
+def _march_lanes(stage, g, tau, lane, den, band, tol, scale):
+    """The one march: lanes advanced together through lane time [0, 1].
 
-    stage(t) freezes the boundary ODE at abscissa t as a function of the
-    level that gives (rhs, den).  Steps follow :class:`odestep.StepSize`
-    and head for the last node, which is landed on exactly; the
-    controller, not the nodes, sets their length, and the floor is
-    measured on the node interval a step starts in.  A node a step passes
-    takes its level from the step's continuous extension
-    (:func:`odestep.dense_output`), which gives a node on the step's end
-    the step's own level.  The per-step target is odestep.STEP_REL_TOL,
-    times odestep.DENSE_TOL_SHARE when any node comes from the extension;
-    a march to one node (a query's re-march) keeps the plain target.
+    Every boundary ODE runs on it: a surface's slices as lanes, and the 2D
+    put curve, a public slice or a direct line's re-march as one lane.
+    stage(t) freezes the lanes' slopes in lane time at t as a function of
+    their levels; g holds the seeds, a float for a single lane, which keeps
+    its state and stage on floats.  tau and lane list every (lane, node)
+    pair the march reaches, in ascending tau; den = (a, b) gives each
+    node's denominator a * level - b, band = (lo, hi) the open interval its
+    level must lie in (each an array over the nodes, or one value for
+    all).  A node at tau = 0 takes its lane's seed.
 
-    A flip of den's first sign, or |den| <= 1e-12 scale, raises
-    SingularDenominator; a step at the floor whose estimate still exceeds
-    the target raises StepError; check(ts, levels), when given, sees the
-    nodes each step fills as arrays and may raise.  A non-finite level or
-    estimate at the floor (a stage gives NaN outside its band) ends the
-    march, leaving NaN from the next node on; check sees that node's NaN.
-    Returns the node levels and the worst estimate of the steps taken.
+    The steps take the lengths one :class:`odestep.StepSize` gives from
+    the worst lane still under control, at the target tol, with the floor
+    at 1/1024 of lane time; every lane shares every step, and so every
+    right-hand-side call.  A node a step passes takes its level from the
+    step's continuous extension (:func:`odestep.dense_output`).  The
+    denominator guard and the band check run on the nodes each step fills;
+    the denominator's sign is taken at a lane's first node.
+
+    Nothing is raised.  Returns the node levels, NaN from where a lane was
+    cut; per lane its status ``(kind, node)``: ``("ok", -1)``, or
+    ``"singular"`` (the denominator changed sign or fell within 1e-12
+    scale) or ``"constraint"`` (the level left its band) at the first node
+    that fails, or ``"step"`` (the estimate still missed tol at the floor)
+    at the first node that step would have filled; and the worst estimate
+    of the steps taken.
     """
+    one = np.ndim(g) == 0
+    n = 1 if one else g.size
+
+    def at(v, ln):
+        return v if one else v[ln]
+
+    levels = np.full(tau.size, np.nan)
+    status = [("ok", -1)] * n
+    a, b, lo, hi = (v if np.ndim(v) else np.full(tau.size, v) for v in (*den, *band))
+    # a lane's first node is its first in tau order
+    first = np.zeros(tau.size, dtype=bool)
+    first[0 if one else np.unique(lane, return_index=True)[1]] = True
+    held = np.ones(n, dtype=bool)
+    den_sign = np.zeros(n)
     floor = 1e-12 * scale
-    den_sign = 0.0
 
-    def guarded(t):
-        terms = stage(t)
+    def fill(p, q, level_of):
+        """Write the nodes p:q of the lanes still held, after their checks."""
+        ln, fst = lane[p:q], first[p:q]
+        lev = level_of(ln, slice(p, q))
+        d = a[p:q] * lev - b[p:q]
+        den_sign[ln[fst]] = np.sign(d[fst])
+        # past its first node a lane's denominator keeps that sign and size
+        bad_den = ~(fst | (d * den_sign[ln] >= floor))
+        live = held[ln]
+        bad = live & (bad_den | ~((lev > lo[p:q]) & (lev < hi[p:q])))
+        if bad.any():
+            c = np.flatnonzero(bad)
+            cut_lanes, k = np.unique(ln[c], return_index=True)
+            for j, ck in zip(cut_lanes, c[k]):
+                status[j] = ("singular" if bad_den[ck] else "constraint", p + int(ck))
+            held[cut_lanes] = False
+            cut = np.full(n, q - p)
+            cut[cut_lanes] = c[k]
+            live &= np.arange(q - p) < cut[ln]
+        levels[p:q][live] = lev[live]
 
-        def f(g):
-            nonlocal den_sign
-            rhs, den = terms(g)
-            den = float(den)
-            if den_sign == 0.0:
-                den_sign = 1.0 if den > 0.0 else -1.0
-            if den * den_sign <= floor:
-                raise SingularDenominator(
-                    f"boundary ODE denominator vanished or changed sign near "
-                    f"{float(t):g} (value {den:g})"
-                )
-            return rhs
-
-        return f
-
-    # consecutive steps share their end and start abscissae
-    line_stage = ReuseStages(guarded)
-    nodes = np.asarray(nodes, dtype=float)
-    vals = np.full(nodes.size, np.nan)
-    t, g, worst = float(t0), float(g0), 0.0
-    # k counts the nodes filled; a node on the start takes the start level
-    k = int(nodes.size > 0 and nodes[0] == t)
-    if k:
-        if check is not None:
-            check(nodes[:1], np.array([g]))
-        vals[0] = g
-    if k == nodes.size:
-        return vals, worst
-    t_end = float(nodes[-1])
-    ahead = math.copysign(1.0, t_end - t)
-    # the nodes in the order the march reaches them, ascending
-    reach = ahead * nodes
-    # every node short of the last comes from the extension
-    tol = odestep.STEP_REL_TOL
-    if nodes.size - k > 1:
-        tol *= odestep.DENSE_TOL_SHARE
-    size = StepSize(tol)
-    measured = -1
-    while k < nodes.size:
-        if k != measured:
-            # the floor is measured on the node interval the step starts in
-            size.measure(nodes[k] - (nodes[k - 1] if k else t0))
-            measured = k
-        rest = abs(t_end - t)
-        a = size.length(rest)
-        t_next = t_end if a == rest else t + ahead * a
-        h = t_next - t
-        g_new, rel, slopes = checked_step(line_stage, t, g, h, scale_floor=floor)
-        g_new, rel = float(g_new), float(rel)
-        if not size.stands(a, rel):
-            continue
-        if not (math.isfinite(g_new) and math.isfinite(rel)):
-            if check is not None:
-                check(nodes[k:k + 1], np.array([math.nan]))
-            break
-        if rel > size.tol:
-            raise StepError(
-                f"step from {t:g} failed its error check at the shortest "
-                f"step (relative estimate {rel:.3e})"
-            )
-        worst = max(worst, rel)
-        landed = a == rest
-        size.after(a, landed, rel)
-        if landed:
-            j = nodes.size
-        else:
-            j = int(np.searchsorted(reach, ahead * t_next, side="right"))
-        if j > k:
-            passed = nodes[k:j]
-            if passed[0] == t_next:
-                # the one node reached is the step's end
-                levels = np.array([g_new])
-            else:
-                levels = dense_output(g, g_new, h, slopes, (passed - t) / h)
-            if check is not None:
-                check(passed, levels)
-            vals[k:j] = levels
-            k = j
-        t, g = t_next, g_new
-    return vals, worst
+    # lanes past a breach carry NaN and inf on purpose
+    with np.errstate(invalid="ignore", over="ignore"):
+        p = int(np.searchsorted(tau, 0.0, side="right"))
+        if p:
+            fill(0, p, lambda ln, nodes: np.full(ln.size, g) if one else g[ln])
+        lane_stage = ReuseStages(stage)
+        size = StepSize(tol)
+        t, worst = 0.0, 0.0
+        while t < 1.0 and held.any():
+            rest = 1.0 - t
+            try_len = size.length(rest)
+            landed = try_len == rest
+            t_next = 1.0 if landed else t + try_len
+            h = t_next - t
+            g_new, rel, slopes = checked_step(lane_stage, t, g, h, scale_floor=floor)
+            if not one:
+                rel = np.where(held, rel, 0.0)
+            top = float(rel if one else np.max(rel))
+            if not size.stands(try_len, top):
+                continue
+            if not top <= size.tol:
+                failed = held & ~(rel <= size.tol)
+                # cut at the first node the step would have filled
+                later = np.flatnonzero(failed[lane[p:]]) + p
+                cut_lanes, k = np.unique(lane[later], return_index=True)
+                for j, c in zip(cut_lanes, later[k]):
+                    status[j] = ("step", int(c))
+                held &= ~failed
+                top = 0.0 if one else float(np.max(rel, where=held, initial=0.0))
+            worst = max(worst, top)
+            size.after(try_len, landed, top)
+            q = int(np.searchsorted(tau, t_next, side="right"))
+            if q > p:
+                fill(p, q, lambda ln, nodes: dense_output(
+                    at(g, ln), at(g_new, ln), h, [at(k, ln) for k in slopes],
+                    (tau[nodes] - t) / h,
+                ))
+            p, g, t = q, g_new, t_next
+    return levels, status, worst
 
 
 def _scalar_put_stage(spec: ModelSpec, s):
     """Scalar twin of the put's OdeStage at y = 0, in float arithmetic.
 
-    The descending march evaluates the right-hand side on scalars, where
-    ndarray dispatch is overhead; formulas are identical to the array path,
-    and a test pins the two curves bit for bit.  log and expm1 are numpy's,
-    as on the array path: the math module's differ from them in the last
-    bit on some inputs, and the step controller turns such a bit into a
-    different step.  It stays for speed: the default put curve takes about
-    0.03 s on it against 0.11 s on an :class:`OdeStage` from
-    ``roots_arrays`` (2-CPU x86-64, numpy 2.4).  The roots at s are
-    computed here once; the returned function of the level g gives (rhs,
-    den).
+    The 2D put curve's stage: its one lane runs on floats, where ndarray
+    dispatch is overhead; formulas are identical to the array path, and a
+    test pins the curves the two give bit for bit.  log and expm1 are
+    numpy's, as on the array path: the math module's differ from them in
+    the last bit on some inputs, and the step controller turns such a bit
+    into a different step.  It stays for speed: the default put curve
+    takes about 28 ms on it against 81 ms on an :class:`OdeStage` from
+    ``roots_arrays`` (CPU time, 2-CPU x86-64, numpy 2.4).  The roots at s are computed here once; the
+    returned function of the level g gives (rhs, den).
     """
     delta, dd_ds = _scalar_field_s(spec.delta_field, s)
     sigma, dsg_ds = _scalar_field_s(spec.sigma_field, s)
@@ -513,10 +507,9 @@ def default_put_grid(spec: ModelSpec, n=DEFAULT_N_STEPS + 1):
 
     Linear spacing down to a knee, then geometric: the boundary picks up a
     log(s) factor near s = 0, so the geometric tail keeps log s moving
-    evenly between the nodes the curve's spline is built on.  The nodes do
-    not set the march's steps; they set where the steps' extensions are
-    read, and the step floor, which is measured on the node interval a
-    step starts in.
+    evenly between the nodes the curve's spline is built on.  The nodes
+    set neither the march's steps nor its floor, only where the steps'
+    extensions are read.
     """
     L = spec.strike
     knee = 0.05 * L
@@ -534,13 +527,15 @@ def put_boundary_2d(
 
     s_grid may be given in either orientation; integration always proceeds
     from the largest point, seeded with the asymptote there, minus any
-    shoot_offset.  The controller picks the steps (about 340 on the default
-    4097-node grid); the nodes between step ends are read from the steps'
-    continuous extensions (see :func:`_march_line`).  The curve must stay
-    strictly inside (0, min(L, rL/delta)) at every node; leaving that band
-    raises ConstraintBreach.  A sign change or collapse of the shared
-    denominator raises SingularDenominator, and a step at the shortest
-    allowed length whose estimate exceeds the line's target raises
+    shoot_offset.  The curve is the put lane at y = 0: one lane of
+    :func:`_march_lanes` on :func:`_scalar_put_stage`, running down in
+    log s at ``STEP_REL_TOL * DENSE_TOL_SHARE``.  The controller picks the
+    steps (about 210 on the default 4097-node grid); every node is read
+    from the continuous extension of the step that passes it.  The curve
+    must stay strictly inside (0, min(L, rL/delta)) at every node; leaving
+    that band raises ConstraintBreach.  A sign change or collapse of the
+    shared denominator at a node raises SingularDenominator, and a step at
+    the shortest allowed length whose estimate exceeds the target raises
     StepError.
     """
     _require_s_only(spec)
@@ -559,22 +554,29 @@ def put_boundary_2d(
     if s_desc[-1] <= 0:
         raise DomainError("the boundary grid must stay strictly positive")
 
-    def check(s, g):
-        _, cap = _PUT.band(spec, s, 0.0)
-        out = ~((0.0 < g) & (g < cap))
-        if out.any():
-            i = int(np.argmax(out))
-            raise ConstraintBreach(
-                f"put boundary {g[i]:g} left (0, {cap[i]:g}) at s={s[i]:g}"
-            )
-
     g0 = float(put_asymptote(spec, s_desc[0])) - float(shoot_offset)
-    check(s_desc[:1], np.array([g0]))
-    vals, worst = _march_line(
-        lambda s: _scalar_put_stage(spec, s),
-        s_desc[0], g0, s_desc[1:], L, check,
+    # lane time runs linearly in log s, from the first node to the last
+    u = np.log(s_desc)
+    u0, du = float(u[0]), float(u[-1] - u[0])
+
+    def stage(t):
+        s = math.exp(u0 + t * du)
+        terms, rate = _scalar_put_stage(spec, s), du * s
+        return lambda g: rate * terms(g)[0]
+
+    g1, g2, _, _ = _beta(spec, s_desc)
+    vals, ((kind, c),), worst = _march_lanes(
+        stage, g0, (u - u0) / du, np.zeros(s_desc.size, dtype=int),
+        _den_factors(g1, g2, L), _PUT.band(spec, s_desc, 0.0),
+        odestep.STEP_REL_TOL * odestep.DENSE_TOL_SHARE, L,
     )
-    vals = np.concatenate([[g0], vals])
+    if kind != "ok":
+        error, what = {
+            "constraint": (ConstraintBreach, "left (0, min(L, rL/delta))"),
+            "singular": (SingularDenominator, "denominator vanished or changed sign"),
+            "step": (StepError, "failed its error check at the shortest step"),
+        }[kind]
+        raise error(f"put boundary {what} at s={s_desc[c]:g}")
 
     grid_asc = s_desc[::-1]
     vals_asc = vals[::-1]

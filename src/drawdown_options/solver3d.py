@@ -47,14 +47,11 @@ from .coefficients import (
     check_quadrant,
     roots_arrays,
 )
-from .errors import (
-    DomainError,
-    ResolutionWarning,
-    SingularDenominator,
-    StepError,
-    UnderdeterminedRegion,
-)
-from .odestep import ReuseStages, StepSize, checked_step, dense_output
+from .errors import DomainError, ResolutionWarning, UnderdeterminedRegion
+
+# perfbench/tracer.py wraps checked_step in every solver module; the march
+# here steps through solver2d's name
+from .odestep import checked_step  # noqa: F401
 from .reflection_pde import (
     ColumnClosure,
     RegionSpec,
@@ -69,7 +66,8 @@ from .solver2d import (
     PutSolution2D,
     _adjacent_messages,
     _cell_crossing,
-    _march_line,
+    _den_factors,
+    _march_lanes,
     _sign_changes,
 )
 
@@ -210,36 +208,57 @@ class BoundarySurface:
         return (1.0 - ty) * v0 + ty * v1
 
 
+def _lane_u(o, t):
+    """Lane coordinate at t along a slice: y for a call, log s for a put.
+
+    The put slope carries a log s factor where the y = 0 slice starts next
+    to s = 0; log s also keeps a slice with y > 0 on a scale its level
+    changes on.
+    """
+    return np.log(t) if o.fixed == "y" else t
+
+
+def _lane_stage(o, spec, fixed, u0, du):
+    """Slice slopes in lane time tau, with u = u0 + tau du the lane coordinate.
+
+    fixed, u0 and du are per lane, arrays or floats alike.
+    """
+    log_lane = o.fixed == "y"
+
+    def stage(tau):
+        u = u0 + tau * du
+        if log_lane:
+            t = np.exp(u)
+            rate = du * t
+        else:
+            t, rate = u, du
+        ode = _stage(o, spec, *o.swap(fixed, t))
+        return lambda level: rate * ode(level)
+
+    return stage
+
+
 def _march_surface(spec, o, fixed_grid, move_grid, starts, seeds, entry_index):
     """Advance all slices of orientation o through move_grid together, in lane time.
 
     starts and seeds give each slice its own entry coordinate and value;
     entry_index[i] is the first move_grid node the slice reaches.  The
     caller has already checked that every lattice point the march visits
-    lies in the quadrant.  Slices whose denominator changes sign, whose step
-    check fails at the shortest step, or whose state leaves the allowed band
-    are flagged at the first node they miss and carry NaN from there on.
+    lies in the quadrant.  A slice whose seed lies outside the band is
+    flagged ``"constraint"`` at its start; the others are the lanes of one
+    :func:`solver2d._march_lanes`, and a lane it cuts is flagged with its
+    kind at the first node it misses and carries NaN from there on.
 
-    Each slice is a lane with its own lane time tau in [0, 1], linear in a
-    lane coordinate u from the slice's start (tau = 0) to the far end of
-    move_grid (tau = 1): u is y for a call; for a put it is log(s - y),
-    since the put slope carries a log s factor where the y = 0 slice starts
-    next to s = 0.  Every lane is present from tau = 0, so the group never
-    changes: all lanes share every step, and so every right-hand-side
-    evaluation.  The steps take the lengths one :class:`odestep.StepSize`
-    gives from the worst lane still under control, at the plain
-    ``odestep.STEP_REL_TOL``, with the floor at 1/1024 of lane time.  A lane
-    reads each of its lattice nodes, at its own tau, from the continuous
-    extension of the step that passes it (:func:`odestep.dense_output`); a
-    node on a lane's start takes the seed.  The denominator guard and the
-    band check run on the nodes each step fills, as arrays at the nodes'
-    lattice coordinates; the denominator's sign is taken at a lane's first
-    node.
+    Each slice is a lane with its own lane time tau in [0, 1], linear in
+    its lane coordinate (:func:`_lane_u`) from the slice's start (tau = 0)
+    to the far end of move_grid (tau = 1).  Every lane is present from
+    tau = 0, so all lanes share every step at the plain
+    ``odestep.STEP_REL_TOL``.  The denominator guard and the band check run
+    at the nodes' lattice coordinates.
     """
     n_fix = fixed_grid.size
     values = np.full((n_fix, move_grid.size), np.nan)
     status = [("ok", np.nan)] * n_fix
-    scale = spec.strike
     forward = o.direction > 0
     end = move_grid[-1] if forward else move_grid[0]
 
@@ -249,107 +268,29 @@ def _march_surface(spec, o, fixed_grid, move_grid, starts, seeds, entry_index):
     for i in entering[~cx]:
         status[i] = ("constraint", float(starts[i]))
     lanes = entering[cx]
-    n = lanes.size
     fx, entry = fixed_grid[lanes], entry_index[lanes]
-    log_lane = o.fixed == "y"
-
-    def lane_u(t, fixed):
-        return np.log(t - fixed) if log_lane else t
-
-    u0 = lane_u(starts[lanes], fx)
-    du = lane_u(end, fx) - u0
+    u0 = _lane_u(o, starts[lanes])
+    du = _lane_u(o, end) - u0
 
     # every (lane, node) pair the march reaches, in the order of its tau
     m = np.arange(move_grid.size)
     li, ki = np.nonzero(m >= entry[:, None] if forward else m <= entry[:, None])
-    node_tau = (lane_u(move_grid[ki], fx[li]) - u0[li]) / du[li]
+    node_tau = (_lane_u(o, move_grid[ki]) - u0[li]) / du[li]
     order = np.argsort(node_tau, kind="stable")
     li, ki, node_tau = li[order], ki[order], node_tau[order]
-    is_first = ki == entry[li]
     node_s, node_y = o.swap(fx[li], move_grid[ki])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        node_ode = _stage(o, spec, node_s, node_y)
-    node_lo, node_hi = (
-        np.broadcast_to(b, node_tau.shape) for b in o.band(spec, node_s, node_y)
+        g1, g2, _, _ = _roots_along(spec, node_s, node_y, o.moving)
+
+    levels, cuts, _ = _march_lanes(
+        _lane_stage(o, spec, fx, u0, du), seeds[lanes], node_tau, li,
+        _den_factors(g1, g2, spec.strike), o.band(spec, node_s, node_y),
+        odestep.STEP_REL_TOL, spec.strike,
     )
-
-    held = np.ones(n, dtype=bool)
-    den_sign = np.zeros(n)
-
-    def fill(p, q, level_of):
-        """Write the nodes p:q of the lanes still held, after their checks."""
-        idx = np.arange(p, q)
-        idx = idx[held[li[idx]]]
-        lane = li[idx]
-        with np.errstate(invalid="ignore", over="ignore"):
-            lev = level_of(lane, idx)
-            den = node_ode.a[idx] * lev - node_ode.b[idx]
-        sign = np.sign(den)
-        first = is_first[idx]
-        den_sign[lane[first]] = sign[first]
-        bad_den = ~first & (
-            (sign != den_sign[lane]) | (np.abs(den) < 1e-12 * scale)
-        )
-        bad = bad_den | ~((lev > node_lo[idx]) & (lev < node_hi[idx]))
-        if bad.any():
-            b = np.flatnonzero(bad)
-            cut_lanes, at = np.unique(lane[b], return_index=True)
-            cut = np.full(n, idx.size)
-            cut[cut_lanes] = b[at]
-            for j, c in zip(cut_lanes, b[at]):
-                kind = "singular" if bad_den[c] else "constraint"
-                status[lanes[j]] = (kind, float(move_grid[ki[idx[c]]]))
-            held[cut_lanes] = False
-            keep = np.arange(idx.size) < cut[lane]
-            idx, lane, lev = idx[keep], lane[keep], lev[keep]
-        values[lanes[lane], ki[idx]] = lev
-
-    g = seeds[lanes]
-    # a node on a lane's start takes the seed
-    p = int(np.searchsorted(node_tau, 0.0, side="right"))
-    fill(0, p, lambda lane, idx: g[lane])
-
-    def stage(tau):
-        u = u0 + tau * du
-        if log_lane:
-            e = np.exp(u)
-            t, rate = fx + e, du * e
-        else:
-            t, rate = u, du
-        ode = _stage(o, spec, *o.swap(fx, t))
-        return lambda level: rate * ode(level)
-
-    lane_stage = ReuseStages(stage)
-    size = StepSize(odestep.STEP_REL_TOL)
-    size.measure(1.0)
-    tau = 0.0
-    while tau < 1.0 and held.any():
-        rest = 1.0 - tau
-        a = size.length(rest)
-        landed = a == rest
-        tau_next = 1.0 if landed else tau + a
-        h = tau_next - tau
-        g_new, rel, slopes = checked_step(
-            lane_stage, tau, g, h, scale_floor=1e-12 * scale
-        )
-        rel = np.where(held, rel, 0.0)
-        if not size.stands(a, float(np.max(rel))):
-            continue
-        failed = held & ~(rel <= size.tol)
-        if failed.any():
-            # flagged at the first node the step would have filled
-            later = np.flatnonzero(failed[li[p:]]) + p
-            cut_lanes, at = np.unique(li[later], return_index=True)
-            for j, c in zip(cut_lanes, later[at]):
-                status[lanes[j]] = ("step", float(move_grid[ki[c]]))
-            held &= ~failed
-        size.after(a, landed, float(np.max(rel, where=held, initial=0.0)))
-        q = int(np.searchsorted(node_tau, tau_next, side="right"))
-        fill(p, q, lambda lane, idx: dense_output(
-            g[lane], g_new[lane], h, [k[lane] for k in slopes],
-            (node_tau[idx] - tau) / h,
-        ))
-        p, g, tau = q, g_new, tau_next
+    values[lanes[li], ki] = levels
+    for j, (kind, c) in enumerate(cuts):
+        if kind != "ok":
+            status[lanes[j]] = (kind, float(move_grid[ki[c]]))
     return values, status
 
 
@@ -425,7 +366,12 @@ def diagonal_put_curve(spec: ModelSpec):
 def _boundary_slice(o, spec, fixed, nodes):
     """Barrier on one slice, marched from next to the diagonal through nodes.
 
-    A level outside the band gives NaN, so the nodes from a breach on are NaN.
+    One lane of :func:`solver2d._march_lanes`, on floats, in the lane
+    coordinate of a surface's slices (:func:`_lane_u`) from the start
+    (tau = 0, checked with the seed) to the last node (tau = 1), at the
+    plain ``odestep.STEP_REL_TOL``.  Serves the public slices and every
+    direct-line re-march.  From the first node the lane misses on, the
+    nodes are NaN, whatever the failure.
     """
     fixed = float(fixed)
     nodes = np.asarray(nodes, dtype=float)
@@ -439,29 +385,33 @@ def _boundary_slice(o, spec, fixed, nodes):
             f"{o.moving}_grid must move strictly away from the diagonal, "
             f"from {o.moving}={start:g} on"
         )
+    if not nodes.size:
+        return nodes
     seed = float(_diagonal_seeds(o, spec, fixed, start))
     check_quadrant(*o.swap(fixed, nodes))
-
-    def stage(t):
-        s, y = o.swap(fixed, t)
-        ode = _stage(o, spec, s, y)
-        lo, hi = o.band(spec, s, y)
-
-        def terms(level):
-            d, den = ode.terms(level)
-            return (d if lo < level < hi else np.nan), den
-
-        return terms
-
-    return _march_line(stage, start, seed, nodes, spec.strike)[0]
+    lo, hi = o.band(spec, *o.swap(fixed, start))
+    if not lo < seed < hi:
+        return np.full(nodes.size, np.nan)
+    u0 = _lane_u(o, start)
+    u = _lane_u(o, nodes)
+    du = u[-1] - u0
+    # a query's re-march has one node, whose checks run on floats
+    s, y = o.swap(fixed, nodes if nodes.size > 1 else nodes[0])
+    g1, g2, _, _ = _roots_along(spec, s, y, o.moving)
+    return _march_lanes(
+        _lane_stage(o, spec, fixed, u0, du), seed, (u - u0) / du,
+        np.zeros(nodes.size, dtype=int), _den_factors(g1, g2, spec.strike),
+        o.band(spec, s, y), odestep.STEP_REL_TOL, spec.strike,
+    )[0]
 
 
 def call_boundary_slice(spec: ModelSpec, s, y_grid):
     """Call barrier on the fixed-s slice at the given descending y nodes.
 
     Seeded at y = s - eps from the reachable-maximum form and integrated
-    downward in y.  Nodes past a constraint breach (barrier at or below the
-    reachable-maximum floor) are returned as NaN.
+    downward in y.  The nodes from the first one the march misses are NaN,
+    whatever the failure: a constraint breach (barrier at or below the
+    reachable-maximum floor), a vanishing denominator or a failed step.
     """
     if float(s) <= EDGE_FRACTION * spec.strike:
         raise DomainError(f"slice level s={float(s)} must exceed the edge offset")
@@ -472,8 +422,10 @@ def put_boundary_slice(spec: ModelSpec, y, s_grid):
     """Put barrier on the fixed-y slice at the given ascending s nodes.
 
     Seeded at s = y + eps from the diagonal-restricted maximum-only curve and
-    integrated upward in s.  Nodes past a constraint breach (barrier leaving
-    (0, min(strike, r strike / delta))) are returned as NaN.
+    integrated upward in s.  The nodes from the first one the march misses
+    are NaN, whatever the failure: a constraint breach (barrier leaving
+    (0, min(strike, r strike / delta))), a vanishing denominator or a
+    failed step.
     """
     return _boundary_slice(_PUT, spec, y, s_grid)
 
@@ -819,15 +771,16 @@ class _Solution3D:
 
         A line whose interpolated level lies inside it (the branch whose value
         is pinned to the level) is re-marched from its diagonal seed to the
-        query point, for integration rather than interpolation accuracy.
-        Other lines, and lines the march cannot reach, take the interpolated
-        level; each query that falls back so adds one to remarch_fallbacks.
+        query point, as a one-lane march of any length, for integration
+        rather than interpolation accuracy.  Other lines take the
+        interpolated level, and so does a line whose re-march is cut (NaN)
+        or cannot start (DomainError); each query that falls back so adds
+        one to remarch_fallbacks.
         """
         spec, o = self.spec, self._o
         eps = EDGE_FRACTION * spec.strike
         cheap = float(self.surface.level_smooth(s, y))
-        inside = 0.0 <= y < s and s - y <= cheap <= s
-        if not (inside and s - y - eps <= 8.0 * spec.strike):
+        if not (0.0 <= y < s and s - y <= cheap <= s):
             return cheap
         fixed, t = o.swap(s, y)
         start = fixed + o.direction * eps
@@ -836,7 +789,7 @@ class _Solution3D:
                 out = float(_boundary_slice(o, spec, fixed, [t])[-1])
             else:
                 out = float(_diagonal_seeds(o, spec, fixed, start))
-        except (StepError, SingularDenominator, DomainError):
+        except DomainError:
             out = np.nan
         if not np.isfinite(out):
             self.remarch_fallbacks += 1

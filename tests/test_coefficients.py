@@ -152,8 +152,8 @@ def test_scalar_roots_equal_the_one_array_call_bit_for_bit(seed):
     # the fields square by multiplying, which rounds the same on numpy
     # scalars, Python floats and arrays; a scalar pow rounds differently on
     # about one input in a thousand (the first two points are such inputs,
-    # for the s- and the y-partials), which the line march (scalars) and
-    # the lane march (arrays) would then see as different roots
+    # for the s- and the y-partials), which a one-lane march (scalars) and
+    # a surface's lanes (arrays) would then see as different roots
     from drawdown_options.coefficients import _roots_along
 
     spec = make_spec(

@@ -169,17 +169,19 @@ def test_surface_rule_simulation_matches_recorded_bits():
     which the start (1, 1, 0) reads and which the lattice lookup had filled
     from the next row before: the mean fell from 0.0351 to 0.0212, the
     horizon cash-outs rose from 296 to 421 and the mean stop time from 14.5
-    to 20.5.  Recorded with numpy 2.4 on x86-64.
+    to 20.5.  Re-recorded when the seeds' diagonal curve and the put lanes
+    moved to log s (same path counts, the mean 4.3e-12 and the mean stop
+    time 2.7e-12 lower).  Recorded with numpy 2.4 on x86-64.
     """
     spec, rule = _pin_surface_rule()
     cfg = SimConfig(n_paths=500, dt=0.02, horizon=24.0, seed=2026, block_size=128)
     res = simulate_stopped_payoff(spec, StateTriple(1.0, 1.0, 0.0), rule, cfg)
     assert res == SimResult(
-        mean=0.021163205869250044,
-        stderr=0.002371253419115381,
+        mean=0.021163205864949405,
+        stderr=0.002371253418637288,
         n_paths=500,
         n_horizon=421,
-        mean_stop_time=20.494519351741115,
+        mean_stop_time=20.49451935173839,
     )
 
 
@@ -305,14 +307,16 @@ def test_audit_drawdown_put_matches_recorded_bits(drawdown_put):
     # curve that seeds the slices was read off its steps' continuous
     # extensions: the smooth-fit gap moved by 5.6e-13 and the residual, a
     # central second difference at rounding level, from 7.7e-10 to 2.7e-9;
-    # with the line's exact x-derivatives the residual is 8.7e-19
+    # with the line's exact x-derivatives the residual is 8.7e-19; and again
+    # once the curve ran on the one lane march in log s: the gap moved by
+    # 5.5e-13, the residual to 1.7e-18
     spec, sol = drawdown_put
     audit = audit_solution(spec, sol, dominance_shape=(12, 12, 12))
     assert audit["dominance_violations"] == 0
     assert audit["generator_sign_violations"] == 0
     assert audit["dominance_worst_gap"] == 0.0
-    assert audit["smooth_fit_gap"].hex() == "0x1.e0787f74e0000p-13"
-    assert audit["generator_residual_max"].hex() == "0x1.0000000000000p-60"
+    assert audit["smooth_fit_gap"].hex() == "0x1.e0787f6158000p-13"
+    assert audit["generator_residual_max"].hex() == "0x1.0000000000000p-59"
 
 
 def test_audit_residual_takes_the_line_derivatives(drawdown_put):

@@ -138,16 +138,16 @@ def test_reuse_stages_builds_each_abscissa_once():
 
 def test_step_size_floor_land_and_shrink():
     size = StepSize(1e-8)
-    size.measure(-20.0)
-    assert size.floor == 20.0 * STEP_FLOOR
-    # the first try goes straight to the node
-    assert size.length(0.3) == 0.3
+    # the floor is a share of lane time
+    assert size.floor == STEP_FLOOR
+    # the first try goes straight to the end
+    assert size.length(0.01) == 0.01
     # a try above the floor that misses shrinks, by at most a factor 5
-    assert not size.stands(0.3, 1e-4)
-    assert size.length(0.3) == 0.3 * 0.2
+    assert not size.stands(0.01, 1e-4)
+    assert size.length(0.3) == 0.01 * 0.2
     # a NaN estimate counts as a miss
-    assert not size.stands(0.06, math.nan)
-    # no try goes below the floor, unless it lands on a node closer than that
+    assert not size.stands(0.002, math.nan)
+    # no try goes below the floor, unless it lands on an end closer than that
     assert size.length(0.3) == size.floor
     assert size.length(0.5 * size.floor) == 0.5 * size.floor
     # and a try at the floor stands whatever its estimate

@@ -136,3 +136,37 @@ def test_tracer_sees_each_reflection_solve_and_region_scan():
     assert unknowns == 2 * active
     assert scans == 1  # one surface
     assert lsqr == 0
+
+
+_TRACED_QUERY = """
+import tracer
+
+tr = tracer.Tracer()
+tracer.install(tr)
+from drawdown_options import CoefficientField, ModelSpec, PutSolution3D
+
+spec = ModelSpec(
+    r=0.06, strike=1.0, payoff_kind="put",
+    delta_field=CoefficientField("s_only", (0.02, 0.01)),
+    sigma_field=CoefficientField("constant", (0.2,)),
+)
+# built outside the span, so only the query counts
+sol = PutSolution3D(spec, n_s=33, n_y=25)
+s, y = 3.1, 2.9
+assert sol.branch(s, y) == "direct"
+with tr.span("op"):
+    sol.value(3.0, s, y)
+acc = tr.spans[0].acc
+print(acc["checked_steps"], acc["rhs_calls"])
+"""
+
+
+def test_tracer_counts_the_steps_of_a_direct_query():
+    # a direct query re-marches its line as one lane of the one march,
+    # through solver2d.checked_step, so hop_steps_per_query keeps measuring
+    # the re-march
+    proc = _run(_TRACED_QUERY)
+    assert proc.returncode == 0, proc.stderr
+    steps, rhs = (float(v) for v in proc.stdout.split())
+    assert steps >= 1
+    assert rhs == 7 * steps

@@ -145,9 +145,10 @@ def test_residuals_detect_a_perturbed_field():
 
 def test_drawdown_put_region_matches_recorded_coefficients():
     # spot values of a drawdown put's reflected component, recorded once the
-    # diagonal curve that seeds the slices was read off its steps' continuous
-    # extensions; they moved by up to 5.6e-13 from those seeded from the
-    # curve that landed a step on every node
+    # diagonal curve that seeds the slices ran on the one lane march, down
+    # in log s; C1 and C2 moved by up to 3.5e-13 and 2.5e-12 of max|C| from
+    # those seeded from the curve marched in s (the small C1 spots by up to
+    # 7.3e-11 of their own size)
     spec = ModelSpec(
         r=0.06,
         strike=1.0,
@@ -158,15 +159,15 @@ def test_drawdown_put_region_matches_recorded_coefficients():
     (grid,) = PutSolution3D(spec, n_s=49, n_y=33).regions
     assert int(grid.active.sum()) == 752
     both = {
-        (2, 0): (0.004668025684307413, 0.1379720055981389),
-        (5, 1): (0.0004558720621697881, 0.14151437171371314),
-        (8, 4): (3.9423976976846596e-05, 0.14338698768118605),
-        (12, 6): (9.93052346323315e-06, 0.1449346419412898),
+        (2, 0): (0.004668025684192324, 0.13797200559820003),
+        (5, 1): (0.0004558720621492625, 0.14151437171374026),
+        (8, 4): (3.94239769797208e-05, 0.1433869876811767),
+        (12, 6): (9.930523462574652e-06, 0.14493464194153474),
     }
     for (i, j), (c1, c2) in both.items():
         npt.assert_allclose([grid.C1[i, j], grid.C2[i, j]], [c1, c2], rtol=1e-12)
-    c2_only = {(20, 11): 0.14620914083239864, (35, 1): 0.21071074029676837,
-               (48, 29): 0.14733504823301677}
+    c2_only = {(20, 11): 0.14620914083242653, (35, 1): 0.2107107402968495,
+               (48, 29): 0.1473350482331792}
     for (i, j), c2 in c2_only.items():
         npt.assert_allclose(grid.C2[i, j], c2, rtol=1e-12)
 
@@ -187,6 +188,9 @@ def test_reflection_grids_match_recorded_bits():
     Both were recorded once the sparse LU took the unknowns in their
     natural order instead of COLAMD's: that moved the put's coefficients
     by up to 1.3e-14 of max|C| and the call's by up to 1.1e-14, and the
+    residuals in their last digits.  The put's, seeded from the diagonal
+    curve, were recorded again when the curve moved to the one lane march
+    in log s: C1 and C2 by up to 6.6e-14 and 1.1e-12 of max|C|, the
     residuals in their last digits.  Recorded with numpy 2.4 and scipy 1.17
     on x86-64; a libm that rounds log or pow differently, or another
     SuperLU, can move the last bits.
@@ -200,8 +204,8 @@ def test_reflection_grids_match_recorded_bits():
     )
     recorded = (
         (PutSolution3D, _drawdown_put_spec(), 2945,
-         "68369f89ef6f699ad05421413d3a13c02ed985838345486736e3549fbf898261",
-         ("0x1.4917cf2550c18p-9", "0x1.b3ed46ccd5644p-5")),
+         "535c74f10827416539261ae066551b8fc585c436a0e32a870a84536b1b13fc0f",
+         ("0x1.4917cf25a40e1p-9", "0x1.b3ed46ccd5af3p-5")),
         (CallSolution3D, call, 61,
          "3af7d94dd8be2c771cdce754d53ebaa05826c7f02d42b86d5145ac998f9b115f",
          ("0x1.9ee203235bdcfp-9", "0x1.0664e8c53984fp-49")),

@@ -326,22 +326,31 @@ def test_put_self_convergence():
     assert np.max(np.abs(coarse(probes) - fine(probes))) < 1e-8
 
 
-def test_put_curve_nodes_follow_the_flow(monkeypatch):
-    # the nodes between step ends come from the steps' continuous
-    # extensions; at the line's dense target they stay as close to the
-    # ODE's flow as steps landed on every node kept them (at the plain
-    # target the extension is off by about 5e-10 K)
-    from drawdown_options import odestep
+def test_put_curve_nodes_follow_the_flow():
+    # every node comes from a step's continuous extension; at the curve's
+    # dense target they stay within 1e-12 K of the ODE's flow, here an
+    # independent DOP853 march in log s on the same stage (the curve's
+    # floor of 1/1024 of lane time cannot meet a 1e-16 target, so the
+    # curve itself at a tighter target is no reference)
+    from scipy.integrate import solve_ivp
+
+    from drawdown_options.solver2d import _scalar_put_stage
 
     spec = sloped_spec("put")
     grid = default_put_grid(spec)
     curve = put_boundary_2d(spec)
-    fine = np.concatenate(
-        [np.linspace(a, b, 5)[:-1] for a, b in zip(grid[:-1], grid[1:])] + [grid[-1:]]
+    u = np.log(grid)
+
+    def slope(t, g):
+        s = float(np.exp(t))
+        return [s * _scalar_put_stage(spec, s)(float(g[0]))[0]]
+
+    g0 = float(put_asymptote(spec, grid[0]))
+    ref = solve_ivp(
+        slope, (u[0], u[-1]), [g0], method="DOP853", t_eval=u, rtol=1e-13, atol=1e-16
     )
-    monkeypatch.setattr(odestep, "STEP_REL_TOL", 1e-13)
-    ref = put_boundary_2d(spec, fine)
-    assert np.max(np.abs(curve.values - ref.values[::4])) < 1e-12
+    assert ref.success
+    assert np.max(np.abs(curve.values[::-1] - ref.y[0])) < 1e-12
 
 
 def test_put_shoot_offset_transported_without_amplification():
@@ -400,7 +409,8 @@ def _array_put_stage(spec):
 
     def stage(s):
         g1, g2, dg1, dg2, _, _ = roots_arrays(spec, s, 0.0)
-        return OdeStage(g1, g2, dg1, dg2, s, spec.strike).terms
+        ode = OdeStage(g1, g2, dg1, dg2, s, spec.strike)
+        return lambda g: (ode(g), ode.a * g - ode.b)
 
     return stage
 
@@ -409,18 +419,24 @@ def _array_put_stage(spec):
     "kind, offset",
     [("flat", 0.0), ("sloped", 0.0), ("sloped", 1e-4)],
 )
-def test_scalar_put_stage_matches_array_stage_bit_for_bit(kind, offset):
-    from drawdown_options.solver2d import _march_line
+def test_scalar_put_stage_matches_array_stage_bit_for_bit(kind, offset, monkeypatch):
+    # the one march driven with each stage gives the same curve, bit for bit
+    from drawdown_options import solver2d
 
     spec = flat_spec("put") if kind == "flat" else sloped_spec("put")
     curve = put_boundary_2d(spec, shoot_offset=offset)
-    s_desc = default_put_grid(spec)
-    g0 = float(put_asymptote(spec, s_desc[0])) - offset
-    vals, worst = _march_line(
-        _array_put_stage(spec), s_desc[0], g0, s_desc[1:], spec.strike
-    )
-    assert np.array_equal(curve.values[::-1], np.concatenate([[g0], vals]))
-    assert worst == curve.max_step_error
+    array_stage = _array_put_stage(spec)
+    built = []
+
+    def stage(spec, s):
+        built.append(s)
+        return array_stage(s)
+
+    monkeypatch.setattr(solver2d, "_scalar_put_stage", stage)
+    ref = put_boundary_2d(spec, shoot_offset=offset)
+    assert built
+    assert np.array_equal(curve.values, ref.values)
+    assert curve.max_step_error == ref.max_step_error
 
 
 def test_scalar_put_stage_gives_nan_below_zero_like_the_array_stage():
@@ -440,17 +456,17 @@ def test_scalar_put_stage_gives_nan_below_zero_like_the_array_stage():
 
 
 def test_put_curve_matches_recorded_bits():
-    """The default sloped put curve, recorded from the march that heads for
-    the last node and reads the others from its steps' continuous
-    extensions.  Its values lie within 8.6e-13 K of the controlled march
-    with one step per node before it, and within 5.4e-13 K of this march
-    with STEP_REL_TOL at 1e-13 on an 8x refined grid.  Same caveat about
-    the platform's libm as the surface pins."""
+    """The default sloped put curve, recorded from the one lane march: the
+    put lane at y = 0, down in log s, every node read from its steps'
+    continuous extensions.  Its values lie within 7.7e-13 K of a DOP853
+    march in log s at rtol 1e-13 and within 9.9e-13 K of the line march
+    in s before it (6.2e-13 K from DOP853).  Same caveat about the
+    platform's libm as the surface pins."""
     import hashlib
 
     curve = put_boundary_2d(sloped_spec("put"))
     digest = hashlib.sha256(curve.values.tobytes()).hexdigest()
-    assert digest == "ac0aba74e327c9a78c98e7390ff4459b23c02d1d1aa5fc37512781fe2f133026"
-    assert float(curve.values[100]).hex() == "0x1.473e3ae26552dp-1"
-    assert float(curve.max_step_error).hex() == "0x1.c1bee3bf4a152p-44"
+    assert digest == "301dd8b0050f1325ea0506648aeb04886d0e922fb141c6db192cf4620f41793b"
+    assert float(curve.values[100]).hex() == "0x1.473e3ae2658fcp-1"
+    assert float(curve.max_step_error).hex() == "0x1.ac51372b68964p-44"
     assert len(curve.switches) == 1

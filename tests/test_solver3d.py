@@ -22,7 +22,7 @@ from drawdown_options import (
     put_boundary_slice,
     put_value_3d,
 )
-from drawdown_options.coefficients import _ORIENT
+from drawdown_options.coefficients import _ORIENT, _critical_level, roots_arrays
 from drawdown_options.errors import ResolutionWarning
 from drawdown_options.solver3d import (
     MAX_SWITCH_PAIRS,
@@ -591,13 +591,13 @@ def _pin_surface():
 def test_sloped_put_surface_matches_recorded_bits():
     """A small surface of a model sloped in s and y, pinned bit for bit.
 
-    The digest and spot values were recorded from the march in lane time,
-    whose nodes are read off the steps' continuous extensions; any change
-    to the arithmetic shows up here.  The march that landed a step on every
-    lattice level lost the y = 0 row, whose first node interval was shorter
-    than its step floor; the 169 nodes both keep lie within 1.9e-10 K of
-    each other, and the 24 nodes of the kept row within 6.1e-10 K of a
-    DOP853 march of that slice in log s at a 1e-13 target.
+    The digest and spot values were recorded from the one lane march, put
+    lanes in log s, seeded from the diagonal curve marched down in log s;
+    any change to the arithmetic shows up here.  The lanes in log(s - y)
+    before it, seeded from the curve marched in s, gave values within
+    4.3e-10 K of these.  The march that landed a step on every lattice
+    level lost the y = 0 row, whose first node interval was shorter than
+    its step floor.
     Recorded with numpy 2.4 on x86-64; a libm that rounds log or expm1
     differently can move the last bits.
     """
@@ -608,9 +608,9 @@ def test_sloped_put_surface_matches_recorded_bits():
     digest = hashlib.sha256(np.nan_to_num(v, nan=-1.0).tobytes()).hexdigest()
     assert int(np.isfinite(v).sum()) == 193
     assert {kind for kind, _ in surf.slice_status} == {"ok"}
-    assert float(v[3, 1]).hex() == "0x1.ca9bd1631755fp-1"
-    assert float(v[12, 5]).hex() == "0x1.c604b85f7ea58p-1"
-    assert digest == "dafd9a56d3560d3f47725ce0b30bbe58cf4a43f36867739f3b2600efceab7a8a"
+    assert float(v[3, 1]).hex() == "0x1.ca9bd16342f66p-1"
+    assert float(v[12, 5]).hex() == "0x1.c604b85f997aap-1"
+    assert digest == "c1723094df08e0830f9c654e8ef408374e5fa16030e57291417b119ece7b3ec2"
 
 
 def test_sloped_call_surface_matches_recorded_bits():
@@ -680,14 +680,14 @@ def _solution_digests(sol):
     "kind, delta, spot, c_spot, digests",
     [
         ("put", ("bounded_rational", (0.02, 0.0, 0.01)),
-         "0x1.56928379f127dp-1",
-         ((3, 0), "-0x1.2cd818a81af26p-12", "0x1.1f03b9b912c90p-3"),
-         {"values": "9a3b3db405f3e13dfc37ca78366805c397ae9c28b718fe989c10df1bbd8edc6c",
+         "0x1.56928379f1289p-1",
+         ((3, 0), "-0x1.2cd818a89f34bp-12", "0x1.1f03b9b9139a4p-3"),
+         {"values": "b0cb80836f012475523d49d9db45a6c9d01540bc8271597f5517ec9d1b715a2d",
           "status": "faa934f092e56bb1a7806b6a776b0cdb7e59dc9f0a777f2132ebb7231905500f",
           "labels": "c70ed7bddb33e2aeccd2bdf02fc89c60761df3a247a8e4be7b3eb58e200e16fc",
-          "cap": "a76154acb3b2673dc2b832b8af92995004d20ae5c411d635757b4643b43a42f1",
-          "switches": "7b7cc1d264ef1ed0ad63cb94c4857c311adbdaba270cc508d0aa35d3d5c4bf15",
-          "grids": "f7a35c49be88a13709d2de2e01f5170fc907eb214232bb82b6c923e03f9e1125"}),
+          "cap": "91bd199085e6674ce313d8eb42087aeb1ff670f3e09ac329d24ef11ce25829ac",
+          "switches": "51fd46bef88d1d27b667a76d0265e839e830e86e80bee06ffe5dd3978330efb0",
+          "grids": "cb82709ab6c6c1a8f2ff7be40fa72fe95fe83b1268c02d3a338f0424be1e6c35"}),
         ("call", ("s_only", (0.02, 0.02)),
          "0x1.37124faaf57eap+1",
          ((0, 0), "0x1.2e50afa5d142ep-2", "0x0.0p+0"),
@@ -710,7 +710,11 @@ def test_vanishing_rhs_surfaces_match_recorded_bits(kind, delta, spot, c_spot, d
     once the sparse LU took the unknowns in their natural order, which
     moved them by up to 6.9e-15 (put) and 1.4e-14 (call) of max|C|; the
     spot coefficients kept their bits.  Same caveat about the platform's
-    libm as the surface pins.
+    libm as the surface pins.  The put's seeds come from the diagonal
+    curve, so its pins were recorded again when the curve moved to the one
+    lane march in log s: values, switches and cap curve by up to 7.1e-13 K,
+    the reflection grids by up to 1.8e-12 of max|C|; status and labels
+    kept their bits.
     """
     cls = PutSolution3D if kind == "put" else CallSolution3D
     sol = cls(make_spec(kind, delta), n_s=65, n_y=49)
@@ -781,19 +785,19 @@ def _digest(a):
     [
         ("call", "c876c799e92ad92a06076785b1e81174141b5464c5053730b099a2c11eb042d3",
          "0x1.3ecc5695989bdp+1"),
-        ("put", "f21fe45f1b76f99cd6349fe56c6df20222c7a058a0459d5aaf90dc26d426635b",
-         "0x1.57738c8233e60p-1"),
+        ("put", "81a0d5c07216fd86aeeed4a08d27f6e32cc87bb5b71a28c17aafeb6cf3fc9bfb",
+         "0x1.57738c82334b6p-1"),
     ],
 )
 def test_direct_line_levels_match_recorded_bits(kind, digest, first, request):
     """Re-marched levels of 48 direct lines.  The call's were recorded from
     the dedicated query march that preceded the shared line march, and its
     slice right-hand side vanishes, so no stepper moves them.  The put's
-    were recorded from the controlled march with the query point as its
-    only node, seeded from the diagonal curve read off its steps'
-    continuous extensions: within 4.7e-13 K of those seeded from the curve
-    that landed a step on every node.  Same caveat about the platform's
-    libm as the surface pins."""
+    were recorded from the one lane march in log s with the query point as
+    its only node: within 5.6e-12 K of the diagonal curve at s, which the
+    levels of this s-only model equal, where the line march in s before it
+    was within 2.5e-11 K (the two differ by up to 2.6e-11 K).  Same caveat
+    about the platform's libm as the surface pins."""
     spec, sol = request.getfixturevalue("sloped_" + kind)
     rng = np.random.default_rng(5)
     s_range, floor_range = _DIRECT_LINES[kind]
@@ -811,9 +815,9 @@ def test_direct_line_levels_match_recorded_bits(kind, digest, first, request):
 def test_slice_entry_points_match_recorded_bits():
     # the call half was recorded from the per-slice march that preceded the
     # shared line march (its right-hand side vanishes); the put half from
-    # the march that reads its nodes from the steps' continuous extensions,
-    # within 6.1e-13 K of a 16x finer march at a 1e-14 target, where the
-    # one-step-per-node march before it was off by 2.3e-11
+    # the one lane march at the surface's plain target, within 7.2e-10 K of
+    # the diagonal curve, which this s-only model's slice equals (the line
+    # march before it, at the curve's dense target, was within 2.7e-12 K)
     call = call_boundary_slice(
         make_spec("call", ("s_only", (0.02, 0.02))), 4.0, np.linspace(3.9, 0.0, 40)
     )
@@ -824,9 +828,9 @@ def test_slice_entry_points_match_recorded_bits():
     assert _digest(call) == (
         "a48ebaa725e4280b11bae09ce19ad7f56fa163527d72ee186dbe64a291e5e437"
     )
-    assert float(put[10]).hex() == "0x1.5b4f21a4cf781p-1"
+    assert float(put[10]).hex() == "0x1.5b4f21a50ff06p-1"
     assert _digest(put) == (
-        "cf60d3fea89318c9ff2b065e8eca0c2e06701f4656ab82d84ee03cdff4645b4d"
+        "848c413edb08fa6c6d2603e21d3937723040a5b11e9d7d126c531f43b6f4e99a"
     )
 
 
@@ -860,25 +864,29 @@ def test_direct_query_remarches_once(sloped_put, monkeypatch):
 
 
 def _count_surface_steps(monkeypatch, build, spec, n_s, n_y):
-    from drawdown_options import solver3d
+    # the one lane march steps through solver2d's checked_step, the put's
+    # diagonal curve included, so the curve is built before the count
+    from drawdown_options import solver2d
 
+    if spec.payoff_kind == "put":
+        diagonal_put_curve(spec)
     calls = []
-    step = solver3d.checked_step
+    step = solver2d.checked_step
 
     def counted(*args, **kwargs):
         calls.append(1)
         return step(*args, **kwargs)
 
-    monkeypatch.setattr(solver3d, "checked_step", counted)
+    monkeypatch.setattr(solver2d, "checked_step", counted)
     build(spec, np.linspace(0.05, 20.0, n_s), np.linspace(0.0, 19.9, n_y))
-    monkeypatch.setattr(solver3d, "checked_step", step)
+    monkeypatch.setattr(solver2d, "checked_step", step)
     return len(calls)
 
 
 def test_surface_steps_follow_the_controller_not_the_lattice(monkeypatch):
     # all slices march together in lane time and read their nodes from the
     # steps' continuous extensions, so a fine lattice costs about as many
-    # steps as a coarse one (70 and 66 on the s-sloped put)
+    # steps as a coarse one (67 and 69 on the s-sloped put)
     spec = make_spec("put", ("s_only", (0.02, 0.01)))
     coarse = _count_surface_steps(monkeypatch, build_put_surface, spec, 24, 16)
     fine = _count_surface_steps(monkeypatch, build_put_surface, spec, 256, 256)
@@ -899,7 +907,7 @@ def test_vanishing_rhs_surface_takes_few_steps(kind, delta, monkeypatch):
 
 def test_sloped_put_keeps_the_y0_row(sloped_put):
     # the y = 0 slice starts at s = 1e-6 K, where the put slope carries a
-    # log s factor; a put lane marches in log(s - y), so the controller can
+    # log s factor; a put lane marches in log s, so the controller can
     # take the short steps it needs there
     _, sol = sloped_put
     surf = sol.surface
@@ -913,7 +921,7 @@ def test_sloped_put_keeps_the_y0_row(sloped_put):
 def test_surface_nodes_follow_the_flow(delta, monkeypatch):
     # every node comes from a step's continuous extension; at the plain
     # target the nodes stay within 1e-9 K of the same march at a 1e-13
-    # target (6.1e-10 and 4.3e-10 K)
+    # target (6.7e-10 and 4.5e-10 K)
     from drawdown_options import odestep
 
     spec = make_spec("put", delta)
@@ -937,8 +945,8 @@ def test_failed_remarch_falls_back_to_the_lattice_and_is_counted(monkeypatch):
     s, y = 3.1, 2.9
     assert sol.branch(s, y) == "direct"
     assert sol.remarch_fallbacks == 0
-    # a per-step target that no step meets makes the re-march raise
-    # StepError at the floor
+    # a per-step target that no step meets cuts the re-march's lane at the
+    # floor, and the query gets NaN back
     monkeypatch.setattr(odestep, "STEP_REL_TOL", 0.0)
     assert sol.boundary(s, y) == sol.surface.level_smooth(s, y)
     assert sol.remarch_fallbacks == 1
@@ -951,6 +959,61 @@ def test_failed_remarch_falls_back_to_the_lattice_and_is_counted(monkeypatch):
     )
     assert sol.boundary(s, 2.8) == sol.surface.level_smooth(s, 2.8)
     assert sol.remarch_fallbacks == 3
+
+
+def test_long_direct_lines_are_remarched():
+    # the re-march runs in lane time, so its cost no longer grows with the
+    # line's length and no direct line is left to the interpolated level;
+    # an s-only call's slice right-hand side vanishes, so the level is the
+    # critical level of the line's own roots, bit for bit (the lattice
+    # level is about 1e-9 K off)
+    spec = make_spec("call", ("s_only", (0.005, 0.002)))
+    sol = CallSolution3D(spec, n_s=65, n_y=49)
+    for s, y in ((14.0, 2.8636), (17.0, 5.5), (20.0, 8.5)):
+        assert s - y > 8.0 * spec.strike
+        assert sol.branch(s, y) == "direct"
+        g1, g2, *_ = roots_arrays(spec, s, y)
+        crit = float(_critical_level(g1, g2, spec.strike, 1.0))
+        assert sol.boundary(s, y) == crit
+        assert sol.surface.level_smooth(s, y) != crit
+    assert sol.remarch_fallbacks == 0
+
+
+def test_slice_integrates_where_the_line_march_raised():
+    # the line march that preceded the lane march checked the denominator
+    # inside the right-hand side, so a try heading far past a sign change,
+    # which the controller would have rejected anyway, raised
+    # SingularDenominator ("near 4") on this slice; the one march checks the
+    # nodes it fills, and every node follows a DOP853 march in log s
+    from scipy.integrate import solve_ivp
+
+    from drawdown_options.coefficients import _roots_along
+    from drawdown_options.solver2d import EDGE_FRACTION, OdeStage
+
+    spec = ModelSpec(
+        r=0.3,
+        strike=1.0,
+        payoff_kind="put",
+        delta_field=CoefficientField("bounded_rational", (0.1, 0.02, 0.05)),
+        sigma_field=CoefficientField("constant", (0.2,)),
+    )
+    nodes = np.linspace(0.05, 20.0, 24)
+    got = put_boundary_slice(spec, 0.0, nodes)
+    assert np.all(np.isfinite(got))
+
+    def slope(u, g):
+        s = np.exp(u)
+        g1, g2, dg1, dg2 = _roots_along(spec, s, 0.0, "s")
+        return [s * OdeStage(g1, g2, dg1, dg2, s, spec.strike)(g[0])]
+
+    start = EDGE_FRACTION * spec.strike
+    seed = float(diagonal_put_curve(spec)(start))
+    ref = solve_ivp(
+        slope, (np.log(start), np.log(nodes[-1])), [seed], method="DOP853",
+        t_eval=np.log(nodes), rtol=1e-13, atol=1e-16,
+    )
+    assert ref.success
+    assert np.max(np.abs(got - ref.y[0])) < 1e-9 * spec.strike
 
 
 def test_step_tolerance_constant_reaches_every_march(sloped_put, monkeypatch):
