@@ -206,10 +206,9 @@ def cmd_value(cfg: RunConfig, args) -> int:
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    factors = tuple(float(tok) for tok in args.perturb.split(","))
     sol = _solution_3d(cfg)
     report = verify_solution(
-        cfg.spec, sol, _point(cfg, args), cfg.sim, perturb_factors=factors
+        cfg.spec, sol, _point(cfg, args), cfg.sim, perturb_factors=args.perturb
     )
     path = os.path.join(cfg.output_dir, "verify.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -235,6 +234,15 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         fh.write("\n")
     print(f"mean {_f(res.mean)} stderr {_f(res.stderr)}")
     return 0
+
+
+def _factors(text: str):
+    """--perturb: comma-separated barrier scale factors."""
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        msg = f"need comma-separated numbers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -269,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     point(command("value", cmd_value, dim=2))
     sp = command("verify", cmd_verify)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--perturb", default="0.9,1.1")
+    sp.add_argument("--perturb", type=_factors, default="0.9,1.1")
     point(sp)
     sp = command("simulate", cmd_simulate, dim=3)
     sp.add_argument("--seed", type=int, default=None)

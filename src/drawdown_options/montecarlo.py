@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
 from .coefficients import _ORIENT, ModelSpec, StateTriple
@@ -38,7 +36,6 @@ class SimConfig:
     dt: float
     horizon: float
     seed: int = 0
-    scheme: Literal["euler_log"] = "euler_log"
     block_size: int = 4096
 
     def __post_init__(self):
@@ -50,8 +47,6 @@ class SimConfig:
             raise ConfigError(
                 f"horizon {self.horizon} shorter than 100 steps of dt={self.dt}"
             )
-        if self.scheme != "euler_log":
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.block_size < 1:
             raise ConfigError("block_size must be positive")
 
@@ -315,6 +310,10 @@ def _run_block(spec, o, rules, start, cfg, rng, n_steps, payoff, stop_time):
     return n_horizon
 
 
+DOMINANCE_TOL = 1e-6  # audit slack for interpolation noise, times strike
+SMOOTH_STEP = 1e-4  # audit smooth-fit difference step, times strike
+
+
 @dataclass
 class VerificationReport:
     mc_mean: float
@@ -350,22 +349,17 @@ class VerificationReport:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
-def audit_solution(
-    spec: ModelSpec,
-    solution,
-    dominance_shape=(50, 50, 50),
-    dominance_tol=1e-6,
-    smooth_step=1e-4,
-) -> dict:
+def audit_solution(spec: ModelSpec, solution, dominance_shape=(50, 50, 50)) -> dict:
     """Audit an assembled solution against its defining free-boundary properties.
 
-    Checks dominance of the value over the payoff on a state-space grid (with
-    a small documented slack of dominance_tol times strike for interpolation
-    noise), the slope of the value at the barrier against the payoff slope by
-    one-sided difference, the sign of the stopped generator at stopping-region
+    Checks dominance of the value over the payoff on a dominance_shape
+    (n_s, n_y, n_x) grid (slack DOMINANCE_TOL), the slope of the value at
+    the barrier against the payoff slope by a one-sided difference
+    (SMOOTH_STEP), the sign of the stopped generator at stopping-region
     samples, and the generator residual of the line's two-power value at
-    continuation-region samples, taken with its exact x-derivatives.  Each probed (s, y) line is assembled once
-    (``solution.line``) and every check on it reads that record.  Returns a
+    continuation-region samples, taken with its exact x-derivatives.  Each
+    probed (s, y) line is assembled once (``solution.line``), raising if its
+    re-march is cut, and every check on it reads that record.  Returns a
     plain dict of counts and gaps.
     """
     from .coefficients import generator_residual
@@ -389,12 +383,12 @@ def audit_solution(
             vals = ln.values(xs)
             gap = np.min(vals - spec.payoff(xs))
             worst = min(worst, float(gap))
-            violations += int(np.sum(vals - spec.payoff(xs) < -dominance_tol * L))
+            violations += int(np.sum(vals - spec.payoff(xs) < -DOMINANCE_TOL * L))
 
             br, level = ln.branch, ln.level
             dlt = float(spec.delta_field.value(s, y))
             if br == "direct" and s - y < level < s:
-                h = smooth_step * L
+                h = SMOOTH_STEP * L
                 x_in = level - o.sign * h
                 if s - y <= x_in <= s:
                     slope = (ln.value(level) - ln.value(x_in)) / (o.sign * h)
@@ -433,9 +427,6 @@ def verify_solution(
     start: StateTriple,
     cfg: SimConfig,
     perturb_factors=(0.9, 1.1),
-    dominance_shape=(50, 50, 50),
-    dominance_tol=1e-6,
-    smooth_step=1e-4,
 ) -> VerificationReport:
     """Full verification: Monte Carlo match plus the structural audits.
 
@@ -445,8 +436,8 @@ def verify_solution(
     errors under shared draws.  The solved barrier and its rescalings run
     as one joint pass of :func:`simulate_stopped_payoffs`: one set of draws
     and one field evaluation per step serve every barrier, and each result
-    equals its own separate simulation.  Structural checks are as in
-    audit_solution.
+    equals its own separate simulation.  The structural checks are
+    audit_solution's, on its default 50 x 50 x 50 grid.
     """
     rule = rule_from_solution(solution)
     factors = [float(f) for f in perturb_factors if f != 1.0]
@@ -457,13 +448,7 @@ def verify_solution(
     match_gap = abs(base.mean - analytic)
     match_threshold = max(0.02 * abs(analytic), 3.0 * base.stderr)
 
-    audit = audit_solution(
-        spec,
-        solution,
-        dominance_shape=dominance_shape,
-        dominance_tol=dominance_tol,
-        smooth_step=smooth_step,
-    )
+    audit = audit_solution(spec, solution)
 
     table = [[1.0, base.mean, base.stderr]]
     pert_viol = 0

@@ -160,7 +160,6 @@ class BoundaryCurve:
 
     grid: np.ndarray
     values: np.ndarray
-    kind: str
     switches: list = field(default_factory=list)
     max_step_error: float = 0.0
 
@@ -452,6 +451,21 @@ def _march_lanes(stage, g, tau, lane, den, band, tol, scale):
     return levels, status, worst
 
 
+# a cut lane's status as the error of a caller that needs its levels
+_CUT_ERRORS = {
+    "constraint": (ConstraintBreach, "left {band}"),
+    "singular": (SingularDenominator, "denominator vanished or changed sign"),
+    "step": (StepError, "failed its error check at the shortest step"),
+}
+_BANDS = {"call": "(max(L, rL/delta), inf)", "put": "(0, min(L, rL/delta))"}
+
+
+def _cut_error(side, kind, what, where):
+    """The typed error for a cut lane of the side's boundary, by its status."""
+    error, how = _CUT_ERRORS[kind]
+    return error(f"{what} {how.format(band=_BANDS[side])} at {where}")
+
+
 def _scalar_put_stage(spec: ModelSpec, s):
     """Scalar twin of the put's OdeStage at y = 0, in float arithmetic.
 
@@ -571,16 +585,11 @@ def put_boundary_2d(
         odestep.STEP_REL_TOL * odestep.DENSE_TOL_SHARE, L,
     )
     if kind != "ok":
-        error, what = {
-            "constraint": (ConstraintBreach, "left (0, min(L, rL/delta))"),
-            "singular": (SingularDenominator, "denominator vanished or changed sign"),
-            "step": (StepError, "failed its error check at the shortest step"),
-        }[kind]
-        raise error(f"put boundary {what} at s={s_desc[c]:g}")
+        raise _cut_error("put", kind, "put boundary", f"s={s_desc[c]:g}")
 
     grid_asc = s_desc[::-1]
     vals_asc = vals[::-1]
-    curve = BoundaryCurve(grid_asc, vals_asc, kind="put", max_step_error=worst)
+    curve = BoundaryCurve(grid_asc, vals_asc, max_step_error=worst)
 
     def gap(s):
         return float(curve(s)) - float(s)

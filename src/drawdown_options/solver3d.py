@@ -66,6 +66,7 @@ from .solver2d import (
     PutSolution2D,
     _adjacent_messages,
     _cell_crossing,
+    _cut_error,
     _den_factors,
     _march_lanes,
     _sign_changes,
@@ -370,8 +371,10 @@ def _boundary_slice(o, spec, fixed, nodes):
     coordinate of a surface's slices (:func:`_lane_u`) from the start
     (tau = 0, checked with the seed) to the last node (tau = 1), at the
     plain ``odestep.STEP_REL_TOL``.  Serves the public slices and every
-    direct-line re-march.  From the first node the lane misses on, the
-    nodes are NaN, whatever the failure.
+    direct-line re-march.  Returns the node levels, NaN from the first node
+    the lane misses, and its status ``(kind, at)`` as in ``slice_status``:
+    ``("ok", nan)``, the kind of the cut at that node, or ``"constraint"``
+    at the start for a seed outside the band.
     """
     fixed = float(fixed)
     nodes = np.asarray(nodes, dtype=float)
@@ -386,23 +389,24 @@ def _boundary_slice(o, spec, fixed, nodes):
             f"from {o.moving}={start:g} on"
         )
     if not nodes.size:
-        return nodes
+        return nodes, ("ok", np.nan)
     seed = float(_diagonal_seeds(o, spec, fixed, start))
     check_quadrant(*o.swap(fixed, nodes))
     lo, hi = o.band(spec, *o.swap(fixed, start))
     if not lo < seed < hi:
-        return np.full(nodes.size, np.nan)
+        return np.full(nodes.size, np.nan), ("constraint", start)
     u0 = _lane_u(o, start)
     u = _lane_u(o, nodes)
     du = u[-1] - u0
     # a query's re-march has one node, whose checks run on floats
     s, y = o.swap(fixed, nodes if nodes.size > 1 else nodes[0])
     g1, g2, _, _ = _roots_along(spec, s, y, o.moving)
-    return _march_lanes(
+    levels, ((kind, c),), _ = _march_lanes(
         _lane_stage(o, spec, fixed, u0, du), seed, (u - u0) / du,
         np.zeros(nodes.size, dtype=int), _den_factors(g1, g2, spec.strike),
         o.band(spec, s, y), odestep.STEP_REL_TOL, spec.strike,
-    )[0]
+    )
+    return levels, (kind, np.nan if kind == "ok" else float(nodes[c]))
 
 
 def call_boundary_slice(spec: ModelSpec, s, y_grid):
@@ -415,7 +419,7 @@ def call_boundary_slice(spec: ModelSpec, s, y_grid):
     """
     if float(s) <= EDGE_FRACTION * spec.strike:
         raise DomainError(f"slice level s={float(s)} must exceed the edge offset")
-    return _boundary_slice(_CALL, spec, s, y_grid)
+    return _boundary_slice(_CALL, spec, s, y_grid)[0]
 
 
 def put_boundary_slice(spec: ModelSpec, y, s_grid):
@@ -427,7 +431,7 @@ def put_boundary_slice(spec: ModelSpec, y, s_grid):
     (0, min(strike, r strike / delta))), a vanishing denominator or a
     failed step.
     """
-    return _boundary_slice(_PUT, spec, y, s_grid)
+    return _boundary_slice(_PUT, spec, y, s_grid)[0]
 
 
 def detect_regions_3d(spec: ModelSpec, surface: BoundarySurface) -> BoundarySurface:
@@ -757,9 +761,6 @@ class _Solution3D:
         self.spec = spec
         self.surface = build(spec, s_grid, y_grid)
         self.regions = build_reflection_regions(spec, self.surface)
-        # line queries whose direct-line re-march failed and that took the
-        # interpolated level instead
-        self.remarch_fallbacks = 0
         self._boxes = []
         for g in self.regions:
             si = np.flatnonzero(g.active.any(axis=1))
@@ -773,9 +774,9 @@ class _Solution3D:
         is pinned to the level) is re-marched from its diagonal seed to the
         query point, as a one-lane march of any length, for integration
         rather than interpolation accuracy.  Other lines take the
-        interpolated level, and so does a line whose re-march is cut (NaN)
-        or cannot start (DomainError); each query that falls back so adds
-        one to remarch_fallbacks.
+        interpolated level.  A re-march that is cut raises the error of its
+        lane's status: StepError, SingularDenominator or ConstraintBreach
+        (a level, or the seed, outside its band).
         """
         spec, o = self.spec, self._o
         eps = EDGE_FRACTION * spec.strike
@@ -784,17 +785,13 @@ class _Solution3D:
             return cheap
         fixed, t = o.swap(s, y)
         start = fixed + o.direction * eps
-        try:
-            if o.direction * (t - start) > 0.0:
-                out = float(_boundary_slice(o, spec, fixed, [t])[-1])
-            else:
-                out = float(_diagonal_seeds(o, spec, fixed, start))
-        except DomainError:
-            out = np.nan
-        if not np.isfinite(out):
-            self.remarch_fallbacks += 1
-            out = cheap
-        return out
+        if o.direction * (t - start) <= 0.0:
+            return float(_diagonal_seeds(o, spec, fixed, start))
+        levels, (kind, at) = _boundary_slice(o, spec, fixed, [t])
+        if kind != "ok":
+            what = f"re-marched {o.kind} boundary of the line s={s:g}, y={y:g}"
+            raise _cut_error(o.kind, kind, what, f"{o.moving}={at:g}")
+        return float(levels[-1])
 
     def _region_coeffs(self, s, y):
         if not self.regions:

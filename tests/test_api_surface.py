@@ -6,15 +6,18 @@ so it shows up as a test diff to review rather than slipping in.
 """
 
 import argparse
+import ast
 import inspect
+import pathlib
 
 import drawdown_options
 from drawdown_options.cli import build_parser
+from drawdown_options.config import KNOWN_KEYS
 
 EXCEPTION = "exception"
 
 API = {
-    "BoundaryCurve": ("grid", "values", "kind", "switches", "max_step_error"),
+    "BoundaryCurve": ("grid", "values", "switches", "max_step_error"),
     "BoundarySurface": (
         "s_grid", "y_grid", "values", "kind", "slice_status", "labels",
         "slice_switches", "cap_curve",
@@ -42,7 +45,7 @@ API = {
     ),
     "RowClosure": ("j", "kind", "s_pos", "x_base", "target"),
     "RunConfig": ("spec", "s_min", "s_max", "y_max", "n_s", "n_y", "sim", "output_dir"),
-    "SimConfig": ("n_paths", "dt", "horizon", "seed", "scheme", "block_size"),
+    "SimConfig": ("n_paths", "dt", "horizon", "seed", "block_size"),
     "SimResult": ("mean", "stderr", "n_paths", "n_horizon", "mean_stop_time"),
     "SingularDenominator": EXCEPTION,
     "StateTriple": ("x", "s", "y"),
@@ -54,9 +57,7 @@ API = {
         "generator_sign_violations", "generator_residual_max",
         "perturbation_table", "perturbation_violations", "n_paths",
     ),
-    "audit_solution": (
-        "spec", "solution", "dominance_shape", "dominance_tol", "smooth_step",
-    ),
+    "audit_solution": ("spec", "solution", "dominance_shape"),
     "build_call_surface": ("spec", "s_grid", "y_grid"),
     "build_config": ("pairs",),
     "build_put_surface": ("spec", "s_grid", "y_grid"),
@@ -81,10 +82,15 @@ API = {
     "simulate_stopped_payoff": ("spec", "start", "rule", "cfg"),
     "simulate_stopped_payoffs": ("spec", "start", "rules", "cfg"),
     "solve_reflection_region": ("spec", "region"),
-    "verify_solution": (
-        "spec", "solution", "start", "cfg", "perturb_factors", "dominance_shape",
-        "dominance_tol", "smooth_step",
-    ),
+    "verify_solution": ("spec", "solution", "start", "cfg", "perturb_factors"),
+}
+
+CONFIG_KEYS = {
+    "r", "strike", "payoff", "delta.family", "delta.params", "sigma.family",
+    "sigma.params", "domain.s_max", "domain.y_max",
+    "grid.s_min", "grid.s_max", "grid.y_max", "grid.n_s", "grid.n_y",
+    "sim.n_paths", "sim.dt", "sim.horizon", "sim.seed", "sim.block_size",
+    "output_dir",
 }
 
 CLI = {
@@ -121,3 +127,31 @@ def test_ddopt_subcommands_take_the_pinned_flags():
         for name, sp in sub.choices.items()
     }
     assert got == CLI
+
+
+def test_config_takes_the_pinned_keys():
+    assert KNOWN_KEYS == CONFIG_KEYS
+
+
+def test_no_handler_swallows_a_solver_error():
+    # a solver error reaches the caller as raised: an except clause either
+    # ends by raising, or sits in cli.main, which maps errors to exit codes
+    package = pathlib.Path(drawdown_options.__file__).parent
+    swallowed = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = set()
+        if path.name == "cli.py":
+            main = next(
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main"
+            )
+            exempt = {id(node) for node in ast.walk(main)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.ExceptHandler)
+                and id(node) not in exempt
+                and not isinstance(node.body[-1], ast.Raise)
+            ):
+                swallowed.append(f"{path.name}:{node.lineno}")
+    assert swallowed == []

@@ -188,14 +188,42 @@ def test_value_outside_state_space_exits_3(tmp_path, capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+def test_value_on_a_cut_remarch_exits_4(tmp_path, capsys, monkeypatch):
+    # a direct line's re-march cut at the shortest step is a StepError, not
+    # the interpolated level; the surface and its diagonal curve are marched
+    # at the plain target, only the query's lane at a target no step meets
+    from drawdown_options import odestep, solver3d
+
+    march = solver3d._boundary_slice
+
+    def cut_at_the_floor(*args):
+        with monkeypatch.context() as m:
+            m.setattr(odestep, "STEP_REL_TOL", 0.0)
+            return march(*args)
+
+    monkeypatch.setattr(solver3d, "_boundary_slice", cut_at_the_floor)
+    sloped = BASE.replace("delta.params = 0.03", "delta.params = 0.02,0.01")
+    sloped = sloped.replace("delta.family = constant", "delta.family = s_only")
+    cfg, out = write_config(tmp_path, text=sloped)
+    argv = ["value", "--config", cfg, "--dim", "3", "--x", "0.8", "--s", "1.0",
+            "--y", "0.5"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "convergence failure: re-marched put boundary of the line" in err
+    assert "failed its error check at the shortest step" in err
+    assert not (out / "value.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
 
 def test_unknown_key_exits_1(tmp_path, capsys):
-    cfg, _ = write_config(tmp_path, extra="no.such.key = 1\n")
-    assert main(["roots", "--config", cfg]) == 1
-    assert "config error" in capsys.readouterr().err
+    # sim.scheme is no key: paths always follow the log-Euler scheme
+    for extra in ("no.such.key = 1\n", "sim.scheme = euler_log\n"):
+        cfg, _ = write_config(tmp_path, extra=extra)
+        assert main(["roots", "--config", cfg]) == 1
+        assert "config error" in capsys.readouterr().err
 
 
 def test_duplicate_key_exits_1(tmp_path):
@@ -290,6 +318,13 @@ def test_verify_rejects_dim_2(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, text=FAST)
     assert main(["verify", "--config", cfg, "--dim", "2"]) == 1
     assert "unrecognized arguments: --dim 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("factors", ["0.9,x", ""])
+def test_verify_bad_perturb_exits_1(tmp_path, capsys, factors):
+    cfg, _ = write_config(tmp_path, text=FAST)
+    assert main(["verify", "--config", cfg, "--perturb", factors]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_verify_passes_on_flat_model(tmp_path, capsys):

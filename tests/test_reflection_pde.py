@@ -14,6 +14,7 @@ from drawdown_options import (
     ColumnClosure,
     DomainError,
     ModelSpec,
+    NonConvergence,
     PutSolution3D,
     RegionSpec,
     RowClosure,
@@ -373,6 +374,26 @@ def test_pair_entries_batch_equals_one_at_a_time(points, along_s):
         one = _pair_entries(spec, s[m : m + 1], y[m : m + 1], along_s, h[m : m + 1])
         for got, want in zip(np.array(batch)[:, :, m], np.array(one)[:, :, 0]):
             assert got.tobytes() == want.tobytes()
+
+
+def test_non_finite_lu_raises_non_convergence(monkeypatch):
+    # a sparse LU that leaves non-finite entries is the solve's one failure:
+    # it raises with the residual, and no least-squares retry stands in
+    from drawdown_options import reflection_pde
+
+    def no_retry(*args, **kwargs):
+        raise AssertionError("lsqr called")
+
+    def lu_with_a_nan(mat, rhs, **kwargs):
+        sol = np.zeros(rhs.size)
+        sol[3] = np.nan
+        return sol
+
+    monkeypatch.setattr(reflection_pde, "lsqr", no_retry)
+    monkeypatch.setattr(reflection_pde, "spsolve", lu_with_a_nan)
+    region = flat_region()
+    with pytest.raises(NonConvergence, match=r"left 1 of 306 .*scaled residual"):
+        solve_reflection_region(flat_call_spec(), region)
 
 
 # ---------------------------------------------------------------------------

@@ -937,28 +937,41 @@ def test_surface_nodes_follow_the_flow(delta, monkeypatch):
     assert np.nanmax(np.abs(surf - ref)) < 1e-9
 
 
-def test_failed_remarch_falls_back_to_the_lattice_and_is_counted(monkeypatch):
+def test_cut_remarch_raises_its_typed_error(monkeypatch):
+    # a direct line's value stands on its own re-marched level: a cut lane
+    # raises the error of its status instead of taking the lattice's level
     from drawdown_options import odestep, solver3d
+    from drawdown_options.errors import (
+        ConstraintBreach,
+        SingularDenominator,
+        StepError,
+    )
 
     spec = make_spec("put", ("s_only", (0.02, 0.01)))
     sol = PutSolution3D(spec, n_s=65, n_y=49)
     s, y = 3.1, 2.9
     assert sol.branch(s, y) == "direct"
-    assert sol.remarch_fallbacks == 0
-    # a per-step target that no step meets cuts the re-march's lane at the
-    # floor, and the query gets NaN back
-    monkeypatch.setattr(odestep, "STEP_REL_TOL", 0.0)
-    assert sol.boundary(s, y) == sol.surface.level_smooth(s, y)
-    assert sol.remarch_fallbacks == 1
-    # every query that falls back is counted, a repeat of the line included
+    # a per-step target that no step meets cuts the lane at the floor, on
+    # every query of the line, a repeat included
+    with monkeypatch.context() as m:
+        m.setattr(odestep, "STEP_REL_TOL", 0.0)
+        for _ in range(2):
+            with pytest.raises(StepError, match="at the shortest step at s=3.1"):
+                sol.boundary(s, y)
     assert sol.branch(s, y) == "direct"
-    assert sol.remarch_fallbacks == 2
-    # a re-march that ends in NaN falls back the same way
-    monkeypatch.setattr(
-        solver3d, "_boundary_slice", lambda *args: np.array([np.nan])
-    )
-    assert sol.boundary(s, 2.8) == sol.surface.level_smooth(s, 2.8)
-    assert sol.remarch_fallbacks == 3
+
+    def ends_as(kind):
+        def march(stage, g, tau, *rest):
+            return np.full(tau.size, np.nan), [(kind, 0)], 0.0
+        return march
+
+    for kind, error, what in (
+        ("singular", SingularDenominator, "denominator vanished"),
+        ("constraint", ConstraintBreach, r"left \(0, min\(L, rL/delta\)\)"),
+    ):
+        monkeypatch.setattr(solver3d, "_march_lanes", ends_as(kind))
+        with pytest.raises(error, match=what):
+            sol.line(s, y)
 
 
 def test_long_direct_lines_are_remarched():
@@ -976,7 +989,6 @@ def test_long_direct_lines_are_remarched():
         crit = float(_critical_level(g1, g2, spec.strike, 1.0))
         assert sol.boundary(s, y) == crit
         assert sol.surface.level_smooth(s, y) != crit
-    assert sol.remarch_fallbacks == 0
 
 
 def test_slice_integrates_where_the_line_march_raised():
@@ -1026,8 +1038,6 @@ def test_step_tolerance_constant_reaches_every_march(sloped_put, monkeypatch):
     spec, sol = sloped_put
     s, y = 3.1, 2.9
     assert sol.branch(s, y) == "direct"
-    assert sol.boundary(s, y) != sol.surface.level_smooth(s, y)
-    fallbacks = sol.remarch_fallbacks
     grids = np.linspace(0.05, 20.0, 24), np.linspace(0.0, 19.9, 16)
     # the seeds come from the cached diagonal curve, which a patched target
     # would fail to march
@@ -1039,5 +1049,5 @@ def test_step_tolerance_constant_reaches_every_march(sloped_put, monkeypatch):
         put_boundary_2d(spec)
     status = build_put_surface(spec, *grids).slice_status
     assert {kind for kind, _ in status} == {"step"}
-    assert sol.boundary(s, y) == sol.surface.level_smooth(s, y)
-    assert sol.remarch_fallbacks == fallbacks + 1
+    with pytest.raises(StepError):
+        sol.boundary(s, y)
