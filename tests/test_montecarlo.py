@@ -45,6 +45,7 @@ def make_spec(kind, r=0.06, delta=0.03, sigma=0.2):
     dict(n_paths=1000, dt=-0.01, horizon=10.0),
     dict(n_paths=1000, dt=0.5, horizon=10.0),
     dict(n_paths=1000, dt=0.01, horizon=10.0, block_size=0),
+    dict(n_paths=1000, dt=0.01, horizon=10.0, block_size=-4096),
 ])
 def test_sim_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
