@@ -15,12 +15,20 @@ draws and one field evaluation per step serve every rule, and each rule's
 result equals its own separate run bit for bit.  Within a pass, the step
 coefficients and each rule's barrier level are kept per path and
 recomputed only where (S, Y) moved, since both are functions of (S, Y)
-alone.
+alone.  Rules that rescale one barrier (:meth:`BarrierRule.scaled`) share
+its lookup: each step looks up every distinct barrier once and multiplies
+by each rule's factor.  The bridge crossing test u < exp(v) takes its exp
+only on the lanes that pass the screen v >= log(u) - BRIDGE_MARGIN, which
+every crossing lane passes, so the screen decides each lane as the full
+test does (see :func:`_bridge_crossed`).  Every rule is tested in one set
+of array operations, one row per rule.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -41,8 +49,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 100:
             raise ConfigError(f"n_paths must be at least 100, got {self.n_paths}")
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.horizon):
+            raise ConfigError(f"horizon must be finite, got {self.horizon}")
         if self.horizon < 100 * self.dt:
             raise ConfigError(
                 f"horizon {self.horizon} shorter than 100 steps of dt={self.dt}"
@@ -51,47 +61,61 @@ class SimConfig:
             raise ConfigError("block_size must be positive")
 
 
-class ConstantRule:
+class BarrierRule:
+    """A stopping barrier in (S, Y): a factor times a lookup.
+
+    A subclass gives the lookup, ``_lookup(s, y)``.  A rule is built with
+    factor 1.0 and is its own ``unit``; every :meth:`scaled` copy keeps that
+    unit, so a pass over several scalings of one barrier looks it up once
+    and multiplies: ``factor * unit.level(s, y)`` is ``level(s, y)`` bit for
+    bit.
+    """
+
+    def __init__(self):
+        self.factor = 1.0
+        self.unit = self
+
+    def level(self, s, y):
+        return self.factor * self._lookup(s, y)
+
+    def scaled(self, f):
+        rule = copy.copy(self)
+        rule.factor = float(self.factor * f)
+        return rule
+
+
+class ConstantRule(BarrierRule):
     """Flat stopping barrier."""
 
-    def __init__(self, value, factor=1.0):
+    def __init__(self, value):
+        super().__init__()
         self.value = float(value)
-        self.factor = float(factor)
 
-    def level(self, s, y):
-        return np.full(np.shape(s), self.factor * self.value)
-
-    def scaled(self, f):
-        return ConstantRule(self.value, self.factor * f)
+    def _lookup(self, s, y):
+        return np.full(np.shape(s), self.value)
 
 
-class CurveRule:
+class CurveRule(BarrierRule):
     """Barrier read off a curve in the running maximum."""
 
-    def __init__(self, s_grid, values, factor=1.0):
+    def __init__(self, s_grid, values):
+        super().__init__()
         self.s_grid = np.asarray(s_grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
-        self.factor = float(factor)
 
-    def level(self, s, y):
-        return self.factor * np.interp(s, self.s_grid, self.values)
-
-    def scaled(self, f):
-        return CurveRule(self.s_grid, self.values, self.factor * f)
+    def _lookup(self, s, y):
+        return np.interp(s, self.s_grid, self.values)
 
 
-class SurfaceRule:
+class SurfaceRule(BarrierRule):
     """Barrier read off a boundary surface in (S, Y)."""
 
-    def __init__(self, surface, factor=1.0):
+    def __init__(self, surface):
+        super().__init__()
         self.surface = surface
-        self.factor = float(factor)
 
-    def level(self, s, y):
-        return self.factor * self.surface.level_at(s, y)
-
-    def scaled(self, f):
-        return SurfaceRule(self.surface, self.factor * f)
+    def _lookup(self, s, y):
+        return self.surface.level_at(s, y)
 
 
 def rule_from_solution(solution):
@@ -179,11 +203,7 @@ def simulate_stopped_payoffs(
     return [
         SimResult(
             mean=float(np.mean(payoffs[k])),
-            stderr=(
-                float(np.std(payoffs[k], ddof=1) / np.sqrt(cfg.n_paths))
-                if cfg.n_paths > 1
-                else 0.0
-            ),
+            stderr=float(np.std(payoffs[k], ddof=1) / np.sqrt(cfg.n_paths)),
             n_paths=cfg.n_paths,
             n_horizon=int(n_horizon[k]),
             mean_stop_time=float(np.mean(stop_times[k])),
@@ -203,6 +223,82 @@ def _step_coeffs(spec, dt, s, y):
     return (spec.r - dlt - 0.5 * sig**2) * dt, sig * np.sqrt(dt), sig**2 * dt
 
 
+def _unit_levels(rules):
+    """levels(s, y): every rule's barrier level, one lookup per distinct unit.
+
+    Returns one row per rule: the rule's factor times its unit's level,
+    which is the rule's own ``level`` bit for bit.  A rule without a
+    ``unit`` (any object with a ``level`` method) is its own unit with
+    factor 1.0.
+    """
+    units, which, factors = {}, [], []  # units: id -> (row, unit)
+    for rule in rules:
+        unit = getattr(rule, "unit", rule)
+        which.append(units.setdefault(id(unit), (len(units), unit))[0])
+        factors.append(1.0 if unit is rule else rule.factor)
+    units = [unit for _, unit in units.values()]
+    factors = np.array(factors)[:, None]
+
+    def levels(s, y):
+        raw = [unit.level(s, y) for unit in units]
+        return factors * np.array([raw[k] for k in which])
+
+    return levels
+
+
+BRIDGE_MARGIN = 1e-9  # log-space slack of the bridge screen
+
+
+def _bridge_crossed(d_prev, d_new, var, u, lu):
+    """Mask of the lanes whose Brownian bridge crosses the barrier in the step.
+
+    The log-Euler step is a Brownian bridge between its endpoints, so a pair
+    with both gaps positive (neither endpoint past the barrier) still
+    crosses with probability exp(v), v = -2 d_prev d_new / var; a lane
+    crosses where its uniform u < exp(v).  The exp is taken only on
+    candidates with v >= lu - BRIDGE_MARGIN, lu = log(u).  A uniform is 0
+    or at least 2**-53, so u < exp(v) with u > 0 needs v > -37, where exp
+    and log are accurate to about 1e-14, far inside the margin: every lane
+    the full test passes is a candidate, and the mask equals
+    ``(min(d_prev, d_new) > 0) & (u < exp(v))`` bit for bit.  u == 0 gives
+    lu = -inf, a candidate wherever v is not NaN; NaN and infinite gaps
+    compare alike on both forms.
+
+    The gaps may hold one row per rule; var, u and lu are per lane and
+    broadcast over the rows.
+    """
+    # -2.0 * d_prev * d_new / var, in place to hold one (rules, paths) temporary
+    v = -2.0 * d_prev
+    v *= d_new
+    v /= var
+    screen = (d_prev > 0.0) & (d_new > 0.0) & (v >= lu - BRIDGE_MARGIN)
+    # flat indices: nonzero on a 2-D mask costs several times more
+    cand = screen.ravel().nonzero()[0]
+    crossed = np.zeros(v.size, dtype=bool)
+    crossed[cand] = u[cand % u.size] < np.exp(v.ravel()[cand])
+    return crossed.reshape(v.shape)
+
+
+def _step_stops(o, lvl, la, lx, x_new, lx_new, var, u, live):
+    """The live (rule, path) pairs that stop in a step, and where in the step.
+
+    Returns flat indices into the (rules, paths) arrays and, per stop, the
+    fraction theta of the step at which log X meets the log barrier,
+    interpolated linearly: from the gaps' difference on an endpoint hit, and
+    at the weighted point between the two positive gaps on a bridge
+    crossing.  The (rules, paths) temporaries end with the call, so they do
+    not outlive the step.
+    """
+    hit = o.stop_side(x_new, lvl)
+    d_prev, d_new = o.gap(la, lx), o.gap(la, lx_new)
+    bridge = _bridge_crossed(d_prev, d_new, var, u, np.log(u))
+    stop = ((hit | bridge) & live).ravel().nonzero()[0]
+    dp, dn = d_prev.ravel()[stop], d_new.ravel()[stop]
+    theta = np.where(hit.ravel()[stop], dp / (dp - dn), dp / (dp + dn))
+    # NaN reads as 1; t_hit keeps its bits where -0.0 becomes 0.0
+    return stop, np.fmax(np.fmin(theta, 1.0), 0.0)
+
+
 def _run_block(spec, o, rules, start, cfg, rng, n_steps, payoff, stop_time):
     """Simulate one block of paths under every rule at once.
 
@@ -216,34 +312,41 @@ def _run_block(spec, o, rules, start, cfg, rng, n_steps, payoff, stop_time):
     maps them back to block positions and stays ascending so each path
     keeps its own draw lane.  ``live[k]`` marks the paths rule k has not
     stopped yet; a path every rule has stopped rides along masked until
-    such paths make up an eighth of the arrays, and is then dropped.
+    such paths make up an eighth of the arrays, and is then dropped.  The
+    per-rule arrays hold one row per rule, and each step tests every rule
+    in one set of array operations.
 
     (S, Y) moves on only a small share of path-steps, so everything that
     depends on it alone is kept per path and recomputed only where it
     moved: the step coefficients, and per rule the barrier level and its
     log.  Every rule's level is a function of (S, Y) alone, and each kept
     value is the expression the step would evaluate afresh, so the cache
-    changes no bit.
+    changes no bit.  Rules that scale one barrier share its lookup
+    (:func:`_unit_levels`): the moved (S, Y) are looked up once per
+    distinct barrier, and each rule's level is its factor times that.
+
+    Each step takes log(u) once, and the bridge probability's exp only on
+    the lanes where the log-space screen leaves a crossing possible
+    (:func:`_bridge_crossed`), which decides every lane as the full test
+    would.
     """
-    n_rules, n_b = payoff.shape
     payoff[:] = 0.0
     stop_time[:] = cfg.horizon
 
-    x = np.full(n_b, float(start.x))
-    s = np.full(n_b, float(start.s))
-    y = np.full(n_b, float(start.y))
-    lvl = np.empty((n_rules, n_b))
-    live = np.empty((n_rules, n_b), dtype=bool)
-    for k, rule in enumerate(rules):
-        lvl[k] = rule.level(s, y)
-        hit0 = o.stop_side(x, lvl[k])
-        if np.any(hit0):
-            payoff[k, hit0] = spec.payoff(x[hit0])
-            stop_time[k, hit0] = 0.0
-        live[k] = ~hit0
+    x = np.full(payoff.shape[1], float(start.x))
+    s = np.full_like(x, float(start.s))
+    y = np.full_like(x, float(start.y))
+    levels = _unit_levels(rules)
+    lvl = levels(s, y)
+    hit0 = o.stop_side(x, lvl)
+    rows, cols = hit0.nonzero()
+    payoff[rows, cols] = spec.payoff(x[cols])
+    stop_time[rows, cols] = 0.0
+    live = ~hit0
     idx = np.flatnonzero(live.any(axis=0))
     x, s, y = x[idx], s[idx], y[idx]
-    lvl, live = lvl[:, idx], live[:, idx]
+    # take along axis 1 keeps the rows C-contiguous, where [:, idx] would not
+    lvl, live = lvl.take(idx, axis=1), live.take(idx, axis=1)
     n_live = int(np.count_nonzero(live))
     lx = np.log(x)
     drift, vol, var = _step_coeffs(spec, cfg.dt, s, y)
@@ -264,49 +367,34 @@ def _run_block(spec, o, rules, start, cfg, rng, n_steps, payoff, stop_time):
             s, y = s_new, y_new
             if moved.size:
                 s_m, y_m = s[moved], y[moved]
-                for j, rule in enumerate(rules):
-                    lvl[j, moved] = lv = rule.level(s_m, y_m)
-                    la[j, moved] = np.log(lv)
+                lvl[:, moved] = lv = levels(s_m, y_m)
+                la[:, moved] = np.log(lv)
             lx_new = np.log(x_new)
-            n_stopped = 0
-            for j in range(n_rules):
-                hit = o.stop_side(x_new, lvl[j])
-                d_prev, d_new = o.gap(la[j], lx), o.gap(la[j], lx_new)
-                # the log-Euler step is a Brownian bridge between endpoints,
-                # so an unhit pair still crosses with this exact probability
-                # (both gaps positive already rules out an endpoint hit)
-                p_cross = np.exp(-2.0 * d_prev * d_new / var)
-                bridge = (np.minimum(d_prev, d_new) > 0.0) & (u < p_cross)
-                stopped = ((hit | bridge) & live[j]).nonzero()[0]
-                if stopped.size:
-                    n_stopped += stopped.size
-                    dp, dn = d_prev[stopped], d_new[stopped]
-                    theta = np.where(hit[stopped], dp / (dp - dn), dp / (dp + dn))
-                    theta = np.clip(np.nan_to_num(theta, nan=1.0), 0.0, 1.0)
-                    t_hit = (k + theta) * cfg.dt
-                    at = idx[stopped]
-                    payoff[j, at] = np.exp(-spec.r * t_hit) * spec.payoff(lvl[j, stopped])
-                    stop_time[j, at] = t_hit
-                    live[j, stopped] = False
+            stop, theta = _step_stops(o, lvl, la, lx, x_new, lx_new, var, u, live)
+            if stop.size:
+                rows, cols = np.divmod(stop, live.shape[1])
+                t_hit = (k + theta) * cfg.dt
+                at = idx[cols]
+                payoff[rows, at] = np.exp(-spec.r * t_hit) * spec.payoff(lvl[rows, cols])
+                stop_time[rows, at] = t_hit
+                live[rows, cols] = False
             x, lx = x_new, lx_new
             if moved.size:
                 drift[moved], vol[moved], var[moved] = _step_coeffs(spec, cfg.dt, s_m, y_m)
-            if n_stopped:
-                n_live -= n_stopped
-                keep = live[0] if n_rules == 1 else live.any(axis=0)
+            if stop.size:
+                n_live -= stop.size
+                keep = live.any(axis=0)
                 n_keep = int(np.count_nonzero(keep))
                 if 8 * (keep.size - n_keep) > keep.size:
                     keep = np.flatnonzero(keep)
                     idx, x, s, y, lx = idx[keep], x[keep], s[keep], y[keep], lx[keep]
                     drift, vol, var = drift[keep], vol[keep], var[keep]
-                    lvl, la, live = lvl[:, keep], la[:, keep], live[:, keep]
+                    lvl, la = lvl.take(keep, axis=1), la.take(keep, axis=1)
+                    live = live.take(keep, axis=1)
 
-    n_horizon = np.zeros(n_rules, dtype=int)
-    for j in range(n_rules):
-        rest = np.flatnonzero(live[j])
-        n_horizon[j] = rest.size
-        if rest.size:
-            payoff[j, idx[rest]] = np.exp(-spec.r * cfg.horizon) * spec.payoff(x[rest])
+    n_horizon = live.sum(axis=1)
+    rows, cols = live.nonzero()
+    payoff[rows, idx[cols]] = np.exp(-spec.r * cfg.horizon) * spec.payoff(x[cols])
     return n_horizon
 
 

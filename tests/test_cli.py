@@ -302,6 +302,16 @@ def test_simulate_writes_json_and_respects_seed(tmp_path, capsys):
     assert json.loads((out / "simulate.json").read_text())["mean"] != rec["mean"]
 
 
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_simulate_non_finite_horizon_exits_1(tmp_path, capsys, horizon):
+    # rejected with the config, before any solve
+    text = BASE.replace("sim.horizon = 120", f"sim.horizon = {horizon}")
+    cfg, out = write_config(tmp_path, text=text)
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "simulate.json").exists()
+
+
 def test_simulate_2d_below_the_maximum_needs_no_drawdown(tmp_path):
     cfg, out = write_config(tmp_path, text=FAST)
     argv = ["simulate", "--config", cfg, "--dim", "2", "--seed", "1",

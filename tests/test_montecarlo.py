@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drawdown_options import (
     CoefficientField,
@@ -21,6 +23,7 @@ from drawdown_options.montecarlo import (
     SimResult,
     SurfaceRule,
     VerificationReport,
+    _bridge_crossed,
 )
 from drawdown_options.solver2d import CallSolution2D
 
@@ -46,6 +49,9 @@ def make_spec(kind, r=0.06, delta=0.03, sigma=0.2):
     dict(n_paths=1000, dt=0.5, horizon=10.0),
     dict(n_paths=1000, dt=0.01, horizon=10.0, block_size=0),
     dict(n_paths=1000, dt=0.01, horizon=10.0, block_size=-4096),
+    dict(n_paths=1000, dt=0.01, horizon=float("nan")),
+    dict(n_paths=1000, dt=0.01, horizon=float("inf")),
+    dict(n_paths=1000, dt=float("inf"), horizon=10.0),
 ])
 def test_sim_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
@@ -185,6 +191,45 @@ def test_surface_rule_simulation_matches_recorded_bits():
     )
 
 
+def test_joint_surface_pass_matches_recorded_bits():
+    """Three scalings of one surface on one pass, pinned bit for bit.
+
+    The start (0.9, 1, 0.1) sits above every barrier and close to them, so
+    the bridge test stops paths on all three rules (101, 52 and 238 paths
+    stopped by a crossing inside a step with both endpoints unhit); 600
+    paths in blocks of 256 leave a short last block.  Recorded with numpy
+    2.4 on x86-64, from the pass that looked each rule's barrier up on its
+    own and took the bridge probability on every live path.
+    """
+    spec, rule = _pin_surface_rule()
+    rules = [rule, rule.scaled(0.9), rule.scaled(1.1)]
+    cfg = SimConfig(n_paths=600, dt=0.02, horizon=24.0, seed=31, block_size=256)
+    res = simulate_stopped_payoffs(spec, StateTriple(0.9, 1.0, 0.1), rules, cfg)
+    assert res == [
+        SimResult(
+            mean=0.05892394734681988,
+            stderr=0.0034247007282790865,
+            n_paths=600,
+            n_horizon=388,
+            mean_stop_time=15.865746878120287,
+        ),
+        SimResult(
+            mean=0.03418704501487694,
+            stderr=0.003251894387180637,
+            n_paths=600,
+            n_horizon=495,
+            mean_stop_time=20.097345362665788,
+        ),
+        SimResult(
+            mean=0.09664377614069705,
+            stderr=0.0022690254646902776,
+            n_paths=600,
+            n_horizon=138,
+            mean_stop_time=5.753128879766963,
+        ),
+    ]
+
+
 def test_joint_run_equals_separate_runs():
     # three scalings of one surface plus a flat barrier that stops every
     # path at time zero, over several blocks with a short last one
@@ -267,6 +312,132 @@ def test_scaled_rules_compose():
     assert rule.level(1.0, 0.0) == pytest.approx(0.5 * 0.81, rel=1e-15)
     surf_rule = rule_from_solution(PutSolution2D(make_spec("put"))).scaled(1.1)
     assert surf_rule.level(5.0, 0.0) == pytest.approx(1.1 * 2.0 / 3.0, rel=1e-9)
+
+
+def test_scaled_rules_share_their_unit():
+    # a scaled rule's level is its factor times its unit's, bit for bit
+    s = np.linspace(0.5, 3.0, 7)
+    y = np.linspace(0.0, 0.4, 7)
+    _, surf = _pin_surface_rule()
+    curve = rule_from_solution(PutSolution2D(make_spec("put")))
+    for rule in (ConstantRule(0.7), curve, surf):
+        assert rule.unit is rule and rule.factor == 1.0
+        scaled = rule.scaled(0.9).scaled(1.1)
+        assert scaled.unit is rule and scaled.factor == 0.9 * 1.1
+        assert np.array_equal(scaled.level(s, y), scaled.factor * rule.level(s, y))
+        assert rule.factor == 1.0  # scaling copies; the unit stays as it was
+
+
+def test_one_barrier_lookup_per_distinct_barrier(monkeypatch):
+    # four scalings of one surface look it up as often as the surface alone;
+    # on a put a higher barrier stops a path no later, so both passes carry
+    # the same paths and meet the same moved (S, Y)
+    spec, rule = _pin_surface_rule()
+    calls = []
+    level = SurfaceRule.level
+
+    def counted(self, s, y):
+        calls.append(self)
+        return level(self, s, y)
+
+    monkeypatch.setattr(SurfaceRule, "level", counted)
+    cfg = SimConfig(n_paths=500, dt=0.02, horizon=24.0, seed=2026, block_size=128)
+    start = StateTriple(1.0, 1.0, 0.0)
+    alone = simulate_stopped_payoff(spec, start, rule, cfg)
+    n_alone = len(calls)
+    calls.clear()
+    rules = [rule] + [rule.scaled(f) for f in (1.05, 1.1, 1.2)]
+    joint = simulate_stopped_payoffs(spec, start, rules, cfg)
+    # four blocks, each with its first lookup and one per step of 1200
+    assert n_alone == 4 * (1 + 1200)
+    assert len(calls) == n_alone
+    assert all(unit is rule for unit in calls)
+    assert joint[0] == alone
+
+
+# ---------------------------------------------------------------------------
+# the screened bridge test against the full one
+
+
+def _bridge_full(d_prev, d_new, var, u):
+    return (np.minimum(d_prev, d_new) > 0.0) & (u < np.exp(-2.0 * d_prev * d_new / var))
+
+
+def _assert_bridge_exact(d_prev, d_new, var, u):
+    # gaps of shape (lanes,) or (rules, lanes); var and u are per lane
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (d_prev, d_new, var, u)))
+    d_prev, d_new = (np.broadcast_to(np.asarray(a, float), shape) for a in (d_prev, d_new))
+    var, u = (np.broadcast_to(np.asarray(a, float), shape[-1:]) for a in (var, u))
+    with np.errstate(all="ignore"):
+        got = _bridge_crossed(d_prev, d_new, var, u, np.log(u))
+        want = _bridge_full(d_prev, d_new, var, u)
+    assert got.dtype == bool and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_bridge_screen_edge_cases():
+    with np.errstate(all="ignore"):
+        v = -2.0 * 0.01 * 0.02 / np.array([4e-4, 1e-2, 1e-5])
+        e = np.exp(v)
+    # u == 0 crosses wherever exp(v) > 0, and not where it underflows
+    _assert_bridge_exact([0.01, 1.0], [0.02, 1.0], [4e-4, 1e-6], 0.0)
+    # u at exp(v) does not cross, the float just below it does
+    _assert_bridge_exact(0.01, 0.02, [4e-4, 1e-2, 1e-5], e)
+    _assert_bridge_exact(0.01, 0.02, [4e-4, 1e-2, 1e-5], np.nextafter(e, 0.0))
+    assert _bridge_crossed(
+        np.full(3, 0.01), np.full(3, 0.02), np.array([4e-4, 1e-2, 1e-5]),
+        np.nextafter(e, 0.0), np.log(np.nextafter(e, 0.0)),
+    ).all()
+    # NaN and infinite gaps, alone and against each other
+    odd = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-3]
+    dp, dn = np.meshgrid(odd, odd)
+    for u in (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53):
+        _assert_bridge_exact(dp, dn, 1e-3, u)
+    # v below -745: exp underflows to 0
+    _assert_bridge_exact([1.0, 0.5], [1.0, 0.4], [1e-3, 1e-4], [0.0, 2.0**-53])
+    # tiny and zero variance: v is -inf or NaN
+    for var in (5e-324, 1e-300, 0.0):
+        _assert_bridge_exact([1e-3, 1e-200, 0.0], [1e-3, 1e-200, 1e-3], var, [0.0, 0.3, 0.3])
+    # several rules at once: the gaps hold one row per rule
+    _assert_bridge_exact(
+        [[0.01, 0.02, -0.01], [0.001, 0.5, 0.002]],
+        [[0.01, 0.0, 0.02], [0.003, 0.5, 0.001]],
+        [4e-4, 1e-3, 2e-4],
+        [0.0, 0.6, 0.5],
+    )
+
+
+_gap = st.one_of(
+    st.floats(-0.05, 0.2),
+    st.floats(min_value=0.0, max_value=1e-3),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _bridge_lanes(draw):
+    n = draw(st.integers(1, 12))
+    d_prev = np.array(draw(st.lists(_gap, min_size=n, max_size=n)))
+    d_new = np.array(draw(st.lists(_gap, min_size=n, max_size=n)))
+    var = np.array(draw(st.lists(
+        st.floats(min_value=0.0, max_value=0.1, allow_subnormal=True),
+        min_size=n, max_size=n,
+    )))
+    # uniforms as the generator gives them, k * 2**-53, some next to exp(v)
+    k = np.array(draw(st.lists(st.integers(0, 2**53 - 1), min_size=n, max_size=n)))
+    near = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    use_near = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    with np.errstate(all="ignore"):
+        e = np.exp(-2.0 * d_prev * d_new / var)
+        k_near = np.nan_to_num(np.floor(e * 2.0**53), nan=0.0) + near
+    k = np.where(use_near, np.clip(k_near, 0, 2**53 - 1), k)
+    return d_prev, d_new, var, k * 2.0**-53
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bridge_lanes())
+def test_bridge_screen_matches_the_full_test(lanes):
+    _assert_bridge_exact(*lanes)
 
 
 # ---------------------------------------------------------------------------
