@@ -5,9 +5,16 @@ frozen at the running (S, Y) of the step start; the running maximum and
 drawdown update after each move, which keeps every path inside the state
 space by construction.  Stopping is first passage of X through a supplied
 barrier rule; the crossing time and level are refined linearly in log X
-inside the triggering step.  Draws come in fixed-width blocks keyed by
-(seed, block index), so results do not depend on how blocks are batched,
-and perturbed reruns with the same seed share every draw.
+inside the triggering step.
+
+Every draw is a pure function of (seed, slot, step, path): a SplitMix64
+hash of the counter (step << 32) | path under a key per (seed, slot), with
+slot 0 the step's normal and slot 1 its bridge uniform (see
+:func:`_draws`).  The path is the global index in the pass, so a result
+does not depend on how paths are batched into blocks (``block_size``
+bounds memory only), runs that differ only in horizon share every common
+step's draws, and perturbed reruns with the same seed share every draw.
+Each step hashes only the paths still live.
 
 Several rules can ride on one pass (:func:`simulate_stopped_payoffs`): a
 path's trajectory does not depend on the rule that stops it, so one set of
@@ -29,8 +36,10 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 from dataclasses import dataclass
 import numpy as np
+from scipy.special import ndtri
 
 from .coefficients import _ORIENT, ModelSpec, StateTriple
 from .errors import ConfigError
@@ -40,6 +49,13 @@ TRUNCATION_BUDGET = 1e-3
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Monte Carlo settings.
+
+    seed is an int in [0, 2**64).  block_size is the number of paths
+    simulated together: it bounds the memory of a block's arrays and changes
+    no result.
+    """
+
     n_paths: int
     dt: float
     horizon: float
@@ -59,6 +75,14 @@ class SimConfig:
             )
         if self.block_size < 1:
             raise ConfigError("block_size must be positive")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not (
+            0 <= int(seed) < 2**64
+        ):
+            raise ConfigError(f"seed must be an int in [0, 2**64), got {seed!r}")
+        # a draw's counter holds the step and the path in 32 bits each
+        if self.n_paths > 2**32 or round(self.horizon / self.dt) >= 2**32:
+            raise ConfigError("need at most 2**32 paths and fewer than 2**32 steps")
 
 
 class BarrierRule:
@@ -176,6 +200,28 @@ def simulate_stopped_payoffs(
     gives for that rule alone, bit for bit; the rules share the work and
     the draws (common random numbers).
     """
+    payoffs, stop_times, n_horizon = _stopped_paths(spec, start, rules, cfg)
+    return [
+        SimResult(
+            mean=float(np.mean(payoffs[k])),
+            stderr=float(np.std(payoffs[k], ddof=1) / np.sqrt(cfg.n_paths)),
+            n_paths=cfg.n_paths,
+            n_horizon=int(n_horizon[k]),
+            mean_stop_time=float(np.mean(stop_times[k])),
+        )
+        for k in range(len(payoffs))
+    ]
+
+
+def _stopped_paths(spec, start, rules, cfg):
+    """(payoffs, stop_times, n_horizon) of one pass over every rule.
+
+    payoffs and stop_times hold each path's discounted payoff and stop
+    time, one row per rule; n_horizon counts per rule the paths cashed out
+    at the horizon.  The paths run in blocks of ``cfg.block_size``, which bounds the memory
+    of a block's arrays and changes no bit: a path's draws are keyed by its
+    index in the pass (:func:`_draws`).
+    """
     rules = list(rules)
     tail = np.exp(-spec.r * cfg.horizon)
     if tail > TRUNCATION_BUDGET:
@@ -185,31 +231,90 @@ def simulate_stopped_payoffs(
         )
     o = _ORIENT[spec.payoff_kind]
     n_steps = int(round(cfg.horizon / cfg.dt))
+    keys = _stream_keys(cfg.seed)
     payoffs = np.empty((len(rules), cfg.n_paths))
     stop_times = np.empty((len(rules), cfg.n_paths))
     n_horizon = np.zeros(len(rules), dtype=int)
-    filled = 0
-    block_idx = 0
-    while filled < cfg.n_paths:
-        n_b = min(cfg.block_size, cfg.n_paths - filled)
-        rng = np.random.Generator(np.random.Philox(key=[cfg.seed, block_idx]))
-        block = slice(filled, filled + n_b)
+    for first in range(0, cfg.n_paths, cfg.block_size):
+        block = slice(first, first + cfg.block_size)
         n_horizon += _run_block(
-            spec, o, rules, start, cfg, rng, n_steps,
+            spec, o, rules, start, cfg, keys, first, n_steps,
             payoffs[:, block], stop_times[:, block],
         )
-        filled += n_b
-        block_idx += 1
-    return [
-        SimResult(
-            mean=float(np.mean(payoffs[k])),
-            stderr=float(np.std(payoffs[k], ddof=1) / np.sqrt(cfg.n_paths)),
-            n_paths=cfg.n_paths,
-            n_horizon=int(n_horizon[k]),
-            mean_stop_time=float(np.mean(stop_times[k])),
-        )
-        for k in range(len(rules))
-    ]
+    return payoffs, stop_times, n_horizon
+
+
+# ---------------------------------------------------------------------------
+# counter-keyed draws
+
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's Weyl increment, odd
+_STEP_GAMMA = (_GAMMA << 32) % 2**64  # a step adds 1 << 32 to the counter
+_U53 = 2.0**-53  # the lattice of a 53-bit fraction
+_U52 = 2.0**-52
+
+
+def _mix64(z):
+    """SplitMix64's finaliser, in place on a uint64 array; a bijection."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _mix64_int(x):
+    return int(_mix64(np.array([x % 2**64], dtype=np.uint64))[0])
+
+
+def _stream_keys(seed):
+    """The keys of a seed's draw slots: slot 0 the normals, slot 1 the uniforms.
+
+    Each key is the finaliser of a hash of the seed, which is a bijection, so
+    distinct seeds in [0, 2**64) give distinct keys in every slot.  A later
+    slot adds a key and leaves these two bit for bit.
+    """
+    base = _mix64_int(int(seed) + _GAMMA)
+    return [_mix64_int(base + (slot + 1) * _GAMMA) for slot in (0, 1)]
+
+
+def _path_weyl(paths):
+    """Each path's Weyl term path * GAMMA mod 2**64, the path's part of its hash input."""
+    return np.asarray(paths).astype(np.uint64) * np.uint64(_GAMMA)
+
+
+def _hashes(weyl, key, step):
+    """SplitMix64 at counter (step << 32) | path under key, one hash per path.
+
+    The finaliser's input is key + counter * GAMMA mod 2**64, which is
+    SplitMix64's state after counter steps from key; for a fixed key it is a
+    bijection of the counter, so no two (step, path) pairs share a hash.
+    """
+    return _mix64(weyl + np.uint64((key + step * _STEP_GAMMA) % 2**64))
+
+
+def _uniforms(h):
+    """Uniforms on [0, 1): each hash's top 53 bits times 2**-53.
+
+    They lie on the 2**-53 lattice, which :func:`_bridge_crossed` relies on.
+    """
+    return (h >> np.uint64(11)) * _U53
+
+
+def _normals(h):
+    """Standard normals ndtri((m + 0.5) 2**-52) of each hash's top 52 bits m.
+
+    The midpoints are exact in double and lie in [2**-53, 1 - 2**-53], so
+    every normal is finite, within about 8.2 of zero.  (With 53 bits the
+    top midpoint 1 - 2**-54 would round to 1, where ndtri is infinite.)
+    """
+    return ndtri(((h >> np.uint64(12)) + 0.5) * _U52)
+
+
+def _draws(keys, weyl, step):
+    """The step's normal and bridge uniform for the paths whose Weyl terms
+    are weyl (:func:`_path_weyl`), hashed under slots 0 and 1 of keys."""
+    return _normals(_hashes(weyl, keys[0], step)), _uniforms(_hashes(weyl, keys[1], step))
 
 
 def _step_coeffs(spec, dt, s, y):
@@ -299,22 +404,27 @@ def _step_stops(o, lvl, la, lx, x_new, lx_new, var, u, live):
     return stop, np.fmax(np.fmin(theta, 1.0), 0.0)
 
 
-def _run_block(spec, o, rules, start, cfg, rng, n_steps, payoff, stop_time):
+def _run_block(spec, o, rules, start, cfg, keys, first, n_steps, payoff, stop_time):
     """Simulate one block of paths under every rule at once.
 
     o is the payoff's orientation record: it says which side of a barrier
-    stops a path.
+    stops a path.  first is the index in the pass of the block's first
+    path, and keys are the seed's draw keys (:func:`_stream_keys`).
 
     Fills ``payoff`` and ``stop_time`` (one row per rule, one column per
     path of the block) and returns the horizon cash-out count per rule.
 
     Paths stay compacted on those still live under at least one rule; idx
-    maps them back to block positions and stays ascending so each path
-    keeps its own draw lane.  ``live[k]`` marks the paths rule k has not
-    stopped yet; a path every rule has stopped rides along masked until
-    such paths make up an eighth of the arrays, and is then dropped.  The
-    per-rule arrays hold one row per rule, and each step tests every rule
-    in one set of array operations.
+    maps them back to block positions.  ``live[k]`` marks the paths rule k
+    has not stopped yet; a path every rule has stopped rides along masked
+    until such paths make up an eighth of the arrays, and is then dropped.
+    The per-rule arrays hold one row per rule, and each step tests every
+    rule in one set of array operations.
+
+    Each step draws for the compacted paths alone.  A path's normal and
+    uniform are hashes of its index in the pass and the step
+    (:func:`_draws`), so they do not depend on which other paths are live,
+    on the block, or on the horizon.
 
     (S, Y) moves on only a small share of path-steps, so everything that
     depends on it alone is kept per path and recomputed only where it
@@ -345,6 +455,7 @@ def _run_block(spec, o, rules, start, cfg, rng, n_steps, payoff, stop_time):
     live = ~hit0
     idx = np.flatnonzero(live.any(axis=0))
     x, s, y = x[idx], s[idx], y[idx]
+    weyl = _path_weyl(first + idx)
     # take along axis 1 keeps the rows C-contiguous, where [:, idx] would not
     lvl, live = lvl.take(idx, axis=1), live.take(idx, axis=1)
     n_live = int(np.count_nonzero(live))
@@ -357,9 +468,7 @@ def _run_block(spec, o, rules, start, cfg, rng, n_steps, payoff, stop_time):
         for k in range(n_steps):
             if n_live == 0:
                 break
-            # both arrays are drawn every step so streams stay aligned under CRN
-            z = rng.standard_normal(cfg.block_size).take(idx)
-            u = rng.random(cfg.block_size).take(idx)
+            z, u = _draws(keys, weyl, k)
             x_new = x * np.exp(drift + vol * z)
             s_new = np.maximum(s, x_new)
             y_new = np.maximum(y, s_new - x_new)
@@ -387,7 +496,8 @@ def _run_block(spec, o, rules, start, cfg, rng, n_steps, payoff, stop_time):
                 n_keep = int(np.count_nonzero(keep))
                 if 8 * (keep.size - n_keep) > keep.size:
                     keep = np.flatnonzero(keep)
-                    idx, x, s, y, lx = idx[keep], x[keep], s[keep], y[keep], lx[keep]
+                    idx, weyl = idx[keep], weyl[keep]
+                    x, s, y, lx = x[keep], s[keep], y[keep], lx[keep]
                     drift, vol, var = drift[keep], vol[keep], var[keep]
                     lvl, la = lvl.take(keep, axis=1), la.take(keep, axis=1)
                     live = live.take(keep, axis=1)

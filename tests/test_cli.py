@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from drawdown_options import cli
 from drawdown_options.cli import main
 
 BASE = """\
@@ -310,6 +311,21 @@ def test_simulate_non_finite_horizon_exits_1(tmp_path, capsys, horizon):
     assert main(["simulate", "--config", cfg]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (out / "simulate.json").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_out_of_range_exits_1_before_the_solve(
+    tmp_path, capsys, monkeypatch, command, seed
+):
+    def no_solve(*args):
+        raise AssertionError("solved before the seed was checked")
+
+    monkeypatch.setattr(cli, "_solution_3d", no_solve)
+    cfg, out = write_config(tmp_path, text=FAST)
+    assert main([command, "--config", cfg, "--seed", seed]) == 1
+    assert "config error: seed must be an int in [0, 2**64)" in capsys.readouterr().err
+    assert not (out / f"{command}.json").exists()
 
 
 def test_simulate_2d_below_the_maximum_needs_no_drawdown(tmp_path):

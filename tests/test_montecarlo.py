@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from drawdown_options import (
     CoefficientField,
@@ -24,6 +25,11 @@ from drawdown_options.montecarlo import (
     SurfaceRule,
     VerificationReport,
     _bridge_crossed,
+    _draws,
+    _normals,
+    _path_weyl,
+    _stopped_paths,
+    _stream_keys,
 )
 from drawdown_options.solver2d import CallSolution2D
 
@@ -52,6 +58,15 @@ def make_spec(kind, r=0.06, delta=0.03, sigma=0.2):
     dict(n_paths=1000, dt=0.01, horizon=float("nan")),
     dict(n_paths=1000, dt=0.01, horizon=float("inf")),
     dict(n_paths=1000, dt=float("inf"), horizon=10.0),
+    # a seed is an int in [0, 2**64); 2**64 once raised OverflowError mid-run
+    dict(n_paths=1000, dt=0.01, horizon=10.0, seed=-1),
+    dict(n_paths=1000, dt=0.01, horizon=10.0, seed=2**64),
+    dict(n_paths=1000, dt=0.01, horizon=10.0, seed=2.0),
+    dict(n_paths=1000, dt=0.01, horizon=10.0, seed="3"),
+    dict(n_paths=1000, dt=0.01, horizon=10.0, seed=True),
+    # a draw's counter holds the path and the step in 32 bits each
+    dict(n_paths=2**32 + 1, dt=0.01, horizon=10.0),
+    dict(n_paths=1000, dt=1e-9, horizon=5.0),
 ])
 def test_sim_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
@@ -139,12 +154,82 @@ def test_seed_changes_estimate():
 
 
 def test_block_size_does_not_change_path_count():
-    spec = make_spec("put")
+    # a path's draws are keyed by its index in the pass, not by its block
+    spec = make_spec("put", r=0.3, delta=0.1)
     start = StateTriple(1.0, 1.0, 0.0)
-    rule = ConstantRule(2.0 / 3.0)
-    cfg = SimConfig(n_paths=300, dt=0.01, horizon=120.0, seed=3, block_size=128)
-    res = simulate_stopped_payoff(spec, start, rule, cfg)
-    assert res.n_paths == 300
+    rule = ConstantRule(0.85)
+    res = [
+        simulate_stopped_payoff(
+            spec, start, rule,
+            SimConfig(n_paths=512, dt=0.02, horizon=24.0, seed=3, block_size=b),
+        )
+        for b in (128, 256, 300, 512)
+    ]
+    assert res[0].n_paths == 512
+    assert res[1:] == res[:1] * 3
+
+
+def test_large_seeds_give_distinct_results():
+    # 2**63 and 2**63 + 1 once shared one stream
+    spec = make_spec("put", r=0.3, delta=0.1)
+    start = StateTriple(1.0, 1.0, 0.0)
+    rule = ConstantRule(0.85)
+    r1, r2, r3 = (
+        simulate_stopped_payoff(
+            spec, start, rule, SimConfig(n_paths=500, dt=0.02, horizon=24.0, seed=seed)
+        )
+        for seed in (2**63, 2**63 + 1, 2**64 - 1)
+    )
+    assert len({r1.mean, r2.mean, r3.mean}) == 3
+
+
+# ---------------------------------------------------------------------------
+# the counter-keyed generator
+
+
+def _generator_draws(n_paths, steps, seed=2026):
+    keys = _stream_keys(seed)
+    weyl = _path_weyl(np.arange(n_paths))
+    z, u = zip(*(_draws(keys, weyl, k) for k in steps))
+    return np.array(z), np.array(u)
+
+
+def test_generator_uniforms_pass_ks_on_the_lattice():
+    _, u = _generator_draws(1000, range(1000))
+    u = u.ravel()
+    assert u.size == 10**6
+    assert stats.kstest(u, "uniform").pvalue > 1e-3
+    assert u.min() >= 0.0 and u.max() < 1.0
+    m = u * 2.0**53
+    assert np.array_equal(m, np.floor(m))
+
+
+def test_generator_normals_match_four_moments_and_stay_finite():
+    z, _ = _generator_draws(1000, range(1000, 2000))
+    z = z.ravel()
+    n = z.size
+    assert abs(z.mean()) < 5.0 / np.sqrt(n)
+    assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+    assert abs(stats.skew(z)) < 5.0 * np.sqrt(6.0 / n)
+    assert abs(stats.kurtosis(z)) < 5.0 * np.sqrt(24.0 / n)
+    # the extreme hashes: the top bits all clear and all set
+    ends = _normals(np.array([0, 2**64 - 1], dtype=np.uint64))
+    assert np.all(np.isfinite(ends)) and ends[0] == -ends[1] < -8.0
+
+
+def test_generator_adjacent_paths_and_steps_are_uncorrelated():
+    z, u = _generator_draws(10**6 + 1, (7, 8))
+    n = 10**6
+    bound = 5.0 / np.sqrt(n)
+    for d in (z, u):
+        assert abs(np.corrcoef(d[0, :-1], d[0, 1:])[0, 1]) < bound  # paths
+        assert abs(np.corrcoef(d[0, :n], d[1, :n])[0, 1]) < bound  # steps
+    assert abs(np.corrcoef(z[0, :n], u[0, :n])[0, 1]) < bound  # slots
+
+
+def test_generator_keys_differ_per_seed_and_slot():
+    keys = {k for seed in (0, 1, 2**63, 2**63 + 1, 2**64 - 1) for k in _stream_keys(seed)}
+    assert len(keys) == 10
 
 
 def _pin_surface_rule():
@@ -177,17 +262,21 @@ def test_surface_rule_simulation_matches_recorded_bits():
     horizon cash-outs rose from 296 to 421 and the mean stop time from 14.5
     to 20.5.  Re-recorded when the seeds' diagonal curve and the put lanes
     moved to log s (same path counts, the mean 4.3e-12 and the mean stop
-    time 2.7e-12 lower).  Recorded with numpy 2.4 on x86-64.
+    time 2.7e-12 lower).  Re-recorded when the draws became counter-keyed
+    hashes per path and step in place of a Philox stream per block, which
+    changes every path: the mean rose from 0.02116 to 0.02309, the horizon
+    cash-outs fell from 421 to 417 and the mean stop time from 20.49 to
+    20.30.  Recorded with numpy 2.4 and scipy 1.17 on x86-64.
     """
     spec, rule = _pin_surface_rule()
     cfg = SimConfig(n_paths=500, dt=0.02, horizon=24.0, seed=2026, block_size=128)
     res = simulate_stopped_payoff(spec, StateTriple(1.0, 1.0, 0.0), rule, cfg)
     assert res == SimResult(
-        mean=0.021163205864949405,
-        stderr=0.002371253418637288,
+        mean=0.02308756043942234,
+        stderr=0.002491352729827748,
         n_paths=500,
-        n_horizon=421,
-        mean_stop_time=20.49451935173839,
+        n_horizon=417,
+        mean_stop_time=20.302814686765682,
     )
 
 
@@ -195,11 +284,17 @@ def test_joint_surface_pass_matches_recorded_bits():
     """Three scalings of one surface on one pass, pinned bit for bit.
 
     The start (0.9, 1, 0.1) sits above every barrier and close to them, so
-    the bridge test stops paths on all three rules (101, 52 and 238 paths
+    the bridge test stops paths on all three rules (116, 50 and 239 paths
     stopped by a crossing inside a step with both endpoints unhit); 600
-    paths in blocks of 256 leave a short last block.  Recorded with numpy
-    2.4 on x86-64, from the pass that looked each rule's barrier up on its
-    own and took the bridge probability on every live path.
+    paths in blocks of 256 leave a short last block.  First recorded from
+    the pass that looked each rule's barrier up on its own and took the
+    bridge probability on every live path, which the shared lookups and
+    the screened bridge test kept bit for bit.  Re-recorded when the draws
+    became counter-keyed hashes per path and step in place of a Philox
+    stream per block, which changes every path: the means moved from
+    (0.05892, 0.03419, 0.09664) to (0.06036, 0.03095, 0.09429), within
+    1.1 standard errors each.  Recorded with numpy 2.4 and scipy 1.17 on
+    x86-64.
     """
     spec, rule = _pin_surface_rule()
     rules = [rule, rule.scaled(0.9), rule.scaled(1.1)]
@@ -207,25 +302,25 @@ def test_joint_surface_pass_matches_recorded_bits():
     res = simulate_stopped_payoffs(spec, StateTriple(0.9, 1.0, 0.1), rules, cfg)
     assert res == [
         SimResult(
-            mean=0.05892394734681988,
-            stderr=0.0034247007282790865,
+            mean=0.060358346226775966,
+            stderr=0.0034473567867276483,
             n_paths=600,
-            n_horizon=388,
-            mean_stop_time=15.865746878120287,
+            n_horizon=382,
+            mean_stop_time=15.65140401947641,
         ),
         SimResult(
-            mean=0.03418704501487694,
-            stderr=0.003251894387180637,
+            mean=0.030948958622332493,
+            stderr=0.003124375953334668,
             n_paths=600,
-            n_horizon=495,
-            mean_stop_time=20.097345362665788,
+            n_horizon=509,
+            mean_stop_time=20.56386808230386,
         ),
         SimResult(
-            mean=0.09664377614069705,
-            stderr=0.0022690254646902776,
+            mean=0.09428752993840508,
+            stderr=0.002318368116698292,
             n_paths=600,
-            n_horizon=138,
-            mean_stop_time=5.753128879766963,
+            n_horizon=148,
+            mean_stop_time=6.173095150242961,
         ),
     ]
 
@@ -241,6 +336,38 @@ def test_joint_run_equals_separate_runs():
     assert joint == [simulate_stopped_payoff(spec, start, r, cfg) for r in rules]
     assert joint[3].mean_stop_time == 0.0 and joint[3].n_horizon == 0
     assert len({r.mean for r in joint}) == 4
+
+
+def test_joint_pass_is_bit_identical_across_block_sizes():
+    # blocks of 128 and 256 (both with a short last block) and one block
+    spec, rule = _pin_surface_rule()
+    rules = [rule, rule.scaled(0.9), rule.scaled(1.1), ConstantRule(0.5)]
+    start = StateTriple(0.9, 1.0, 0.1)
+    res = [
+        simulate_stopped_payoffs(
+            spec, start, rules,
+            SimConfig(n_paths=600, dt=0.02, horizon=24.0, seed=31, block_size=b),
+        )
+        for b in (128, 256, 600, 4096)
+    ]
+    assert res[1:] == res[:1] * 3
+
+
+def test_paths_stopped_before_the_horizon_keep_their_bits_when_it_doubles():
+    # runs that differ only in horizon share every common step's draws, so a
+    # path stopped before the shorter horizon stops alike in the longer run
+    spec, rule = _pin_surface_rule()
+    rules = [rule, rule.scaled(1.1)]
+    start = StateTriple(0.9, 1.0, 0.1)
+    short = SimConfig(n_paths=400, dt=0.02, horizon=24.0, seed=5, block_size=256)
+    long = SimConfig(n_paths=400, dt=0.02, horizon=48.0, seed=5, block_size=256)
+    pay_s, time_s, n_hor = _stopped_paths(spec, start, rules, short)
+    pay_l, time_l, _ = _stopped_paths(spec, start, rules, long)
+    early = time_s < short.horizon
+    assert 0 < n_hor.min() and early.sum(axis=1).min() > 100
+    assert np.array_equal(pay_l[early], pay_s[early])
+    assert np.array_equal(time_l[early], time_s[early])
+    assert np.all(time_l[~early] >= short.horizon)
 
 
 # ---------------------------------------------------------------------------
