@@ -1,0 +1,240 @@
+"""Bit-level digests of the solver's outputs over a fixed model matrix.
+
+For every model of the matrix (flat, s-only, y-only and general dividends,
+and a y-dependent volatility; calls and puts) at every lattice, the script
+solves the model and writes one line per output:
+
+    <model>/<n_s>x<n_y>/<output> <sha256> <entries as a JSON list>
+
+Numbers are written as ``float.hex``, so two files are equal only if every
+bit is.  The outputs are the boundary surface (values, labels, slice
+status, cap curve, switch points), each reflection region's C1 and C2
+grids, the line records of a 12 x 12 probe grid taken one at a time
+(``line``) and, where the solution has it, as one batch (``lines``), the
+values along each probed line, and the dict of a 20 x 20 x 20 audit.  A
+solve or a query that raises is written as its error.
+
+Run from the repository root:
+
+    python3 scripts/digests.py --out FILE [--against FILE]
+        [--models flat-put,y_only-call] [--lattices 33x25,65x49]
+
+``diff`` of two files shows every output that changed.  With --against,
+the script also compares its outputs with an earlier file, prints the
+largest difference of each output that changed, and exits with status 1
+if any did.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import warnings
+
+import numpy as np
+
+from drawdown_options import (
+    CallSolution3D,
+    CoefficientField,
+    ModelSpec,
+    PutSolution3D,
+    audit_solution,
+)
+from drawdown_options.errors import ResolutionWarning
+
+FLAT_SIGMA = ("constant", (0.2,))
+FIELDS = {
+    "flat": (("constant", (0.03,)), FLAT_SIGMA),
+    "s_only": (("s_only", (0.02, 0.02)), FLAT_SIGMA),
+    "y_only": (("bounded_rational", (0.02, 0.0, 0.01)), FLAT_SIGMA),
+    "general": (("bounded_rational", (0.02, 0.01, 0.01)), FLAT_SIGMA),
+    "vol": (
+        ("bounded_rational", (0.02, 0.0, 0.01)),
+        ("bounded_rational", (0.2, 0.02, 0.03)),
+    ),
+}
+MODELS = [f"{name}-{kind}" for name in FIELDS for kind in ("put", "call")]
+LATTICES = [(33, 25), (65, 49)]
+PROBES = 12  # line records on a PROBES x PROBES grid of (s, y)
+AUDIT_SHAPE = (20, 20, 20)
+LINE_FIELDS = ("level", "branch", "g1", "g2", "c1", "c2")
+
+
+def solve(model, n_s, n_y):
+    name, kind = model.split("-")
+    delta, sigma = FIELDS[name]
+    spec = ModelSpec(
+        r=0.06,
+        strike=1.0,
+        payoff_kind=kind,
+        delta_field=CoefficientField(*delta),
+        sigma_field=CoefficientField(*sigma),
+    )
+    cls = PutSolution3D if kind == "put" else CallSolution3D
+    return spec, cls(spec, n_s=n_s, n_y=n_y)
+
+
+def _entry(v):
+    if isinstance(v, str):
+        return v
+    return float(v).hex()
+
+
+def _error(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _probes(surface):
+    s_nodes = np.linspace(surface.s_grid[0], surface.s_grid[-1], PROBES)
+    y_nodes = np.linspace(0.0, surface.y_grid[-1], PROBES)
+    return [(s, y) for s in s_nodes for y in y_nodes[y_nodes < s * (1.0 - 1e-9)]]
+
+
+def _line_outputs(prefix, records, xs):
+    """One output per record field, and the values along the lines."""
+    out = {f"{prefix}.{f}": [getattr(r, f) for r in records] for f in LINE_FIELDS}
+    out[f"{prefix}.values"] = [v for r, x in zip(records, xs) for v in r.values(x)]
+    return out
+
+
+def model_outputs(spec, sol):
+    surf = sol.surface
+    out = {
+        "surface.values": surf.values.ravel(),
+        "surface.labels": [str(v) for v in surf.labels.ravel()],
+        "surface.status_kind": [kind for kind, _ in surf.slice_status],
+        "surface.status_at": [at for _, at in surf.slice_status],
+        "surface.cap_curve": surf.cap_curve,
+        "surface.switches": [
+            f"{k}:{label}:{float(p).hex()}:{d}"
+            for k, rec in enumerate(surf.slice_switches)
+            for label in sorted(rec)
+            for p, d in rec[label]
+        ],
+    }
+    for r, grid in enumerate(sol.regions):
+        out[f"region{r}.C1"] = grid.C1.ravel()
+        out[f"region{r}.C2"] = grid.C2.ravel()
+
+    probes = _probes(surf)
+    xs = [np.linspace(s - y, s, 7) for s, y in probes]
+    records = []
+    try:
+        records = [sol.line(s, y) for s, y in probes]
+        out.update(_line_outputs("line", records, xs))
+    except Exception as exc:  # a query's typed error is an output too
+        out["line.error"] = [_error(exc)]
+    if hasattr(sol, "lines"):
+        try:
+            batch = sol.lines(*(np.array(a) for a in zip(*probes)))
+            out.update(_line_outputs("lines", [batch[k] for k in range(len(batch))], xs))
+        except Exception as exc:
+            out["lines.error"] = [_error(exc)]
+
+    try:
+        audit = audit_solution(spec, sol, dominance_shape=AUDIT_SHAPE)
+        out.update({f"audit.{k}": [v] for k, v in sorted(audit.items())})
+    except Exception as exc:
+        out["audit.error"] = [_error(exc)]
+    return out
+
+
+def digests(models, lattices):
+    """{output name: list of entries} over the matrix, in a fixed order."""
+    result = {}
+    for model in models:
+        for n_s, n_y in lattices:
+            key = f"{model}/{n_s}x{n_y}"
+            try:
+                spec, sol = solve(model, n_s, n_y)
+            except Exception as exc:
+                result[f"{key}/error"] = [_error(exc)]
+                continue
+            for name, entries in model_outputs(spec, sol).items():
+                result[f"{key}/{name}"] = [_entry(v) for v in entries]
+    return result
+
+
+def write(path, result):
+    with open(path, "w") as fh:
+        for name, entries in result.items():
+            payload = json.dumps(entries)
+            sha = hashlib.sha256(payload.encode()).hexdigest()
+            fh.write(f"{name} {sha} {payload}\n")
+
+
+def read(path):
+    result = {}
+    with open(path) as fh:
+        for line in fh:
+            name, _, payload = line.rstrip("\n").split(" ", 2)
+            result[name] = json.loads(payload)
+    return result
+
+
+def _numbers(entries):
+    try:
+        return np.array([float.fromhex(e) for e in entries])
+    except (TypeError, ValueError):
+        return None
+
+
+def compare(old, new):
+    """Print each output that differs between two results; return their count."""
+    changed = 0
+    for name in sorted(set(old) | set(new)):
+        if name not in new or name not in old:
+            where = "earlier file" if name in old else "this run"
+            print(f"{name}: only in the {where}")
+            changed += 1
+            continue
+        a, b = old[name], new[name]
+        if a == b:
+            continue
+        changed += 1
+        x, y = _numbers(a), _numbers(b)
+        if x is None or y is None or x.shape != y.shape:
+            print(f"{name}: differs")
+            continue
+        nan = np.isnan(x) != np.isnan(y)
+        both = ~(np.isnan(x) | np.isnan(y))
+        diff = np.abs(x[both] - y[both])
+        big = diff.max() if diff.size else 0.0
+        scale = np.abs(x[both]).max() if diff.size else 0.0
+        rel = big / scale if scale else float("nan")
+        print(
+            f"{name}: max |diff| {big:.3g} ({rel:.3g} of max |value|), "
+            f"{int(np.count_nonzero(diff))} of {x.size} entries moved, "
+            f"{int(nan.sum())} NaN mismatches"
+        )
+    print(f"{len(set(old) | set(new)) - changed} outputs identical, {changed} differ")
+    return changed
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="file to write the digests to")
+    ap.add_argument("--against", help="earlier digest file to compare with")
+    ap.add_argument("--models", default=",".join(MODELS),
+                    help="comma-separated models, from: " + ", ".join(MODELS))
+    ap.add_argument("--lattices", default=",".join(f"{a}x{b}" for a, b in LATTICES),
+                    help="comma-separated n_s x n_y lattices")
+    args = ap.parse_args(argv)
+    models = args.models.split(",")
+    unknown = sorted(set(models) - set(MODELS))
+    if unknown:
+        ap.error(f"unknown models: {', '.join(unknown)}")
+    lattices = [tuple(int(n) for n in lat.split("x")) for lat in args.lattices.split(",")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        result = digests(models, lattices)
+    write(args.out, result)
+    if args.against:
+        return 1 if compare(read(args.against), result) else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,6 +19,7 @@ reflection closures and the simulator read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -330,6 +331,31 @@ def _pinned_pair(g1, g2, level, strike, sign, target=None, x_end=None):
     return c1, c2
 
 
+def _libm_pow(base, g):
+    """base**g through the C library's pow, on floats or elementwise on arrays.
+
+    numpy's SIMD power can round the last bit differently from libm's pow,
+    and which SIMD path runs depends on the CPU; libm keeps each entry equal
+    to the scalar base**g (a Python float's or a numpy scalar's) on any CPU.
+    """
+    if np.ndim(base) == 0 and np.ndim(g) == 0:
+        return math.pow(base, g)
+    b, e = np.broadcast_arrays(base, g)
+    out = list(map(math.pow, b.ravel().tolist(), e.ravel().tolist()))
+    return np.array(out, dtype=float).reshape(b.shape)
+
+
+def _dvalue_dx(c1, g1, c2, g2, x):
+    """First x-derivative of C1 x**g1 + C2 x**g2, powers through libm."""
+    return c1 * g1 * _libm_pow(x, g1 - 1.0) + c2 * g2 * _libm_pow(x, g2 - 1.0)
+
+
+def _d2value_dx2(c1, g1, c2, g2, x):
+    """Second x-derivative of C1 x**g1 + C2 x**g2, powers through libm."""
+    first = c1 * g1 * (g1 - 1.0) * _libm_pow(x, g1 - 2.0)
+    return first + c2 * g2 * (g2 - 1.0) * _libm_pow(x, g2 - 2.0)
+
+
 @dataclass(frozen=True)
 class _Orientation:
     """What differs between the call side and the put side.
@@ -385,11 +411,11 @@ class _Orientation:
         """(lo, hi) of the continuation and the stopped part of the line.
 
         The line is [s - y, s], cut at level; the stopped part clamps level
-        into the line.
+        into the line.  Floats or arrays, one entry per line.
         """
         if self.sign > 0:
-            return (s - y, level), (max(level, s - y), s)
-        return (level, s), (s - y, min(level, s))
+            return (s - y, level), (np.maximum(level, s - y), s)
+        return (level, s), (s - y, np.minimum(level, s))
 
 
 def _call_band(spec: ModelSpec, s, y):
@@ -436,11 +462,21 @@ def generator_residual(
     x, s, y = point.x, point.s, point.y
     if not (s - y < x < s):
         raise DomainError(f"interior point required, got x={x} on [s-y, s]=[{s - y}, {s}]")
-    delta, sigma, *_ = eval_fields(spec, s, y)
     if dfdx is not None and d2fdx2 is not None:
         fp, fpp = dfdx(x), d2fdx2(x)
     else:
         h = min(1e-5 * max(abs(x), spec.strike), 0.5 * (x - (s - y)), 0.5 * (s - x))
         fp = (f(x + h) - f(x - h)) / (2.0 * h)
         fpp = (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    return (spec.r - delta) * x * fp + 0.5 * sigma**2 * x * x * fpp - spec.r * f(x)
+    return _generator(spec, x, s, y, f(x), fp, fpp)
+
+
+def _generator(spec: ModelSpec, x, s, y, v, fp, fpp):
+    """(L f - r f) at x from f's value v and x-derivatives fp, fpp there.
+
+    Floats or arrays alike, with the coefficients frozen at each (s, y);
+    sigma**2 goes through libm's pow, so an array entry has the bits of the
+    same point taken on its own.
+    """
+    delta, sigma, *_ = eval_fields(spec, s, y)
+    return (spec.r - delta) * x * fp + 0.5 * _libm_pow(sigma, 2.0) * x * x * fpp - spec.r * v

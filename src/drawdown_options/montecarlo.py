@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .coefficients import _ORIENT, ModelSpec, StateTriple
+from .coefficients import _ORIENT, ModelSpec, StateTriple, _generator
 from .errors import ConfigError
 
 TRUNCATION_BUDGET = 1e-3
@@ -51,9 +51,9 @@ TRUNCATION_BUDGET = 1e-3
 class SimConfig:
     """Monte Carlo settings.
 
-    seed is an int in [0, 2**64).  block_size is the number of paths
-    simulated together: it bounds the memory of a block's arrays and changes
-    no result.
+    n_paths and block_size are ints (not bools), and seed is an int in
+    [0, 2**64).  block_size is the number of paths simulated together: it
+    bounds the memory of a block's arrays and changes no result.
     """
 
     n_paths: int
@@ -63,6 +63,10 @@ class SimConfig:
     block_size: int = 4096
 
     def __post_init__(self):
+        for name in ("n_paths", "block_size"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ConfigError(f"{name} must be an int, got {v!r}")
         if self.n_paths < 100:
             raise ConfigError(f"n_paths must be at least 100, got {self.n_paths}")
         if not 0.0 < self.dt < math.inf:
@@ -417,7 +421,7 @@ def _run_block(spec, o, rules, start, cfg, keys, first, n_steps, payoff, stop_ti
     Paths stay compacted on those still live under at least one rule; idx
     maps them back to block positions.  ``live[k]`` marks the paths rule k
     has not stopped yet; a path every rule has stopped rides along masked
-    until such paths make up an eighth of the arrays, and is then dropped.
+    until such paths make up a 32nd of the arrays, and is then dropped.
     The per-rule arrays hold one row per rule, and each step tests every
     rule in one set of array operations.
 
@@ -494,7 +498,7 @@ def _run_block(spec, o, rules, start, cfg, keys, first, n_steps, payoff, stop_ti
                 n_live -= stop.size
                 keep = live.any(axis=0)
                 n_keep = int(np.count_nonzero(keep))
-                if 8 * (keep.size - n_keep) > keep.size:
+                if 32 * (keep.size - n_keep) > keep.size:
                     keep = np.flatnonzero(keep)
                     idx, weyl = idx[keep], weyl[keep]
                     x, s, y, lx = x[keep], s[keep], y[keep], lx[keep]
@@ -510,6 +514,7 @@ def _run_block(spec, o, rules, start, cfg, keys, first, n_steps, payoff, stop_ti
 
 DOMINANCE_TOL = 1e-6  # audit slack for interpolation noise, times strike
 SMOOTH_STEP = 1e-4  # audit smooth-fit difference step, times strike
+AUDIT_ROWS = 128  # probed lines per dominance array: bounds its memory only
 
 
 @dataclass
@@ -555,68 +560,103 @@ def audit_solution(spec: ModelSpec, solution, dominance_shape=(50, 50, 50)) -> d
     the barrier against the payoff slope by a one-sided difference
     (SMOOTH_STEP), the sign of the stopped generator at stopping-region
     samples, and the generator residual of the line's two-power value at
-    continuation-region samples, taken with its exact x-derivatives.  Each
-    probed (s, y) line is assembled once (``solution.line``), raising if its
-    re-march is cut, and every check on it reads that record.  Returns a
-    plain dict of counts and gaps.
+    continuation-region samples, taken with its exact x-derivatives.  The
+    probed (s, y) lines are assembled in one batch (``solution.lines``),
+    which raises what the first line whose re-march is cut raises, and
+    every check reads that batch's arrays: dominance is checked on
+    (lines x n_x) arrays of AUDIT_ROWS lines at a time, and each per-line
+    check takes one array entry per line.  Returns a plain dict of counts
+    and gaps, equal bit for bit to checking the probes one line at a time
+    in s-major order.
     """
-    from .coefficients import generator_residual
-
     o = _ORIENT[spec.payoff_kind]
     L = spec.strike
     n_s, n_y, n_x = dominance_shape
     surf = solution.surface
     s_nodes = np.linspace(surf.s_grid[0], surf.s_grid[-1], n_s)
-    y_hi = surf.y_grid[-1]
-    y_nodes = np.linspace(0.0, y_hi, n_y)
-    violations = 0
-    worst = np.inf
-    smooth_gap = 0.0
-    gen_viol = 0
-    gen_resid = 0.0
-    for s in s_nodes:
-        for y in y_nodes[y_nodes < s * (1.0 - 1e-9)]:
-            xs = np.linspace(s - y, s, n_x)
-            ln = solution.line(s, y)
-            vals = ln.values(xs)
-            gap = np.min(vals - spec.payoff(xs))
-            worst = min(worst, float(gap))
-            violations += int(np.sum(vals - spec.payoff(xs) < -DOMINANCE_TOL * L))
+    y_nodes = np.linspace(0.0, surf.y_grid[-1], n_y)
+    # the probes, s-major: each s node with the y nodes below its diagonal
+    s_all, y_all = np.meshgrid(s_nodes, y_nodes, indexing="ij")
+    probed = y_all < s_all * (1.0 - 1e-9)
+    s, y = s_all[probed], y_all[probed]
+    lines = solution.lines(s, y)
+    br, level = lines.branch, lines.level
 
-            br, level = ln.branch, ln.level
-            dlt = float(spec.delta_field.value(s, y))
-            if br == "direct" and s - y < level < s:
-                h = SMOOTH_STEP * L
-                x_in = level - o.sign * h
-                if s - y <= x_in <= s:
-                    slope = (ln.value(level) - ln.value(x_in)) / (o.sign * h)
-                    smooth_gap = max(smooth_gap, abs(slope - o.sign))
-            cont, stopped = o.parts(level, s, y)
-            if br == "stop" or (br == "direct" and level > s - y):
-                # the generator applied to the payoff, sign (r K - delta x)
-                x_stop = 0.5 * (stopped[0] + stopped[1])
-                if o.sign * (spec.r * L - dlt * x_stop) >= 0.0:
-                    gen_viol += 1
-            if br != "stop":
-                lo, hi = cont if br == "direct" else (s - y, s)
-                x_c = 0.5 * (lo + hi)
-                pad = 2e-5 * max(x_c, L)
-                if lo + pad < x_c < hi - pad:
-                    resid = generator_residual(
-                        spec,
-                        ln.value,
-                        StateTriple(x=x_c, s=s, y=y),
-                        dfdx=ln.dvalue_dx,
-                        d2fdx2=ln.d2value_dx2,
-                    )
-                    gen_resid = max(gen_resid, abs(float(resid)))
+    # dominance on (lines x n_x) arrays, AUDIT_ROWS lines at a time
+    violations, row_min = 0, np.empty(len(lines))
+    for k in range(0, len(lines), AUDIT_ROWS):
+        rows = slice(k, k + AUDIT_ROWS)
+        xs = _linspace_rows(s[rows] - y[rows], s[rows], n_x)
+        gap = lines[rows].values(xs) - spec.payoff(xs)
+        violations += np.count_nonzero(gap < -DOMINANCE_TOL * L)
+        row_min[rows] = np.min(gap, axis=1)
+    worst = _first_extreme(row_min, np.less, np.inf)
+
+    h = SMOOTH_STEP * L
+    x_in = level - o.sign * h
+    fit = (br == "direct") & (s - y < level) & (level < s) & (s - y <= x_in) & (x_in <= s)
+    v = lines[fit].values(np.stack([level[fit], x_in[fit]], axis=1))
+    slope = (v[:, 0] - v[:, 1]) / (o.sign * h)
+    smooth_gap = _first_extreme(np.abs(slope - o.sign), np.greater, 0.0)
+
+    (lo, hi), stopped = o.parts(level, s, y)
+    direct = br == "direct"
+    # the generator applied to the payoff, sign (r K - delta x)
+    x_stop = 0.5 * (stopped[0] + stopped[1])
+    dlt = spec.delta_field.value(s, y)
+    wrong = o.sign * (spec.r * L - dlt * x_stop) >= 0.0
+    gen_viol = np.count_nonzero(wrong & ((br == "stop") | (direct & (level > s - y))))
+
+    lo, hi = np.where(direct, lo, s - y), np.where(direct, hi, s)
+    x_c = 0.5 * (lo + hi)
+    pad = 2e-5 * np.maximum(x_c, L)
+    inner = (br != "stop") & (lo + pad < x_c) & (x_c < hi - pad)
+    cont, x_c = lines[inner], x_c[inner]
+    resid = _generator(
+        spec, x_c, s[inner], y[inner], cont.values(x_c[:, None])[:, 0],
+        cont.dvalue_dx(x_c), cont.d2value_dx2(x_c),
+    )
     return {
         "dominance_violations": int(violations),
-        "dominance_worst_gap": float(worst),
-        "smooth_fit_gap": float(smooth_gap),
+        "dominance_worst_gap": worst,
+        "smooth_fit_gap": smooth_gap,
         "generator_sign_violations": int(gen_viol),
-        "generator_residual_max": float(gen_resid),
+        "generator_residual_max": _first_extreme(np.abs(resid), np.greater, 0.0),
     }
+
+
+def _linspace_rows(start, stop, num):
+    """np.linspace(start[k], stop[k], num) as row k, bit for bit.
+
+    np.linspace on arrays takes its zero-step branch for every row as soon
+    as one row's step is zero; this takes each row's own branch.
+    """
+    k = np.arange(num, dtype=float)
+    delta = (stop - start)[:, None]
+    div = num - 1
+    if div > 0:
+        step = delta / div
+        rows = np.where(step == 0, k / div * delta, k * step)
+    else:
+        rows = k * delta
+    rows += start[:, None]
+    if num > 1:
+        rows[:, -1] = stop
+    return rows
+
+
+def _first_extreme(v, better, start):
+    """start folded with Python's min (better np.less) or max (np.greater) over v.
+
+    As the fold does, NaN entries never win and, of equal entries, the first
+    one stays; start stays unless an entry beats it.
+    """
+    v = v[~np.isnan(v)]
+    if v.size:
+        first = v[np.argmax(v == (v.min() if better is np.less else v.max()))]
+        if better(first, start):
+            return float(first)
+    return float(start)
 
 
 def verify_solution(

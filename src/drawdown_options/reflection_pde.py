@@ -36,7 +36,6 @@ that drive accuracy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from math import isnan, nan
 
@@ -46,7 +45,7 @@ from scipy import sparse
 # solve makes none
 from scipy.sparse.linalg import lsqr, spsolve  # noqa: F401
 
-from .coefficients import _ORIENT, ModelSpec, _pinned_pair, roots_arrays
+from .coefficients import _ORIENT, ModelSpec, _libm_pow, _pinned_pair, roots_arrays
 from .errors import NonConvergence, UnderdeterminedRegion
 
 
@@ -215,16 +214,6 @@ def _extrap_weights(p1, p2, p):
     """Weights putting a line through values at p1 < p2 onto position p."""
     w2 = (p - p1) / (p2 - p1)
     return 1.0 - w2, w2
-
-
-def _libm_pow(base, g):
-    """base**g elementwise over 1-D arrays, through the C library's pow.
-
-    numpy's SIMD power can round the last bit differently from libm's pow,
-    and which SIMD path runs depends on the CPU; libm keeps each entry equal
-    to the scalar base**g on any CPU.
-    """
-    return np.array(list(map(math.pow, base.tolist(), g.tolist())), dtype=float)
 
 
 def _point(along_s, fixed, pos):

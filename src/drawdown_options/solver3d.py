@@ -41,6 +41,9 @@ from .coefficients import (
     _PUT,
     ModelSpec,
     _critical_level,
+    _d2value_dx2,
+    _dvalue_dx,
+    _libm_pow,
     _Orientation,
     _pinned_pair,
     _roots_along,
@@ -73,6 +76,7 @@ from .solver2d import (
 )
 
 MAX_SWITCH_PAIRS = 16
+_ARRAY_LIKE = (np.ndarray, list, tuple)  # level_smooth takes these as arrays
 
 
 def _stage(o, spec: ModelSpec, s, y):
@@ -183,15 +187,52 @@ class BoundarySurface:
         _, elo, ehi, fn = best
         return float(fn(min(max(s, elo), ehi)))
 
+    def _rows_level(self, rows, s):
+        """_row_level of every query s[k] on row rows[k], as arrays.
+
+        Returns the levels and a mask of the queries whose row has a fit (the
+        others read NaN).  Each row's queries pick the nearest run, the first
+        on a tie, and each (row, run) evaluates its fit once on its queries.
+        """
+        out = np.full(s.shape, np.nan)
+        has = np.zeros(s.shape, dtype=bool)
+        order = np.argsort(rows, kind="stable")
+        for grp in np.split(order, np.flatnonzero(np.diff(rows[order])) + 1):
+            fit = self._row_fit(int(rows[grp[0]])) if grp.size else None
+            if not fit:
+                continue
+            q = s[grp]
+            run = np.zeros(q.size, dtype=int)
+            for r, (lo, hi, *_) in enumerate(fit):
+                d = np.maximum(np.maximum(lo - q, 0.0), q - hi)
+                if r == 0:
+                    best = d
+                    continue
+                closer = d < best
+                run[closer] = r
+                best = np.where(closer, d, best)
+            for r in np.unique(run):
+                _, _, elo, ehi, fn = fit[r]
+                at = run == r
+                out[grp[at]] = fn(np.minimum(np.maximum(q[at], elo), ehi))
+            has[grp] = True
+        return out, has
+
     def level_smooth(self, s, y):
-        """Scalar barrier level: cubic across s within a row, linear across y.
+        """Barrier level: cubic across s within a row, linear across y.
 
         Row data are the marched node values themselves, so the only error
         between nodes is the interpolant's; queries within one cell past a
         run's end extrapolate the cubic (the slice extends to the diagonal
         even when no node landed on the stub), further ones clamp, and a row
         with no finite nodes defers to its partner or the bilinear fallback.
+
+        Floats give a float.  Arrays give an array, each entry the float of
+        that query taken on its own, bit for bit; each lattice row's fit is
+        evaluated once per run on all the queries that read it.
         """
+        if isinstance(s, _ARRAY_LIKE) or isinstance(y, _ARRAY_LIKE):
+            return self._levels_smooth(s, y)
         s = min(max(float(s), self.s_grid[0]), self.s_grid[-1])
         y = min(max(float(y), self.y_grid[0]), self.y_grid[-1])
         j = min(
@@ -207,6 +248,23 @@ class BoundarySurface:
         if v1 is None:
             return v0
         return (1.0 - ty) * v0 + ty * v1
+
+    def _levels_smooth(self, s, y):
+        """level_smooth on arrays; see there."""
+        s, y = np.broadcast_arrays(
+            np.minimum(np.maximum(np.asarray(s, dtype=float), self.s_grid[0]), self.s_grid[-1]),
+            np.minimum(np.maximum(np.asarray(y, dtype=float), self.y_grid[0]), self.y_grid[-1]),
+        )
+        shape, s, y = s.shape, s.ravel(), y.ravel()
+        j = np.clip(np.searchsorted(self.y_grid, y) - 1, 0, self.y_grid.size - 2)
+        ty = (y - self.y_grid[j]) / (self.y_grid[j + 1] - self.y_grid[j])
+        v, has = self._rows_level(np.concatenate([j, j + 1]), np.concatenate([s, s]))
+        (v0, v1), (has0, has1) = np.split(v, 2), np.split(has, 2)
+        out = np.where(has0, np.where(has1, (1.0 - ty) * v0 + ty * v1, v0), v1)
+        neither = ~(has0 | has1)
+        if neither.any():
+            out[neither] = self.level_at(s[neither], y[neither])
+        return out.reshape(shape)
 
 
 def _lane_u(o, t):
@@ -732,14 +790,81 @@ class Line:
 
     def dvalue_dx(self, x):
         """First x-derivative of the two-power form C1 x**g1 + C2 x**g2."""
-        g1, g2 = self.g1, self.g2
-        return self.c1 * g1 * x ** (g1 - 1.0) + self.c2 * g2 * x ** (g2 - 1.0)
+        return _dvalue_dx(self.c1, self.g1, self.c2, self.g2, x)
 
     def d2value_dx2(self, x):
         """Second x-derivative of the two-power form C1 x**g1 + C2 x**g2."""
-        g1, g2 = self.g1, self.g2
-        first = self.c1 * g1 * (g1 - 1.0) * x ** (g1 - 2.0)
-        return first + self.c2 * g2 * (g2 - 1.0) * x ** (g2 - 2.0)
+        return _d2value_dx2(self.c1, self.g1, self.c2, self.g2, x)
+
+
+@dataclass(frozen=True)
+class Lines:
+    """A batch of x-lines as arrays, entry k the :class:`Line` at (s[k], y[k]).
+
+    level, branch (a string array), g1, g2, c1 and c2 hold what each line's
+    record holds, bit for bit.  ``lines[k]`` is line k's :class:`Line`, and
+    ``lines[mask]`` or ``lines[index_array]`` the batch of those lines.
+    """
+
+    spec: ModelSpec
+    orient: _Orientation
+    s: np.ndarray
+    y: np.ndarray
+    level: np.ndarray
+    branch: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+
+    def _arrays(self):
+        return self.s, self.y, self.level, self.branch, self.g1, self.g2, self.c1, self.c2
+
+    def __len__(self):
+        return self.s.size
+
+    def __getitem__(self, k):
+        if isinstance(k, (int, np.integer)):
+            s, y, level, branch, g1, g2, c1, c2 = (a[k] for a in self._arrays())
+            return Line(
+                self.spec, self.orient, float(s), float(y), float(level), str(branch),
+                float(g1), float(g2), float(c1), float(c2),
+            )
+        return Lines(self.spec, self.orient, *(a[k] for a in self._arrays()))
+
+    def values(self, x):
+        """Values on a (lines x points) grid: row k of x lies within line k's [s - y, s].
+
+        Entry (k, i) equals ``lines[k].values(x[k])[i]`` bit for bit.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[0] != len(self):
+            raise ValueError(f"need one row of x per line, got shape {x.shape}")
+        s, y = self.s[:, None], self.y[:, None]
+        slack = 1e-9 * self.spec.strike
+        bad = ~((0.0 <= y) & (y < s))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DomainError(f"need 0 <= y < s, got s={self.s[k]}, y={self.y[k]}")
+        if np.any(x < s - y - slack) or np.any(x > s + slack):
+            raise DomainError("x outside [s - y, s]")
+        x = np.clip(x, s - y, s)
+        payoff = self.spec.payoff(x)
+        # stopped lines carry NaN roots, which their payoff replaces
+        with np.errstate(invalid="ignore"):
+            cont = self.c1[:, None] * x ** self.g1[:, None] + self.c2[:, None] * x ** self.g2[:, None]
+        stop = (self.branch == "stop")[:, None] | (
+            (self.branch == "direct")[:, None] & self.orient.stop_side(x, self.level[:, None])
+        )
+        return np.where(stop, payoff, cont)
+
+    def dvalue_dx(self, x):
+        """First x-derivative of each line's two-power form at x[k], as Line's."""
+        return _dvalue_dx(self.c1, self.g1, self.c2, self.g2, x)
+
+    def d2value_dx2(self, x):
+        """Second x-derivative of each line's two-power form at x[k], as Line's."""
+        return _d2value_dx2(self.c1, self.g1, self.c2, self.g2, x)
 
 
 class _Solution3D:
@@ -767,10 +892,11 @@ class _Solution3D:
             yi = np.flatnonzero(g.active.any(axis=0))
             self._boxes.append((g.s_grid[si[[0, -1]]], g.y_grid[yi[[0, -1]]]))
 
-    def _level(self, s, y):
+    def _level(self, s, y, cheap):
         """Barrier level of the x-line at (s, y), re-marched where it is pinned.
 
-        A line whose interpolated level lies inside it (the branch whose value
+        cheap is the interpolated level, ``surface.level_smooth(s, y)``.  A
+        line whose interpolated level lies inside it (the branch whose value
         is pinned to the level) is re-marched from its diagonal seed to the
         query point, as a one-lane march of any length, for integration
         rather than interpolation accuracy.  Other lines take the
@@ -780,7 +906,6 @@ class _Solution3D:
         """
         spec, o = self.spec, self._o
         eps = EDGE_FRACTION * spec.strike
-        cheap = float(self.surface.level_smooth(s, y))
         if not (0.0 <= y < s and s - y <= cheap <= s):
             return cheap
         fixed, t = o.swap(s, y)
@@ -793,28 +918,35 @@ class _Solution3D:
             raise _cut_error(o.kind, kind, what, f"{o.moving}={at:g}")
         return float(levels[-1])
 
+    def _no_region(self):
+        return DomainError(
+            "query falls in a reflected band but no reflected component "
+            "was solved; enlarge the lattice"
+        )
+
     def _region_coeffs(self, s, y):
         if not self.regions:
-            raise DomainError(
-                "query falls in a reflected band but no reflected component "
-                "was solved; enlarge the lattice"
-            )
+            raise self._no_region()
+        return self.regions[int(self._nearest_region(s, y))].coeffs_at(s, y)
+
+    def _nearest_region(self, s, y):
+        """Index of the region whose lattice box lies nearest (s, y), the first on a tie.
+
+        Floats or arrays; squared distances go through libm's pow, so an
+        array entry picks what its float would.
+        """
+        if len(self._boxes) == 1:
+            return np.zeros(np.shape(s), dtype=int)
         gaps = [
-            max(s0 - s, 0.0, s - s1) ** 2 + max(y0 - y, 0.0, y - y1) ** 2
+            _libm_pow(np.maximum(np.maximum(s0 - s, 0.0), s - s1), 2.0)
+            + _libm_pow(np.maximum(np.maximum(y0 - y, 0.0), y - y1), 2.0)
             for (s0, s1), (y0, y1) in self._boxes
         ]
-        return self.regions[gaps.index(min(gaps))].coeffs_at(s, y)
+        return np.argmin(gaps, axis=0)
 
-    def line(self, s, y) -> Line:
-        """The x-line at (s, y), built afresh: at most one re-march, no cache.
-
-        A caller that reads a line more than once keeps the record.  Roots
-        exist on the quadrant s > 0, 0 <= y <= s only, so a line outside it
-        that is not stopped raises DomainError.
-        """
-        s, y = float(s), float(y)
+    def _line(self, s, y, level) -> Line:
+        """The record of the x-line at floats (s, y) whose level is known."""
         spec, o = self.spec, self._o
-        level = self._level(s, y)
         branch = o.above if level > s else o.below if level < s - y else "direct"
         if branch == "stop":
             return Line(spec, o, s, y, level, branch)
@@ -826,6 +958,65 @@ class _Solution3D:
         else:
             c1, c2 = _pinned_pair(g1, g2, level, spec.strike, o.sign, x_end=o.edge(s, y))
         return Line(spec, o, s, y, level, branch, g1, g2, float(c1), float(c2))
+
+    def line(self, s, y) -> Line:
+        """The x-line at (s, y), built afresh: at most one re-march, no cache.
+
+        A caller that reads a line more than once keeps the record.  Roots
+        exist on the quadrant s > 0, 0 <= y <= s only, so a line outside it
+        that is not stopped raises DomainError.
+        """
+        s, y = float(s), float(y)
+        return self._line(s, y, self._level(s, y, float(self.surface.level_smooth(s, y))))
+
+    def lines(self, ss, ys) -> Lines:
+        """The x-lines at the pairs (ss[k], ys[k]), as one :class:`Lines` batch.
+
+        ss and ys are 1-D (or floats), broadcast together.  Entry k equals
+        ``line(ss[k], ys[k])`` bit for bit, and a batch raises what the
+        first of its lines to fail would raise in ``line``.  The levels come
+        from one array ``level_smooth`` call.  A line whose level lies
+        inside it is assembled by ``line``'s own steps: its one-lane
+        re-march and its ``_pinned_pair``, on floats.  Stopped lines take
+        no roots; reflected lines take one ``roots_arrays`` call and one
+        ``coeffs_at`` call per region.
+        """
+        spec, o = self.spec, self._o
+        s, y = (
+            np.array(a, dtype=float)
+            for a in np.broadcast_arrays(np.atleast_1d(ss), np.atleast_1d(ys))
+        )
+        if s.ndim != 1:
+            raise ValueError(f"need 1-D s and y, got shape {s.shape}")
+        level = self.surface.level_smooth(s, y)
+        branch = np.where(level > s, o.above, np.where(level < s - y, o.below, "direct"))
+        n = s.size
+        g1, g2, c1, c2 = np.full(n, np.nan), np.full(n, np.nan), np.zeros(n), np.zeros(n)
+        # lines pinned at their level are assembled one at a time
+        alone = (branch == "direct") | (
+            (0.0 <= y) & (y < s) & (s - y <= level) & (level <= s)
+        )
+        off = ~alone & (branch != "stop") & ((s <= 0.0) | (y < 0.0) | (y > s))
+        reflect = ~alone & ~off & (branch == "reflect")
+        fail = off | reflect if not self.regions else off
+        first = int(np.argmax(fail)) if fail.any() else n
+        for k in np.flatnonzero(alone[:first]):
+            sk, yk = float(s[k]), float(y[k])
+            ln = self._line(sk, yk, self._level(sk, yk, float(level[k])))
+            level[k], branch[k] = ln.level, ln.branch
+            g1[k], g2[k], c1[k], c2[k] = ln.g1, ln.g2, ln.c1, ln.c2
+        if first < n:
+            if off[first]:
+                raise DomainError(f"need 0 <= y < s, got s={s[first]}, y={y[first]}")
+            raise self._no_region()
+        k = np.flatnonzero(reflect)
+        if k.size:
+            g1[k], g2[k], *_ = roots_arrays(spec, s[k], y[k])
+            which = self._nearest_region(s[k], y[k])
+            for r in np.unique(which):
+                at = k[which == r]
+                c1[at], c2[at] = self.regions[r].coeffs_at(s[at], y[at])
+        return Lines(spec, o, s, y, level, branch, g1, g2, c1, c2)
 
     def boundary(self, s, y):
         """Barrier level of the x-line at (s, y), re-marched afresh (see _level)."""

@@ -1,0 +1,32 @@
+"""scripts/digests.py: two runs of one matrix write byte-identical files."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MATRIX = ["--models", "y_only-put,y_only-call", "--lattices", "33x25"]
+
+
+def _run(*args):
+    env = dict(os.environ)
+    paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "digests.py"), *MATRIX, *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_digests_rerun_is_byte_identical(tmp_path):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    assert _run("--out", str(first)).returncode == 0
+    again = _run("--out", str(second), "--against", str(first))
+    assert again.returncode == 0, again.stdout + again.stderr
+    assert first.read_bytes() == second.read_bytes()
+    text = first.read_text()
+    for output in ("surface.values", "region0.C1", "line.level", "lines.level",
+                   "audit.dominance_worst_gap"):
+        assert f"y_only-call/33x25/{output} " in text
+    assert "0 differ" in again.stdout

@@ -67,6 +67,16 @@ def make_spec(kind, r=0.06, delta=0.03, sigma=0.2):
     # a draw's counter holds the path and the step in 32 bits each
     dict(n_paths=2**32 + 1, dt=0.01, horizon=10.0),
     dict(n_paths=1000, dt=1e-9, horizon=5.0),
+    # path counts are ints: a float once died mid-pass with a raw TypeError
+    pytest.param(dict(n_paths=1000.5, dt=0.01, horizon=10.0), id="n_paths-float"),
+    pytest.param(dict(n_paths=1000.0, dt=0.01, horizon=10.0), id="n_paths-integral-float"),
+    pytest.param(dict(n_paths=True, dt=0.01, horizon=10.0), id="n_paths-bool"),
+    pytest.param(
+        dict(n_paths=1000, dt=0.01, horizon=10.0, block_size=256.5), id="block_size-float"
+    ),
+    pytest.param(
+        dict(n_paths=1000, dt=0.01, horizon=10.0, block_size=True), id="block_size-bool"
+    ),
 ])
 def test_sim_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
@@ -649,8 +659,9 @@ def test_audit_residual_takes_the_line_derivatives(drawdown_put):
 
 
 def test_audit_assembles_each_probed_line_once(drawdown_put, monkeypatch):
-    # one line record per probed (s, y), and so one coefficient lookup per
-    # reflected probe, however many checks read the line
+    # one batch of line records for all the probes, in s-major order: no
+    # per-probe line call, each pinned line re-marched once, and one
+    # coefficient lookup per region for all its reflected probes
     from drawdown_options.reflection_pde import CoefficientGrid
 
     spec, sol = drawdown_put
@@ -658,26 +669,40 @@ def test_audit_assembles_each_probed_line_once(drawdown_put, monkeypatch):
     s_nodes = np.linspace(surf.s_grid[0], surf.s_grid[-1], 12)
     y_nodes = np.linspace(0.0, surf.y_grid[-1], 12)
     probes = [(s, y) for s in s_nodes for y in y_nodes[y_nodes < s * (1.0 - 1e-9)]]
-    n_reflect = sum(sol.branch(s, y) == "reflect" for s, y in probes)
-    assert n_reflect > 0
+    branches = [sol.branch(s, y) for s, y in probes]
+    n_reflect = branches.count("reflect")
+    assert n_reflect > 0 and "direct" in branches
 
-    lines, lookups = [], []
-    line = sol.line
-    coeffs_at = CoefficientGrid.coeffs_at
+    batches, remarched, lookups = [], [], []
+    lines, level, coeffs_at = sol.lines, sol._level, CoefficientGrid.coeffs_at
 
-    def counted_line(s, y):
-        lines.append((s, y))
-        return line(s, y)
+    def counted_lines(ss, ys):
+        batches.append(list(zip(ss, ys)))
+        return lines(ss, ys)
+
+    def counted_level(s, y, cheap):
+        remarched.append((s, y))
+        return level(s, y, cheap)
 
     def counted_coeffs_at(grid, s, y):
-        lookups.append((s, y))
+        lookups.append((id(grid), np.size(s)))
         return coeffs_at(grid, s, y)
 
-    monkeypatch.setattr(sol, "line", counted_line)
+    def no_line(s, y):
+        raise AssertionError("the audit assembles its probes as one batch")
+
+    monkeypatch.setattr(sol, "lines", counted_lines)
+    monkeypatch.setattr(sol, "_level", counted_level)
+    monkeypatch.setattr(sol, "line", no_line)
     monkeypatch.setattr(CoefficientGrid, "coeffs_at", counted_coeffs_at)
     audit_solution(spec, sol, dominance_shape=(12, 12, 12))
-    assert lines == probes
-    assert len(lookups) == n_reflect
+    assert batches == [probes]
+    assert len(set(remarched)) == len(remarched)
+    direct = {p for p, br in zip(probes, branches) if br == "direct"}
+    assert direct <= set(remarched) <= set(probes)
+    grids = [g for g, _ in lookups]
+    assert len(set(grids)) == len(grids) <= len(sol.regions)
+    assert sum(n for _, n in lookups) == n_reflect
 
 
 def test_report_pass_logic():
