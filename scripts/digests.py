@@ -17,7 +17,7 @@ solve or a query that raises is written as its error.
 Run from the repository root:
 
     python3 scripts/digests.py --out FILE [--against FILE]
-        [--models flat-put,y_only-call] [--lattices 33x25,65x49]
+        [--models flat-put,y_only-call] [--lattices 33x25,65x49,193x129]
 
 ``diff`` of two files shows every output that changed.  With --against,
 the script also compares its outputs with an earlier file, prints the
@@ -56,7 +56,7 @@ FIELDS = {
     ),
 }
 MODELS = [f"{name}-{kind}" for name in FIELDS for kind in ("put", "call")]
-LATTICES = [(33, 25), (65, 49)]
+LATTICES = [(33, 25), (65, 49), (193, 129)]
 PROBES = 12  # line records on a PROBES x PROBES grid of (s, y)
 AUDIT_SHAPE = (20, 20, 20)
 LINE_FIELDS = ("level", "branch", "g1", "g2", "c1", "c2")

@@ -63,6 +63,10 @@ class CoefficientField:
                 f"family {self.family!r} takes {want} parameter(s), got {len(self.params)}"
             )
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if not all(math.isfinite(p) for p in self.params):
+            raise ValueError(
+                f"family {self.family!r} needs finite parameters, got {self.params}"
+            )
 
     def value(self, s, y):
         p = self.params
@@ -96,6 +100,7 @@ class CoefficientField:
 class ModelSpec:
     """Full problem description: rate, payoff, and the two coefficient fields.
 
+    Rate, strike and the domain bounds must be positive and finite.
     Construction audits positivity of both fields on a 64x64 log-spaced grid
     over the domain box [0, domain_s_max] x [0, domain_y_max] restricted to
     y <= s, rejecting anything that dips to 1e-8 or below.
@@ -110,14 +115,14 @@ class ModelSpec:
     domain_y_max: float = 20.0
 
     def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise ValueError(f"rate must be positive, got {self.r}")
-        if not self.strike > 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.r}")
+        if not 0 < self.strike < math.inf:
+            raise ValueError(f"strike must be positive and finite, got {self.strike}")
         if self.payoff_kind not in ("call", "put"):
             raise ValueError(f"payoff_kind must be 'call' or 'put', got {self.payoff_kind!r}")
-        if not (self.domain_s_max > 0 and self.domain_y_max > 0):
-            raise ValueError("domain box must have positive extent")
+        if not (0 < self.domain_s_max < math.inf and 0 < self.domain_y_max < math.inf):
+            raise ValueError("domain box must have positive, finite extent")
         s = np.geomspace(self.domain_s_max * 1e-6, self.domain_s_max, _AUDIT_GRID)
         y = np.concatenate([[0.0], np.geomspace(self.domain_y_max * 1e-6,
                                                 self.domain_y_max, _AUDIT_GRID - 1)])
@@ -370,6 +375,7 @@ class _Orientation:
                where the slice ODE's reflecting condition acts, and the
                exposed far end of a direct line
     band       (spec, s, y) -> the open interval the barrier must stay in
+    band_text  that interval as the error messages write it
     above      label of a line whose barrier lies above s
     below      label of a line whose barrier lies below its floor s - y
     """
@@ -380,6 +386,7 @@ class _Orientation:
     direction: float
     edge: Callable
     band: Callable
+    band_text: str
     above: str
     below: str
 
@@ -430,11 +437,13 @@ def _put_band(spec: ModelSpec, s, y):
 
 _CALL = _Orientation(
     kind="call", sign=1.0, fixed="s", direction=-1.0,
-    edge=lambda s, y: s - y, band=_call_band, above="reflect", below="stop",
+    edge=lambda s, y: s - y, band=_call_band, band_text="(max(L, rL/delta), inf)",
+    above="reflect", below="stop",
 )
 _PUT = _Orientation(
     kind="put", sign=-1.0, fixed="y", direction=1.0,
-    edge=lambda s, y: s, band=_put_band, above="stop", below="reflect",
+    edge=lambda s, y: s, band=_put_band, band_text="(0, min(L, rL/delta))",
+    above="stop", below="reflect",
 )
 _ORIENT = {o.kind: o for o in (_CALL, _PUT)}
 

@@ -473,13 +473,12 @@ _CUT_ERRORS = {
     "singular": (SingularDenominator, "denominator vanished or changed sign"),
     "step": (StepError, "failed its error check at the shortest step"),
 }
-_BANDS = {"call": "(max(L, rL/delta), inf)", "put": "(0, min(L, rL/delta))"}
 
 
-def _cut_error(side, kind, what, where):
-    """The typed error for a cut lane of the side's boundary, by its status."""
+def _cut_error(o, kind, what, where):
+    """The typed error for a cut lane of orientation o's boundary, by its status."""
     error, how = _CUT_ERRORS[kind]
-    return error(f"{what} {how.format(band=_BANDS[side])} at {where}")
+    return error(f"{what} {how.format(band=o.band_text)} at {where}")
 
 
 def _scalar_put_stage(spec: ModelSpec, s):
@@ -601,7 +600,7 @@ def put_boundary_2d(
         odestep.STEP_REL_TOL * odestep.DENSE_TOL_SHARE, L,
     )
     if kind != "ok":
-        raise _cut_error("put", kind, "put boundary", f"s={s_desc[c]:g}")
+        raise _cut_error(_PUT, kind, "put boundary", f"s={s_desc[c]:g}")
 
     grid_asc = s_desc[::-1]
     vals_asc = vals[::-1]

@@ -61,6 +61,7 @@ from .reflection_pde import (
     RowClosure,
     _bilinear,
     _fill_inactive,
+    _point,
     solve_reflection_region,
 )
 from .solver2d import (
@@ -619,133 +620,88 @@ def _quad_zero(ps, ds, lo, hi, lin):
     return z
 
 
-def _crossing(grid, d, valid, a, b):
-    """Zero of d between nodes a and b, refined through a third valid node."""
-    lin = _cell_crossing(grid[a], grid[b], d(a), d(b))
-    k3 = a - 1 if valid(a - 1) else b + 1 if valid(b + 1) else None
+def _crossing(grid, d, ok, a, b, bracket=None):
+    """Zero of d between nodes a and b, refined through a third node where ok.
+
+    d and ok run along grid; a zero extrapolated past b lies in bracket = (lo, hi).
+    """
+    lin = _cell_crossing(grid[a], grid[b], d[a], d[b])
+    lo, hi = bracket or (grid[a], grid[b])
+    k3 = a - 1 if a > 0 and ok[a - 1] else b + 1 if b + 1 < ok.size and ok[b + 1] else None
     if k3 is None:
-        return lin
-    return _quad_zero(
-        (grid[k3], grid[a], grid[b]), (d(k3), d(a), d(b)), grid[a], grid[b], lin
-    )
+        return lin if bracket is None else min(max(lin, lo), hi)
+    return _quad_zero((grid[k3], grid[a], grid[b]), (d[k3], d[a], d[b]), lo, hi, lin)
 
 
 def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
     """Solve the coefficient system on every connected reflected component.
 
-    Closures are read off the lattice: a column that runs into the diagonal
-    pins the extrapolated C2 to zero there; a line that runs into a stopping
-    curve pins the two-power combination to the payoff at the located
-    crossing, refined through three lattice samples where the stopping curve
-    is curved (imposed through a virtual node so the pin costs no
-    extrapolation error); a put row that reaches the far truncation edge pins
-    C1 to zero.  A component cut off by a flagged slice or by the lattice
-    edge cannot be closed and raises UnderdeterminedRegion.
+    One walk (:func:`_close_lines`) closes each nonempty column (along y at
+    fixed s) and row (along s at fixed y) past its last active node.  At the
+    line's open end (the diagonal or the lattice top for a column, the far s
+    edge for a row) a call column pins the extrapolated C2 to zero, a put
+    column pins the payoff at its floor crossing extrapolated toward the
+    diagonal, a put row pins C1 to zero, and a call row raises.  At a
+    stopping curve the line pins the payoff at the crossing, refined through
+    three lattice samples and imposed through a virtual node so the pin
+    costs no extrapolation error; at a flagged node it raises.  The raises
+    are UnderdeterminedRegion.
     """
     if surface.labels is None:
         detect_regions_3d(spec, surface)
     o = _ORIENT[surface.kind]
-    s_grid, y_grid, v = surface.s_grid, surface.y_grid, surface.values
-    n_s, n_y = v.shape
-    L = spec.strike
-    # the reflect band is bounded by x = s when it lies above s (call) and
-    # by the floor x = s - y when it lies below the floor (put)
-    band_on_s = o.above == "reflect"
-
-    def line(s, y, on_s):
-        return s if on_s else s - y
-
-    mask = surface.labels == "reflect"
-    comp, n_comp = ndimage.label(mask)
+    s_grid, y_grid, v, labels = surface.s_grid, surface.y_grid, surface.values, surface.labels
+    comp, n_comp = ndimage.label(labels == "reflect")
     grids = []
     for c in range(1, n_comp + 1):
         active = comp == c
-        col_cl = []
-        row_cl = []
-        for i in range(n_s):
-            idx = np.flatnonzero(active[i])
-            if not idx.size:
-                continue
-            j2 = idx[-1]
-            above = j2 + 1
-
-            def dcol(k, i=i):
-                return v[i, k] - line(s_grid[i], y_grid[k], band_on_s)
-
-            def col_valid(k, i=i):
-                return 0 <= k < n_y and np.isfinite(v[i, k]) and y_grid[k] < s_grid[i]
-
-            if above >= n_y or y_grid[above] >= s_grid[i]:
-                if band_on_s:
-                    col_cl.append(ColumnClosure(i, "c2_zero", y_pos=s_grid[i]))
-                    continue
-                # floor crossing sits between the last node and the
-                # diagonal; extrapolate the barrier through the top
-                # column samples (flat only when the column is too short)
-                if j2 >= 1 and np.isfinite(v[i, j2 - 1]):
-                    lin = _cell_crossing(
-                        y_grid[j2 - 1], y_grid[j2], dcol(j2 - 1), dcol(j2)
-                    )
-                    if j2 >= 2 and np.isfinite(v[i, j2 - 2]):
-                        y_star = _quad_zero(
-                            (y_grid[j2 - 2], y_grid[j2 - 1], y_grid[j2]),
-                            (dcol(j2 - 2), dcol(j2 - 1), dcol(j2)),
-                            y_grid[j2], s_grid[i], lin,
-                        )
-                    else:
-                        y_star = min(max(lin, y_grid[j2]), s_grid[i])
-                else:
-                    y_star = min(s_grid[i] - v[i, j2], s_grid[i])
-            else:
-                if surface.labels[i, above] == "":
-                    raise UnderdeterminedRegion(
-                        f"reflected column at s={s_grid[i]:g} is cut by a flagged "
-                        "slice; refine the lattice or the step tolerance"
-                    )
-                y_star = _crossing(y_grid, dcol, col_valid, j2, above)
-            x_base = line(s_grid[i], y_star, band_on_s)
-            target = o.sign * (x_base - L)
-            col_cl.append(
-                ColumnClosure(i, "combo", y_pos=y_star, x_base=x_base, target=target)
-            )
-        for j in range(n_y):
-            idx = np.flatnonzero(active[:, j])
-            if not idx.size:
-                continue
-            i2 = idx[-1]
-            right = i2 + 1
-            if right >= n_s:
-                if band_on_s:
-                    raise UnderdeterminedRegion(
-                        f"reflected row at y={y_grid[j]:g} reaches the lattice "
-                        "edge; enlarge the s-range"
-                    )
-                row_cl.append(RowClosure(j, "c1_zero"))
-                continue
-            lab = surface.labels[right, j]
-            if lab == "":
-                raise UnderdeterminedRegion(
-                    f"reflected row at y={y_grid[j]:g} is cut by a flagged "
-                    "slice; refine the lattice or the step tolerance"
-                )
-            # a put row may run straight into the stop band above s
-            on_s = band_on_s or lab == o.above
-
-            def drow(k, j=j, on_s=on_s):
-                return v[k, j] - line(s_grid[k], y_grid[j], on_s)
-
-            def row_valid(k, j=j):
-                return 0 <= k < n_s and np.isfinite(v[k, j]) and s_grid[k] > y_grid[j]
-
-            s_star = _crossing(s_grid, drow, row_valid, i2, right)
-            x_base = line(s_star, y_grid[j], on_s)
-            target = o.sign * (x_base - L)
-            row_cl.append(
-                RowClosure(j, "combo", s_pos=s_star, x_base=x_base, target=target)
-            )
-        region = RegionSpec(s_grid, y_grid, active, col_cl, row_cl)
+        # values, labels and activity indexed [line, node along the line]
+        cols = _close_lines(spec, o, (False, y_grid, s_grid, v, labels, active))
+        rows = _close_lines(spec, o, (True, s_grid, y_grid, v.T, labels.T, active.T))
+        region = RegionSpec(s_grid, y_grid, active, cols, rows)
         grids.append(solve_reflection_region(spec, region))
     return grids
+
+
+def _close_lines(spec: ModelSpec, o: _Orientation, family):
+    """The closure of each nonempty line of a family, in line order."""
+    along_s, grid, fixed, v, labels, act = family
+    closure, name = (RowClosure, "row at y") if along_s else (ColumnClosure, "column at s")
+    s, y = _point(along_s, fixed[:, None], grid[None, :])
+    inside = y < s
+    ok = inside & np.isfinite(v)
+    # the barrier's gap to x = s and to the floor x = s - y, by "on s?"
+    gaps = {True: v - s, False: v - (s - y)}
+    # the reflect band is bounded by x = s when it lies above s (call) and
+    # by the floor when it lies below the floor (put)
+    band_on_s = o.above == "reflect"
+    out = []
+    for k in np.flatnonzero(act.any(axis=1)).tolist():  # as Python ints
+        a, pos, on_s = np.flatnonzero(act[k])[-1], fixed[k], band_on_s
+        if a + 1 == grid.size or not inside[k, a + 1]:  # the open end
+            if along_s and band_on_s:
+                raise UnderdeterminedRegion(
+                    f"reflected {name}={pos:g} reaches the lattice edge; enlarge the s-range"
+                )
+            if along_s or band_on_s:
+                out.append(closure(k, "c1_zero") if along_s else closure(k, "c2_zero", pos))
+                continue
+            # extrapolate the floor crossing toward the diagonal through the
+            # column's top samples (flat when the column is too short)
+            at = min(pos - v[k, a], pos)
+            if a > 0 and ok[k, a - 1]:
+                at = _crossing(grid, gaps[False][k], ok[k], a - 1, a, (grid[a], pos))
+        elif labels[k, a + 1] == "":
+            why = "is cut by a flagged slice; refine the lattice or the step tolerance"
+            raise UnderdeterminedRegion(f"reflected {name}={pos:g} {why}")
+        else:
+            # a put row may run straight into the stop band above s
+            on_s = band_on_s or (along_s and labels[k, a + 1] == o.above)
+            at = _crossing(grid, gaps[on_s][k], ok[k], a, a + 1)
+        x_s, x_y = _point(along_s, pos, at)
+        x_base = x_s if on_s else x_s - x_y
+        out.append(closure(k, "combo", at, x_base, o.sign * (x_base - spec.strike)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -915,7 +871,7 @@ class _Solution3D:
         levels, (kind, at) = _boundary_slice(o, spec, fixed, [t])
         if kind != "ok":
             what = f"re-marched {o.kind} boundary of the line s={s:g}, y={y:g}"
-            raise _cut_error(o.kind, kind, what, f"{o.moving}={at:g}")
+            raise _cut_error(o, kind, what, f"{o.moving}={at:g}")
         return float(levels[-1])
 
     def _no_region(self):

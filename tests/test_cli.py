@@ -303,6 +303,19 @@ def test_simulate_writes_json_and_respects_seed(tmp_path, capsys):
     assert json.loads((out / "simulate.json").read_text())["mean"] != rec["mean"]
 
 
+@pytest.mark.parametrize("line", ["r = inf", "delta.params = inf"])
+def test_value_with_a_non_finite_model_exits_1(tmp_path, capsys, line):
+    # rejected with the config, not as a constraint breach of the curve
+    key = line.split(" = ")[0]
+    text = "".join(
+        ln + "\n" for ln in BASE.splitlines() if not ln.startswith(key + " ")
+    )
+    cfg, out = write_config(tmp_path, text=text + line + "\n")
+    assert main(["value", "--config", cfg, "--dim", "2"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("horizon", ["nan", "inf"])
 def test_simulate_non_finite_horizon_exits_1(tmp_path, capsys, horizon):
     # rejected with the config, before any solve

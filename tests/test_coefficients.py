@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from drawdown_options import (
     CoefficientField,
+    ConfigError,
     DomainError,
     ModelSpec,
     NonPositiveCoefficient,
     StateTriple,
+    build_config,
     eval_fields,
     generator_residual,
     roots,
@@ -90,6 +92,36 @@ def test_eval_fields_rejects_off_quadrant():
 def test_positivity_audit_rejects_negative_dividend():
     with pytest.raises(NonPositiveCoefficient):
         make_spec(delta=("s_only", (0.01, -0.5)))
+
+
+FINITE_MODEL = {
+    "r": "0.06",
+    "strike": "1.0",
+    "payoff": "put",
+    "delta.family": "bounded_rational",
+    "delta.params": "0.02, 0.01, 0.01",
+    "sigma.family": "constant",
+    "sigma.params": "0.2",
+}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("r", "inf"),
+    ("r", "nan"),
+    ("strike", "inf"),
+    ("domain.s_max", "inf"),
+    ("domain.y_max", "inf"),
+    ("domain.y_max", "nan"),
+    ("delta.params", "inf, 0.01, 0.01"),
+    ("delta.params", "0.02, 0.01, -inf"),
+    ("sigma.params", "inf"),
+    ("sigma.params", "nan"),
+])
+def test_non_finite_model_inputs_are_rejected(key, value):
+    # the model raises ValueError naming finiteness; the config wraps it
+    with pytest.raises(ConfigError, match="finite") as exc:
+        build_config(dict(FINITE_MODEL, **{key: value}))
+    assert type(exc.value.__cause__) is ValueError
 
 
 # ---------------------------------------------------------------------------

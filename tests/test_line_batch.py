@@ -30,6 +30,7 @@ from drawdown_options import (
 from drawdown_options.coefficients import _ORIENT, _generator
 from drawdown_options.errors import ResolutionWarning
 from drawdown_options.montecarlo import DOMINANCE_TOL, SMOOTH_STEP, _linspace_rows
+from drawdown_options.solver3d import BoundarySurface
 
 FLAT_SIGMA = ("constant", (0.2,))
 FIELDS = {
@@ -161,6 +162,55 @@ def test_lines_equal_line_bit_for_bit(case):
             )
             assert d1[m].hex() == first.hex()
             assert d2[m].hex() == second.hex()
+
+
+def _runs(finite):
+    """(first, last) node of each run of True in a 1-D mask."""
+    edges = np.diff(np.concatenate([[0], finite.astype(int), [0]]))
+    return list(zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1))
+
+
+@st.composite
+def holed_surface(draw):
+    """A lattice whose rows hold several finite runs, or none, and probes.
+
+    Rows (fixed y, along s) are cut by NaN holes into runs of every fit
+    kind (one node, linear, cubic) and some are NaN throughout.  Probes sit
+    anywhere in and past the box, on nodes and at the midpoint of every
+    gap between two runs of a row, where both runs are equally near.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_s, n_y = draw(st.integers(2, 16)), draw(st.integers(2, 8))
+    s_grid = 0.1 + np.cumsum(rng.uniform(0.05, 0.5, n_s))
+    y_grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.5, n_y - 1))])
+    v = rng.uniform(0.1, 3.0, (n_s, n_y))
+    v[rng.random(v.shape) < draw(st.floats(0.0, 0.6))] = np.nan
+    v[:, rng.random(n_y) < draw(st.floats(0.0, 0.5))] = np.nan
+    surf = BoundarySurface(s_grid, y_grid, v, "put")
+    s_probe, y_probe = [], []
+    for j in range(n_y):
+        runs = _runs(np.isfinite(v[:, j]))
+        for (_, hi), (lo, _) in zip(runs, runs[1:]):
+            s_probe.append(0.5 * (s_grid[hi] + s_grid[lo]))
+            y_probe.append(y_grid[j])
+    n = draw(st.integers(1, 30))
+    s_probe += list(rng.uniform(s_grid[0] - 0.3, s_grid[-1] + 0.3, n))
+    s_probe += list(s_grid[rng.integers(0, n_s, n)])
+    y_probe += list(rng.uniform(-0.1, y_grid[-1] + 0.1, n))
+    y_probe += list(y_grid[rng.integers(0, n_y, n)])
+    return surf, np.array(s_probe), np.array(y_probe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(holed_surface())
+def test_level_smooth_arrays_equal_floats_over_holed_rows(case):
+    # the nearest-run choice past a row's first run, a row with no fit,
+    # and both fallbacks (the partner row, then the bilinear level_at)
+    surf, ss, ys = case
+    got = surf.level_smooth(ss, ys)
+    for k in range(ss.size):
+        want = surf.level_smooth(float(ss[k]), float(ys[k]))
+        assert float(got[k]).hex() == float(want).hex()
 
 
 def _audit_by_line(spec, sol, shape):

@@ -455,6 +455,32 @@ def test_scalar_put_stage_gives_nan_below_zero_like_the_array_stage():
             assert den == want_den
 
 
+def test_scalar_bracket_equals_the_array_bracket_bit_for_bit():
+    # the scalar put stage's bracket against OdeStage's on both of its
+    # branches: the series where |u| < 1e-6 (which no put curve reaches)
+    # and the exponential, on both sides of its +-700 clamp
+    from drawdown_options.solver2d import _bracket, _scalar_bracket
+
+    rng = np.random.default_rng(19)
+    deltas = np.concatenate([rng.uniform(-60.0, 60.0, 30), [-4.0, -0.5, 0.5, 4.0]])
+    edge = 1e-6 * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+    near = np.concatenate(
+        [edge, np.nextafter(1e-6, [0.0, 1.0]), rng.uniform(0.0, 2e-6, 20),
+         10.0 ** rng.uniform(-12.0, -6.0, 40)]
+    )
+    wide = 10.0 ** rng.uniform(-9.0, 3.0, 40)
+    for d in deltas.tolist():
+        clamp = 700.0 / abs(d) * np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5])
+        mag = np.concatenate([[0.0], near, wide, clamp])
+        u = np.concatenate([mag, -mag])
+        small = np.abs(u) < 1e-6
+        with np.errstate(invalid="ignore"):  # u = 0 on the masked branch
+            got = _bracket(d, 1.0 / d, u, small)
+        assert small.any() and (np.abs(d * u) > 700.0).any()
+        for k, uk in enumerate(u.tolist()):
+            assert got[k].hex() == _scalar_bracket(d, uk).hex()
+
+
 def test_put_curve_matches_recorded_bits():
     """The default sloped put curve, recorded from the one lane march: the
     put lane at y = 0, down in log s, every node read from its steps'

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from drawdown_options import (
     CallSolution2D,
@@ -22,11 +23,16 @@ from drawdown_options import (
     put_boundary_slice,
     put_value_3d,
 )
+from drawdown_options import solver3d
 from drawdown_options.coefficients import _ORIENT, _critical_level, roots_arrays
-from drawdown_options.errors import ResolutionWarning
+from drawdown_options.errors import ResolutionWarning, UnderdeterminedRegion
+from drawdown_options.reflection_pde import ColumnClosure, RowClosure
+from drawdown_options.solver2d import _cell_crossing
 from drawdown_options.solver3d import (
     MAX_SWITCH_PAIRS,
     BoundarySurface,
+    _quad_zero,
+    build_reflection_regions,
     detect_regions_3d,
     diagonal_put_curve,
 )
@@ -297,6 +303,215 @@ def test_region_scan_matches_the_slice_loops_bit_for_bit(
         c.hex() for c in cap.tolist()
     ]
     assert got == want
+
+
+def _crossing_by_calls(grid, d, valid, a, b):
+    """Zero of d between nodes a and b, refined through a third valid node."""
+    lin = _cell_crossing(grid[a], grid[b], d(a), d(b))
+    k3 = a - 1 if valid(a - 1) else b + 1 if valid(b + 1) else None
+    if k3 is None:
+        return lin
+    return _quad_zero(
+        (grid[k3], grid[a], grid[b]), (d(k3), d(a), d(b)), grid[a], grid[b], lin
+    )
+
+
+def _closures_by_loops(spec, surface):
+    """Closures as a column loop and its mirrored row loop, the reference of the walk.
+
+    Returns the (column closures, row closures) of every reflected component,
+    or raises UnderdeterminedRegion where a line cannot be closed.
+    """
+    o = _ORIENT[surface.kind]
+    s_grid, y_grid, v = surface.s_grid, surface.y_grid, surface.values
+    n_s, n_y = v.shape
+    L = spec.strike
+    band_on_s = o.above == "reflect"
+
+    def line(s, y, on_s):
+        return s if on_s else s - y
+
+    comp, n_comp = ndimage.label(surface.labels == "reflect")
+    out = []
+    for c in range(1, n_comp + 1):
+        active = comp == c
+        col_cl = []
+        row_cl = []
+        for i in range(n_s):
+            idx = np.flatnonzero(active[i])
+            if not idx.size:
+                continue
+            j2 = idx[-1]
+            above = j2 + 1
+
+            def dcol(k, i=i):
+                return v[i, k] - line(s_grid[i], y_grid[k], band_on_s)
+
+            def col_valid(k, i=i):
+                return 0 <= k < n_y and np.isfinite(v[i, k]) and y_grid[k] < s_grid[i]
+
+            if above >= n_y or y_grid[above] >= s_grid[i]:
+                if band_on_s:
+                    col_cl.append(ColumnClosure(i, "c2_zero", y_pos=s_grid[i]))
+                    continue
+                if j2 >= 1 and np.isfinite(v[i, j2 - 1]):
+                    lin = _cell_crossing(
+                        y_grid[j2 - 1], y_grid[j2], dcol(j2 - 1), dcol(j2)
+                    )
+                    if j2 >= 2 and np.isfinite(v[i, j2 - 2]):
+                        y_star = _quad_zero(
+                            (y_grid[j2 - 2], y_grid[j2 - 1], y_grid[j2]),
+                            (dcol(j2 - 2), dcol(j2 - 1), dcol(j2)),
+                            y_grid[j2], s_grid[i], lin,
+                        )
+                    else:
+                        y_star = min(max(lin, y_grid[j2]), s_grid[i])
+                else:
+                    y_star = min(s_grid[i] - v[i, j2], s_grid[i])
+            else:
+                if surface.labels[i, above] == "":
+                    raise UnderdeterminedRegion(
+                        f"reflected column at s={s_grid[i]:g} is cut by a flagged "
+                        "slice; refine the lattice or the step tolerance"
+                    )
+                y_star = _crossing_by_calls(y_grid, dcol, col_valid, j2, above)
+            x_base = line(s_grid[i], y_star, band_on_s)
+            target = o.sign * (x_base - L)
+            col_cl.append(
+                ColumnClosure(i, "combo", y_pos=y_star, x_base=x_base, target=target)
+            )
+        for j in range(n_y):
+            idx = np.flatnonzero(active[:, j])
+            if not idx.size:
+                continue
+            i2 = idx[-1]
+            right = i2 + 1
+            if right >= n_s:
+                if band_on_s:
+                    raise UnderdeterminedRegion(
+                        f"reflected row at y={y_grid[j]:g} reaches the lattice "
+                        "edge; enlarge the s-range"
+                    )
+                row_cl.append(RowClosure(j, "c1_zero"))
+                continue
+            lab = surface.labels[right, j]
+            if lab == "":
+                raise UnderdeterminedRegion(
+                    f"reflected row at y={y_grid[j]:g} is cut by a flagged "
+                    "slice; refine the lattice or the step tolerance"
+                )
+            on_s = band_on_s or lab == o.above
+
+            def drow(k, j=j, on_s=on_s):
+                return v[k, j] - line(s_grid[k], y_grid[j], on_s)
+
+            def row_valid(k, j=j):
+                return 0 <= k < n_s and np.isfinite(v[k, j]) and s_grid[k] > y_grid[j]
+
+            s_star = _crossing_by_calls(s_grid, drow, row_valid, i2, right)
+            x_base = line(s_star, y_grid[j], on_s)
+            target = o.sign * (x_base - L)
+            row_cl.append(
+                RowClosure(j, "combo", s_pos=s_star, x_base=x_base, target=target)
+            )
+        out.append((col_cl, row_cl))
+    return out
+
+
+def _closure_bits(closures):
+    """Each closure as its class, line index, kind and fields as float.hex."""
+    out = []
+    for c in closures:
+        k = c.i if isinstance(c, ColumnClosure) else c.j
+        assert type(k) is int
+        pos = c.y_pos if isinstance(c, ColumnClosure) else c.s_pos
+        fields = tuple(float(f).hex() for f in (pos, c.x_base, c.target))
+        out.append((type(c).__name__, k, c.kind) + fields)
+    return out
+
+
+def _closures_or_error(build, spec, surface):
+    try:
+        return [tuple(map(_closure_bits, cl)) for cl in build(spec, surface)]
+    except UnderdeterminedRegion as exc:
+        return str(exc)
+
+
+def _walk_closures(spec, surface):
+    """The closures build_reflection_regions hands to each region's solve."""
+    regions = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver3d, "solve_reflection_region", lambda _, r: regions.append(r))
+        build_reflection_regions(spec, surface)
+    return [(r.column_closures, r.row_closures) for r in regions]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["call", "put"]),
+    n_s=st.integers(2, 30),
+    n_y=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    flagged=st.integers(0, 4),
+    alternating=st.integers(0, 2),
+)
+def test_closure_walk_matches_the_loops_bit_for_bit(
+    kind, n_s, n_y, seed, flagged, alternating
+):
+    surf = _random_surface(kind, n_s, n_y, seed, flagged, alternating)
+    spec = make_spec(kind, ("constant", (0.03,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        detect_regions_3d(spec, surf)
+    want = _closures_or_error(_closures_by_loops, spec, surf)
+    assert _closures_or_error(_walk_closures, spec, surf) == want
+
+
+def _labelled_surface(kind, s_grid, y_grid, values):
+    spec = make_spec(kind, ("constant", (0.03,)))
+    surf = BoundarySurface(np.array(s_grid), np.array(y_grid), np.array(values), kind)
+    return spec, detect_regions_3d(spec, surf)
+
+
+def test_a_reflected_column_cut_by_a_flagged_slice_raises():
+    # the call column s = 3 reflects at y = 0 (barrier 4 > s) and its next
+    # node is flagged
+    spec, surf = _labelled_surface("call", [1.0, 2.0, 3.0], [0.0, 0.5], [
+        [np.nan, np.nan], [np.nan, np.nan], [4.0, np.nan],
+    ])
+    assert surf.labels[2, 0] == "reflect" and surf.labels[2, 1] == ""
+    with pytest.raises(UnderdeterminedRegion, match=(
+        r"^reflected column at s=3 is cut by a flagged slice; refine the "
+        r"lattice or the step tolerance$"
+    )):
+        build_reflection_regions(spec, surf)
+
+
+def test_a_reflected_row_cut_by_a_flagged_slice_raises():
+    # the call node (s, y) = (1, 0) reflects and its column closes at the
+    # diagonal; its row runs into the flagged node s = 2
+    spec, surf = _labelled_surface("call", [1.0, 2.0], [0.0, 1.5], [
+        [3.0, np.nan], [np.nan, 1.0],
+    ])
+    assert surf.labels[0, 0] == "reflect" and surf.labels[1, 0] == ""
+    with pytest.raises(UnderdeterminedRegion, match=(
+        r"^reflected row at y=0 is cut by a flagged slice; refine the "
+        r"lattice or the step tolerance$"
+    )):
+        build_reflection_regions(spec, surf)
+
+
+def test_a_call_row_reaching_the_lattice_edge_raises():
+    # the call node (s, y) = (2, 0) reflects, its column closes on the
+    # direct node above, and its row ends at the last s node
+    spec, surf = _labelled_surface("call", [1.0, 2.0], [0.0, 1.5], [
+        [np.nan, np.nan], [3.0, 1.0],
+    ])
+    assert surf.labels[1, 0] == "reflect" and surf.labels[1, 1] == "direct"
+    with pytest.raises(UnderdeterminedRegion, match=(
+        r"^reflected row at y=0 reaches the lattice edge; enlarge the s-range$"
+    )):
+        build_reflection_regions(spec, surf)
 
 
 # ---------------------------------------------------------------------------
