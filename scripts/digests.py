@@ -11,8 +11,17 @@ bit is.  The outputs are the boundary surface (values, labels, slice
 status, cap curve, switch points), each reflection region's C1 and C2
 grids, the line records of a 12 x 12 probe grid taken one at a time
 (``line``) and, where the solution has it, as one batch (``lines``), the
-values along each probed line, and the dict of a 20 x 20 x 20 audit.  A
-solve or a query that raises is written as its error.
+values along each probed line, and the dict of a 20 x 20 x 20 audit.  At
+33 x 25, one short seeded Monte Carlo run of the solved rule and its 0.9
+and 1.1 scalings adds each rule's ``SimResult``.  A solve or a query that
+raises is written as its error.
+
+Once per model, under ``<model>/2d/``, the script also writes the
+maximum-only outputs of the model's ``diagonal_spec()``: for a put the
+``put_boundary_2d`` curve (values, switch points, largest step error), for
+a call the ``CallSolution2D`` switch points, and for either the 2D
+solution's values on a 12 x 7 (s, x) probe grid and its coefficients at
+the 12 probe levels s, each probe written as its value or its error.
 
 Run from the repository root:
 
@@ -36,11 +45,17 @@ import warnings
 import numpy as np
 
 from drawdown_options import (
+    CallSolution2D,
     CallSolution3D,
     CoefficientField,
     ModelSpec,
+    PutSolution2D,
     PutSolution3D,
+    SimConfig,
+    StateTriple,
     audit_solution,
+    rule_from_solution,
+    simulate_stopped_payoffs,
 )
 from drawdown_options.errors import ResolutionWarning
 
@@ -60,19 +75,29 @@ LATTICES = [(33, 25), (65, 49), (193, 129)]
 PROBES = 12  # line records on a PROBES x PROBES grid of (s, y)
 AUDIT_SHAPE = (20, 20, 20)
 LINE_FIELDS = ("level", "branch", "g1", "g2", "c1", "c2")
+SIM_LATTICE = (33, 25)  # the lattice whose solutions are also simulated
+SIM = SimConfig(n_paths=256, dt=0.05, horizon=120.0, seed=20261020)
+SIM_START = StateTriple(1.0, 1.2, 0.5)
+SIM_FACTORS = (0.9, 1.1)
+SIM_FIELDS = ("mean", "stderr", "n_paths", "n_horizon", "mean_stop_time")
+X_PROBES = 7  # prices per probe level s of a 2D solution
 
 
-def solve(model, n_s, n_y):
+def model_spec(model):
     name, kind = model.split("-")
     delta, sigma = FIELDS[name]
-    spec = ModelSpec(
+    return ModelSpec(
         r=0.06,
         strike=1.0,
         payoff_kind=kind,
         delta_field=CoefficientField(*delta),
         sigma_field=CoefficientField(*sigma),
     )
-    cls = PutSolution3D if kind == "put" else CallSolution3D
+
+
+def solve(model, n_s, n_y):
+    spec = model_spec(model)
+    cls = PutSolution3D if spec.payoff_kind == "put" else CallSolution3D
     return spec, cls(spec, n_s=n_s, n_y=n_y)
 
 
@@ -97,6 +122,58 @@ def _line_outputs(prefix, records, xs):
     out = {f"{prefix}.{f}": [getattr(r, f) for r in records] for f in LINE_FIELDS}
     out[f"{prefix}.values"] = [v for r, x in zip(records, xs) for v in r.values(x)]
     return out
+
+
+def _each(fn, args):
+    """The numbers fn(*a) gives for each a in args, or the error it raises."""
+    out = []
+    for a in args:
+        try:
+            out.extend(np.ravel(fn(*a)).tolist())
+        except Exception as exc:  # a probe's typed error is an output too
+            out.append(_error(exc))
+    return out
+
+
+def _switch_entries(switches):
+    return [f"{float(p).hex()}:{d}" for p, d in switches]
+
+
+def outputs_2d(spec):
+    """The maximum-only outputs of spec's diagonal restriction, by its kind."""
+    dspec = spec.diagonal_spec()
+    put = dspec.payoff_kind == "put"
+    out = {}
+    if put:
+        sol = PutSolution2D(dspec)
+        curve = sol.curve  # put_boundary_2d on the default grid
+        out["put_curve.values"] = curve.values
+        out["put_curve.switches"] = _switch_entries(curve.switches)
+        out["put_curve.max_step_error"] = [curve.max_step_error]
+    else:
+        sol = CallSolution2D(dspec)
+        out["call2d.switches"] = _switch_entries(sol.switches)
+    levels = [(s,) for s in np.linspace(0.05, dspec.domain_s_max, PROBES)]
+    points = [(s * f, s) for (s,) in levels for f in np.linspace(0.1, 1.0, X_PROBES)]
+    prefix = f"{dspec.payoff_kind}2d"
+    out[f"{prefix}.values"] = _each(sol.value, points)
+    out[f"{prefix}.coefficients"] = _each(sol.coefficients if put else sol.coefficient, levels)
+    return out
+
+
+def sim_outputs(spec, sol):
+    """SimResults of the solved rule and its SIM_FACTORS scalings, one pass."""
+    rule = rule_from_solution(sol)
+    rules = [rule] + [rule.scaled(f) for f in SIM_FACTORS]
+    names = ["rule"] + [f"rule_x{f}" for f in SIM_FACTORS]
+    try:
+        results = simulate_stopped_payoffs(spec, SIM_START, rules, SIM)
+    except Exception as exc:
+        return {"sim.error": [_error(exc)]}
+    return {
+        f"sim.{name}": [getattr(res, f) for f in SIM_FIELDS]
+        for name, res in zip(names, results)
+    }
 
 
 def model_outputs(spec, sol):
@@ -145,6 +222,12 @@ def digests(models, lattices):
     """{output name: list of entries} over the matrix, in a fixed order."""
     result = {}
     for model in models:
+        try:
+            outs = outputs_2d(model_spec(model))
+        except Exception as exc:
+            outs = {"error": [_error(exc)]}
+        for name, entries in outs.items():
+            result[f"{model}/2d/{name}"] = [_entry(v) for v in entries]
         for n_s, n_y in lattices:
             key = f"{model}/{n_s}x{n_y}"
             try:
@@ -152,7 +235,10 @@ def digests(models, lattices):
             except Exception as exc:
                 result[f"{key}/error"] = [_error(exc)]
                 continue
-            for name, entries in model_outputs(spec, sol).items():
+            outs = model_outputs(spec, sol)
+            if (n_s, n_y) == SIM_LATTICE:
+                outs.update(sim_outputs(spec, sol))
+            for name, entries in outs.items():
                 result[f"{key}/{name}"] = [_entry(v) for v in entries]
     return result
 

@@ -13,14 +13,14 @@ Run from the repository root:
 import time
 
 from drawdown_options import (
+    CallSolution2D,
     CallSolution3D,
     CoefficientField,
     ModelSpec,
+    PutSolution2D,
     PutSolution3D,
     SimConfig,
     StateTriple,
-    call_value_2d,
-    put_value_2d,
     roots,
     rule_from_solution,
     simulate_stopped_payoff,
@@ -49,9 +49,9 @@ def main():
           "   (closed form 3K)")
     print(f"put barrier       g* = {float(put_asymptote(put)):.12f}"
           "   (closed form 2L/3)")
-    print(f"put value (L,L)   {put_value_2d(put, 1.0, 1.0):.12f}"
+    print(f"put value (L,L)   {PutSolution2D(put).value(1.0, 1.0):.12f}"
           f"   (closed form 4/27 = {4.0 / 27.0:.12f})")
-    print(f"call value (2.0, 2.5) = {call_value_2d(call, 2.0, 2.5):.16f}")
+    print(f"call value (2.0, 2.5) = {CallSolution2D(call).value(2.0, 2.5):.16f}")
 
     t0 = time.time()
     sol_call = CallSolution3D(call)

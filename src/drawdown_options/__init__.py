@@ -52,10 +52,8 @@ from .solver2d import (
     CallSolution2D,
     PutSolution2D,
     call_boundary_2d,
-    call_value_2d,
     detect_switch_points,
     put_boundary_2d,
-    put_value_2d,
 )
 from .solver3d import (
     BoundarySurface,
@@ -64,9 +62,7 @@ from .solver3d import (
     build_call_surface,
     build_put_surface,
     call_boundary_slice,
-    call_value_3d,
     put_boundary_slice,
-    put_value_3d,
 )
 
 __all__ = [
@@ -103,8 +99,6 @@ __all__ = [
     "build_put_surface",
     "call_boundary_2d",
     "call_boundary_slice",
-    "call_value_2d",
-    "call_value_3d",
     "detect_switch_points",
     "eval_fields",
     "generator_residual",
@@ -113,8 +107,6 @@ __all__ = [
     "pde_residuals",
     "put_boundary_2d",
     "put_boundary_slice",
-    "put_value_2d",
-    "put_value_3d",
     "residual_grids",
     "roots",
     "roots_arrays",

@@ -88,9 +88,7 @@ class CoefficientField:
 
     def diagonal_restriction(self) -> "CoefficientField":
         """The field seen along s = y, expressed as an s_only member."""
-        if self.family == "constant":
-            return self
-        if self.family == "s_only":
+        if self.family != "bounded_rational":
             return self
         c0, c1, c2 = self.params
         return CoefficientField("s_only", (c0, c1 + c2))
@@ -103,7 +101,8 @@ class ModelSpec:
     Rate, strike and the domain bounds must be positive and finite.
     Construction audits positivity of both fields on a 64x64 log-spaced grid
     over the domain box [0, domain_s_max] x [0, domain_y_max] restricted to
-    y <= s, rejecting anything that dips to 1e-8 or below.
+    y <= s, rejecting anything that dips to 1e-8 or below, and requires the
+    characteristic roots to be finite on that grid.
     """
 
     r: float
@@ -128,14 +127,23 @@ class ModelSpec:
                                                 self.domain_y_max, _AUDIT_GRID - 1)])
         ss, yy = np.meshgrid(s, y, indexing="ij")
         yy = np.minimum(yy, ss)  # audit the admissible quadrant y <= s
+        vals = {}
         for name, field in (("delta", self.delta_field), ("sigma", self.sigma_field)):
-            vals = np.asarray(field.value(ss, yy), dtype=float)
-            if not np.all(vals > _POSITIVITY_FLOOR):
-                worst = float(vals.min())
+            vals[name] = np.asarray(field.value(ss, yy), dtype=float)
+            if not np.all(vals[name] > _POSITIVITY_FLOOR):
+                worst = float(vals[name].min())
                 raise NonPositiveCoefficient(
                     f"{name} field reaches {worst:.3e} on the domain box "
                     f"(floor {_POSITIVITY_FLOOR:.0e})"
                 )
+        # a finite rate can still be so large that the roots overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            g1, g2, *_ = _root_pair(self.r, vals["delta"], vals["sigma"])
+        if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+            raise ValueError(
+                "characteristic roots are not finite on the domain box; "
+                f"rate {self.r:g} or a field is too large"
+            )
 
     def payoff(self, x):
         if self.payoff_kind == "call":
@@ -397,6 +405,15 @@ class _Orientation:
     def swap(self, a, b):
         """(s, y) from a slice's (fixed, moving) pair, or back: the same swap."""
         return (a, b) if self.fixed == "s" else (b, a)
+
+    def require(self, spec):
+        """Raise DomainError unless spec is a model of this side's payoff.
+
+        The spec's payoff_kind alone decides call or put; every per-kind
+        entry point checks it here.
+        """
+        if spec.payoff_kind != self.kind:
+            raise DomainError(f"spec is a {spec.payoff_kind} model, not a {self.kind} model")
 
     def fixed_major(self, a):
         """An (s, y) lattice array indexed [fixed, moving], or back."""

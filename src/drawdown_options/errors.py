@@ -22,7 +22,7 @@ class StepError(RuntimeError):
 
 
 class NonConvergence(RuntimeError):
-    """An iterative solve did not reach its tolerance within the cap."""
+    """The sparse LU of a reflection system left entries non-finite."""
 
 
 class UnderdeterminedRegion(ValueError):

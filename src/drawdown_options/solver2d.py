@@ -18,14 +18,13 @@ import math
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import odestep
-from .coefficients import _PUT, ModelSpec, _pinned_pair, roots_arrays
+from .coefficients import _CALL, _PUT, ModelSpec, _pinned_pair, roots_arrays
 from .errors import (
     ConstraintBreach,
     DomainError,
@@ -39,7 +38,9 @@ DEFAULT_N_STEPS = 4096
 EDGE_FRACTION = 1e-6
 
 
-def _require_s_only(spec: ModelSpec) -> None:
+def _require_s_only(spec: ModelSpec, o) -> None:
+    """Raise DomainError unless spec is an o-side model on the running maximum alone."""
+    o.require(spec)
     for name, f in (("delta", spec.delta_field), ("sigma", spec.sigma_field)):
         if f.family == "bounded_rational":
             raise DomainError(
@@ -182,7 +183,7 @@ class BoundaryCurve:
 
 def call_boundary_2d(spec: ModelSpec, s):
     """Barrier level beta1 K / (beta1 - 1) for the running-max call."""
-    _require_s_only(spec)
+    _require_s_only(spec, _CALL)
     g1, _, _, _ = _beta(spec, s)
     return g1 * spec.strike / (g1 - 1.0)
 
@@ -229,10 +230,10 @@ class CallSolution2D:
     """
 
     def __init__(self, spec: ModelSpec):
-        _require_s_only(spec)
         self.spec = spec
         self.s_lo = EDGE_FRACTION * spec.strike
         self.s_hi = spec.domain_s_max
+        # call_boundary_2d, the first step, checks the spec
         self.switches = call_switches(spec, self.s_lo, self.s_hi)
 
     def boundary(self, s):
@@ -276,7 +277,7 @@ class CallSolution2D:
 
 def put_asymptote(spec: ModelSpec, s=None):
     """Limit boundary beta2 L / (beta2 - 1) evaluated at the truncation point."""
-    _require_s_only(spec)
+    _require_s_only(spec, _PUT)
     if s is None:
         s = spec.domain_s_max
     g2 = _beta(spec, s)[1]
@@ -567,7 +568,7 @@ def put_boundary_2d(
     the shortest allowed length whose estimate exceeds the target raises
     StepError.
     """
-    _require_s_only(spec)
+    _require_s_only(spec, _PUT)
     L = spec.strike
     if s_grid is None:
         s_grid = default_put_grid(spec)
@@ -623,9 +624,8 @@ class PutSolution2D:
     """
 
     def __init__(self, spec: ModelSpec):
-        _require_s_only(spec)
         self.spec = spec
-        self.curve = put_boundary_2d(spec)
+        self.curve = put_boundary_2d(spec)  # which checks the spec
 
     def boundary(self, s):
         return self.curve(s)
@@ -649,21 +649,3 @@ class PutSolution2D:
         d1, d2 = self.coefficients(s)
         g1, g2, _, _ = _beta(self.spec, np.array([s]))
         return d1 * x ** float(g1[0]) + d2 * x ** float(g2[0])
-
-
-@lru_cache(maxsize=8)
-def _default_call_solution(spec: ModelSpec) -> CallSolution2D:
-    return CallSolution2D(spec)
-
-
-@lru_cache(maxsize=8)
-def _default_put_solution(spec: ModelSpec) -> PutSolution2D:
-    return PutSolution2D(spec)
-
-
-def call_value_2d(spec: ModelSpec, x, s):
-    return _default_call_solution(spec).value(x, s)
-
-
-def put_value_2d(spec: ModelSpec, x, s):
-    return _default_put_solution(spec).value(x, s)

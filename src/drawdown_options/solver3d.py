@@ -369,6 +369,7 @@ def _diagonal_seeds(o, spec: ModelSpec, fixed, starts):
 
 def _build_surface(o, spec, s_grid, y_grid):
     """March every slice from next to the diagonal, then label the lattice."""
+    o.require(spec)
     s_grid = np.asarray(s_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
     fixed, move = o.swap(s_grid, y_grid)
@@ -435,6 +436,7 @@ def _boundary_slice(o, spec, fixed, nodes):
     ``("ok", nan)``, the kind of the cut at that node, or ``"constraint"``
     at the start for a seed outside the band.
     """
+    o.require(spec)
     fixed = float(fixed)
     nodes = np.asarray(nodes, dtype=float)
     eps = EDGE_FRACTION * spec.strike
@@ -647,8 +649,6 @@ def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
     costs no extrapolation error; at a flagged node it raises.  The raises
     are UnderdeterminedRegion.
     """
-    if surface.labels is None:
-        detect_regions_3d(spec, surface)
     o = _ORIENT[surface.kind]
     s_grid, y_grid, v, labels = surface.s_grid, surface.y_grid, surface.values, surface.labels
     comp, n_comp = ndimage.label(labels == "reflect")
@@ -827,8 +827,6 @@ class _Solution3D:
     """Assembled perpetual solution over the (x, s, y) state space."""
 
     def __init__(self, spec: ModelSpec, n_s: int = 193, n_y: int = 129):
-        if spec.payoff_kind != self.kind:
-            raise DomainError(f"spec is not a {self.kind} model")
         self._o = _ORIENT[self.kind]
         # s runs over [0.01 K, domain_s_max]; y stops 2 eps short of s_max so
         # that the top put slice, which starts eps above its y, enters the
@@ -949,9 +947,7 @@ class _Solution3D:
         n = s.size
         g1, g2, c1, c2 = np.full(n, np.nan), np.full(n, np.nan), np.zeros(n), np.zeros(n)
         # lines pinned at their level are assembled one at a time
-        alone = (branch == "direct") | (
-            (0.0 <= y) & (y < s) & (s - y <= level) & (level <= s)
-        )
+        alone = branch == "direct"
         off = ~alone & (branch != "stop") & ((s <= 0.0) | (y < 0.0) | (y > s))
         reflect = ~alone & ~off & (branch == "reflect")
         fail = off | reflect if not self.regions else off
@@ -1008,16 +1004,3 @@ class PutSolution3D(_Solution3D):
     """Assembled perpetual put solution over the (x, s, y) state space."""
 
     kind = "put"
-
-
-@lru_cache(maxsize=4)
-def _default_solution_3d(spec: ModelSpec, cls):
-    return cls(spec)
-
-
-def call_value_3d(spec: ModelSpec, x, s, y):
-    return _default_solution_3d(spec, CallSolution3D).value(x, s, y)
-
-
-def put_value_3d(spec: ModelSpec, x, s, y):
-    return _default_solution_3d(spec, PutSolution3D).value(x, s, y)

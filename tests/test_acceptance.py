@@ -27,7 +27,6 @@ from drawdown_options import (
     build_put_surface,
     call_boundary_2d,
     pde_residuals,
-    put_value_2d,
     roots,
     rule_from_solution,
     simulate_stopped_payoff,
@@ -107,7 +106,7 @@ def test_criterion_2_flat_model_reduction():
     put = _flat("put")
     h_err = float(abs(call_boundary_2d(call, 1.7) - 3.0))
     g_err = float(abs(put_asymptote(put) - 2.0 / 3.0))
-    v_err = abs(put_value_2d(put, 1.0, 1.0) - 4.0 / 27.0)
+    v_err = abs(PutSolution2D(put).value(1.0, 1.0) - 4.0 / 27.0)
     elapsed = time.perf_counter() - t0
     ok = h_err <= 1e-12 and g_err <= 1e-12 and v_err <= 1e-10 and elapsed < 1.0
     _line(

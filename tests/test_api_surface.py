@@ -63,8 +63,6 @@ API = {
     "build_put_surface": ("spec", "s_grid", "y_grid"),
     "call_boundary_2d": ("spec", "s"),
     "call_boundary_slice": ("spec", "s", "y_grid"),
-    "call_value_2d": ("spec", "x", "s"),
-    "call_value_3d": ("spec", "x", "s", "y"),
     "detect_switch_points": ("grid", "curve_values", "ref_values", "refine"),
     "eval_fields": ("spec", "s", "y"),
     "generator_residual": ("spec", "f", "point", "dfdx", "d2fdx2"),
@@ -73,8 +71,6 @@ API = {
     "pde_residuals": ("spec", "grid"),
     "put_boundary_2d": ("spec", "s_grid", "shoot_offset"),
     "put_boundary_slice": ("spec", "y", "s_grid"),
-    "put_value_2d": ("spec", "x", "s"),
-    "put_value_3d": ("spec", "x", "s", "y"),
     "residual_grids": ("spec", "grid"),
     "roots": ("spec", "s", "y"),
     "roots_arrays": ("spec", "s", "y"),

@@ -316,6 +316,15 @@ def test_value_with_a_non_finite_model_exits_1(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["roots"], ["value", "--dim", "2"]])
+def test_a_rate_whose_roots_overflow_exits_1(tmp_path, capsys, argv):
+    # finite, but 2r/sigma^2 overflows and the roots come out NaN
+    cfg, out = write_config(tmp_path, text=BASE.replace("r = 0.06", "r = 1e308"))
+    assert main([*argv, "--config", cfg]) == 1
+    assert "roots are not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("horizon", ["nan", "inf"])
 def test_simulate_non_finite_horizon_exits_1(tmp_path, capsys, horizon):
     # rejected with the config, before any solve

@@ -108,6 +108,7 @@ FINITE_MODEL = {
 @pytest.mark.parametrize("key,value", [
     ("r", "inf"),
     ("r", "nan"),
+    ("r", "1e308"),  # finite, but the roots overflow
     ("strike", "inf"),
     ("domain.s_max", "inf"),
     ("domain.y_max", "inf"),

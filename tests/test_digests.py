@@ -27,6 +27,12 @@ def test_digests_rerun_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     text = first.read_text()
     for output in ("surface.values", "region0.C1", "line.level", "lines.level",
-                   "audit.dominance_worst_gap"):
+                   "audit.dominance_worst_gap", "sim.rule", "sim.rule_x0.9",
+                   "sim.rule_x1.1"):
         assert f"y_only-call/33x25/{output} " in text
+    for output in ("put_curve.values", "put_curve.switches", "put_curve.max_step_error",
+                   "put2d.values", "put2d.coefficients"):
+        assert f"y_only-put/2d/{output} " in text
+    for output in ("call2d.switches", "call2d.values", "call2d.coefficients"):
+        assert f"y_only-call/2d/{output} " in text
     assert "0 differ" in again.stdout

@@ -17,10 +17,8 @@ from drawdown_options import (
     ResolutionWarning,
     StepError,
     call_boundary_2d,
-    call_value_2d,
     detect_switch_points,
     put_boundary_2d,
-    put_value_2d,
 )
 from drawdown_options.solver2d import default_put_grid, put_asymptote
 
@@ -186,7 +184,7 @@ def test_flat_call_barrier_is_three_strikes():
 
 def test_flat_call_reference_value():
     spec = flat_spec("call")
-    assert abs(call_value_2d(spec, 2.0, 2.5) - REFERENCE_CALL_VALUE) < 1e-10
+    assert abs(CallSolution2D(spec).value(2.0, 2.5) - REFERENCE_CALL_VALUE) < 1e-10
 
 
 def test_flat_call_switch_location():
@@ -267,7 +265,7 @@ def test_flat_put_curve_is_flat_at_asymptote():
 
 def test_flat_put_reference_value():
     spec = flat_spec("put")
-    assert abs(put_value_2d(spec, 1.0, 1.0) - 4.0 / 27.0) < 1e-10
+    assert abs(PutSolution2D(spec).value(1.0, 1.0) - 4.0 / 27.0) < 1e-10
 
 
 def test_flat_put_scales_with_strike():
@@ -278,7 +276,7 @@ def test_flat_put_scales_with_strike():
         delta_field=CoefficientField("constant", (0.03,)),
         sigma_field=CoefficientField("constant", (0.2,)),
     )
-    assert abs(put_value_2d(spec, 5.0, 5.0) - 5.0 * 4.0 / 27.0) < 5e-10
+    assert abs(PutSolution2D(spec).value(5.0, 5.0) - 5.0 * 4.0 / 27.0) < 5e-10
 
 
 def test_put_value_matching_and_smooth_fit():

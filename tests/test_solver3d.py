@@ -19,9 +19,8 @@ from drawdown_options import (
     build_put_surface,
     call_boundary_2d,
     call_boundary_slice,
-    call_value_3d,
+    put_boundary_2d,
     put_boundary_slice,
-    put_value_3d,
 )
 from drawdown_options import solver3d
 from drawdown_options.coefficients import _ORIENT, _critical_level, roots_arrays
@@ -697,6 +696,88 @@ def test_slice_entry_points_validate_orientation():
         put_boundary_slice(put_spec, 1.0, np.array([0.5, 2.0]))
 
 
+def test_put_slices_past_the_last_s_node_are_outside():
+    # a put slice starts eps above its y; past s_grid[-1] it never enters
+    spec = make_spec("put", ("constant", (0.03,)))
+    s_grid, y_grid = np.linspace(0.1, 3.0, 30), np.linspace(0.0, 4.0, 21)
+    surf = build_put_surface(spec, s_grid, y_grid)
+    past = y_grid + solver3d.EDGE_FRACTION * spec.strike > s_grid[-1]
+    assert 0 < past.sum() < past.size
+    kinds = np.array([kind for kind, _ in surf.slice_status])
+    assert np.all(kinds[past] == "outside") and "outside" not in kinds[~past]
+    assert all(np.isnan(at) for kind, at in surf.slice_status if kind == "outside")
+    assert np.all(np.isnan(surf.values[:, past])) and np.all(surf.labels[:, past] == "")
+
+
+def test_slice_entry_points_take_empty_nodes():
+    call_spec = make_spec("call", ("constant", (0.03,)))
+    put_spec = make_spec("put", ("constant", (0.03,)))
+    assert call_boundary_slice(call_spec, 2.0, []).shape == (0,)
+    assert put_boundary_slice(put_spec, 0.5, []).shape == (0,)
+
+
+def _seeds_at_zero(o, spec, fixed, starts):
+    # 0 lies outside both bands: (max(L, rL/delta), inf) and (0, min(L, rL/delta))
+    return np.zeros(np.shape(starts))
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_a_seed_outside_its_band_flags_the_slice_at_its_start(kind, monkeypatch):
+    # no public input gives such a seed: a call seed is the critical level
+    # g1 K / (g1 - 1) of the roots at the start, strictly inside the band
+    # there, and a put seed is the diagonal curve, marched inside its band;
+    # so the seed is patched
+    spec = make_spec(kind, ("constant", (0.03,)))
+    o = _ORIENT[kind]
+    monkeypatch.setattr(solver3d, "_diagonal_seeds", _seeds_at_zero)
+    build = build_call_surface if kind == "call" else build_put_surface
+    s_grid, y_grid = np.linspace(0.1, 6.0, 13), np.linspace(0.0, 4.0, 9)
+    surf = build(spec, s_grid, y_grid)
+    starts = o.swap(s_grid, y_grid)[0] + o.direction * solver3d.EDGE_FRACTION * spec.strike
+    entered = [k for k, (kind_k, _) in enumerate(surf.slice_status) if kind_k != "outside"]
+    assert entered
+    assert all(surf.slice_status[k] == ("constraint", starts[k]) for k in entered)
+    assert np.all(np.isnan(surf.values))
+
+    fixed, nodes = (2.0, np.linspace(1.9, 0.0, 5)) if kind == "call" else (
+        0.5, np.linspace(0.6, 3.0, 5))
+    entry = call_boundary_slice if kind == "call" else put_boundary_slice
+    assert np.all(np.isnan(entry(spec, fixed, nodes)))
+    levels, status = solver3d._boundary_slice(o, spec, fixed, nodes)
+    assert np.all(np.isnan(levels))
+    assert status == ("constraint", fixed + o.direction * solver3d.EDGE_FRACTION * spec.strike)
+
+
+def test_a_direct_query_with_its_seed_outside_the_band_raises(flat_put, monkeypatch):
+    from drawdown_options.errors import ConstraintBreach
+
+    spec, sol = flat_put
+    s, y = 3.0, 2.5
+    assert sol.branch(s, y) == "direct"
+    monkeypatch.setattr(solver3d, "_diagonal_seeds", _seeds_at_zero)
+    with pytest.raises(ConstraintBreach, match=r"left \(0, min\(L, rL/delta\)\) at s=2.5"):
+        sol.line(s, y)
+
+
+def test_a_reflect_query_without_a_solved_region_raises():
+    # with domain_s_max = 0.6 the flat put's barrier (2/3) stops every node,
+    # so no reflected component exists; a line far above reads reflect
+    spec = ModelSpec(
+        r=0.06, strike=1.0, payoff_kind="put",
+        delta_field=CoefficientField("constant", (0.03,)),
+        sigma_field=CoefficientField("constant", (0.2,)),
+        domain_s_max=0.6,
+    )
+    sol = PutSolution3D(spec, n_s=33, n_y=25)
+    assert sol.regions == [] and "reflect" not in sol.surface.labels
+    match = "no reflected component was solved"
+    with pytest.raises(DomainError, match=match):
+        sol.line(5.0, 0.5)
+    with pytest.raises(DomainError, match=match):
+        sol.lines([1.0, 5.0], [0.2, 0.5])
+    assert sol.lines([0.5], [0.2]).branch.tolist() == ["stop"]
+
+
 def test_put_surface_tracks_diagonal_curve_near_corner(sloped_put):
     # queries on the stub between the corner and the first lattice node ride
     # the row extrapolation, so agreement is at lattice accuracy here
@@ -764,13 +845,39 @@ def test_coefficients_tag_matches_branch(flat_call):
     assert (c1, c2) == (0.0, 0.0)
 
 
-def test_module_level_wrappers_guard_payoff_kind():
-    call_spec = make_spec("call", ("constant", (0.03,)))
-    put_spec = make_spec("put", ("constant", (0.03,)))
-    with pytest.raises(DomainError):
-        call_value_3d(put_spec, 1.0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        put_value_3d(call_spec, 1.0, 2.0, 1.0)
+_S_NODES, _Y_NODES = np.linspace(0.1, 6.0, 9), np.linspace(0.0, 4.0, 7)
+
+
+@pytest.mark.parametrize("kind, entry", [
+    pytest.param("call", CallSolution2D, id="CallSolution2D"),
+    pytest.param("put", PutSolution2D, id="PutSolution2D"),
+    pytest.param("call", lambda spec: call_boundary_2d(spec, 2.0), id="call_boundary_2d"),
+    pytest.param("put", put_boundary_2d, id="put_boundary_2d"),
+    pytest.param(
+        "call", lambda spec: build_call_surface(spec, _S_NODES, _Y_NODES),
+        id="build_call_surface",
+    ),
+    pytest.param(
+        "put", lambda spec: build_put_surface(spec, _S_NODES, _Y_NODES),
+        id="build_put_surface",
+    ),
+    pytest.param(
+        "call", lambda spec: call_boundary_slice(spec, 2.0, np.linspace(1.9, 0.0, 5)),
+        id="call_boundary_slice",
+    ),
+    pytest.param(
+        "put", lambda spec: put_boundary_slice(spec, 0.5, np.linspace(0.6, 3.0, 5)),
+        id="put_boundary_slice",
+    ),
+    pytest.param("call", CallSolution3D, id="CallSolution3D"),
+    pytest.param("put", PutSolution3D, id="PutSolution3D"),
+])
+def test_per_kind_entry_points_reject_the_other_kind(kind, entry):
+    # the spec's payoff_kind alone decides call or put
+    entry(make_spec(kind, ("constant", (0.03,))))
+    other = make_spec("put" if kind == "call" else "call", ("constant", (0.03,)))
+    with pytest.raises(DomainError, match=f"not a {kind} model"):
+        entry(other)
 
 
 def test_drawdown_model_put_surface_orders_against_flat():
