@@ -23,6 +23,12 @@ a call the ``CallSolution2D`` switch points, and for either the 2D
 solution's values on a 12 x 7 (s, x) probe grid and its coefficients at
 the 12 probe levels s, each probe written as its value or its error.
 
+For the models of CLI_MODELS, under ``<model>/cli/``, the script runs
+``ddopt boundary --dim 2``, ``ddopt boundary --dim 3`` and ``ddopt value
+--dim 3`` at a point on a direct put line (whose level is re-marched from
+its seed) with a 33 x 25 grid, and writes each run's exit code, stdout and
+stderr and the lines of every file it wrote.
+
 Run from the repository root:
 
     python3 scripts/digests.py --out FILE [--against FILE]
@@ -38,9 +44,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
@@ -57,6 +67,7 @@ from drawdown_options import (
     rule_from_solution,
     simulate_stopped_payoffs,
 )
+from drawdown_options import cli
 from drawdown_options.errors import ResolutionWarning
 
 FLAT_SIGMA = ("constant", (0.2,))
@@ -81,6 +92,13 @@ SIM_START = StateTriple(1.0, 1.2, 0.5)
 SIM_FACTORS = (0.9, 1.1)
 SIM_FIELDS = ("mean", "stderr", "n_paths", "n_horizon", "mean_stop_time")
 X_PROBES = 7  # prices per probe level s of a 2D solution
+CLI_MODELS = ("s_only-put", "y_only-put")  # the models whose ddopt files are written
+CLI_RUNS = {
+    "boundary2d": ["boundary", "--dim", "2"],
+    "boundary3d": ["boundary", "--dim", "3"],
+    # the line at (s, y) = (3.1, 2.9) is direct on both models
+    "value3d": ["value", "--dim", "3", "--x", "3.0", "--s", "3.1", "--y", "2.9"],
+}
 
 
 def model_spec(model):
@@ -161,6 +179,31 @@ def outputs_2d(spec):
     return out
 
 
+def cli_outputs(model):
+    """Exit code, stdout, stderr and written files of each CLI_RUNS command."""
+    name, kind = model.split("-")
+    lines = [f"r = 0.06\nstrike = 1.0\npayoff = {kind}\ngrid.n_s = 33\ngrid.n_y = 25\n"]
+    for key, (family, params) in zip(("delta", "sigma"), FIELDS[name]):
+        lines.append(f"{key}.family = {family}\n{key}.params = {','.join(map(repr, params))}\n")
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = os.path.join(tmp, "run.conf")
+        with open(conf, "w") as fh:
+            fh.write("".join(lines))
+        for run, argv in CLI_RUNS.items():
+            where = os.path.join(tmp, run)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            # warnings are left out: whether one prints depends on earlier runs
+            with redirect_stdout(stdout), redirect_stderr(stderr), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = cli.main([*argv, "--config", conf, "--out", where])
+            out[f"{run}.run"] = [str(code), stdout.getvalue(), stderr.getvalue()]
+            for fname in sorted(os.listdir(where)) if os.path.isdir(where) else []:
+                with open(os.path.join(where, fname)) as fh:
+                    out[f"{run}.{fname}"] = fh.read().splitlines()
+    return out
+
+
 def sim_outputs(spec, sol):
     """SimResults of the solved rule and its SIM_FACTORS scalings, one pass."""
     rule = rule_from_solution(sol)
@@ -228,6 +271,9 @@ def digests(models, lattices):
             outs = {"error": [_error(exc)]}
         for name, entries in outs.items():
             result[f"{model}/2d/{name}"] = [_entry(v) for v in entries]
+        if model in CLI_MODELS:
+            for name, entries in cli_outputs(model).items():
+                result[f"{model}/cli/{name}"] = entries
         for n_s, n_y in lattices:
             key = f"{model}/{n_s}x{n_y}"
             try:

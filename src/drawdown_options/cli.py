@@ -237,12 +237,23 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 
 def _factors(text: str):
-    """--perturb: comma-separated barrier scale factors."""
+    """--perturb: comma-separated barrier scale factors, finite and positive."""
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        factors = tuple(float(tok) for tok in text.split(","))
     except ValueError:
         msg = f"need comma-separated numbers, got {text!r}"
         raise argparse.ArgumentTypeError(msg) from None
+    if not all(math.isfinite(f) and f > 0 for f in factors):
+        raise argparse.ArgumentTypeError(f"need finite positive factors, got {text!r}")
+    return factors
+
+
+def _finite(text: str) -> float:
+    """--shoot-offset: a finite number."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return v
 
 
 class _Parser(argparse.ArgumentParser):
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("roots", cmd_roots)
     sp = command("boundary", cmd_boundary, dim=2)
-    sp.add_argument("--shoot-offset", dest="shoot_offset", type=float, default=0.0)
+    sp.add_argument("--shoot-offset", dest="shoot_offset", type=_finite, default=0.0)
     point(command("value", cmd_value, dim=2))
     sp = command("verify", cmd_verify)
     sp.add_argument("--seed", type=int, default=None)

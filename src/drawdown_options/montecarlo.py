@@ -675,10 +675,15 @@ def verify_solution(
     as one joint pass of :func:`simulate_stopped_payoffs`: one set of draws
     and one field evaluation per step serve every barrier, and each result
     equals its own separate simulation.  The structural checks are
-    audit_solution's, on its default 50 x 50 x 50 grid.
+    audit_solution's, on its default 50 x 50 x 50 grid.  Each perturbation
+    factor must be finite and positive.
     """
-    rule = rule_from_solution(solution)
     factors = [float(f) for f in perturb_factors if f != 1.0]
+    if not all(math.isfinite(f) and f > 0 for f in factors):
+        raise ValueError(
+            f"perturb_factors must be finite and positive, got {perturb_factors!r}"
+        )
+    rule = rule_from_solution(solution)
     base, *perturbed = simulate_stopped_payoffs(
         spec, start, [rule] + [rule.scaled(f) for f in factors], cfg
     )

@@ -24,7 +24,14 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import odestep
-from .coefficients import _CALL, _PUT, ModelSpec, _pinned_pair, roots_arrays
+from .coefficients import (
+    _CALL,
+    _PUT,
+    ModelSpec,
+    _critical_level,
+    _pinned_pair,
+    roots_arrays,
+)
 from .errors import (
     ConstraintBreach,
     DomainError,
@@ -184,8 +191,8 @@ class BoundaryCurve:
 def call_boundary_2d(spec: ModelSpec, s):
     """Barrier level beta1 K / (beta1 - 1) for the running-max call."""
     _require_s_only(spec, _CALL)
-    g1, _, _, _ = _beta(spec, s)
-    return g1 * spec.strike / (g1 - 1.0)
+    g1, g2, _, _ = _beta(spec, s)
+    return _critical_level(g1, g2, spec.strike, _CALL.sign)
 
 
 def call_switches(spec: ModelSpec, s_lo, s_hi):
@@ -280,8 +287,8 @@ def put_asymptote(spec: ModelSpec, s=None):
     _require_s_only(spec, _PUT)
     if s is None:
         s = spec.domain_s_max
-    g2 = _beta(spec, s)[1]
-    return g2 * spec.strike / (g2 - 1.0)
+    g1, g2, _, _ = _beta(spec, s)
+    return _critical_level(g1, g2, spec.strike, _PUT.sign)
 
 
 class OdeStage:
@@ -557,9 +564,9 @@ def put_boundary_2d(
 
     s_grid may be given in either orientation; integration always proceeds
     from the largest point, seeded with the asymptote there, minus any
-    shoot_offset.  The curve is the put lane at y = 0: one lane of
-    :func:`_march_lanes` on :func:`_scalar_put_stage`, running down in
-    log s at ``STEP_REL_TOL * DENSE_TOL_SHARE``.  The controller picks the
+    shoot_offset, which must be finite.  The curve is the put lane at
+    y = 0: one lane of :func:`_march_lanes` on :func:`_scalar_put_stage`,
+    running down in log s at ``STEP_REL_TOL * DENSE_TOL_SHARE``.  The controller picks the
     steps (about 210 on the default 4097-node grid); every node is read
     from the continuous extension of the step that passes it.  The curve
     must stay strictly inside (0, min(L, rL/delta)) at every node; leaving
@@ -569,6 +576,8 @@ def put_boundary_2d(
     StepError.
     """
     _require_s_only(spec, _PUT)
+    if not math.isfinite(shoot_offset):
+        raise ValueError(f"shoot_offset must be finite, got {shoot_offset!r}")
     L = spec.strike
     if s_grid is None:
         s_grid = default_put_grid(spec)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -105,6 +104,7 @@ class BoundarySurface:
     cap_curve: np.ndarray | None = None
 
     def __post_init__(self):
+        self._seed_curve = None
         self._filled = None
         self._lookup = None
         self._row_fits = {}
@@ -354,21 +354,24 @@ def _march_surface(spec, o, fixed_grid, move_grid, starts, seeds, entry_index):
     return values, status
 
 
-def _diagonal_seeds(o, spec: ModelSpec, fixed, starts):
+def _diagonal_seeds(o, spec: ModelSpec, curve, fixed, starts):
     """Barrier levels at slice starts next to the diagonal.
 
     A call slice starts on the critical level of its own roots, where the
-    drawdown floor is slack; a put slice starts on the diagonal-restricted
-    maximum-only curve.
+    drawdown floor is slack, and curve is None; a put slice starts on curve,
+    the diagonal-restricted maximum-only curve (:func:`diagonal_put_curve`).
     """
     if o.sign > 0:
         g1, g2, *_ = roots_arrays(spec, *o.swap(fixed, starts))
         return _critical_level(g1, g2, spec.strike, o.sign)
-    return diagonal_put_curve(spec)(starts)
+    return curve(starts)
 
 
-def _build_surface(o, spec, s_grid, y_grid):
-    """March every slice from next to the diagonal, then label the lattice."""
+def _build_surface(o, spec, curve, s_grid, y_grid):
+    """March every slice from next to the diagonal, then label the lattice.
+
+    curve is the put's diagonal curve, None for a call; the surface keeps it.
+    """
     o.require(spec)
     s_grid = np.asarray(s_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
@@ -383,7 +386,7 @@ def _build_surface(o, spec, s_grid, y_grid):
         entry = np.searchsorted(move, starts, side="right") - 1
     inside = entry >= 0
     seeds = np.full(fixed.shape, np.nan)
-    seeds[inside] = _diagonal_seeds(o, spec, fixed[inside], starts[inside])
+    seeds[inside] = _diagonal_seeds(o, spec, curve, fixed[inside], starts[inside])
 
     # every slice runs from its start through the far end of move
     check_quadrant(*o.swap(fixed[inside], starts[inside]))
@@ -393,6 +396,7 @@ def _build_surface(o, spec, s_grid, y_grid):
     for k in np.flatnonzero(~inside):
         status[k] = ("outside", np.nan)
     surf = BoundarySurface(s_grid, y_grid, o.fixed_major(values), o.kind, status)
+    surf._seed_curve = curve
     return detect_regions_3d(spec, surf)
 
 
@@ -404,29 +408,35 @@ def build_call_surface(spec: ModelSpec, s_grid, y_grid) -> BoundarySurface:
     """
     if np.asarray(s_grid, dtype=float)[0] <= EDGE_FRACTION * spec.strike:
         raise DomainError("s_grid must start above the edge offset")
-    return _build_surface(_CALL, spec, s_grid, y_grid)
+    return _build_surface(_CALL, spec, None, s_grid, y_grid)
 
 
 def build_put_surface(spec: ModelSpec, s_grid, y_grid) -> BoundarySurface:
     """Integrate the put barrier up each fixed-y slice from the corner s = y.
 
     Next to the corner the drawdown floor sits at the bottom of the x-line,
-    so the slice starts from the diagonal-restricted maximum-only curve,
-    which is integrated once and shared by every slice.
+    so the slice starts from the diagonal-restricted maximum-only curve.
+    Each build marches that curve once, through :func:`diagonal_put_curve`,
+    for every slice, and the surface keeps it: the direct-line re-marches
+    of a solution built on the surface start from the same seeds.
     """
-    return _build_surface(_PUT, spec, s_grid, y_grid)
+    return _build_surface(_PUT, spec, diagonal_put_curve(spec), s_grid, y_grid)
 
 
-@lru_cache(maxsize=8)
 def diagonal_put_curve(spec: ModelSpec):
-    """Maximum-only put curve for the diagonal-restricted coefficients."""
+    """Maximum-only put curve for the diagonal-restricted coefficients.
+
+    Marched anew on every call (about 210 steps on the 4097-node default
+    grid); a caller that needs it again keeps what it built.
+    """
     dspec = spec.diagonal_spec()
     return PutSolution2D(dspec).curve
 
 
-def _boundary_slice(o, spec, fixed, nodes):
+def _boundary_slice(o, spec, curve, fixed, nodes):
     """Barrier on one slice, marched from next to the diagonal through nodes.
 
+    The seed comes from :func:`_diagonal_seeds` (curve is None for a call).
     One lane of :func:`solver2d._march_lanes`, on floats, in the lane
     coordinate of a surface's slices (:func:`_lane_u`) from the start
     (tau = 0, checked with the seed) to the last node (tau = 1), at the
@@ -451,7 +461,7 @@ def _boundary_slice(o, spec, fixed, nodes):
         )
     if not nodes.size:
         return nodes, ("ok", np.nan)
-    seed = float(_diagonal_seeds(o, spec, fixed, start))
+    seed = float(_diagonal_seeds(o, spec, curve, fixed, start))
     check_quadrant(*o.swap(fixed, nodes))
     lo, hi = o.band(spec, *o.swap(fixed, start))
     if not lo < seed < hi:
@@ -480,19 +490,19 @@ def call_boundary_slice(spec: ModelSpec, s, y_grid):
     """
     if float(s) <= EDGE_FRACTION * spec.strike:
         raise DomainError(f"slice level s={float(s)} must exceed the edge offset")
-    return _boundary_slice(_CALL, spec, s, y_grid)[0]
+    return _boundary_slice(_CALL, spec, None, s, y_grid)[0]
 
 
 def put_boundary_slice(spec: ModelSpec, y, s_grid):
     """Put barrier on the fixed-y slice at the given ascending s nodes.
 
-    Seeded at s = y + eps from the diagonal-restricted maximum-only curve and
-    integrated upward in s.  The nodes from the first one the march misses
-    are NaN, whatever the failure: a constraint breach (barrier leaving
-    (0, min(strike, r strike / delta))), a vanishing denominator or a
-    failed step.
+    Seeded at s = y + eps from the diagonal-restricted maximum-only curve,
+    which each call marches anew, and integrated upward in s.  The nodes
+    from the first one the march misses are NaN, whatever the failure: a
+    constraint breach (barrier leaving (0, min(strike, r strike / delta))),
+    a vanishing denominator or a failed step.
     """
-    return _boundary_slice(_PUT, spec, y, s_grid)[0]
+    return _boundary_slice(_PUT, spec, diagonal_put_curve(spec), y, s_grid)[0]
 
 
 def detect_regions_3d(spec: ModelSpec, surface: BoundarySurface) -> BoundarySurface:
@@ -853,20 +863,21 @@ class _Solution3D:
         line whose interpolated level lies inside it (the branch whose value
         is pinned to the level) is re-marched from its diagonal seed to the
         query point, as a one-lane march of any length, for integration
-        rather than interpolation accuracy.  Other lines take the
+        rather than interpolation accuracy.  A put line's seed comes from
+        the diagonal curve its surface was built from.  Other lines take the
         interpolated level.  A re-march that is cut raises the error of its
         lane's status: StepError, SingularDenominator or ConstraintBreach
         (a level, or the seed, outside its band).
         """
-        spec, o = self.spec, self._o
+        spec, o, curve = self.spec, self._o, self.surface._seed_curve
         eps = EDGE_FRACTION * spec.strike
         if not (0.0 <= y < s and s - y <= cheap <= s):
             return cheap
         fixed, t = o.swap(s, y)
         start = fixed + o.direction * eps
         if o.direction * (t - start) <= 0.0:
-            return float(_diagonal_seeds(o, spec, fixed, start))
-        levels, (kind, at) = _boundary_slice(o, spec, fixed, [t])
+            return float(_diagonal_seeds(o, spec, curve, fixed, start))
+        levels, (kind, at) = _boundary_slice(o, spec, curve, fixed, [t])
         if kind != "ok":
             what = f"re-marched {o.kind} boundary of the line s={s:g}, y={y:g}"
             raise _cut_error(o, kind, what, f"{o.moving}={at:g}")

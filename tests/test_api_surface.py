@@ -151,3 +151,24 @@ def test_no_handler_swallows_a_solver_error():
             ):
                 swallowed.append(f"{path.name}:{node.lineno}")
     assert swallowed == []
+
+
+def test_no_module_level_memo():
+    # a caller owns what it builds: the package keeps no functools cache of
+    # solutions, curves or any other product of a solve
+    package = pathlib.Path(drawdown_options.__file__).parent
+    memos = {"lru_cache", "cache"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            named = (
+                isinstance(node, ast.ImportFrom) and node.module == "functools"
+                and any(alias.name in memos for alias in node.names)
+            ) or (
+                isinstance(node, ast.Attribute) and node.attr in memos
+                and isinstance(node.value, ast.Name) and node.value.id == "functools"
+            )
+            if named:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

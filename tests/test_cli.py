@@ -141,6 +141,14 @@ def test_boundary_bad_offset_is_constraint_breach(tmp_path, capsys):
     assert "constraint breach" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+def test_boundary_non_finite_offset_exits_1(tmp_path, capsys, offset):
+    cfg, out = write_config(tmp_path)
+    assert main(["boundary", "--config", cfg, f"--shoot-offset={offset}"]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # value
 
@@ -368,7 +376,7 @@ def test_verify_rejects_dim_2(tmp_path, capsys):
     assert "unrecognized arguments: --dim 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("factors", ["0.9,x", ""])
+@pytest.mark.parametrize("factors", ["0.9,x", "", "nan", "inf", "-1", "0", "0.9,nan"])
 def test_verify_bad_perturb_exits_1(tmp_path, capsys, factors):
     cfg, _ = write_config(tmp_path, text=FAST)
     assert main(["verify", "--config", cfg, "--perturb", factors]) == 1

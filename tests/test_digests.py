@@ -35,4 +35,9 @@ def test_digests_rerun_is_byte_identical(tmp_path):
         assert f"y_only-put/2d/{output} " in text
     for output in ("call2d.switches", "call2d.values", "call2d.coefficients"):
         assert f"y_only-call/2d/{output} " in text
+    for output in ("boundary2d.run", "boundary3d.run", "boundary3d.boundary3d.csv",
+                   "boundary3d.switches.csv", "boundary3d.caps.csv", "value3d.run",
+                   "value3d.value.csv"):
+        assert f"y_only-put/cli/{output} " in text
+    assert "y_only-call/cli/" not in text
     assert "0 differ" in again.stdout

@@ -17,6 +17,7 @@ from drawdown_options import (
     rule_from_solution,
     simulate_stopped_payoff,
     simulate_stopped_payoffs,
+    verify_solution,
 )
 from drawdown_options.montecarlo import (
     ConstantRule,
@@ -625,6 +626,18 @@ def test_audit_drawdown_put_matches_recorded_bits(drawdown_put):
     assert audit["dominance_worst_gap"] == 0.0
     assert audit["smooth_fit_gap"].hex() == "0x1.e0787f6158000p-13"
     assert audit["generator_residual_max"].hex() == "0x1.0000000000000p-59"
+
+
+@pytest.mark.parametrize(
+    "factors", [(np.nan,), (np.inf,), (-1.0,), (0.0,), (0.9, np.nan)]
+)
+def test_verify_rejects_a_perturbation_that_is_not_finite_and_positive(drawdown_put, factors):
+    # a NaN factor would write NaN into the report's JSON, and a factor at
+    # or below 0 would put the barrier at or below 0
+    spec, sol = drawdown_put
+    cfg = SimConfig(n_paths=200, dt=0.01, horizon=50.0)
+    with pytest.raises(ValueError, match="perturb_factors must be finite and positive"):
+        verify_solution(spec, sol, StateTriple(1.0, 1.2, 0.5), cfg, perturb_factors=factors)
 
 
 def test_audit_residual_takes_the_line_derivatives(drawdown_put):

@@ -36,7 +36,6 @@ spec = ModelSpec(
     delta_field=CoefficientField("s_only", (0.02, 0.01)),
     sigma_field=CoefficientField("constant", (0.2,)),
 )
-solver3d.diagonal_put_curve(spec)  # untraced, so only the surface march counts
 with tr.span("op"):
     solver3d.build_put_surface(
         spec, np.linspace(0.05, 20.0, 24), np.linspace(0.0, 19.9, 16)

@@ -377,6 +377,12 @@ def test_put_constraint_breach_on_bad_seed():
         put_boundary_2d(spec, shoot_offset=-0.5)
 
 
+@pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+def test_put_rejects_a_non_finite_shoot_offset(offset):
+    with pytest.raises(ValueError, match="shoot_offset must be finite"):
+        put_boundary_2d(sloped_spec("put"), shoot_offset=offset)
+
+
 def test_put_curve_rejects_queries_outside_grid():
     curve = put_boundary_2d(flat_spec("put"))
     with pytest.raises(DomainError):

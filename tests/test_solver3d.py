@@ -716,7 +716,7 @@ def test_slice_entry_points_take_empty_nodes():
     assert put_boundary_slice(put_spec, 0.5, []).shape == (0,)
 
 
-def _seeds_at_zero(o, spec, fixed, starts):
+def _seeds_at_zero(o, spec, curve, fixed, starts):
     # 0 lies outside both bands: (max(L, rL/delta), inf) and (0, min(L, rL/delta))
     return np.zeros(np.shape(starts))
 
@@ -743,7 +743,8 @@ def test_a_seed_outside_its_band_flags_the_slice_at_its_start(kind, monkeypatch)
         0.5, np.linspace(0.6, 3.0, 5))
     entry = call_boundary_slice if kind == "call" else put_boundary_slice
     assert np.all(np.isnan(entry(spec, fixed, nodes)))
-    levels, status = solver3d._boundary_slice(o, spec, fixed, nodes)
+    # the patched seeds read no diagonal curve
+    levels, status = solver3d._boundary_slice(o, spec, None, fixed, nodes)
     assert np.all(np.isnan(levels))
     assert status == ("constraint", fixed + o.direction * solver3d.EDGE_FRACTION * spec.strike)
 
@@ -1181,17 +1182,72 @@ def test_direct_query_remarches_once(sloped_put, monkeypatch):
         assert len(calls) == 1
 
 
+def test_a_put_build_marches_its_diagonal_curve_once(monkeypatch):
+    # the surface keeps the curve its slices were seeded from: a put build
+    # marches it once, a direct query (past its slice start or before it)
+    # and a call build never, and a public put slice once per call
+    calls = []
+    curve = solver3d.diagonal_put_curve
+
+    def counted(spec):
+        calls.append(spec)
+        return curve(spec)
+
+    monkeypatch.setattr(solver3d, "diagonal_put_curve", counted)
+    put = make_spec("put", ("s_only", (0.02, 0.01)))
+    build_put_surface(put, np.linspace(0.05, 20.0, 24), np.linspace(0.0, 19.9, 16))
+    assert calls == [put]
+    calls.clear()
+    sol = PutSolution3D(put, n_s=33, n_y=25)
+    assert calls == [put]
+    calls.clear()
+    for s, y in ((3.1, 2.9), (1.0, 1.0 - 5e-7)):
+        assert sol.branch(s, y) == "direct"
+        sol.value(s - 0.1 * y, s, y)
+    assert sol.lines([3.1, 1.0], [2.9, 1.0 - 5e-7]).branch.tolist() == ["direct"] * 2
+    CallSolution3D(make_spec("call", ("s_only", (0.02, 0.02))), n_s=33, n_y=25)
+    assert calls == []
+    for _ in range(2):
+        put_boundary_slice(put, 0.5, np.linspace(0.6, 3.0, 5))
+    assert calls == [put, put]
+
+
+def test_direct_queries_march_no_curve_however_many_solutions_live(monkeypatch):
+    # each of ten live put solutions seeds its direct queries from its own
+    # surface, on every round, so no query marches a maximum-only curve
+    from drawdown_options import solver2d
+
+    sols = [
+        PutSolution3D(make_spec("put", ("s_only", (0.02 + 0.001 * k, 0.01))), n_s=33, n_y=25)
+        for k in range(10)
+    ]
+    calls = []
+    march = solver2d.put_boundary_2d
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(solver2d, "put_boundary_2d", counted)
+    for _ in range(2):
+        for sol in sols:
+            assert sol.branch(3.1, 2.9) == "direct"
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # the lane march: cost follows the controller, failures are counted
 
 
 def _count_surface_steps(monkeypatch, build, spec, n_s, n_y):
     # the one lane march steps through solver2d's checked_step, the put's
-    # diagonal curve included, so the curve is built before the count
+    # diagonal curve included, so the build takes a curve built before the
+    # count
     from drawdown_options import solver2d
 
     if spec.payoff_kind == "put":
-        diagonal_put_curve(spec)
+        curve = diagonal_put_curve(spec)
+        monkeypatch.setattr(solver3d, "diagonal_put_curve", lambda spec: curve)
     calls = []
     step = solver2d.checked_step
 
@@ -1250,8 +1306,9 @@ def test_surface_nodes_follow_the_flow(delta, monkeypatch):
     # the default lattice of PutSolution3D
     s_grid = np.linspace(1e-2, spec.domain_s_max, 193)
     y_grid = np.linspace(0.0, spec.domain_s_max - 2e-6, 129)
-    # the seeds come from the cached diagonal curve, built at the plain target
-    diagonal_put_curve(spec)
+    # the seeds come from one diagonal curve, built at the plain target
+    curve = diagonal_put_curve(spec)
+    monkeypatch.setattr(solver3d, "diagonal_put_curve", lambda spec: curve)
     surf = build_put_surface(spec, s_grid, y_grid).values
     monkeypatch.setattr(odestep, "STEP_REL_TOL", 1e-13)
     ref = build_put_surface(spec, s_grid, y_grid).values
@@ -1361,9 +1418,10 @@ def test_step_tolerance_constant_reaches_every_march(sloped_put, monkeypatch):
     s, y = 3.1, 2.9
     assert sol.branch(s, y) == "direct"
     grids = np.linspace(0.05, 20.0, 24), np.linspace(0.0, 19.9, 16)
-    # the seeds come from the cached diagonal curve, which a patched target
-    # would fail to march
-    diagonal_put_curve(spec)
+    # the seeds come from a diagonal curve built beforehand, which a patched
+    # target would fail to march
+    curve = diagonal_put_curve(spec)
+    monkeypatch.setattr(solver3d, "diagonal_put_curve", lambda spec: curve)
     assert "ok" in [kind for kind, _ in build_put_surface(spec, *grids).slice_status]
 
     monkeypatch.setattr(odestep, "STEP_REL_TOL", 0.0)
