@@ -15,7 +15,7 @@ Optional keys (with defaults)::
     grid.s_min (0.05 strike), grid.s_max (domain.s_max), grid.y_max
     (domain.y_max), grid.n_s (64), grid.n_y (64),
     sim.n_paths (20000), sim.dt (0.005), sim.horizon (120), sim.seed (0),
-    sim.block_size (4096), output_dir (out)
+    sim.block_size (32768), output_dir (out)
 
 ``*.params`` values are comma-separated floats, one per family parameter.
 """
@@ -168,7 +168,7 @@ def build_config(pairs: dict[str, str]) -> RunConfig:
         dt=_get(pairs, "sim.dt", float, default=0.005),
         horizon=_get(pairs, "sim.horizon", float, default=120.0),
         seed=_get(pairs, "sim.seed", int, default=0),
-        block_size=_get(pairs, "sim.block_size", int, default=4096),
+        block_size=_get(pairs, "sim.block_size", int, default=SimConfig.block_size),
     )
     return RunConfig(
         spec=spec,

@@ -22,7 +22,7 @@ class StepError(RuntimeError):
 
 
 class NonConvergence(RuntimeError):
-    """The sparse LU of a reflection system left entries non-finite."""
+    """A block of a reflection region's sweep is singular or not finite."""
 
 
 class UnderdeterminedRegion(ValueError):

@@ -4,49 +4,63 @@ Inside such a region the value on each x-line is C1 x**g1 + C2 x**g2 with the
 roots evaluated at that line's (s, y).  Normal reflection at the two moving
 edges couples the coefficients through a pair of first-order relations: along
 s at the top edge x = s, and along y at the bottom edge x = s - y.  Both are
-discretized with midpoint (trapezoidal) differencing between adjacent nodes,
-assembled into one sparse linear system over all active nodes, and solved
-directly, by a sparse LU in the lattice order of the unknowns.
+discretized with midpoint (trapezoidal) differencing between adjacent nodes.
 
-The system is built per line family as arrays: the pair relations of all
-rows in one batch, then those of all columns, each batch with one
+Node (i, j) holds one equation per line family: its row's pair relation to
+(i + 1, j) and its column's to (i, j + 1), or, at a line's last active node,
+that line's closure; so every nonempty line needs exactly one closure.  A
+node's equations then reach only the next front i + j + 1, and the nodes are
+solved front by front in descending i + j, each as a 2x2 block in known far
+neighbours (block triangular form, after Duff, Erisman & Reid).  The one
+closure that reaches back, a column's C2 pin extrapolated from its top two
+nodes, joins them into one 4x4 block.  Each front's 2x2 blocks go through
+one stacked, pivoted np.linalg.solve.
+
+The equations are built per line family as arrays: the pair relations of
+all rows in one batch, then those of all columns, each batch with one
 roots_arrays call, and the closures by kind.  The edge powers base**g go
 through libm's pow, not numpy's SIMD power, whose last bit depends on which
 SIMD path the CPU dispatches to; so every entry has the bits of the same
 relation evaluated on its own, on any CPU.
 
-Each nonempty grid row and column contributes one fewer pair relation than it
-has nodes, so the system closes exactly when every nonempty column carries one
-closure condition and every nonempty row carries one.  A value-matching
-closure that acts off the node lattice (on a stopping curve) is imposed
-through a virtual companion node at the closure position: there the
-coefficient pair is fully determined in closed form, because the solution
-matches the payoff in both value and slope where a stopping curve meets a
-reflecting edge (coefficients._pinned_pair, the rule the direct branch
-uses too, with the same dominance clamp).  The line's outermost lattice
-node is tied to that anchor by one more midpoint pair, and this partial
-pair serves as the line's closure equation.  The closure error then stays at the scheme's own second order with
-the same small constants, where extrapolating lattice values onto the curve
-would dominate the error budget.  The diagonal C2 pin stays a two-node linear
-extrapolation: the y-direction relation degenerates at the diagonal (the
-log of the edge position diverges), so no pair can be written there, and the
-pinned value is zero so the extrapolation constant is immaterial in the cases
-that drive accuracy.
+A value-matching closure that acts off the node lattice (on a stopping
+curve) is imposed through a virtual companion node at the closure position:
+there the coefficient pair is fully determined in closed form, because the
+solution matches the payoff in both value and slope where a stopping curve
+meets a reflecting edge (coefficients._pinned_pair, the rule the direct
+branch uses too, with the same dominance clamp).  The line's outermost
+lattice node is tied to that anchor by one more midpoint pair, and this
+partial pair serves as the line's closure equation.  The closure error then
+stays at the scheme's own second order with the same small constants, where
+extrapolating lattice values onto the curve would dominate the error budget.
+The diagonal C2 pin stays a two-node linear extrapolation: the y-direction
+relation degenerates at the diagonal (the log of the edge position
+diverges), so no pair can be written there, and the pinned value is zero so
+the extrapolation constant is immaterial in the cases that drive accuracy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isnan, nan
+from math import isfinite, nan
 
 import numpy as np
-from scipy import sparse
-# perfbench/tracer.py wraps lsqr here to count least-squares retries; the
-# solve makes none
+# perfbench/tracer.py wraps these names here; the solve calls neither
 from scipy.sparse.linalg import lsqr, spsolve  # noqa: F401
 
 from .coefficients import _ORIENT, ModelSpec, _libm_pow, _pinned_pair, roots_arrays
 from .errors import NonConvergence, UnderdeterminedRegion
+
+
+def _check_closure(closure, line, uses):
+    """Raise ValueError for a kind not in uses, a used field not finite, or x_base <= 0."""
+    if closure.kind not in uses:
+        raise ValueError(f"unknown {line} closure kind {closure.kind!r}")
+    for name in uses[closure.kind]:
+        v = getattr(closure, name)
+        if not isfinite(v) or (name == "x_base" and v <= 0.0):
+            need = "finite, positive" if name == "x_base" else "finite"
+            raise ValueError(f"{closure.kind} closure needs a {need} {name}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +81,8 @@ class ColumnClosure:
     target: float = nan
 
     def __post_init__(self):
-        if self.kind not in ("c2_zero", "combo"):
-            raise ValueError(f"unknown column closure kind {self.kind!r}")
-        if self.kind == "combo" and (isnan(self.x_base) or isnan(self.target)):
-            raise ValueError("combo closure needs x_base and target")
+        combo = ("y_pos", "x_base", "target")
+        _check_closure(self, "column", {"c2_zero": ("y_pos",), "combo": combo})
 
 
 @dataclass(frozen=True)
@@ -90,12 +102,7 @@ class RowClosure:
     target: float = nan
 
     def __post_init__(self):
-        if self.kind not in ("c1_zero", "combo"):
-            raise ValueError(f"unknown row closure kind {self.kind!r}")
-        if self.kind == "combo" and (
-            isnan(self.s_pos) or isnan(self.x_base) or isnan(self.target)
-        ):
-            raise ValueError("combo closure needs s_pos, x_base and target")
+        _check_closure(self, "row", {"c1_zero": (), "combo": ("s_pos", "x_base", "target")})
 
 
 @dataclass
@@ -210,12 +217,6 @@ def _fill_inactive(a, active):
     return out
 
 
-def _extrap_weights(p1, p2, p):
-    """Weights putting a line through values at p1 < p2 onto position p."""
-    w2 = (p - p1) / (p2 - p1)
-    return 1.0 - w2, w2
-
-
 def _point(along_s, fixed, pos):
     """(s, y) of a position along a line, given the line's fixed coordinate."""
     return (pos, fixed) if along_s else (fixed, pos)
@@ -250,9 +251,9 @@ def _pair_entries(spec: ModelSpec, s, y, along_s, h):
 def _pair_block(spec: ModelSpec, family):
     """Pair relations of one line family, one per pair of active neighbours.
 
-    Returns (eq, cols, vals, rhs): the relation (counted within the block) of
-    each entry, its unknown and value, and each relation's right-hand side.
-    A relation's entries run C1 near, C1 far, C2 near, C2 far.
+    Returns (node, own, far, other, rhs): each relation sits at its near
+    node, with its entries on that node's (C1, C2) and on those of its far
+    neighbour, and a zero right-hand side.
     """
     along_s, act, rnk, pos, fix = family
     # lines are contiguous, so the far neighbour of position a is a + 1, and
@@ -263,21 +264,19 @@ def _pair_block(spec: ModelSpec, family):
     (p1, near1, far1), (p2, near2, far2) = _pair_entries(
         spec, *_point(along_s, fix[k], mid), along_s, pos[b] - pos[a]
     )
-    node_a, node_b = 2 * rnk[k, a], 2 * rnk[k, b]
-    cols = np.stack([node_a, node_b, node_a + 1, node_b + 1], axis=1)
-    vals = np.stack([p1 * near1, p1 * far1, p2 * near2, p2 * far2], axis=1)
-    eq = np.repeat(np.arange(k.size), 4)
-    return eq, cols.ravel(), vals.ravel(), np.zeros(k.size)
+    own = np.stack([p1 * near1, p2 * near2], axis=1)
+    other = np.stack([p1 * far1, p2 * far2], axis=1)
+    return rnk[k, a], own, rnk[k, b], other, np.zeros(k.size)
 
 
 def _closure_block(spec: ModelSpec, family, closures):
     """Closure equations of one line family, one per closure, in list order.
 
-    Each closure acts at its line's last active node.  Returns (eq, cols,
-    vals, rhs) as :func:`_pair_block` does.
+    Each sits at its line's last active node.  Returns (node, own, far,
+    other, rhs) as :func:`_pair_block` does; only a c2_zero pin over two or
+    more nodes reaches another node, the one below, and the rest name -1.
     """
     along_s, act, rnk, pos, fix = family
-    n = len(closures)
     kind = np.array([c.kind for c in closures], dtype=object)
     k = np.array([c.j if along_s else c.i for c in closures], dtype=int)
     at = np.array([c.s_pos if along_s else c.y_pos for c in closures], dtype=float)
@@ -285,22 +284,17 @@ def _closure_block(spec: ModelSpec, family, closures):
     target = np.array([c.target for c in closures], dtype=float)
     size = act[k].sum(axis=1)
     last = np.argmax(act[k], axis=1) + size - 1
-    node = 2 * rnk[k, last]
-    # two entry slots per equation, C1 then C2 of the last node by default;
-    # one-entry closures leave the second slot unused
-    cols = np.stack([node, node + 1], axis=1)
-    vals = np.ones((n, 2))
-    used = np.ones((n, 2), dtype=bool)
-    rhs = np.zeros(n)
-    used[kind == "c1_zero", 1] = False
-    c2_zero = kind == "c2_zero"
-    one = c2_zero & (size == 1)
-    cols[one, 0] = node[one] + 1
-    used[one, 1] = False
-    two = np.flatnonzero(c2_zero & (size >= 2))
+    own, other = np.zeros((2, k.size, 2))
+    far = np.full(k.size, -1)
+    rhs = np.zeros(k.size)
+    own[kind == "c1_zero", 0] = own[kind == "c2_zero", 1] = 1.0
+    # the C2 pin over two or more nodes: the line through the last two
+    # nodes' C2 put onto the closure position
+    two = np.flatnonzero((kind == "c2_zero") & (size >= 2))
     prev = last[two] - 1
-    cols[two, 0] = 2 * rnk[k[two], prev] + 1
-    vals[two] = np.stack(_extrap_weights(pos[prev], pos[last[two]], at[two]), axis=1)
+    far[two] = rnk[k[two], prev]
+    own[two, 1] = (at[two] - pos[prev]) / (pos[last[two]] - pos[prev])
+    other[two, 1] = 1.0 - own[two, 1]
 
     combo = np.flatnonzero(kind == "combo")
     s, y = _point(along_s, fix[k[combo]], at[combo])
@@ -310,38 +304,60 @@ def _closure_block(spec: ModelSpec, family, closures):
     tie = ~(np.abs(h) <= 1e-9 * (np.abs(end) + pos[-1] - pos[0]))
     # a closure at the last node pins the value there directly
     on = combo[~tie]
-    vals[on, 0] = _libm_pow(x_base[on], g1[~tie])
-    vals[on, 1] = _libm_pow(x_base[on], g2[~tie])
+    own[on, 0] = _libm_pow(x_base[on], g1[~tie])
+    own[on, 1] = _libm_pow(x_base[on], g2[~tie])
     rhs[on] = target[on]
     # otherwise the anchor pair at the closure position is tied to the last
     # node by one more midpoint pair
     off = combo[tie]
     o = _ORIENT[spec.payoff_kind]
-    x_end = o.edge(s, y)
     anchor = np.array(
         [
             _pinned_pair(a, b, xb, spec.strike, o.sign, t, x_end=e)
             for a, b, xb, t, e in zip(
                 g1[tie].tolist(), g2[tie].tolist(), x_base[off].tolist(),
-                target[off].tolist(), x_end[tie].tolist(),
+                target[off].tolist(), o.edge(s, y)[tie].tolist(),
             )
         ],
         dtype=float,
     ).reshape(-1, 2)
     (p1, near1, far1), (p2, near2, far2) = _pair_entries(
-        spec,
-        *_point(along_s, fix[k[off]], 0.5 * (end[tie] + at[off])),
-        along_s,
-        h[tie],
+        spec, *_point(along_s, fix[k[off]], 0.5 * (end[tie] + at[off])), along_s, h[tie]
     )
-    vals[off, 0] = p1 * near1
-    vals[off, 1] = p2 * near2
-    # summed from +0.0, so two -0.0 terms leave no -0.0 in the system
+    own[off] = np.stack([p1 * near1, p2 * near2], axis=1)
+    # summed from +0.0, so two -0.0 terms leave no -0.0 right-hand side
     rhs[off] = -(0.0 + anchor[:, 0] * p1 * far1 + anchor[:, 1] * p2 * far2)
+    return rnk[k, last], own, far, other, rhs
 
-    keep = used.ravel()
-    eq = np.repeat(np.arange(n), 2)[keep]
-    return eq, cols.ravel()[keep], vals.ravel()[keep], rhs
+
+def _node_equations(spec: ModelSpec, region: RegionSpec):
+    """Each active node's two equations, its row's (along s) then its column's.
+
+    With the nodes ranked s major, equation e of node n has the entries
+    own[n, e] on its (C1, C2), other[n, e] on those of node far[n, e] (-1
+    for none) and right-hand side rhs[n, e].  Row pair relations are built
+    first, then column ones, column closures and row closures.
+    """
+    active = region.active
+    n = int(active.sum())
+    rank = -np.ones(active.shape, dtype=int)
+    rank[active] = np.arange(n)
+    # rows run along s at fixed y, columns along y at fixed s; each family
+    # as (along s?, activity and node ranks indexed [line, position], the
+    # grid the lines run along, the grid of their fixed coordinate)
+    rows = (True, active.T, rank.T, region.s_grid, region.y_grid)
+    cols = (False, active, rank, region.y_grid, region.s_grid)
+    own, other = np.zeros((2, n, 2, 2))
+    far = np.full((n, 2), -1)
+    rhs = np.zeros((n, 2))
+    for e, (node, *eqs) in (
+        (0, _pair_block(spec, rows)),
+        (1, _pair_block(spec, cols)),
+        (1, _closure_block(spec, cols, region.column_closures)),
+        (0, _closure_block(spec, rows, region.row_closures)),
+    ):
+        own[node, e], far[node, e], other[node, e], rhs[node, e] = eqs
+    return own, far, other, rhs
 
 
 def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientGrid:
@@ -350,22 +366,17 @@ def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientG
     Every nonempty column of the active mask must be matched by exactly one
     column closure and every nonempty row by exactly one row closure; any
     mismatch, or a non-contiguous row or column, raises UnderdeterminedRegion.
-    An LU that leaves any coefficient non-finite raises NonConvergence,
-    naming the count of such entries and the scaled residual of the rest;
-    there is no least-squares retry.
+    A block that is singular or leaves its coefficients non-finite raises
+    NonConvergence naming its node.
 
-    The system, rows equilibrated, is solved by one sparse LU (``spsolve``)
-    with the columns in their natural order: the unknowns (C1, C2) are
-    numbered node by node with s major, so every equation couples unknowns
-    at most one lattice column apart.  On the 193x129 drawdown put that
-    order fills L + U to 139k nonzeros where COLAMD's fills to 496k, and
-    the solution moves by at most 3.3e-14 of max|C|.
+    A 4x4 block (a C2 pin's two nodes) is solved after the 2x2 blocks of
+    its top node's front, one of which is its lower node's row neighbour,
+    and after the blocks of that front in the columns to its right: the next
+    column's block, when its top is a node lower, holds that neighbour.
     """
     s_grid, y_grid, active = region.s_grid, region.y_grid, region.active
-    rank = -np.ones(active.shape, dtype=int)
-    rank[active] = np.arange(int(active.sum()))
-    n_nodes = int(active.sum())
-    if n_nodes == 0:
+    n = int(active.sum())
+    if n == 0:
         raise UnderdeterminedRegion("region has no active nodes")
 
     for name, lines, closures in (
@@ -386,61 +397,48 @@ def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientG
                 f"for {sorted(set(closures))} vs {name}s {sorted(nonempty)}"
             )
 
-    # rows run along s at fixed y, columns along y at fixed s; each family
-    # as (along s?, activity and node ranks indexed [line, position], the
-    # grid the lines run along, the grid of their fixed coordinate)
-    rows = (True, active.T, rank.T, s_grid, y_grid)
-    cols = (False, active, rank, y_grid, s_grid)
-    # equations: pair relations on every row, then every column; then one
-    # closure per column, then one per row
-    blocks = (
-        _pair_block(spec, rows),
-        _pair_block(spec, cols),
-        _closure_block(spec, cols, region.column_closures),
-        _closure_block(spec, rows, region.row_closures),
-    )
-    eqs = []
-    eq = 0
-    for block_eq, _, _, block_rhs in blocks:
-        eqs.append(block_eq + eq)
-        eq += block_rhs.size
-    if eq != 2 * n_nodes:
-        raise UnderdeterminedRegion(
-            f"assembled {eq} equations for {2 * n_nodes} unknowns"
-        )
+    own, far, other, rhs = _node_equations(spec, region)
+    i, j = np.nonzero(active)
+    # the pin is the one equation that reaches a lower rank; its two nodes
+    # solve at the top's front after the 2x2 blocks, each such block at its
+    # own stage -i, since the next column's may hold a row neighbour
+    top = np.flatnonzero((far[:, 1] >= 0) & (far[:, 1] < np.arange(n)))
+    front, stage = i + j, np.full(n, -s_grid.size)
+    front[top - 1], stage[top - 1], stage[top] = front[top], -i[top], -i[top]
+    order = np.lexsort((j, i, stage, -front))
+    # the sweep keeps the nodes in solve order; a far node -1 reads x[n] = 0,
+    # and so does the coupling within a 4x4 block
+    at = np.full(n + 1, n)
+    at[order] = np.arange(n)
+    own, far, other, rhs = own[order], at[far[order]], other[order], rhs[order]
+    front, stage = front[order], stage[order]
+    paired = stage > -s_grid.size
+    far[paired, 1] = n
+    cut = (np.flatnonzero(np.diff(front) | np.diff(stage)) + 1).tolist()
+    x = np.zeros((n + 1, 2))
 
-    mat = sparse.coo_matrix(
-        (
-            np.concatenate([blk[2] for blk in blocks]),
-            (np.concatenate(eqs), np.concatenate([blk[1] for blk in blocks])),
-        ),
-        shape=(eq, 2 * n_nodes),
-    ).tocsr()
-    rhs = np.concatenate([blk[3] for blk in blocks])
-    # equilibrate rows: the power factors span many orders of magnitude
-    scale = np.maximum.reduceat(np.abs(mat.data), mat.indptr[:-1])
-    scale[np.diff(mat.indptr) == 0] = 1.0
-    scale[scale == 0.0] = 1.0
-    d_inv = sparse.diags(1.0 / scale)
-    mat = d_inv @ mat
-    rhs = rhs / scale
+    def failed(p):
+        s, y = s_grid[i[order[p]]], y_grid[j[order[p]]]
+        why = "is singular or not finite"
+        return NonConvergence(f"reflection block at s={s:g}, y={y:g} {why}")
 
-    # the lattice order of the unknowns keeps the LU's fill banded
     with np.errstate(all="ignore"):
-        sol = spsolve(mat.tocsc(), rhs, permc_spec="NATURAL")
-    bad = ~np.isfinite(sol)
-    if bad.any():
-        # the residual of the finite entries, the others taken as 0
-        resid = np.linalg.norm(mat @ np.where(bad, 0.0, sol) - rhs)
-        raise NonConvergence(
-            f"reflection system LU left {int(bad.sum())} of {sol.size} entries "
-            f"non-finite (scaled residual {resid / max(1.0, np.linalg.norm(rhs)):.3e})"
-        )
-
-    C1 = np.full(active.shape, np.nan)
-    C2 = np.full(active.shape, np.nan)
-    C1[active] = sol[2 * rank[active]]
-    C2[active] = sol[2 * rank[active] + 1]
+        for lo, hi in zip([0] + cut, cut + [n]):
+            mats = own[lo:hi]
+            if paired[lo]:  # a 4x4 block: the lower node, then the top
+                mats = np.zeros((1, 4, 4))
+                mats[0, :2, :2], mats[0, 2:, 2:] = own[lo], own[lo + 1]
+                mats[0, 1, 2:], mats[0, 3, :2] = other[lo, 1], other[lo + 1, 1]
+            b = rhs[lo:hi] - (other[lo:hi] * x[far[lo:hi]]).sum(axis=2)
+            try:
+                x[lo:hi] = np.linalg.solve(mats, b.reshape(len(mats), -1, 1)).reshape(-1, 2)
+            except np.linalg.LinAlgError:
+                k = int(np.argmin(np.abs(np.linalg.det(mats)) > 0))
+                raise failed(lo + k * (hi - lo) // len(mats))
+    if not np.isfinite(x).all():  # the first non-finite node in solve order
+        raise failed(int(np.argmin(np.isfinite(x).all(axis=1))))
+    C1, C2 = np.full((2,) + active.shape, np.nan)
+    C1[i[order], j[order]], C2[i[order], j[order]] = x[:n].T
     return CoefficientGrid(s_grid, y_grid, C1, C2, active)
 
 

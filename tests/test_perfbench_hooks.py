@@ -117,22 +117,18 @@ with tr.span("op"):
     sol = PutSolution3D(spec, n_s=33, n_y=25)
 names = [sp.name for sp in tr.spans]
 acc = tr.spans[0].acc
-print(len(sol.regions), sum(int(g.active.sum()) for g in sol.regions),
-      names.count("reflection_pde.spsolve"), names.count("solver3d.detect_regions_3d"),
-      acc["unknowns"], acc["lsqr_calls"])
+print(len(sol.regions), names.count("reflection_pde.solve_reflection_region"),
+      names.count("solver3d.detect_regions_3d"), acc["lsqr_calls"])
 """
 
 
 def test_tracer_sees_each_reflection_solve_and_region_scan():
-    # the solve and the region scan are reached through the names the tracer
-    # wraps, so spsolve_ms, unknowns and regions_ms keep measuring them
+    # the region solve and the region scan are reached through the names the
+    # tracer wraps, so assembly_ms and regions_ms keep measuring them
     proc = _run(_TRACED_SOLUTION)
     assert proc.returncode == 0, proc.stderr
-    regions, active, solves, scans, unknowns, lsqr = (
-        float(v) for v in proc.stdout.split()
-    )
+    regions, solves, scans, lsqr = (float(v) for v in proc.stdout.split())
     assert regions >= 1 and solves == regions
-    assert unknowns == 2 * active
     assert scans == 1  # one surface
     assert lsqr == 0
 

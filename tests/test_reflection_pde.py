@@ -3,9 +3,11 @@ import hashlib
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import brentq
+from scipy.sparse.linalg import spsolve
 
 from drawdown_options import (
     CallSolution2D,
@@ -25,6 +27,7 @@ from drawdown_options import (
     roots_arrays,
     solve_reflection_region,
 )
+from drawdown_options import reflection_pde, solver3d
 from drawdown_options.reflection_pde import _pair_entries
 
 
@@ -192,9 +195,13 @@ def test_reflection_grids_match_recorded_bits():
     residuals in their last digits.  The put's, seeded from the diagonal
     curve, were recorded again when the curve moved to the one lane march
     in log s: C1 and C2 by up to 6.6e-14 and 1.1e-12 of max|C|, the
-    residuals in their last digits.  Recorded with numpy 2.4 and scipy 1.17
-    on x86-64; a libm that rounds log or pow differently, or another
-    SuperLU, can move the last bits.
+    residuals in their last digits.  Both were recorded again once the
+    regions were solved by the block sweep instead of the sparse LU: C1 and
+    C2 moved by up to 2.5e-16 and 1.2e-14 of max|C| (put) and 1.0e-15 and
+    1.6e-14 (call), the residuals in their last digits (the call's
+    y-residual, a rounding residue, from 1.8e-15 to 1.3e-15).  Recorded
+    with numpy 2.4 on x86-64; a libm that rounds log or pow differently, or
+    another LAPACK, can move the last bits.
     """
     call = ModelSpec(
         r=0.06,
@@ -205,11 +212,11 @@ def test_reflection_grids_match_recorded_bits():
     )
     recorded = (
         (PutSolution3D, _drawdown_put_spec(), 2945,
-         "535c74f10827416539261ae066551b8fc585c436a0e32a870a84536b1b13fc0f",
-         ("0x1.4917cf25a40e1p-9", "0x1.b3ed46ccd5af3p-5")),
+         "62d1a06ff82b89e54d3620c5e0dab19df870488d22cdaa5f6664fe6804f37411",
+         ("0x1.4917cf25a462cp-9", "0x1.b3ed46ccd5ad7p-5")),
         (CallSolution3D, call, 61,
-         "3af7d94dd8be2c771cdce754d53ebaa05826c7f02d42b86d5145ac998f9b115f",
-         ("0x1.9ee203235bdcfp-9", "0x1.0664e8c53984fp-49")),
+         "fbc2f2cdbc4f585221e8dada474eea1525646da6f5751fe186db4c7771540c87",
+         ("0x1.9ee203235c2d9p-9", "0x1.7163ac250fe6ap-50")),
     )
     for cls, spec, n_active, digest, residuals in recorded:
         (grid,) = cls(spec, n_s=97, n_y=65).regions
@@ -221,44 +228,142 @@ def test_reflection_grids_match_recorded_bits():
         assert tuple(float(r).hex() for r in pde_residuals(spec, grid)) == residuals
 
 
+def _reference_system(spec, region):
+    """The solve's per-node equations as one sparse system, rows equilibrated.
+
+    Row 2n + e is node n's equation e (its row's, then its column's), and
+    unknown 2m + c is component c (C1, then C2) of node m, with the nodes
+    ranked s major as in the active mask.
+    """
+    own, far, other, rhs = reflection_pde._node_equations(spec, region)
+    n = own.shape[0]
+    eq = np.broadcast_to(2 * np.arange(n)[:, None, None] + np.arange(2)[:, None], own.shape)
+    unknown = np.broadcast_to(2 * np.arange(n)[:, None, None] + np.arange(2), own.shape)
+    reach = np.broadcast_to(far[..., None] >= 0, own.shape)
+    mat = sparse.csr_matrix(
+        (
+            np.concatenate([own.ravel(), other[reach]]),
+            (
+                np.concatenate([eq.ravel(), eq[reach]]),
+                np.concatenate([unknown.ravel(), (2 * far[..., None] + np.arange(2))[reach]]),
+            ),
+        ),
+        shape=(2 * n, 2 * n),
+    )
+    scale = abs(mat).max(axis=1).toarray().ravel()
+    return (sparse.diags(1.0 / scale) @ mat).tocsc(), rhs.ravel() / scale
+
+
+def _sweep_solution(grid):
+    """A grid's coefficients as the reference system's unknown vector."""
+    return np.stack([grid.C1[grid.active], grid.C2[grid.active]], axis=1).ravel()
+
+
 @pytest.mark.parametrize("case", ["drawdown_put", "criterion_7"])
 def test_reflection_solve_is_accurate(case, monkeypatch):
-    """The direct solve's residual, and its distance from a COLAMD-ordered LU.
+    """The sweep's residual, and its distance from a COLAMD-ordered sparse LU.
 
-    The solve factors in the natural order of the unknowns; COLAMD's
-    fill-reducing column order, scipy's default, is kept here as the
-    reference.  Both systems are the row-equilibrated ones handed to
-    spsolve: the 193x129 drawdown put's reflected component and the
+    The reference assembles the sweep's own per-node equations into one
+    sparse system, rows equilibrated, and factors it in COLAMD's column
+    order: the 193x129 drawdown put's reflected component and the
     criterion-7 band of the s-sloped call.  That band's C2 is exactly zero
-    (the model depends on s alone), and every column order leaves rounding
-    of about 1e-12 of max|C| on it: 2.5e-12 with COLAMD and 4.8e-12 in the
-    natural order, against the solution refined in extended precision.
-    There only C1 is held to the reference; the integral-oracle test
-    bounds that C2 noise.
+    (the model depends on s alone), and every solve leaves rounding of about
+    1e-12 of max|C| on it: 4.8e-12 with the natural-order LU and 5.5e-12
+    with the sweep, against the solution refined in extended precision.
+    There only C1 is held to the reference; the integral-oracle test bounds
+    that C2 noise.
     """
-    from scipy.sparse.linalg import spsolve
-
-    from drawdown_options import reflection_pde
-
-    systems = []
-
-    def captured(mat, rhs, **kwargs):
-        sol = spsolve(mat, rhs, **kwargs)
-        systems.append((mat, rhs, sol))
-        return sol
-
-    monkeypatch.setattr(reflection_pde, "spsolve", captured)
     if case == "drawdown_put":
+        regions = []
+        solve = solver3d.solve_reflection_region
+        monkeypatch.setattr(
+            solver3d, "solve_reflection_region",
+            lambda spec, region: regions.append((spec, region)) or solve(spec, region),
+        )
         (grid,) = PutSolution3D(_drawdown_put_spec()).regions
+        ((spec, region),) = regions
     else:
-        grid = solve_reflection_region(*sloped_region())
-    ((mat, rhs, sol),) = systems
-    assert np.max(np.abs(mat @ sol - rhs)) <= 1e-13
+        spec, region = sloped_region()
+        grid = solve_reflection_region(spec, region)
+    mat, rhs = _reference_system(spec, region)
+    assert np.max(np.abs(mat @ _sweep_solution(grid) - rhs)) <= 1e-13
     ref = spsolve(mat, rhs, permc_spec="COLAMD")
     scale = np.max(np.abs(ref))
     held = (grid.C1, grid.C2) if case == "drawdown_put" else (grid.C1,)
     for k, c in enumerate(held):
         assert np.max(np.abs(c[grid.active] - ref[k::2])) <= 1e-12 * scale
+
+
+def _staircase_region(tops, col_combo, row_kinds):
+    """Columns active from y index 0 up to their tops, with closures by kind.
+
+    tops rise, then fall, so every row is contiguous.  A column closes by a
+    C2 pin a node above its top, or by a combo half a node above it; a row
+    by c1_zero, or by a combo half a node past its last node ("combo") or
+    on it ("on").
+    """
+    n_s, n_y = len(tops), max(tops) + 1
+    s_grid = 1.0 + 0.05 * np.arange(n_s)
+    y_grid = 0.1 + 0.02 * np.arange(n_y)
+    active = np.arange(n_y) <= np.array(tops)[:, None]
+    cols = [
+        ColumnClosure(i, "combo", y_pos=y_grid[t] + 0.01, x_base=3.0, target=2.0)
+        if col_combo[i] else ColumnClosure(i, "c2_zero", y_pos=y_grid[t] + 0.02)
+        for i, t in enumerate(tops)
+    ]
+    rows = []
+    for j in range(n_y):
+        s_last = s_grid[np.flatnonzero(active[:, j])[-1]]
+        kind = row_kinds[j]
+        rows.append(
+            RowClosure(j, "c1_zero") if kind == "c1_zero" else RowClosure(
+                j, "combo", s_pos=s_last + 0.025 * (kind == "combo"), x_base=3.0, target=2.0
+            )
+        )
+    return RegionSpec(s_grid, y_grid, active, cols, rows)
+
+
+@example(  # each column's top a node below the last one's: chained 4x4 blocks
+    tops=[6, 5, 4, 3, 2, 1, 0], peak=0, col_combo=[False] * 30,
+    row_kinds=["combo"] * 20,
+)
+@given(
+    tops=st.lists(st.integers(0, 19), min_size=1, max_size=30),
+    peak=st.integers(0, 30),
+    col_combo=st.lists(st.booleans(), min_size=30, max_size=30),
+    row_kinds=st.lists(st.sampled_from(["c1_zero", "combo", "on"]), min_size=20, max_size=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_sweep_equals_a_sparse_lu_on_staircase_regions(tops, peak, col_combo, row_kinds):
+    spec = ModelSpec(
+        r=0.06,
+        strike=1.0,
+        payoff_kind="call",
+        delta_field=CoefficientField("bounded_rational", (0.02, 0.01, 0.01)),
+        sigma_field=CoefficientField("constant", (0.2,)),
+    )
+    tops = sorted(tops[:peak]) + sorted(tops[peak:], reverse=True)
+    region = _staircase_region(tops, col_combo, row_kinds)
+    grid = solve_reflection_region(spec, region)
+    mat, rhs = _reference_system(spec, region)
+    ref = spsolve(mat, rhs, permc_spec="COLAMD")
+    assert np.max(np.abs(_sweep_solution(grid) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_the_solve_calls_no_general_sparse_solver(monkeypatch):
+    # a guard against the sparse LU or a least-squares retry coming back:
+    # the program keeps both names only for the benchmark's tracer
+    def refuse(*args, **kwargs):
+        raise AssertionError("a general sparse solver was called")
+
+    monkeypatch.setattr(reflection_pde, "spsolve", refuse)
+    monkeypatch.setattr(reflection_pde, "lsqr", refuse)
+    grids = [
+        *PutSolution3D(_drawdown_put_spec()).regions,
+        solve_reflection_region(*sloped_region()),
+        solve_reflection_region(flat_call_spec(), flat_region()),
+    ]
+    assert all(np.isfinite(g.C1[g.active]).all() for g in grids)
 
 
 def _fill_inactive_by_node_loops(a, active):
@@ -376,24 +481,26 @@ def test_pair_entries_batch_equals_one_at_a_time(points, along_s):
             assert got.tobytes() == want.tobytes()
 
 
-def test_non_finite_lu_raises_non_convergence(monkeypatch):
-    # a sparse LU that leaves non-finite entries is the solve's one failure:
-    # it raises with the residual, and no least-squares retry stands in
-    from drawdown_options import reflection_pde
+def test_a_singular_or_non_finite_block_raises_non_convergence(monkeypatch):
+    # the first row pair relation sits at node (s, y) = (1, 0.1); zeroing its
+    # edge powers makes that node's 2x2 block singular, and NaN powers make
+    # it non-finite: either way the solve raises and names the node
+    for bad in (0.0, np.nan):
+        calls = []
 
-    def no_retry(*args, **kwargs):
-        raise AssertionError("lsqr called")
+        def broken(spec, s, y, along_s, h):
+            out = _pair_entries(spec, s, y, along_s, h)
+            if not calls:
+                for p, _, _ in out:
+                    p[0] = bad
+            calls.append(along_s)
+            return out
 
-    def lu_with_a_nan(mat, rhs, **kwargs):
-        sol = np.zeros(rhs.size)
-        sol[3] = np.nan
-        return sol
-
-    monkeypatch.setattr(reflection_pde, "lsqr", no_retry)
-    monkeypatch.setattr(reflection_pde, "spsolve", lu_with_a_nan)
-    region = flat_region()
-    with pytest.raises(NonConvergence, match=r"left 1 of 306 .*scaled residual"):
-        solve_reflection_region(flat_call_spec(), region)
+        monkeypatch.setattr(reflection_pde, "_pair_entries", broken)
+        msg = r"^reflection block at s=1, y=0.1 is singular or not finite$"
+        with pytest.raises(NonConvergence, match=msg):
+            solve_reflection_region(flat_call_spec(), flat_region())
+        assert calls[0] is True
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +540,27 @@ def test_combo_closure_requires_anchor_data():
         ColumnClosure(0, "combo", y_pos=1.0)
     with pytest.raises(ValueError):
         RowClosure(0, "no_such_kind")
+
+
+@pytest.mark.parametrize(
+    "closure, field",
+    [
+        ((RowClosure, 0, "combo", 3.0, np.inf, 2.0), "x_base"),
+        ((RowClosure, 0, "combo", 3.0, -1.0, 2.0), "x_base"),
+        ((RowClosure, 0, "combo", 3.0, 0.0, 2.0), "x_base"),
+        ((RowClosure, 0, "combo", np.inf, 3.0, 2.0), "s_pos"),
+        ((RowClosure, 0, "combo", 3.0, 3.0, np.inf), "target"),
+        ((ColumnClosure, 0, "c2_zero", np.nan), "y_pos"),
+        ((ColumnClosure, 0, "c2_zero", np.inf), "y_pos"),
+        ((ColumnClosure, 0, "combo", 0.6, 3.0, -np.inf), "target"),
+    ],
+)
+def test_closure_rejects_anchor_data_that_is_not_finite(closure, field):
+    # each of these once built, then crashed the solve: a ZeroDivisionError,
+    # a complex power or an LU left all NaN
+    cls, *args = closure
+    with pytest.raises(ValueError, match=f"needs a finite.* {field}, got"):
+        cls(*args)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])

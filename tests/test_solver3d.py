@@ -430,10 +430,12 @@ def _closure_bits(closures):
 
 
 def _closures_or_error(build, spec, surface):
+    # ValueError also covers a closure that rejects its anchor, such as a
+    # put column whose floor crossing lands on the diagonal (x_base = 0)
     try:
         return [tuple(map(_closure_bits, cl)) for cl in build(spec, surface)]
-    except UnderdeterminedRegion as exc:
-        return str(exc)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _walk_closures(spec, surface):
@@ -1004,22 +1006,22 @@ def _solution_digests(sol):
     [
         ("put", ("bounded_rational", (0.02, 0.0, 0.01)),
          "0x1.56928379f1289p-1",
-         ((3, 0), "-0x1.2cd818a89f34bp-12", "0x1.1f03b9b9139a4p-3"),
+         ((3, 0), "-0x1.2cd818a89f34ap-12", "0x1.1f03b9b9139a4p-3"),
          {"values": "b0cb80836f012475523d49d9db45a6c9d01540bc8271597f5517ec9d1b715a2d",
           "status": "faa934f092e56bb1a7806b6a776b0cdb7e59dc9f0a777f2132ebb7231905500f",
           "labels": "c70ed7bddb33e2aeccd2bdf02fc89c60761df3a247a8e4be7b3eb58e200e16fc",
           "cap": "91bd199085e6674ce313d8eb42087aeb1ff670f3e09ac329d24ef11ce25829ac",
           "switches": "51fd46bef88d1d27b667a76d0265e839e830e86e80bee06ffe5dd3978330efb0",
-          "grids": "cb82709ab6c6c1a8f2ff7be40fa72fe95fe83b1268c02d3a338f0424be1e6c35"}),
+          "grids": "69ab7a6ebd7fae9d510891046f2de29db9c4729516c261d7fd0ef7f33f4b5c50"}),
         ("call", ("s_only", (0.02, 0.02)),
          "0x1.37124faaf57eap+1",
-         ((0, 0), "0x1.2e50afa5d142ep-2", "0x0.0p+0"),
+         ((0, 0), "0x1.2e50afa5d1433p-2", "0x0.0p+0"),
          {"values": "4b7a91ed8acbd0397ccbe4249848fe9618b30de8edf8d8ce2d5c6882d4edd49e",
           "status": "7769bee13de1a1a4c09da5c2c84c36a7851d6c30f963c9a8db1901a7ac909e94",
           "labels": "619f3edd7d8787480cb557f2a6d6d55ed2f13d194cd59fe6cb7443259a2650fa",
           "cap": "ee986e885ea014b85874222ca57a58c98a74244dfb8fa6162d56f6f5cbbceebb",
           "switches": "5bf69097533e294a83bfd528678771a1690ef0fb235819d92f4d7a8878cca64b",
-          "grids": "5bd0d8014093e1065b255ebcafd2fd6bbc4bef60334625478dffb8389f2c90b2"}),
+          "grids": "18f6be9e0c11841ad827f45dfef451305ecf6e18329bd0c15fe3064e778b5d9f"}),
     ],
 )
 def test_vanishing_rhs_surfaces_match_recorded_bits(kind, delta, spot, c_spot, digests):
@@ -1037,7 +1039,10 @@ def test_vanishing_rhs_surfaces_match_recorded_bits(kind, delta, spot, c_spot, d
     curve, so its pins were recorded again when the curve moved to the one
     lane march in log s: values, switches and cap curve by up to 7.1e-13 K,
     the reflection grids by up to 1.8e-12 of max|C|; status and labels
-    kept their bits.
+    kept their bits.  The reflection grids were recorded again once the
+    regions were solved by the block sweep instead of the sparse LU: by up
+    to 5.2e-15 (put) and 4.6e-15 (call) of max|C|, which moved the spot C1
+    of each in its last bits; the surfaces kept theirs.
     """
     cls = PutSolution3D if kind == "put" else CallSolution3D
     sol = cls(make_spec(kind, delta), n_s=65, n_y=49)
