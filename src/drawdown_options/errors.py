@@ -14,7 +14,10 @@ class ConstraintBreach(RuntimeError):
 
 
 class SingularDenominator(RuntimeError):
-    """The shared denominator of the boundary ODE crossed zero within a step."""
+    """The boundary ODE's shared denominator vanished (exit code 2).
+
+    No march raises it now: the band check keeps the denominator's sign.
+    """
 
 
 class StepError(RuntimeError):

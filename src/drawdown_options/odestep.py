@@ -2,9 +2,11 @@
 
 Works elementwise on scalars or numpy arrays.  Every boundary ODE is
 integrated by ``solver2d._march_lanes``: one or many lanes, each in its own
-lane time tau in [0, 1], sharing every step.  A surface's slices are its
-lanes; the 2D put curve, a public boundary slice and a direct line's
-re-march are one lane each, kept on floats.
+lane time tau in [0, 1], sharing every step.  Two functions set it up:
+``solver2d.put_boundary_2d`` for the 2D put curve, one lane on floats, and
+``solver3d._march_slices`` for the 3D slices, whose surface runs its
+slices as lanes and whose public slice or direct line's re-march is one
+lane on floats.
 
 :func:`checked_step` is one step of the embedded pair of Dormand & Prince
 (1980): it propagates the fifth-order state and reports the difference to

@@ -36,7 +36,6 @@ from .errors import (
     ConstraintBreach,
     DomainError,
     ResolutionWarning,
-    SingularDenominator,
     StepError,
 )
 from .odestep import ReuseStages, StepSize, checked_step, dense_output
@@ -368,7 +367,7 @@ def _scalar_bracket(delta, u):
     return 1.0 / delta + u / (-float(np.expm1(w)))
 
 
-def _march_lanes(stage, g, tau, lane, den, band, tol, scale):
+def _march_lanes(stage, g, tau, lane, band, tol, scale):
     """The one march: lanes advanced together through lane time [0, 1].
 
     Every boundary ODE runs on it: a surface's slices as lanes, and the 2D
@@ -376,26 +375,27 @@ def _march_lanes(stage, g, tau, lane, den, band, tol, scale):
     stage(t) freezes the lanes' slopes in lane time at t as a function of
     their levels; g holds the seeds, a float for a single lane, which keeps
     its state and stage on floats.  tau and lane list every (lane, node)
-    pair the march reaches, in ascending tau; den = (a, b) gives each
-    node's denominator a * level - b, band = (lo, hi) the open interval its
-    level must lie in (each an array over the nodes, or one value for
-    all).  A node at tau = 0 takes its lane's seed.
+    pair the march reaches, in ascending tau; band = (lo, hi) gives the
+    open interval each node's level must lie in (each an array over the
+    nodes, or one value for all).  A node at tau = 0 takes its lane's seed.
 
     The steps take the lengths one :class:`odestep.StepSize` gives from
     the worst lane still under control, at the target tol, with the floor
     at 1/1024 of lane time; every lane shares every step, and so every
     right-hand-side call.  A node a step passes takes its level from the
-    step's continuous extension (:func:`odestep.dense_output`).  The
-    denominator guard and the band check run on the nodes each step fills;
-    the denominator's sign is taken at a lane's first node.
+    step's continuous extension (:func:`odestep.dense_output`).  The band
+    check runs on the nodes each step fills.  It is also the denominator's
+    guard: the shared denominator a * level - b of :class:`OdeStage` is
+    (2 delta / sigma**2) (r K / delta - level), and each band stops at
+    r K / delta on its own side, so a level inside its band keeps the
+    denominator's sign.
 
     Nothing is raised.  Returns the node levels, NaN from where a lane was
     cut; per lane its status ``(kind, node)``: ``("ok", -1)``, or
-    ``"singular"`` (the denominator changed sign or fell within 1e-12
-    scale) or ``"constraint"`` (the level left its band) at the first node
-    that fails, or ``"step"`` (the estimate still missed tol at the floor)
-    at the first node that step would have filled; and the worst estimate
-    of the steps taken.
+    ``"constraint"`` (the level left its band) at the first node that
+    fails, or ``"step"`` (the estimate still missed tol at the floor) at
+    the first node that step would have filled; and the worst estimate of
+    the steps taken.
     """
     one = np.ndim(g) == 0
     n = 1 if one else g.size
@@ -405,29 +405,21 @@ def _march_lanes(stage, g, tau, lane, den, band, tol, scale):
 
     levels = np.full(tau.size, np.nan)
     status = [("ok", -1)] * n
-    a, b, lo, hi = (v if np.ndim(v) else np.full(tau.size, v) for v in (*den, *band))
-    # a lane's first node is its first in tau order
-    first = np.zeros(tau.size, dtype=bool)
-    first[0 if one else np.unique(lane, return_index=True)[1]] = True
+    lo, hi = (v if np.ndim(v) else np.full(tau.size, v) for v in band)
     held = np.ones(n, dtype=bool)
-    den_sign = np.zeros(n)
     floor = 1e-12 * scale
 
     def fill(p, q, level_of):
-        """Write the nodes p:q of the lanes still held, after their checks."""
-        ln, fst = lane[p:q], first[p:q]
+        """Write the nodes p:q of the lanes still held, after the band check."""
+        ln = lane[p:q]
         lev = level_of(ln, slice(p, q))
-        d = a[p:q] * lev - b[p:q]
-        den_sign[ln[fst]] = np.sign(d[fst])
-        # past its first node a lane's denominator keeps that sign and size
-        bad_den = ~(fst | (d * den_sign[ln] >= floor))
         live = held[ln]
-        bad = live & (bad_den | ~((lev > lo[p:q]) & (lev < hi[p:q])))
+        bad = live & ~((lev > lo[p:q]) & (lev < hi[p:q]))
         if bad.any():
             c = np.flatnonzero(bad)
             cut_lanes, k = np.unique(ln[c], return_index=True)
             for j, ck in zip(cut_lanes, c[k]):
-                status[j] = ("singular" if bad_den[ck] else "constraint", p + int(ck))
+                status[j] = ("constraint", p + int(ck))
             held[cut_lanes] = False
             cut = np.full(n, q - p)
             cut[cut_lanes] = c[k]
@@ -478,7 +470,6 @@ def _march_lanes(stage, g, tau, lane, den, band, tol, scale):
 # a cut lane's status as the error of a caller that needs its levels
 _CUT_ERRORS = {
     "constraint": (ConstraintBreach, "left {band}"),
-    "singular": (SingularDenominator, "denominator vanished or changed sign"),
     "step": (StepError, "failed its error check at the shortest step"),
 }
 
@@ -569,11 +560,10 @@ def put_boundary_2d(
     running down in log s at ``STEP_REL_TOL * DENSE_TOL_SHARE``.  The controller picks the
     steps (about 210 on the default 4097-node grid); every node is read
     from the continuous extension of the step that passes it.  The curve
-    must stay strictly inside (0, min(L, rL/delta)) at every node; leaving
-    that band raises ConstraintBreach.  A sign change or collapse of the
-    shared denominator at a node raises SingularDenominator, and a step at
-    the shortest allowed length whose estimate exceeds the target raises
-    StepError.
+    must stay strictly inside (0, min(L, rL/delta)) at every node, which
+    also fixes the sign of the ODE's shared denominator; leaving that band
+    raises ConstraintBreach, and a step at the shortest allowed length
+    whose estimate exceeds the target raises StepError.
     """
     _require_s_only(spec, _PUT)
     if not math.isfinite(shoot_offset):
@@ -603,10 +593,9 @@ def put_boundary_2d(
         terms, rate = _scalar_put_stage(spec, s), du * s
         return lambda g: rate * terms(g)[0]
 
-    g1, g2, _, _ = _beta(spec, s_desc)
     vals, ((kind, c),), worst = _march_lanes(
         stage, g0, (u - u0) / du, np.zeros(s_desc.size, dtype=int),
-        _den_factors(g1, g2, L), _PUT.band(spec, s_desc, 0.0),
+        _PUT.band(spec, s_desc, 0.0),
         odestep.STEP_REL_TOL * odestep.DENSE_TOL_SHARE, L,
     )
     if kind != "ok":

@@ -70,7 +70,6 @@ from .solver2d import (
     _adjacent_messages,
     _cell_crossing,
     _cut_error,
-    _den_factors,
     _march_lanes,
     _sign_changes,
 )
@@ -298,60 +297,66 @@ def _lane_stage(o, spec, fixed, u0, du):
     return stage
 
 
-def _march_surface(spec, o, fixed_grid, move_grid, starts, seeds, entry_index):
-    """Advance all slices of orientation o through move_grid together, in lane time.
+def _march_slices(o, spec, curve, fixed, lane, nodes):
+    """March slices of orientation o from next to the diagonal through nodes.
 
-    starts and seeds give each slice its own entry coordinate and value;
-    entry_index[i] is the first move_grid node the slice reaches.  The
-    caller has already checked that every lattice point the march visits
-    lies in the quadrant.  A slice whose seed lies outside the band is
-    flagged ``"constraint"`` at its start; the others are the lanes of one
-    :func:`solver2d._march_lanes`, and a lane it cuts is flagged with its
-    kind at the first node it misses and carries NaN from there on.
+    fixed holds each slice's fixed coordinate, or is a float for a lone
+    slice, which marches on floats through nodes given in march order.
+    lane and nodes list every node to read, by slice and moving coordinate,
+    at or past its slice's start and inside the quadrant.  Each slice
+    starts on its :func:`_diagonal_seeds` seed (curve is None for a call)
+    and is flagged ``"constraint"`` there if the seed lies outside its
+    band; the others are the lanes of one :func:`solver2d._march_lanes`,
+    each in its lane time tau, linear in :func:`_lane_u` from its start
+    (tau = 0) to its own last node (tau = 1), at ``odestep.STEP_REL_TOL``.
 
-    Each slice is a lane with its own lane time tau in [0, 1], linear in
-    its lane coordinate (:func:`_lane_u`) from the slice's start (tau = 0)
-    to the far end of move_grid (tau = 1).  Every lane is present from
-    tau = 0, so all lanes share every step at the plain
-    ``odestep.STEP_REL_TOL``.  The denominator guard and the band check run
-    at the nodes' lattice coordinates.
+    Returns the node levels, NaN from the first node its slice misses, and
+    per slice its status ``(kind, at)`` as in ``slice_status``.
     """
-    n_fix = fixed_grid.size
-    values = np.full((n_fix, move_grid.size), np.nan)
-    status = [("ok", np.nan)] * n_fix
-    forward = o.direction > 0
-    end = move_grid[-1] if forward else move_grid[0]
+    one = np.ndim(fixed) == 0
+    start = fixed + o.direction * EDGE_FRACTION * spec.strike
+    seed = _diagonal_seeds(o, spec, curve, fixed, start)
+    lo, hi = o.band(spec, *o.swap(fixed, start))
+    held = np.atleast_1d((seed > lo) & (seed < hi))
+    status = [
+        ("ok", np.nan) if h else ("constraint", float(t))
+        for h, t in zip(held, np.atleast_1d(start))
+    ]
+    levels = np.full(nodes.size, np.nan)
+    u = _lane_u(o, nodes)
+    if one:
+        if not held[0]:
+            return levels, status
+        lanes, pick, seed = [0], slice(None), float(seed)
+        u0 = _lane_u(o, start)
+        du = u[-1] - u0
+        tau = (u - u0) / du
+        # a query's re-march has one node, whose band is checked on floats
+        at = o.swap(fixed, nodes if nodes.size > 1 else nodes[0])
+    else:
+        lanes = np.flatnonzero(held)
+        fixed, start, seed = fixed[lanes], start[lanes], seed[lanes]
+        pick = np.flatnonzero(held[lane])
+        li = (np.cumsum(held) - 1)[lane[pick]]
+        u0 = _lane_u(o, start)
+        far = np.full(lanes.size, -np.inf)
+        np.maximum.at(far, li, o.direction * u[pick])
+        du = o.direction * far - u0
+        tau = (u[pick] - u0[li]) / du[li]
+        order = np.argsort(tau, kind="stable")
+        pick, lane, tau = pick[order], li[order], tau[order]
+        at = o.swap(fixed[lane], nodes[pick])
 
-    entering = np.flatnonzero((entry_index >= 0) & np.isfinite(seeds))
-    lo, hi = o.band(spec, *o.swap(fixed_grid[entering], starts[entering]))
-    cx = (seeds[entering] > lo) & (seeds[entering] < hi)
-    for i in entering[~cx]:
-        status[i] = ("constraint", float(starts[i]))
-    lanes = entering[cx]
-    fx, entry = fixed_grid[lanes], entry_index[lanes]
-    u0 = _lane_u(o, starts[lanes])
-    du = _lane_u(o, end) - u0
-
-    # every (lane, node) pair the march reaches, in the order of its tau
-    m = np.arange(move_grid.size)
-    li, ki = np.nonzero(m >= entry[:, None] if forward else m <= entry[:, None])
-    node_tau = (_lane_u(o, move_grid[ki]) - u0[li]) / du[li]
-    order = np.argsort(node_tau, kind="stable")
-    li, ki, node_tau = li[order], ki[order], node_tau[order]
-    node_s, node_y = o.swap(fx[li], move_grid[ki])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g1, g2, _, _ = _roots_along(spec, node_s, node_y, o.moving)
-
-    levels, cuts, _ = _march_lanes(
-        _lane_stage(o, spec, fx, u0, du), seeds[lanes], node_tau, li,
-        _den_factors(g1, g2, spec.strike), o.band(spec, node_s, node_y),
-        odestep.STEP_REL_TOL, spec.strike,
+    got, cuts, _ = _march_lanes(
+        _lane_stage(o, spec, fixed, u0, du), seed, tau, lane,
+        o.band(spec, *at), odestep.STEP_REL_TOL, spec.strike,
     )
-    values[lanes[li], ki] = levels
-    for j, (kind, c) in enumerate(cuts):
+    levels[pick] = got
+    cut_at = nodes[pick]
+    for j, (kind, c) in zip(lanes, cuts):
         if kind != "ok":
-            status[lanes[j]] = (kind, float(move_grid[ki[c]]))
-    return values, status
+            status[j] = (kind, float(cut_at[c]))
+    return levels, status
 
 
 def _diagonal_seeds(o, spec: ModelSpec, curve, fixed, starts):
@@ -376,25 +381,27 @@ def _build_surface(o, spec, curve, s_grid, y_grid):
     s_grid = np.asarray(s_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
     fixed, move = o.swap(s_grid, y_grid)
-    eps = EDGE_FRACTION * spec.strike
-    starts = fixed + o.direction * eps
+    starts = fixed + o.direction * EDGE_FRACTION * spec.strike
     # each slice enters the lattice at the first node its march reaches
     if o.direction > 0:
         entry = np.searchsorted(move, starts, side="left")
         entry[entry == move.size] = -1
     else:
         entry = np.searchsorted(move, starts, side="right") - 1
-    inside = entry >= 0
-    seeds = np.full(fixed.shape, np.nan)
-    seeds[inside] = _diagonal_seeds(o, spec, curve, fixed[inside], starts[inside])
+    inside = np.flatnonzero(entry >= 0)
 
-    # every slice runs from its start through the far end of move
+    # every slice runs from its start through the far end of move, and
+    # reads every lattice node from its entry on
     check_quadrant(*o.swap(fixed[inside], starts[inside]))
     check_quadrant(*o.swap(fixed[inside], move[-1] if o.direction > 0 else move[0]))
-
-    values, status = _march_surface(spec, o, fixed, move, starts, seeds, entry)
-    for k in np.flatnonzero(~inside):
-        status[k] = ("outside", np.nan)
+    m, entry = np.arange(move.size), entry[inside, None]
+    lane, node = np.nonzero(m >= entry if o.direction > 0 else m <= entry)
+    levels, marched = _march_slices(o, spec, curve, fixed[inside], lane, move[node])
+    values = np.full((fixed.size, move.size), np.nan)
+    values[inside[lane], node] = levels
+    status = [("outside", np.nan)] * fixed.size
+    for k, st in zip(inside.tolist(), marched):
+        status[k] = st
     surf = BoundarySurface(s_grid, y_grid, o.fixed_major(values), o.kind, status)
     surf._seed_curve = curve
     return detect_regions_3d(spec, surf)
@@ -436,21 +443,17 @@ def diagonal_put_curve(spec: ModelSpec):
 def _boundary_slice(o, spec, curve, fixed, nodes):
     """Barrier on one slice, marched from next to the diagonal through nodes.
 
-    The seed comes from :func:`_diagonal_seeds` (curve is None for a call).
-    One lane of :func:`solver2d._march_lanes`, on floats, in the lane
-    coordinate of a surface's slices (:func:`_lane_u`) from the start
-    (tau = 0, checked with the seed) to the last node (tau = 1), at the
-    plain ``odestep.STEP_REL_TOL``.  Serves the public slices and every
-    direct-line re-march.  Returns the node levels, NaN from the first node
-    the lane misses, and its status ``(kind, at)`` as in ``slice_status``:
-    ``("ok", nan)``, the kind of the cut at that node, or ``"constraint"``
-    at the start for a seed outside the band.
+    The lone slice of :func:`_march_slices`, on floats, from its start to
+    its last node (curve is None for a call).  The nodes must move
+    strictly away from the diagonal, from the slice's start on.  Serves
+    the public slices and every direct-line re-march.  Returns the node
+    levels, NaN from the first node the lane misses, and its status
+    ``(kind, at)`` as in ``slice_status``.
     """
     o.require(spec)
     fixed = float(fixed)
     nodes = np.asarray(nodes, dtype=float)
-    eps = EDGE_FRACTION * spec.strike
-    start = fixed + o.direction * eps
+    start = fixed + o.direction * EDGE_FRACTION * spec.strike
     if nodes.size and (
         np.any(o.direction * np.diff(nodes) <= 0)
         or o.direction * (nodes[0] - start) < 0
@@ -461,23 +464,11 @@ def _boundary_slice(o, spec, curve, fixed, nodes):
         )
     if not nodes.size:
         return nodes, ("ok", np.nan)
-    seed = float(_diagonal_seeds(o, spec, curve, fixed, start))
     check_quadrant(*o.swap(fixed, nodes))
-    lo, hi = o.band(spec, *o.swap(fixed, start))
-    if not lo < seed < hi:
-        return np.full(nodes.size, np.nan), ("constraint", start)
-    u0 = _lane_u(o, start)
-    u = _lane_u(o, nodes)
-    du = u[-1] - u0
-    # a query's re-march has one node, whose checks run on floats
-    s, y = o.swap(fixed, nodes if nodes.size > 1 else nodes[0])
-    g1, g2, _, _ = _roots_along(spec, s, y, o.moving)
-    levels, ((kind, c),), _ = _march_lanes(
-        _lane_stage(o, spec, fixed, u0, du), seed, (u - u0) / du,
-        np.zeros(nodes.size, dtype=int), _den_factors(g1, g2, spec.strike),
-        o.band(spec, s, y), odestep.STEP_REL_TOL, spec.strike,
+    levels, (status,) = _march_slices(
+        o, spec, curve, fixed, np.zeros(nodes.size, dtype=int), nodes
     )
-    return levels, (kind, np.nan if kind == "ok" else float(nodes[c]))
+    return levels, status
 
 
 def call_boundary_slice(spec: ModelSpec, s, y_grid):
@@ -485,8 +476,8 @@ def call_boundary_slice(spec: ModelSpec, s, y_grid):
 
     Seeded at y = s - eps from the reachable-maximum form and integrated
     downward in y.  The nodes from the first one the march misses are NaN,
-    whatever the failure: a constraint breach (barrier at or below the
-    reachable-maximum floor), a vanishing denominator or a failed step.
+    whatever the failure: a constraint breach (barrier at or below
+    max(strike, r strike / delta)) or a failed step.
     """
     if float(s) <= EDGE_FRACTION * spec.strike:
         raise DomainError(f"slice level s={float(s)} must exceed the edge offset")
@@ -499,8 +490,8 @@ def put_boundary_slice(spec: ModelSpec, y, s_grid):
     Seeded at s = y + eps from the diagonal-restricted maximum-only curve,
     which each call marches anew, and integrated upward in s.  The nodes
     from the first one the march misses are NaN, whatever the failure: a
-    constraint breach (barrier leaving (0, min(strike, r strike / delta))),
-    a vanishing denominator or a failed step.
+    constraint breach (barrier leaving (0, min(strike, r strike / delta)))
+    or a failed step.
     """
     return _boundary_slice(_PUT, spec, diagonal_put_curve(spec), y, s_grid)[0]
 
@@ -653,7 +644,8 @@ def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
     line's open end (the diagonal or the lattice top for a column, the far s
     edge for a row) a call column pins the extrapolated C2 to zero, a put
     column pins the payoff at its floor crossing extrapolated toward the
-    diagonal, a put row pins C1 to zero, and a call row raises.  At a
+    diagonal (and raises if that lands on the diagonal, where the floor is
+    x = 0), a put row pins C1 to zero, and a call row raises.  At a
     stopping curve the line pins the payoff at the crossing, refined through
     three lattice samples and imposed through a virtual node so the pin
     costs no extrapolation error; at a flagged node it raises.  The raises
@@ -710,6 +702,9 @@ def _close_lines(spec: ModelSpec, o: _Orientation, family):
             at = _crossing(grid, gaps[on_s][k], ok[k], a, a + 1)
         x_s, x_y = _point(along_s, pos, at)
         x_base = x_s if on_s else x_s - x_y
+        if not x_base > 0.0:
+            why = "closes on the diagonal, where its floor x = s - y is 0; refine the lattice"
+            raise UnderdeterminedRegion(f"reflected {name}={pos:g} {why}")
         out.append(closure(k, "combo", at, x_base, o.sign * (x_base - spec.strike)))
     return out
 
@@ -740,7 +735,7 @@ class Line:
         slack = 1e-9 * self.spec.strike
         if not (0.0 <= y < s):
             raise DomainError(f"need 0 <= y < s, got s={s}, y={y}")
-        if np.any(x < s - y - slack) or np.any(x > s + slack):
+        if not np.all((x >= s - y - slack) & (x <= s + slack)):
             raise DomainError("x outside [s - y, s]")
         x = np.clip(x, s - y, s)
         payoff = self.spec.payoff(x)
@@ -812,7 +807,7 @@ class Lines:
         if bad.any():
             k = int(np.argmax(bad))
             raise DomainError(f"need 0 <= y < s, got s={self.s[k]}, y={self.y[k]}")
-        if np.any(x < s - y - slack) or np.any(x > s + slack):
+        if not np.all((x >= s - y - slack) & (x <= s + slack)):
             raise DomainError("x outside [s - y, s]")
         x = np.clip(x, s - y, s)
         payoff = self.spec.payoff(x)
@@ -866,8 +861,9 @@ class _Solution3D:
         rather than interpolation accuracy.  A put line's seed comes from
         the diagonal curve its surface was built from.  Other lines take the
         interpolated level.  A re-march that is cut raises the error of its
-        lane's status: StepError, SingularDenominator or ConstraintBreach
-        (a level, or the seed, outside its band).
+        lane's status: StepError, or ConstraintBreach (a level, or the
+        seed, outside its band).  The band check is the only check on the
+        query's one node, and it keeps the slice ODE's denominator's sign.
         """
         spec, o, curve = self.spec, self._o, self.surface._seed_curve
         eps = EDGE_FRACTION * spec.strike
@@ -929,9 +925,12 @@ class _Solution3D:
 
         A caller that reads a line more than once keeps the record.  Roots
         exist on the quadrant s > 0, 0 <= y <= s only, so a line outside it
-        that is not stopped raises DomainError.
+        that is not stopped raises DomainError, and so does a non-finite s
+        or y.
         """
         s, y = float(s), float(y)
+        if not (np.isfinite(s) and np.isfinite(y)):
+            raise DomainError(f"need finite s and y, got s={s}, y={y}")
         return self._line(s, y, self._level(s, y, float(self.surface.level_smooth(s, y))))
 
     def lines(self, ss, ys) -> Lines:
@@ -961,7 +960,8 @@ class _Solution3D:
         alone = branch == "direct"
         off = ~alone & (branch != "stop") & ((s <= 0.0) | (y < 0.0) | (y > s))
         reflect = ~alone & ~off & (branch == "reflect")
-        fail = off | reflect if not self.regions else off
+        finite = np.isfinite(s) & np.isfinite(y)
+        fail = ~finite | off | (reflect & (not self.regions))
         first = int(np.argmax(fail)) if fail.any() else n
         for k in np.flatnonzero(alone[:first]):
             sk, yk = float(s[k]), float(y[k])
@@ -969,6 +969,8 @@ class _Solution3D:
             level[k], branch[k] = ln.level, ln.branch
             g1[k], g2[k], c1[k], c2[k] = ln.g1, ln.g2, ln.c1, ln.c2
         if first < n:
+            if not finite[first]:
+                raise DomainError(f"need finite s and y, got s={s[first]}, y={y[first]}")
             if off[first]:
                 raise DomainError(f"need 0 <= y < s, got s={s[first]}, y={y[first]}")
             raise self._no_region()

@@ -172,3 +172,27 @@ def test_no_module_level_memo():
             if named:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_one_slice_set_up_calls_the_march():
+    # every boundary ODE runs on solver2d._march_lanes, set up in two
+    # places only: the 2D put curve and the 3D slices (surfaces, public
+    # slices and direct-line re-marches alike); any other reference to the
+    # name, a call or an alias, is a second set-up growing back
+    package = pathlib.Path(drawdown_options.__file__).parent
+    users = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            named = (
+                isinstance(child, ast.Name) and child.id == "_march_lanes"
+                or isinstance(child, ast.Attribute) and child.attr == "_march_lanes"
+            )
+            if named:
+                users.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            walk(child, f"{where.split('.')[0]}.{child.name}" if inner else where)
+
+    for path in sorted(package.glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.<module>")
+    assert users == ["solver2d.put_boundary_2d", "solver3d._march_slices"]

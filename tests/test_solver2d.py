@@ -316,6 +316,54 @@ def test_put_curve_stays_inside_band():
     assert np.all(curve.values < np.minimum(1.0, caps))
 
 
+def _rational(draw, lo, hi):
+    """A bounded_rational field whose every value stays above 0.2 c0."""
+    c0 = draw(st.floats(lo, hi))
+    c1, c2 = (draw(st.floats(-0.4 * c0, hi)) for _ in range(2))
+    return CoefficientField("bounded_rational", (c0, c1, c2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["call", "put"]),
+    data=st.data(),
+    r=st.floats(0.005, 0.2),
+    strike=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_level_inside_its_band_keeps_the_denominators_sign(kind, data, r, strike, seed):
+    # the shared denominator of the boundary ODE is a * level - b =
+    # (2 delta / sigma**2) (r K / delta - level), and each band stops at
+    # r K / delta on its own side, so the march's band check is its
+    # denominator guard: a level inside its band by more than 1e-9 of the
+    # edge (or K) gives the sign -o.sign and a size of at least 1e-12 K
+    from drawdown_options.coefficients import _ORIENT, roots_arrays
+    from drawdown_options.solver2d import _den_factors
+
+    spec = ModelSpec(
+        r=r, strike=strike, payoff_kind=kind,
+        delta_field=_rational(data.draw, 0.005, 0.2),
+        sigma_field=_rational(data.draw, 0.05, 0.6),
+    )
+    o = _ORIENT[kind]
+    rng = np.random.default_rng(seed)
+    s = spec.domain_s_max * rng.random(200) + 1e-6
+    y = s * rng.random(200)
+    lo, hi = o.band(spec, s, y)
+    edge = lo if o.sign > 0 else hi
+    margin = 1e-9 * np.maximum(edge, strike)
+    # from the edge inward, on every scale from the margin to the band's
+    # width; a put level that would pass 0 is drawn in the band's lower half
+    depth = margin + edge * 10.0 ** rng.uniform(-12.0, 1.0, s.size)
+    level = lo + depth if o.sign > 0 else np.maximum(hi - depth, 0.5 * hi * rng.random(s.size))
+    assert np.all((level > lo + margin) & (level < hi - margin))
+    g1, g2, *_ = roots_arrays(spec, s, y)
+    a, b = _den_factors(g1, g2, strike)
+    den = a * level - b
+    assert np.all(np.sign(den) == -o.sign)
+    assert np.all(np.abs(den) >= 1e-12 * strike)
+
+
 def test_put_self_convergence():
     spec = sloped_spec("put")
     coarse = put_boundary_2d(spec, default_put_grid(spec, 2049))

@@ -375,6 +375,11 @@ def _closures_by_loops(spec, surface):
                     )
                 y_star = _crossing_by_calls(y_grid, dcol, col_valid, j2, above)
             x_base = line(s_grid[i], y_star, band_on_s)
+            if not x_base > 0.0:
+                raise UnderdeterminedRegion(
+                    f"reflected column at s={s_grid[i]:g} closes on the diagonal, "
+                    "where its floor x = s - y is 0; refine the lattice"
+                )
             target = o.sign * (x_base - L)
             col_cl.append(
                 ColumnClosure(i, "combo", y_pos=y_star, x_base=x_base, target=target)
@@ -430,8 +435,7 @@ def _closure_bits(closures):
 
 
 def _closures_or_error(build, spec, surface):
-    # ValueError also covers a closure that rejects its anchor, such as a
-    # put column whose floor crossing lands on the diagonal (x_base = 0)
+    # ValueError also covers a closure that rejects its fields
     try:
         return [tuple(map(_closure_bits, cl)) for cl in build(spec, surface)]
     except ValueError as exc:
@@ -498,6 +502,21 @@ def test_a_reflected_row_cut_by_a_flagged_slice_raises():
     with pytest.raises(UnderdeterminedRegion, match=(
         r"^reflected row at y=0 is cut by a flagged slice; refine the "
         r"lattice or the step tolerance$"
+    )):
+        build_reflection_regions(spec, surf)
+
+
+def test_a_put_column_closing_on_the_diagonal_raises():
+    # the put column s = 1 reflects at y = 0 and 0.5, and its floor
+    # crossing, extrapolated through those two nodes, lands past the
+    # diagonal y = s and is clamped onto it, where the floor x = s - y is 0
+    spec, surf = _labelled_surface("put", [1.0, 2.0, 3.0], [0.0, 0.5, 1.0, 1.5], [
+        [0.8, 0.35, np.nan, np.nan], [1.7, 1.2, 0.75, 0.3], [2.5, 2.0, 1.5, 1.0],
+    ])
+    assert surf.labels[0].tolist() == ["reflect", "reflect", "", ""]
+    with pytest.raises(UnderdeterminedRegion, match=(
+        r"^reflected column at s=1 closes on the diagonal, where its floor "
+        r"x = s - y is 0; refine the lattice$"
     )):
         build_reflection_regions(spec, surf)
 
@@ -836,6 +855,36 @@ def test_value_line_rejects_bad_input(flat_put):
     # off the quadrant a line that is not stopped has no roots to build on
     with pytest.raises(DomainError, match="need 0 <= y < s"):
         sol.boundary(1.2, -0.1)
+
+
+@pytest.mark.parametrize("model", ["flat_put", "flat_call"])
+@pytest.mark.parametrize(
+    "s, y",
+    [(np.nan, 0.5), (2.0, np.nan), (np.inf, 0.5), (2.0, np.inf), (-np.inf, 0.5)],
+)
+def test_a_non_finite_line_raises(model, s, y, request):
+    # a NaN or infinite s or y names no line: every query raises instead of
+    # reading a NaN level or a line beyond the lattice
+    _, sol = request.getfixturevalue(model)
+    match = "need finite s and y"
+    for query in (sol.line, sol.boundary, sol.branch, sol.coefficients):
+        with pytest.raises(DomainError, match=match):
+            query(s, y)
+    with pytest.raises(DomainError, match=match):
+        sol.value(1.5, s, y)
+    # a batch raises at its first non-finite line, after the lines before it
+    with pytest.raises(DomainError, match=match):
+        sol.lines([2.0, s, 3.0], [0.5, y, 0.5])
+
+
+@pytest.mark.parametrize("model", ["flat_put", "flat_call"])
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_price_raises(model, x, request):
+    _, sol = request.getfixturevalue(model)
+    with pytest.raises(DomainError, match=r"x outside \[s - y, s\]"):
+        sol.value(x, 2.0, 0.5)
+    with pytest.raises(DomainError, match=r"x outside \[s - y, s\]"):
+        sol.lines([2.0, 3.0], [0.5, 0.5]).values(np.array([[1.8], [x]]))
 
 
 def test_coefficients_tag_matches_branch(flat_call):
@@ -1325,11 +1374,7 @@ def test_cut_remarch_raises_its_typed_error(monkeypatch):
     # a direct line's value stands on its own re-marched level: a cut lane
     # raises the error of its status instead of taking the lattice's level
     from drawdown_options import odestep, solver3d
-    from drawdown_options.errors import (
-        ConstraintBreach,
-        SingularDenominator,
-        StepError,
-    )
+    from drawdown_options.errors import ConstraintBreach, StepError
 
     spec = make_spec("put", ("s_only", (0.02, 0.01)))
     sol = PutSolution3D(spec, n_s=65, n_y=49)
@@ -1344,18 +1389,12 @@ def test_cut_remarch_raises_its_typed_error(monkeypatch):
                 sol.boundary(s, y)
     assert sol.branch(s, y) == "direct"
 
-    def ends_as(kind):
-        def march(stage, g, tau, *rest):
-            return np.full(tau.size, np.nan), [(kind, 0)], 0.0
-        return march
+    def breached(stage, g, tau, *rest):
+        return np.full(tau.size, np.nan), [("constraint", 0)], 0.0
 
-    for kind, error, what in (
-        ("singular", SingularDenominator, "denominator vanished"),
-        ("constraint", ConstraintBreach, r"left \(0, min\(L, rL/delta\)\)"),
-    ):
-        monkeypatch.setattr(solver3d, "_march_lanes", ends_as(kind))
-        with pytest.raises(error, match=what):
-            sol.line(s, y)
+    monkeypatch.setattr(solver3d, "_march_lanes", breached)
+    with pytest.raises(ConstraintBreach, match=r"left \(0, min\(L, rL/delta\)\)"):
+        sol.line(s, y)
 
 
 def test_long_direct_lines_are_remarched():
