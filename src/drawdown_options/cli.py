@@ -113,7 +113,7 @@ def _boundary_2d(cfg: RunConfig, args) -> int:
         "s,direction",
         ([_f(pos), direction] for pos, direction in switches),
     )
-    if args.shoot_offset and cfg.spec.payoff_kind == "put":
+    if args.shoot_offset:
         off = put_boundary_2d(cfg.spec, shoot_offset=args.shoot_offset)
         offs = off(s)
         _write_rows(
@@ -170,6 +170,11 @@ def _boundary_3d(cfg: RunConfig, args) -> int:
 
 
 def cmd_boundary(cfg: RunConfig, args) -> int:
+    kind = cfg.spec.payoff_kind
+    if args.shoot_offset and (args.dim, kind) != (2, "put"):
+        raise ConfigError(
+            f"--shoot-offset applies to the 2D put only, got --dim {args.dim} on a {kind}"
+        )
     if args.dim == 2:
         return _boundary_2d(cfg, args)
     return _boundary_3d(cfg, args)

@@ -37,7 +37,7 @@ import copy
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import ndtri
 
@@ -172,13 +172,7 @@ class SimResult:
     mean_stop_time: float
 
     def as_dict(self):
-        return {
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "n_paths": self.n_paths,
-            "n_horizon": self.n_horizon,
-            "mean_stop_time": self.mean_stop_time,
-        }
+        return asdict(self)
 
 
 def simulate_stopped_payoff(
@@ -592,14 +586,14 @@ def audit_solution(spec: ModelSpec, solution, dominance_shape=(50, 50, 50)) -> d
         gap = lines[rows].values(xs) - spec.payoff(xs)
         violations += np.count_nonzero(gap < -DOMINANCE_TOL * L)
         row_min[rows] = np.min(gap, axis=1)
-    worst = _first_extreme(row_min, np.less, np.inf)
+    worst = float(np.nanmin(row_min, initial=np.inf))
 
     h = SMOOTH_STEP * L
     x_in = level - o.sign * h
     fit = (br == "direct") & (s - y < level) & (level < s) & (s - y <= x_in) & (x_in <= s)
     v = lines[fit].values(np.stack([level[fit], x_in[fit]], axis=1))
     slope = (v[:, 0] - v[:, 1]) / (o.sign * h)
-    smooth_gap = _first_extreme(np.abs(slope - o.sign), np.greater, 0.0)
+    smooth_gap = float(np.nanmax(np.abs(slope - o.sign), initial=0.0))
 
     (lo, hi), stopped = o.parts(level, s, y)
     direct = br == "direct"
@@ -623,7 +617,7 @@ def audit_solution(spec: ModelSpec, solution, dominance_shape=(50, 50, 50)) -> d
         "dominance_worst_gap": worst,
         "smooth_fit_gap": smooth_gap,
         "generator_sign_violations": int(gen_viol),
-        "generator_residual_max": _first_extreme(np.abs(resid), np.greater, 0.0),
+        "generator_residual_max": float(np.nanmax(np.abs(resid), initial=0.0)),
     }
 
 
@@ -631,34 +625,13 @@ def _linspace_rows(start, stop, num):
     """np.linspace(start[k], stop[k], num) as row k, bit for bit.
 
     np.linspace on arrays takes its zero-step branch for every row as soon
-    as one row's step is zero; this takes each row's own branch.
+    as one row's step is zero; a zero step means stop == start, where both
+    branches give start, so one product serves every row.
     """
-    k = np.arange(num, dtype=float)
-    delta = (stop - start)[:, None]
-    div = num - 1
-    if div > 0:
-        step = delta / div
-        rows = np.where(step == 0, k / div * delta, k * step)
-    else:
-        rows = k * delta
-    rows += start[:, None]
+    rows = start[:, None] + np.arange(num) * ((stop - start) / max(num - 1, 1))[:, None]
     if num > 1:
         rows[:, -1] = stop
     return rows
-
-
-def _first_extreme(v, better, start):
-    """start folded with Python's min (better np.less) or max (np.greater) over v.
-
-    As the fold does, NaN entries never win and, of equal entries, the first
-    one stays; start stays unless an entry beats it.
-    """
-    v = v[~np.isnan(v)]
-    if v.size:
-        first = v[np.argmax(v == (v.min() if better is np.less else v.max()))]
-        if better(first, start):
-            return float(first)
-    return float(start)
 
 
 def verify_solution(

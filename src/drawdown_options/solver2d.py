@@ -348,14 +348,6 @@ def _bracket(delta, inv, u, small):
     return main
 
 
-def _scalar_field_s(field, s):
-    """(value, d/ds) of a maximum-only coefficient field at scalar s."""
-    p = field.params
-    if field.family == "constant":
-        return p[0], 0.0
-    return p[0] + p[1] * s / (1.0 + s), p[1] / ((1.0 + s) * (1.0 + s))
-
-
 def _scalar_bracket(delta, u):
     if abs(u) < 1e-6:
         return 0.5 * u - delta * u * u / 12.0
@@ -488,13 +480,16 @@ def _scalar_put_stage(spec: ModelSpec, s):
     test pins the curves the two give bit for bit.  log and expm1 are
     numpy's, as on the array path: the math module's differ from them in
     the last bit on some inputs, and the step controller turns such a bit
-    into a different step.  It stays for speed: the default put curve
-    takes about 28 ms on it against 81 ms on an :class:`OdeStage` from
-    ``roots_arrays`` (CPU time, 2-CPU x86-64, numpy 2.4).  The roots at s are computed here once; the
-    returned function of the level g gives (rhs, den).
+    into a different step.  It stays for speed: the default curve of an
+    s-sloped put takes about 12.5 ms on it against 40 ms on an
+    :class:`OdeStage` from ``roots_arrays`` (median CPU time, 2-CPU x86-64,
+    numpy 2.4.6).  The fields are read on floats at y = 0, which gives
+    their array values' bits (a test pins this).  The roots at s are
+    computed here once; the returned function of the level g gives
+    (rhs, den).
     """
-    delta, dd_ds = _scalar_field_s(spec.delta_field, s)
-    sigma, dsg_ds = _scalar_field_s(spec.sigma_field, s)
+    delta, dd_ds = spec.delta_field.value(s, 0.0), spec.delta_field.d_ds(s, 0.0)
+    sigma, dsg_ds = spec.sigma_field.value(s, 0.0), spec.sigma_field.d_ds(s, 0.0)
     r = spec.r
     L = spec.strike
     sig2 = sigma * sigma

@@ -138,17 +138,10 @@ class BoundarySurface:
                 if j > 0
                 else self.y_grid[min(j + 1, self.y_grid.size - 1)] - self.y_grid[j]
             )
-            k = 0
-            n = row.size
-            while k < n:
-                if not finite[k]:
-                    k += 1
-                    continue
-                k2 = k
-                while k2 + 1 < n and finite[k2 + 1]:
-                    k2 += 1
-                xs = self.s_grid[k : k2 + 1]
-                vs = row[k : k2 + 1]
+            runs = np.flatnonzero(np.diff(np.concatenate(([False], finite, [False]))))
+            for k, end in runs.reshape(-1, 2):
+                xs = self.s_grid[k:end]
+                vs = row[k:end]
                 if xs.size >= 4:
                     fit.append(
                         (
@@ -171,7 +164,6 @@ class BoundarySurface:
                     )
                 else:
                     fit.append((xs[0], xs[0], xs[0], xs[0], lambda q, v=vs[0]: v))
-                k = k2 + 1
             self._row_fits[j] = fit
         return fit
 
@@ -192,7 +184,8 @@ class BoundarySurface:
 
         Returns the levels and a mask of the queries whose row has a fit (the
         others read NaN).  Each row's queries pick the nearest run, the first
-        on a tie, and each (row, run) evaluates its fit once on its queries.
+        on a tie (``np.argmin``, as ``_row_level``'s strict ``<``), and each
+        (row, run) evaluates its fit once on its queries.
         """
         out = np.full(s.shape, np.nan)
         has = np.zeros(s.shape, dtype=bool)
@@ -202,15 +195,8 @@ class BoundarySurface:
             if not fit:
                 continue
             q = s[grp]
-            run = np.zeros(q.size, dtype=int)
-            for r, (lo, hi, *_) in enumerate(fit):
-                d = np.maximum(np.maximum(lo - q, 0.0), q - hi)
-                if r == 0:
-                    best = d
-                    continue
-                closer = d < best
-                run[closer] = r
-                best = np.where(closer, d, best)
+            lo, hi = np.array([f[:2] for f in fit]).T[:, :, None]
+            run = np.argmin(np.maximum(np.maximum(lo - q, 0.0), q - hi), axis=0)
             for r in np.unique(run):
                 _, _, elo, ehi, fn = fit[r]
                 at = run == r
@@ -941,9 +927,12 @@ class _Solution3D:
         first of its lines to fail would raise in ``line``.  The levels come
         from one array ``level_smooth`` call.  A line whose level lies
         inside it is assembled by ``line``'s own steps: its one-lane
-        re-march and its ``_pinned_pair``, on floats.  Stopped lines take
-        no roots; reflected lines take one ``roots_arrays`` call and one
-        ``coeffs_at`` call per region.
+        re-march and its ``_pinned_pair``, on floats.  So, in the same loop
+        in index order, is every line the batch cannot take (not finite,
+        off the quadrant and not stopped, or reflected with no region),
+        which raises ``line``'s error.  Stopped lines take no roots;
+        reflected lines take one ``roots_arrays`` call and one ``coeffs_at``
+        call per region.
         """
         spec, o = self.spec, self._o
         s, y = (
@@ -956,24 +945,17 @@ class _Solution3D:
         branch = np.where(level > s, o.above, np.where(level < s - y, o.below, "direct"))
         n = s.size
         g1, g2, c1, c2 = np.full(n, np.nan), np.full(n, np.nan), np.zeros(n), np.zeros(n)
-        # lines pinned at their level are assembled one at a time
-        alone = branch == "direct"
-        off = ~alone & (branch != "stop") & ((s <= 0.0) | (y < 0.0) | (y > s))
-        reflect = ~alone & ~off & (branch == "reflect")
+        reflect = branch == "reflect"
         finite = np.isfinite(s) & np.isfinite(y)
-        fail = ~finite | off | (reflect & (not self.regions))
-        first = int(np.argmax(fail)) if fail.any() else n
-        for k in np.flatnonzero(alone[:first]):
+        off = (branch != "stop") & ((s <= 0.0) | (y < 0.0) | (y > s))
+        alone = (branch == "direct") | ~finite | off | (reflect & (not self.regions))
+        for k in np.flatnonzero(alone):
             sk, yk = float(s[k]), float(y[k])
+            if not finite[k]:
+                raise DomainError(f"need finite s and y, got s={sk}, y={yk}")
             ln = self._line(sk, yk, self._level(sk, yk, float(level[k])))
             level[k], branch[k] = ln.level, ln.branch
             g1[k], g2[k], c1[k], c2[k] = ln.g1, ln.g2, ln.c1, ln.c2
-        if first < n:
-            if not finite[first]:
-                raise DomainError(f"need finite s and y, got s={s[first]}, y={y[first]}")
-            if off[first]:
-                raise DomainError(f"need 0 <= y < s, got s={s[first]}, y={y[first]}")
-            raise self._no_region()
         k = np.flatnonzero(reflect)
         if k.size:
             g1[k], g2[k], *_ = roots_arrays(spec, s[k], y[k])
@@ -990,11 +972,6 @@ class _Solution3D:
     def branch(self, s, y):
         """Which branch the x-line at (s, y) takes: stop, direct, or reflect."""
         return self.line(s, y).branch
-
-    def coefficients(self, s, y):
-        """Branch tag and two-power coefficients for the x-line at (s, y)."""
-        ln = self.line(s, y)
-        return ln.branch, ln.c1, ln.c2
 
     def value_line(self, x, s, y):
         """Value along the x-line at (s, y) for x within [s - y, s].

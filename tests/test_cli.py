@@ -39,6 +39,13 @@ sim.dt = 0.01
 sim.horizon = 24
 """
 
+# the flat call, with few paths at a coarse step so a simulation stays fast
+CALL = (
+    BASE.replace("payoff = put", "payoff = call")
+    .replace("sim.n_paths = 200", "sim.n_paths = 2000")
+    .replace("sim.dt = 0.01", "sim.dt = 0.05")
+)
+
 
 def write_config(tmp_path, text=BASE, extra=""):
     out_dir = tmp_path / "out"
@@ -133,6 +140,30 @@ def test_boundary_shoot_offset_put_only(tmp_path, capsys):
     header, rows = read_rows(out / "boundary2d_offset.csv")
     assert header == "s,value"
     assert len(rows) == 24
+
+
+@pytest.mark.parametrize(
+    "text, dim", [pytest.param(CALL, "2", id="call-2d"), pytest.param(BASE, "3", id="put-3d")]
+)
+def test_boundary_shoot_offset_outside_the_2d_put_exits_1(tmp_path, capsys, text, dim):
+    cfg, out = write_config(tmp_path, text=text)
+    argv = ["boundary", "--config", cfg, "--dim", dim, "--shoot-offset", "1e-4"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "config error: --shoot-offset applies to the 2D put only" in captured.err
+    assert captured.out == ""
+    assert not (out / "boundary2d_offset.csv").exists()
+
+
+@pytest.mark.parametrize("text, dim", [
+    pytest.param(CALL, "2", id="call-2d"),
+    pytest.param(BASE, "3", id="put-3d"),
+    pytest.param(BASE, "2", id="put-2d"),
+])
+def test_boundary_zero_shoot_offset_is_accepted(tmp_path, text, dim):
+    cfg, out = write_config(tmp_path, text=text)
+    assert main(["boundary", "--config", cfg, "--dim", dim, "--shoot-offset", "0"]) == 0
+    assert not (out / "boundary2d_offset.csv").exists()
 
 
 def test_boundary_bad_offset_is_constraint_breach(tmp_path, capsys):
@@ -392,3 +423,35 @@ def test_verify_passes_on_flat_model(tmp_path, capsys):
     assert rec["dominance_violations"] == 0
     assert rec["perturbation_violations"] == 0
     assert len(rec["perturbation_table"]) == 3
+
+
+def test_the_2d_call_boundary_value_and_simulate(tmp_path, capsys):
+    # the maximum-only call: its switch points, its value below the barrier
+    # and a simulation of its rule
+    from drawdown_options import CallSolution2D
+    from drawdown_options.cli import _f
+    from drawdown_options.config import load_config
+
+    cfg, out = write_config(tmp_path, text=CALL)
+    sol = CallSolution2D(load_config(cfg).spec)
+    assert main(["boundary", "--config", cfg, "--dim", "2"]) == 0
+    header, rows = read_rows(out / "switches.csv")
+    assert header == "s,direction"
+    assert rows == [[_f(pos), direction] for pos, direction in sol.switches]
+    assert len(rows) == 1
+    _, rows = read_rows(out / "boundary2d.csv")
+    s = np.array([float(r[0]) for r in rows])
+    assert sol.s_lo <= s[0] and s[-1] <= sol.s_hi
+    assert [r[1] for r in rows] == [_f(v) for v in sol.boundary(s)]
+
+    point = ["--x", "1.5", "--s", "2"]
+    assert main(["value", "--config", cfg, "--dim", "2", *point]) == 0
+    want = sol.value(1.5, 2.0)
+    assert read_rows(out / "value.csv")[1] == [[_f(1.5), _f(2.0), _f(0.5), _f(want)]]
+
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--dim", "2", "--seed", "3", *point]) == 0
+    rec = json.loads((out / "simulate.json").read_text())
+    assert (rec["x"], rec["s"], rec["y"], rec["n_paths"]) == (1.5, 2.0, 0.5, 2000)
+    assert abs(rec["mean"] - want) < 3.0 * rec["stderr"]
+    assert capsys.readouterr().out.startswith("mean ")

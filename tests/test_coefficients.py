@@ -81,6 +81,39 @@ def test_diagonal_restriction_merges_y_slope():
     npt.assert_allclose(d.params, (0.02, 0.015))
 
 
+_ARITY = {"constant": 1, "s_only": 2, "bounded_rational": 3}
+
+
+@st.composite
+def _fields(draw):
+    family = draw(st.sampled_from(sorted(_ARITY)))
+    c0 = draw(st.floats(1e-3, 1.0))
+    slopes = draw(st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2))
+    return CoefficientField(family, (c0, *slopes)[: _ARITY[family]])
+
+
+@given(
+    field=_fields(),
+    s=st.floats(0.0, 50.0),
+    frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_field_methods_on_floats_equal_their_array_evaluation(field, s, frac):
+    # float code (the 2D put's stage) reads the fields on floats, array code
+    # on arrays, and the two must agree bit for bit; y = 0 is the
+    # maximum-only restriction
+    y = s * frac
+    arr_s, arr_y = np.array([s, 1.0, s]), np.array([y, 0.5, y])
+    for method in (field.value, field.d_ds, field.d_dy):
+        on_floats = method(s, y)
+        on_scalars = method(np.float64(s), np.float64(y))
+        on_arrays = method(arr_s, arr_y)
+        assert type(on_floats) is float
+        assert float(on_scalars).hex() == on_floats.hex()
+        assert float(on_arrays[0]).hex() == on_floats.hex()
+        assert float(on_arrays[2]).hex() == on_floats.hex()
+
+
 def test_eval_fields_rejects_off_quadrant():
     spec = make_spec()
     with pytest.raises(DomainError):

@@ -640,6 +640,22 @@ def test_verify_rejects_a_perturbation_that_is_not_finite_and_positive(drawdown_
         verify_solution(spec, sol, StateTriple(1.0, 1.2, 0.5), cfg, perturb_factors=factors)
 
 
+def test_verify_counts_a_rescaled_barrier_that_beats_the_solved_one():
+    # the flat put's barrier raised by 1.3 before the simulator first reads
+    # it: the factor 1/1.3 gives back the optimal barrier, which earns
+    # clearly more than the raised one under the same draws
+    spec = make_spec("put")
+    sol = PutSolution3D(spec, n_s=33, n_y=25)
+    assert sol.surface._filled is None
+    sol.surface.values *= 1.3
+    cfg = SimConfig(n_paths=4000, dt=0.05, horizon=120.0, seed=7)
+    report = verify_solution(
+        spec, sol, StateTriple(1.0, 1.2, 0.5), cfg, perturb_factors=(1 / 1.3,)
+    )
+    assert report.perturbation_violations >= 1
+    assert report.passed is False
+
+
 def test_audit_residual_takes_the_line_derivatives(drawdown_put):
     # the audit hands generator_residual the line's exact power-form
     # x-derivatives; central differences of the line's value, the reference,

@@ -624,9 +624,9 @@ def test_sloped_call_corner_lines_stay_on_or_above_payoff(sloped_call):
     spec, sol = sloped_call
     for s in np.linspace(3.0, 18.0, 61):
         y = s - 2e-6
-        br, c1, c2 = sol.coefficients(s, y)
-        assert br == "direct"
-        assert c2 == 0.0
+        ln = sol.line(s, y)
+        assert ln.branch == "direct"
+        assert ln.c2 == 0.0
         xs = np.linspace(s - y, s, 201)
         assert np.all(sol.value_line(xs, s, y) >= spec.payoff(xs))
 
@@ -833,7 +833,8 @@ def test_value_line_matches_scalar_values(model, request):
         seen.add(ln.branch)
         assert sol.boundary(s_, y_) == ln.level
         assert sol.branch(s_, y_) == ln.branch
-        assert sol.coefficients(s_, y_) == (ln.branch, ln.c1, ln.c2)
+        again = sol.line(s_, y_)
+        assert (again.branch, again.c1, again.c2) == (ln.branch, ln.c1, ln.c2)
         xs = np.linspace(s_ - y_, s_, 9)
         line = sol.value_line(xs, s_, y_)
         assert np.array_equal(line, ln.values(xs))
@@ -867,7 +868,7 @@ def test_a_non_finite_line_raises(model, s, y, request):
     # reading a NaN level or a line beyond the lattice
     _, sol = request.getfixturevalue(model)
     match = "need finite s and y"
-    for query in (sol.line, sol.boundary, sol.branch, sol.coefficients):
+    for query in (sol.line, sol.boundary, sol.branch):
         with pytest.raises(DomainError, match=match):
             query(s, y)
     with pytest.raises(DomainError, match=match):
@@ -875,6 +876,45 @@ def test_a_non_finite_line_raises(model, s, y, request):
     # a batch raises at its first non-finite line, after the lines before it
     with pytest.raises(DomainError, match=match):
         sol.lines([2.0, s, 3.0], [0.5, y, 0.5])
+
+
+@pytest.mark.parametrize("y", [1.5, -0.5])
+def test_a_batch_raises_at_a_line_off_the_quadrant_as_line_does(flat_put, y):
+    # at s = 1, y = 1.5 the line's level is direct, at y = -0.5 reflected;
+    # neither is stopped, and neither has roots
+    _, sol = flat_put
+    message = f"need 0 <= y < s, got s=1.0, y={y}"
+    with pytest.raises(DomainError) as alone:
+        sol.line(1.0, y)
+    assert str(alone.value) == message
+    with pytest.raises(DomainError) as batch:
+        sol.lines([2.0, 1.0], [0.5, y])
+    assert str(batch.value) == message
+
+
+def test_a_batch_reads_a_stopped_line_off_the_quadrant(flat_put):
+    _, sol = flat_put
+    lines = sol.lines([2.0, 0.5], [0.5, 0.7])
+    assert list(lines.branch) == ["reflect", "stop"]
+    assert lines.level[1] == sol.line(0.5, 0.7).level
+
+
+def test_a_batch_re_marches_its_direct_lines_before_a_non_finite_one(
+    flat_put, monkeypatch
+):
+    # (2, 1.5) and (3, 2.5) are direct; only the one before the NaN re-marches
+    _, sol = flat_put
+    calls = []
+    march = solver3d._boundary_slice
+
+    def counted(*args):
+        calls.append(args[3])
+        return march(*args)
+
+    monkeypatch.setattr(solver3d, "_boundary_slice", counted)
+    with pytest.raises(DomainError, match="need finite s and y, got s=nan, y=0.5"):
+        sol.lines([2.0, np.nan, 3.0], [1.5, 0.5, 2.5])
+    assert calls == [1.5]
 
 
 @pytest.mark.parametrize("model", ["flat_put", "flat_call"])
@@ -889,12 +929,12 @@ def test_a_non_finite_price_raises(model, x, request):
 
 def test_coefficients_tag_matches_branch(flat_call):
     _, sol = flat_call
-    br, c1, c2 = sol.coefficients(5.0, 3.0)
-    assert br == "direct"
-    assert c1 != 0.0
-    br, c1, c2 = sol.coefficients(5.0, 1.0)
-    assert br == "stop"
-    assert (c1, c2) == (0.0, 0.0)
+    ln = sol.line(5.0, 3.0)
+    assert ln.branch == "direct"
+    assert ln.c1 != 0.0
+    ln = sol.line(5.0, 1.0)
+    assert ln.branch == "stop"
+    assert (ln.c1, ln.c2) == (0.0, 0.0)
 
 
 _S_NODES, _Y_NODES = np.linspace(0.1, 6.0, 9), np.linspace(0.0, 4.0, 7)
@@ -1228,7 +1268,7 @@ def test_direct_query_remarches_once(sloped_put, monkeypatch):
     for query in (
         lambda: sol.value(3.0, s, y),
         lambda: sol.value_line(np.array([2.5, 3.0]), s, y),
-        lambda: sol.coefficients(s, y),
+        lambda: sol.line(s, y),
         lambda: sol.boundary(s, y),
     ):
         calls.clear()
