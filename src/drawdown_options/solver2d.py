@@ -15,8 +15,8 @@ exercise.  ``detect_switch_points`` locates the crossings.
 from __future__ import annotations
 
 import math
-
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,6 +160,48 @@ def region_index_of(switches, s) -> int:
     return int(sum(1 for pos, _ in switches if s < pos))
 
 
+class _Cubic:
+    """The cubic spline through (x, v): scipy's fit, evaluated in house.
+
+    ``CubicSpline`` fits the not-a-knot spline; a call evaluates its
+    breakpoints x and coefficients c as ``PPoly.__call__`` does, bit for
+    bit.  A query q reads interval i = clip(searchsorted(x, q, "right") -
+    1, 0, n - 2), extrapolating past either end: the count of interior
+    breakpoints at or below q.  With d = q - x[i] its value is ((0 + c3) +
+    c2 d + c1 d**2) + c0 (d**2 d), the terms summed in scipy's order.
+    Arrays go through numpy.  A float goes through bisect and float
+    arithmetic on memoryviews of the same arrays: about 0.8 us, against
+    4.4 us for scipy's call (2-CPU x86-64, scipy 1.17.1), and a level
+    query makes two.
+    """
+
+    __slots__ = ("x", "_inner", "_rows", "_xv", "_inner_v", "_rows_v")
+
+    def __init__(self, x, v):
+        fit = CubicSpline(x, v)
+        self.x = fit.x
+        self._inner = self.x[1:-1]
+        self._rows = [np.ascontiguousarray(ck) for ck in fit.c]
+        self._xv, self._inner_v = memoryview(self.x), memoryview(self._inner)
+        self._rows_v = [memoryview(ck) for ck in self._rows]
+
+    def __call__(self, q):
+        if isinstance(q, float):
+            i = bisect_right(self._inner_v, q)
+            c0, c1, c2, c3 = self._rows_v
+            return _cubic_terms(c0[i], c1[i], c2[i], c3[i], q - self._xv[i])
+        q = np.asarray(q, dtype=float)
+        i = self._inner.searchsorted(q, side="right")
+        c0, c1, c2, c3 = self._rows
+        return _cubic_terms(c0[i], c1[i], c2[i], c3[i], q - self.x[i])
+
+
+def _cubic_terms(c0, c1, c2, c3, d):
+    """c0 d**3 + c1 d**2 + c2 d + c3, summed as scipy's PPoly sums it."""
+    dd = d * d
+    return ((0.0 + c3) + c2 * d + c1 * dd) + c0 * (dd * d)
+
+
 @dataclass
 class BoundaryCurve:
     """A stopping boundary sampled on an increasing s-grid."""
@@ -174,13 +216,24 @@ class BoundaryCurve:
         self.values = np.asarray(self.values, dtype=float)
         if self.grid.shape != self.values.shape or self.grid.ndim != 1:
             raise ValueError("grid and values must match and be one-dimensional")
-        self._spline = CubicSpline(self.grid, self.values)
+        self._spline = _Cubic(self.grid, self.values)
+        self._range = float(self.grid[0]), float(self.grid[-1])
 
     def __call__(self, s):
+        """The curve at s, a float or an array; a non-finite s raises DomainError."""
+        lo, hi = self._range
+        if isinstance(s, float):
+            if not math.isfinite(s):
+                raise DomainError(f"need a finite s, got s={s}")
+            if not lo - 1e-12 <= s <= hi + 1e-12:
+                raise DomainError("query outside the sampled range of the boundary curve")
+            return self._spline(lo if s < lo else hi if s > hi else s)  # as np.clip
         s = np.asarray(s, dtype=float)
-        if np.any(s < self.grid[0] - 1e-12) or np.any(s > self.grid[-1] + 1e-12):
+        if not np.isfinite(s).all():
+            raise DomainError(f"need a finite s, got s={s}")
+        if np.any(s < lo - 1e-12) or np.any(s > hi + 1e-12):
             raise DomainError("query outside the sampled range of the boundary curve")
-        return self._spline(np.clip(s, self.grid[0], self.grid[-1]))
+        return self._spline(np.clip(s, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +241,13 @@ class BoundaryCurve:
 
 
 def call_boundary_2d(spec: ModelSpec, s):
-    """Barrier level beta1 K / (beta1 - 1) for the running-max call."""
+    """Barrier level beta1 K / (beta1 - 1) for the running-max call.
+
+    s is a float or an array; a non-finite s raises DomainError.
+    """
     _require_s_only(spec, _CALL)
+    if not np.isfinite(s).all():
+        raise DomainError(f"need a finite s, got s={s}")
     g1, g2, _, _ = _beta(spec, s)
     return _critical_level(g1, g2, spec.strike, _CALL.sign)
 

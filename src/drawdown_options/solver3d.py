@@ -27,11 +27,11 @@ and the maximum-only put use.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
-from scipy.interpolate import CubicSpline
 
 from . import odestep
 from .coefficients import (
@@ -68,6 +68,7 @@ from .solver2d import (
     OdeStage,
     PutSolution2D,
     _adjacent_messages,
+    _Cubic,
     _cell_crossing,
     _cut_error,
     _march_lanes,
@@ -107,6 +108,9 @@ class BoundarySurface:
         self._filled = None
         self._lookup = None
         self._row_fits = {}
+        # level_smooth's float path: the lattice box and y nodes as floats
+        self._box = tuple(float(g[k]) for g in (self.s_grid, self.y_grid) for k in (0, -1))
+        self._y_view = memoryview(np.ascontiguousarray(self.y_grid, dtype=float))
 
     def filled_values(self):
         if self._filled is None:
@@ -142,28 +146,17 @@ class BoundarySurface:
             for k, end in runs.reshape(-1, 2):
                 xs = self.s_grid[k:end]
                 vs = row[k:end]
+                # (run start, run end, lowest and highest query read)
+                ends = (xs[0], xs[-1], xs[0], xs[-1])
                 if xs.size >= 4:
-                    fit.append(
-                        (
-                            xs[0],
-                            xs[-1],
-                            xs[0] - (xs[1] - xs[0]) - dy,
-                            xs[-1] + (xs[-1] - xs[-2]) + dy,
-                            CubicSpline(xs, vs),
-                        )
-                    )
+                    ends = (xs[0], xs[-1], xs[0] - (xs[1] - xs[0]) - dy,
+                            xs[-1] + (xs[-1] - xs[-2]) + dy)
+                    fn = _Cubic(xs, vs)
                 elif xs.size >= 2:
-                    fit.append(
-                        (
-                            xs[0],
-                            xs[-1],
-                            xs[0],
-                            xs[-1],
-                            lambda q, xs=xs, vs=vs: np.interp(q, xs, vs),
-                        )
-                    )
+                    fn = lambda q, xs=xs, vs=vs: np.interp(q, xs, vs)
                 else:
-                    fit.append((xs[0], xs[0], xs[0], xs[0], lambda q, v=vs[0]: v))
+                    fn = lambda q, v=vs[0]: v
+                fit.append((*(float(e) for e in ends), fn))
             self._row_fits[j] = fit
         return fit
 
@@ -219,12 +212,13 @@ class BoundarySurface:
         """
         if isinstance(s, _ARRAY_LIKE) or isinstance(y, _ARRAY_LIKE):
             return self._levels_smooth(s, y)
-        s = min(max(float(s), self.s_grid[0]), self.s_grid[-1])
-        y = min(max(float(y), self.y_grid[0]), self.y_grid[-1])
-        j = min(
-            max(int(np.searchsorted(self.y_grid, y) - 1), 0), self.y_grid.size - 2
-        )
-        ty = (y - self.y_grid[j]) / (self.y_grid[j + 1] - self.y_grid[j])
+        s_lo, s_hi, y_lo, y_hi = self._box
+        ys = self._y_view
+        s = min(max(float(s), s_lo), s_hi)
+        y = min(max(float(y), y_lo), y_hi)
+        # a NaN y reads the top cell, where np.searchsorted sorts NaN
+        j = min(max(bisect_left(ys, y) - 1, 0), len(ys) - 2) if y == y else len(ys) - 2
+        ty = (y - ys[j]) / (ys[j + 1] - ys[j])
         v0 = self._row_level(j, s)
         v1 = self._row_level(j + 1, s)
         if v0 is None and v1 is None:

@@ -196,3 +196,39 @@ def test_one_slice_set_up_calls_the_march():
     for path in sorted(package.glob("*.py")):
         walk(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}.<module>")
     assert users == ["solver2d.put_boundary_2d", "solver3d._march_slices"]
+
+
+def test_only_the_cubic_evaluator_fits_a_spline():
+    # scipy fits every cubic spline, in solver2d._Cubic's constructor, and
+    # the package evaluates it; any other reference to CubicSpline, or a
+    # scipy.interpolate import outside solver2d, is a query path drifting
+    # back to scipy's call and its fixed cost on every float
+    package = pathlib.Path(drawdown_options.__file__).parent
+    users, importers = [], []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            named = (
+                isinstance(child, ast.Name) and child.id == "CubicSpline"
+                or isinstance(child, ast.Attribute) and child.attr == "CubicSpline"
+            )
+            if named:
+                users.append(where)
+            imports = (
+                isinstance(child, ast.ImportFrom) and (
+                    (child.module or "").startswith("scipy.interpolate")
+                    or child.module == "scipy"
+                    and any(a.name == "interpolate" for a in child.names)
+                )
+                or isinstance(child, ast.Import)
+                and any(a.name.startswith("scipy.interpolate") for a in child.names)
+            )
+            if imports:
+                importers.append(where.split(".")[0])
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, f"{where}.{child.name}" if inner else where)
+
+    for path in sorted(package.glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert users == ["solver2d._Cubic.__init__"]
+    assert importers == ["solver2d"]

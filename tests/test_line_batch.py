@@ -213,6 +213,19 @@ def test_level_smooth_arrays_equal_floats_over_holed_rows(case):
         assert float(got[k]).hex() == float(want).hex()
 
 
+def test_level_smooth_reads_a_nan_y_in_the_top_cell_on_floats_too():
+    # np.searchsorted sorts NaN last, so the array path reads the top cell;
+    # with the top row empty that cell gives the row below it
+    s_grid = np.linspace(1.0, 3.0, 6)
+    y_grid = np.linspace(0.0, 0.9, 4)
+    v = np.linspace(0.5, 2.0, 24).reshape(6, 4)
+    v[:, -1] = np.nan
+    surf = BoundarySurface(s_grid, y_grid, v, "put")
+    want = surf.level_smooth(np.array([2.0]), np.array([np.nan]))[0]
+    assert np.isfinite(want)
+    assert float(surf.level_smooth(2.0, np.nan)).hex() == float(want).hex()
+
+
 def _audit_by_line(spec, sol, shape):
     """The audit's checks taken one probed line at a time, the reference."""
     o = _ORIENT[spec.payoff_kind]

@@ -638,3 +638,70 @@ def test_row_pair_off_the_quadrant_rejected_before_columns():
     region = _corner_region([1.0, 1.2], [0.5, 1.5])
     with pytest.raises(DomainError):
         solve_reflection_region(flat_call_spec(), region)
+
+
+def test_coefficient_lattices_are_padded_on_the_first_query(monkeypatch):
+    # a solve that no one queries pads no lattice; the first coeffs_at pads
+    # both, once, and reads what lookups built at the solve would, bit for bit
+    fills = []
+    fill = reflection_pde._fill_inactive
+
+    def counted(a, active):
+        fills.append(a)
+        return fill(a, active)
+
+    monkeypatch.setattr(reflection_pde, "_fill_inactive", counted)
+    (grid,) = PutSolution3D(_drawdown_put_spec(), n_s=49, n_y=33).regions
+    assert fills == []
+    rng = np.random.default_rng(3)
+    s = rng.uniform(grid.s_grid[0] - 0.5, grid.s_grid[-1] + 0.5, 200)
+    y = rng.uniform(-0.5, grid.y_grid[-1] + 0.5, 200)
+    got = grid.coeffs_at(s, y)
+    assert len(fills) == 2
+    eager = [reflection_pde._bilinear(grid.s_grid, grid.y_grid, fill(c, grid.active))
+             for c in (grid.C1, grid.C2)]
+    for g, lookup in zip(got, eager):
+        assert g.tobytes() == lookup(s, y).tobytes()
+    grid.coeffs_at(1.0, 0.2)
+    assert len(fills) == 2
+
+
+def _ascending(draw, n, lo):
+    steps = draw(st.lists(st.floats(1e-3, 2.0), min_size=n - 1, max_size=n - 1))
+    return np.cumsum([draw(st.floats(-2.0, 2.0)) if lo is None else lo] + steps)
+
+
+def _probes(draw, grid):
+    # nodes (the first and last among them), points inside, points past
+    # both ends, and a signed zero
+    span = grid[-1] - grid[0]
+    inside = draw(st.lists(st.floats(grid[0], grid[-1]), max_size=8))
+    past = draw(st.lists(st.floats(grid[0] - span, grid[-1] + span), max_size=6))
+    return np.concatenate([grid, inside, past, [grid[0] - 1.0, grid[-1] + 1.0, -0.0]])
+
+
+@given(
+    n_s=st.integers(2, 7), n_y=st.integers(2, 7), zero_y=st.booleans(),
+    order=st.sampled_from("CF"), data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_bilinear_lookup_on_floats_equals_the_array_lookup(n_s, n_y, zero_y, order, data):
+    # the float path: same clamp off the box, same cell on a node and on
+    # the last node, same blend, on 2-node grids too; an infinite node
+    # tells the two cells that meet at a node apart
+    draw = data.draw
+    s_grid = _ascending(draw, n_s, None)
+    y_grid = _ascending(draw, n_y, 0.0 if zero_y else None)
+    node = st.floats(-1e3, 1e3) | st.sampled_from([np.inf, -np.inf])
+    field = np.asarray(
+        draw(st.lists(node, min_size=n_s * n_y, max_size=n_s * n_y)), dtype=float,
+    ).reshape(n_s, n_y, order=order)
+    lookup = reflection_pde._bilinear(s_grid, y_grid, field)
+    ss, ys = _probes(draw, s_grid), _probes(draw, y_grid)
+    s, y = (a.ravel() for a in np.meshgrid(ss, ys))
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        want = lookup(s, y)
+    for k, (sk, yk) in enumerate(zip(s.tolist(), y.tolist())):
+        got = lookup(sk, yk)
+        assert type(got) is float
+        assert got.hex() == float(want[k]).hex()

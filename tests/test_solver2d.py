@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from drawdown_options import (
@@ -20,7 +21,7 @@ from drawdown_options import (
     detect_switch_points,
     put_boundary_2d,
 )
-from drawdown_options.solver2d import default_put_grid, put_asymptote
+from drawdown_options.solver2d import _Cubic, default_put_grid, put_asymptote
 
 REFERENCE_CALL_VALUE = 1.0886621079036347  # x=2, s=2.5 in the flat model
 
@@ -548,3 +549,38 @@ def test_put_curve_matches_recorded_bits():
     assert float(curve.values[100]).hex() == "0x1.473e3ae2658fcp-1"
     assert float(curve.max_step_error).hex() == "0x1.ac51372b68964p-44"
     assert len(curve.switches) == 1
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf, [1.0, np.nan], np.array([np.inf, 2.0])])
+@pytest.mark.parametrize("solution", [PutSolution2D, CallSolution2D])
+def test_a_2d_boundary_at_a_non_finite_s_raises(solution, s):
+    # a NaN s once read a NaN level, alone or as one entry of an array
+    sol = solution(flat_spec("put" if solution is PutSolution2D else "call"))
+    with pytest.raises(DomainError, match="need a finite s"):
+        sol.boundary(s)
+
+
+@given(
+    steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=12),
+    x0=st.floats(-2.0, 2.0),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_cubic_evaluates_scipys_fit_bit_for_bit(steps, x0, data):
+    # the in-house evaluation equals CubicSpline's call on floats and on
+    # arrays: on every node (q = x[0] and x[-1] among them), inside, and
+    # extrapolated past both ends
+    x = np.cumsum([x0] + steps)
+    v = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=x.size, max_size=x.size)))
+    span = x[-1] - x[0]
+    inside = data.draw(st.lists(st.floats(x[0], x[-1]), max_size=10))
+    past = data.draw(st.lists(st.floats(x[0] - span, x[-1] + span), max_size=10))
+    q = np.concatenate([x, inside, past, [x[0] - 1.0, x[-1] + 1.0]])
+    want = CubicSpline(x, v)(q)
+    fit = _Cubic(x, v)
+    assert fit(q).tobytes() == want.tobytes()
+    assert fit(q.reshape(-1, 1)).tobytes() == want.tobytes()
+    for k, qk in enumerate(q.tolist()):
+        got = fit(qk)
+        assert type(got) is float
+        assert got.hex() == float(want[k]).hex()
