@@ -44,6 +44,16 @@ DEFAULT_N_STEPS = 4096
 EDGE_FRACTION = 1e-6
 
 
+def _non_finite_s(s) -> DomainError:
+    """The error for an s with a NaN or infinite entry, naming the first one."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim == 0:
+        return DomainError(f"need a finite s, got s={s}")
+    k = np.argwhere(~np.isfinite(s))[0]
+    at = ", ".join(str(int(i)) for i in k)
+    return DomainError(f"need a finite s, got s[{at}]={s[tuple(k)]}")
+
+
 def _require_s_only(spec: ModelSpec, o) -> None:
     """Raise DomainError unless spec is an o-side model on the running maximum alone."""
     o.require(spec)
@@ -222,15 +232,9 @@ class BoundaryCurve:
     def __call__(self, s):
         """The curve at s, a float or an array; a non-finite s raises DomainError."""
         lo, hi = self._range
-        if isinstance(s, float):
-            if not math.isfinite(s):
-                raise DomainError(f"need a finite s, got s={s}")
-            if not lo - 1e-12 <= s <= hi + 1e-12:
-                raise DomainError("query outside the sampled range of the boundary curve")
-            return self._spline(lo if s < lo else hi if s > hi else s)  # as np.clip
         s = np.asarray(s, dtype=float)
         if not np.isfinite(s).all():
-            raise DomainError(f"need a finite s, got s={s}")
+            raise _non_finite_s(s)
         if np.any(s < lo - 1e-12) or np.any(s > hi + 1e-12):
             raise DomainError("query outside the sampled range of the boundary curve")
         return self._spline(np.clip(s, lo, hi))
@@ -247,7 +251,7 @@ def call_boundary_2d(spec: ModelSpec, s):
     """
     _require_s_only(spec, _CALL)
     if not np.isfinite(s).all():
-        raise DomainError(f"need a finite s, got s={s}")
+        raise _non_finite_s(s)
     g1, g2, _, _ = _beta(spec, s)
     return _critical_level(g1, g2, spec.strike, _CALL.sign)
 

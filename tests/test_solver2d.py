@@ -560,6 +560,17 @@ def test_a_2d_boundary_at_a_non_finite_s_raises(solution, s):
         sol.boundary(s)
 
 
+@pytest.mark.parametrize("solution", [PutSolution2D, CallSolution2D])
+def test_a_non_finite_s_is_named_by_its_index_in_a_long_array(solution):
+    # numpy prints an array of over 1,000 entries with '...', which could
+    # hide the entry at fault; the message names the first one itself
+    sol = solution(flat_spec("put" if solution is PutSolution2D else "call"))
+    s = np.full(4097, 1.0)
+    s[3000], s[4000] = np.inf, np.nan
+    with pytest.raises(DomainError, match=r"got s\[3000\]=inf$"):
+        sol.boundary(s)
+
+
 @given(
     steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=12),
     x0=st.floats(-2.0, 2.0),
