@@ -146,9 +146,11 @@ class ModelSpec:
             )
 
     def payoff(self, x):
+        """The payoff at x, elementwise; a float gives a float."""
+        hi = max if isinstance(x, float) else np.maximum
         if self.payoff_kind == "call":
-            return np.maximum(x - self.strike, 0.0)
-        return np.maximum(self.strike - x, 0.0)
+            return hi(x - self.strike, 0.0)
+        return hi(self.strike - x, 0.0)
 
     def diagonal_spec(self) -> "ModelSpec":
         """Companion model whose fields depend on the running maximum only.
@@ -225,26 +227,38 @@ def check_quadrant(s, y) -> None:
     """Raise DomainError unless every (s, y) pair has s > 0 and 0 <= y <= s.
 
     NaN entries pass: lanes past a constraint breach carry them on purpose.
+    Two floats (numpy scalars included) are compared as floats.
     """
-    s_arr, y_arr = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
-    if np.any((s_arr <= 0) | (y_arr < 0) | (y_arr > s_arr)):
+    if isinstance(s, float) and isinstance(y, float):
+        bad = s <= 0 or y < 0 or y > s
+    else:
+        s_arr, y_arr = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
+        bad = np.any((s_arr <= 0) | (y_arr < 0) | (y_arr > s_arr))
+    if bad:
         raise DomainError("eval_fields requires s > 0 and 0 <= y <= s")
 
 
 def _root_pair(r, delta, sigma):
     """(gamma1, gamma2, m, R, sigma^3): the roots and the pieces their slopes reuse.
 
-    With r > 0 the roots have opposite signs, so gamma1 is the larger one;
-    written with ufuncs alone, scalar inputs stay numpy scalars.
+    With r > 0 the roots have opposite signs, so gamma1 is the larger one.
+    Arrays go through ufuncs, floats (numpy scalars too) through math and
+    one comparison, with the same bits: both round sqrt correctly, and the
+    roots are never equal (both are NaN or neither).
     """
+    one = isinstance(delta, float) and isinstance(sigma, float)
     sig2 = sigma * sigma
     m = 0.5 - (r - delta) / sig2
-    root = np.sqrt(m * m + 2.0 * r / sig2)
+    root = (math.sqrt if one else np.sqrt)(m * m + 2.0 * r / sig2)
     prod = -2.0 * r / sig2
     # m -+ R for m >= 0 and m < 0 (m is never -0.0)
-    big = m + np.copysign(root, m)
+    big = m + (math.copysign if one else np.copysign)(root, m)
     other = prod / big
-    return np.maximum(big, other), np.minimum(big, other), m, root, sig2 * sigma
+    if one:
+        g1, g2 = (big, other) if big > other else (other, big)
+    else:
+        g1, g2 = np.maximum(big, other), np.minimum(big, other)
+    return g1, g2, m, root, sig2 * sigma
 
 
 def _root_slopes(r, delta, sigma, pair, d_delta, d_sigma):
@@ -466,8 +480,11 @@ _ORIENT = {o.kind: o for o in (_CALL, _PUT)}
 
 
 def roots(spec: ModelSpec, s: float, y: float) -> RootPair:
-    """Characteristic root pair with derivatives at a single (s, y)."""
-    g1, g2, d1s, d2s, d1y, d2y = roots_arrays(spec, float(s), float(y))
+    """Characteristic root pair with derivatives at one finite (s, y), else DomainError."""
+    s, y = float(s), float(y)
+    if not (math.isfinite(s) and math.isfinite(y)):
+        raise DomainError(f"need finite s and y, got s={s}, y={y}")
+    g1, g2, d1s, d2s, d1y, d2y = roots_arrays(spec, s, y)
     return RootPair(float(g1), float(g2), float(d1s), float(d2s), float(d1y), float(d2y))
 
 

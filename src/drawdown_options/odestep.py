@@ -1,12 +1,13 @@
 """Dormand–Prince 5(4) steps and the step-size rule of the one lane march.
 
 Works elementwise on scalars or numpy arrays.  Every boundary ODE is
-integrated by ``solver2d._march_lanes``: one or many lanes, each in its own
-lane time tau in [0, 1], sharing every step.  Two functions set it up:
-``solver2d.put_boundary_2d`` for the 2D put curve, one lane on floats, and
-``solver3d._march_slices`` for the 3D slices, whose surface runs its
-slices as lanes and whose public slice or direct line's re-march is one
-lane on floats.
+integrated by ``solver2d._march_lanes`` on ``solver2d.OdeStage``: one or
+many lanes, each in its own lane time tau in [0, 1], sharing every step.
+Two functions set it up: ``solver2d.put_boundary_2d`` for the 2D put
+curve, and ``solver3d._march_slices`` for the 3D slices, whose surface
+runs its slices as lanes.  The 2D curve, a public slice and a direct
+line's re-march are one lane each, which steps and evaluates its stage on
+Python floats, with the bits an array lane would give.
 
 :func:`checked_step` is one step of the embedded pair of Dormand & Prince
 (1980): it propagates the fifth-order state and reports the difference to
@@ -151,7 +152,10 @@ def checked_step(stage, t, x, h, scale_floor=1e-300):
         x_new = x + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
         k7 = f_end(x_new)
         err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        rel = np.abs(err) / np.maximum(np.abs(x_new), scale_floor)
+        if isinstance(x_new, float):
+            rel = abs(err) / max(abs(x_new), scale_floor)
+        else:
+            rel = np.abs(err) / np.maximum(np.abs(x_new), scale_floor)
     return x_new, rel, (k1, k3, k4, k5, k6, k7)
 
 

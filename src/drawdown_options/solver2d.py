@@ -30,6 +30,7 @@ from .coefficients import (
     ModelSpec,
     _critical_level,
     _pinned_pair,
+    _roots_along,
     roots_arrays,
 )
 from .errors import (
@@ -365,6 +366,12 @@ class OdeStage:
     factors of the denominator and numerators, the reciprocals inside the
     brackets), so a stepper that revisits the abscissa only pays for the
     level-dependent part.  Callers silence floating-point warnings.
+
+    A float level (a numpy scalar too) on a stage built on floats takes the
+    array path's terms in float arithmetic, with the same bits; log and
+    expm1 stay numpy's, as the math module's can differ in the last bit.
+    A float zero divides as numpy's does, so a level of 0 or -0 gives NaN
+    there too, and a rejected try is retried instead of raising.
     """
 
     __slots__ = ("a", "b", "c1", "c2", "e1", "e2", "d12", "d21",
@@ -381,13 +388,19 @@ class OdeStage:
 
     def __call__(self, level):
         den = self.a * level - self.b
-        u = np.log(self.ref / level)
         n1 = (self.c2 * level - self.e2) * level
         n2 = (self.c1 * level - self.e1) * level
-        small = np.abs(u) < 1e-6
-        small = small if small.any() else None
-        b1 = _bracket(self.d21, self.inv21, u, small)
-        b2 = _bracket(self.d12, self.inv12, u, small)
+        if isinstance(level, float):
+            u = float(np.log(self.ref / (level or np.float64(level))))
+            den = den or np.float64(den)
+            b1 = _scalar_bracket(self.d21, self.inv21, u)
+            b2 = _scalar_bracket(self.d12, self.inv12, u)
+        else:
+            u = np.log(self.ref / level)
+            small = np.abs(u) < 1e-6
+            small = small if small.any() else None
+            b1 = _bracket(self.d21, self.inv21, u, small)
+            b2 = _bracket(self.d12, self.inv12, u, small)
         return (n1 / den) * b1 * self.dg1 + (n2 / den) * b2 * self.dg2
 
 
@@ -410,25 +423,27 @@ def _bracket(delta, inv, u, small):
     return main
 
 
-def _scalar_bracket(delta, u):
-    if abs(u) < 1e-6:
-        return 0.5 * u - delta * u * u / 12.0
+def _scalar_bracket(delta, inv, u):
+    """:func:`_bracket` on one float lane, its terms in the same order."""
     w = delta * u
+    if abs(u) < 1e-6:
+        return 0.5 * u - w * u / 12.0
     if w > 700.0:
         w = 700.0
     elif w < -700.0:
         w = -700.0
-    return 1.0 / delta + u / (-float(np.expm1(w)))
+    return inv - u / float(np.expm1(w))
 
 
 def _march_lanes(stage, g, tau, lane, band, tol, scale):
     """The one march: lanes advanced together through lane time [0, 1].
 
-    Every boundary ODE runs on it: a surface's slices as lanes, and the 2D
-    put curve, a public slice or a direct line's re-march as one lane.
-    stage(t) freezes the lanes' slopes in lane time at t as a function of
-    their levels; g holds the seeds, a float for a single lane, which keeps
-    its state and stage on floats.  tau and lane list every (lane, node)
+    Every boundary ODE runs on it, through :class:`OdeStage`: a surface's
+    slices as lanes, and the 2D put curve, a public slice or a direct
+    line's re-march as one lane.  stage(t) freezes the lanes' slopes in
+    lane time at t as a function of their levels; g holds the seeds, a
+    float for a single lane, which keeps its state, steps and stage on
+    floats (OdeStage's float path).  tau and lane list every (lane, node)
     pair the march reaches, in ascending tau; band = (lo, hi) gives the
     open interval each node's level must lie in (each an array over the
     nodes, or one value for all).  A node at tau = 0 takes its lane's seed.
@@ -501,7 +516,7 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
             if not size.stands(try_len, top):
                 continue
             if not top <= size.tol:
-                failed = held & ~(rel <= size.tol)
+                failed = held & np.logical_not(rel <= size.tol)
                 # cut at the first node the step would have filled
                 later = np.flatnonzero(failed[lane[p:]]) + p
                 cut_lanes, k = np.unique(lane[later], return_index=True)
@@ -511,7 +526,7 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
                 top = 0.0 if one else float(np.max(rel, where=held, initial=0.0))
             worst = max(worst, top)
             size.after(try_len, landed, top)
-            q = int(np.searchsorted(tau, t_next, side="right"))
+            q = int(tau.searchsorted(t_next, side="right"))
             if q > p:
                 fill(p, q, lambda ln, nodes: dense_output(
                     at(g, ln), at(g_new, ln), h, [at(k, ln) for k in slopes],
@@ -532,59 +547,6 @@ def _cut_error(o, kind, what, where):
     """The typed error for a cut lane of orientation o's boundary, by its status."""
     error, how = _CUT_ERRORS[kind]
     return error(f"{what} {how.format(band=o.band_text)} at {where}")
-
-
-def _scalar_put_stage(spec: ModelSpec, s):
-    """Scalar twin of the put's OdeStage at y = 0, in float arithmetic.
-
-    The 2D put curve's stage: its one lane runs on floats, where ndarray
-    dispatch is overhead; formulas are identical to the array path, and a
-    test pins the curves the two give bit for bit.  log and expm1 are
-    numpy's, as on the array path: the math module's differ from them in
-    the last bit on some inputs, and the step controller turns such a bit
-    into a different step.  It stays for speed: the default curve of an
-    s-sloped put takes about 12.5 ms on it against 40 ms on an
-    :class:`OdeStage` from ``roots_arrays`` (median CPU time, 2-CPU x86-64,
-    numpy 2.4.6).  The fields are read on floats at y = 0, which gives
-    their array values' bits (a test pins this).  The roots at s are
-    computed here once; the returned function of the level g gives
-    (rhs, den).
-    """
-    delta, dd_ds = spec.delta_field.value(s, 0.0), spec.delta_field.d_ds(s, 0.0)
-    sigma, dsg_ds = spec.sigma_field.value(s, 0.0), spec.sigma_field.d_ds(s, 0.0)
-    r = spec.r
-    L = spec.strike
-    sig2 = sigma * sigma
-    m = 0.5 - (r - delta) / sig2
-    root = math.sqrt(m * m + 2.0 * r / sig2)
-    prod = -2.0 * r / sig2
-    big = m + root if m >= 0 else m - root
-    other = prod / big
-    g1, g2 = (big, other) if m >= 0 else (other, big)
-    sig3 = sig2 * sigma
-    phi = (sigma * dd_ds + 2.0 * (r - delta) * dsg_ds) / sig3
-    ts = (m * phi - 2.0 * r * dsg_ds / sig3) / root
-    dg1, dg2 = phi + ts, phi - ts
-    a = (g1 - 1.0) * (g2 - 1.0)
-    b = g1 * g2 * L
-    c1, c2 = g1 - 1.0, g2 - 1.0
-    e1, e2 = g1 * L, g2 * L
-    d21, d12 = g2 - g1, g1 - g2
-    s64 = np.float64(s)
-
-    def terms(g):
-        den = a * g - b
-        # where a rejected try drives the level to 0 or below this gives
-        # inf or NaN, as the array stage does, and the try is retried
-        u = float(np.log(s64 / g))
-        n1 = (c2 * g - e2) * g
-        n2 = (c1 * g - e1) * g
-        rhs = (n1 / den) * _scalar_bracket(d21, u) * dg1 + (
-            n2 / den
-        ) * _scalar_bracket(d12, u) * dg2
-        return rhs, den
-
-    return terms
 
 
 def default_put_grid(spec: ModelSpec, n=DEFAULT_N_STEPS + 1):
@@ -613,8 +575,9 @@ def put_boundary_2d(
     s_grid may be given in either orientation; integration always proceeds
     from the largest point, seeded with the asymptote there, minus any
     shoot_offset, which must be finite.  The curve is the put lane at
-    y = 0: one lane of :func:`_march_lanes` on :func:`_scalar_put_stage`,
-    running down in log s at ``STEP_REL_TOL * DENSE_TOL_SHARE``.  The controller picks the
+    y = 0: one lane of :func:`_march_lanes` on the put's :class:`OdeStage`
+    at y = 0, whose roots and stage run on floats, down in log s (through
+    ``math.exp``) at ``STEP_REL_TOL * DENSE_TOL_SHARE``.  The controller picks the
     steps (about 210 on the default 4097-node grid); every node is read
     from the continuous extension of the step that passes it.  The curve
     must stay strictly inside (0, min(L, rL/delta)) at every node, which
@@ -647,8 +610,8 @@ def put_boundary_2d(
 
     def stage(t):
         s = math.exp(u0 + t * du)
-        terms, rate = _scalar_put_stage(spec, s), du * s
-        return lambda g: rate * terms(g)[0]
+        ode, rate = OdeStage(*_roots_along(spec, s, 0.0, "s"), s, L), du * s
+        return lambda g: rate * ode(g)
 
     vals, ((kind, c),), worst = _march_lanes(
         stage, g0, (u - u0) / du, np.zeros(s_desc.size, dtype=int),

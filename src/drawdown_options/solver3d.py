@@ -26,6 +26,7 @@ and the maximum-only put use.
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -260,14 +261,15 @@ def _lane_u(o, t):
 def _lane_stage(o, spec, fixed, u0, du):
     """Slice slopes in lane time tau, with u = u0 + tau du the lane coordinate.
 
-    fixed, u0 and du are per lane, arrays or floats alike.
+    fixed, u0 and du are per lane, arrays or floats alike; a lone lane
+    stays on Python floats, whose arithmetic is numpy's to the bit.
     """
     log_lane = o.fixed == "y"
 
     def stage(tau):
         u = u0 + tau * du
         if log_lane:
-            t = np.exp(u)
+            t = float(np.exp(u)) if isinstance(u, float) else np.exp(u)
             rate = du * t
         else:
             t, rate = u, du
@@ -308,8 +310,8 @@ def _march_slices(o, spec, curve, fixed, lane, nodes):
         if not held[0]:
             return levels, status
         lanes, pick, seed = [0], slice(None), float(seed)
-        u0 = _lane_u(o, start)
-        du = u[-1] - u0
+        u0 = float(_lane_u(o, start))
+        du = float(u[-1]) - u0
         tau = (u - u0) / du
         # a query's re-march has one node, whose band is checked on floats
         at = o.swap(fixed, nodes if nodes.size > 1 else nodes[0])
@@ -727,7 +729,20 @@ class Line:
         return cont
 
     def value(self, x):
-        return float(self.values(np.asarray([x], dtype=float))[0])
+        """``values([x])[0]`` as a float, bit for bit: floats but for one numpy power call."""
+        s, y, x = self.s, self.y, float(x)
+        slack = 1e-9 * self.spec.strike
+        if not (0.0 <= y < s):
+            raise DomainError(f"need 0 <= y < s, got s={s}, y={y}")
+        if not (s - y - slack <= x <= s + slack):
+            raise DomainError("x outside [s - y, s]")
+        x = min(max(x, s - y), s)
+        if self.branch == "stop" or (
+            self.branch == "direct" and self.orient.stop_side(x, self.level)
+        ):
+            return self.spec.payoff(x)
+        p1, p2 = np.power((x, x), (self.g1, self.g2)).tolist()
+        return self.c1 * p1 + self.c2 * p2
 
     def dvalue_dx(self, x):
         """First x-derivative of the two-power form C1 x**g1 + C2 x**g2."""
@@ -909,7 +924,7 @@ class _Solution3D:
         or y.
         """
         s, y = float(s), float(y)
-        if not (np.isfinite(s) and np.isfinite(y)):
+        if not (math.isfinite(s) and math.isfinite(y)):
             raise DomainError(f"need finite s and y, got s={s}, y={y}")
         return self._line(s, y, self._level(s, y, float(self.surface.level_smooth(s, y))))
 

@@ -34,7 +34,7 @@ from drawdown_options import (
     verify_solution,
 )
 from drawdown_options.coefficients import _CALL, _PUT
-from drawdown_options.solver2d import _scalar_put_stage, put_asymptote, put_boundary_2d
+from drawdown_options.solver2d import put_asymptote, put_boundary_2d
 from drawdown_options.solver3d import _stage
 
 RESULTS = {}
@@ -123,7 +123,7 @@ def test_criterion_3_degeneracy_ladder():
     # the stages the curve and slice marches evaluate
     rhs_max = 0.0
     for s, g in ((0.8, 0.6), (3.0, 0.65), (12.0, 0.66)):
-        rhs_max = max(rhs_max, abs(float(_scalar_put_stage(flat_put, s)(g)[0])))
+        rhs_max = max(rhs_max, abs(float(_stage(_PUT, flat_put, s, 0.0)(g))))
         rhs_max = max(rhs_max, abs(float(_stage(_CALL, flat_call, s, 0.3 * s)(3.0))))
         rhs_max = max(rhs_max, abs(float(_stage(_PUT, flat_put, s, 0.3 * s)(g))))
     curve = put_boundary_2d(flat_put)

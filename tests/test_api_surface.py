@@ -232,3 +232,33 @@ def test_only_the_cubic_evaluator_fits_a_spline():
         walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
     assert users == ["solver2d._Cubic.__init__"]
     assert importers == ["solver2d"]
+
+
+def test_one_bracket_caller_and_one_root_quadratic():
+    # the boundary ODE's two brackets are read by OdeStage.__call__ alone,
+    # on arrays or on one float lane, and the root quadratic's square root
+    # of m * m + 2.0 * r / sig2 is written once, in coefficients._root_pair;
+    # a stage or a root formula written a second time (a scalar twin) shows
+    # up as another reference
+    package = pathlib.Path(drawdown_options.__file__).parent
+    quadratic = ast.dump(ast.parse("m * m + 2.0 * r / sig2", mode="eval").body)
+    brackets, roots = [], []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            named = (
+                isinstance(child, ast.Name) and child.id in ("_bracket", "_scalar_bracket")
+                or isinstance(child, ast.Attribute)
+                and child.attr in ("_bracket", "_scalar_bracket")
+            )
+            if named:
+                brackets.append(where)
+            if ast.dump(child) == quadratic:
+                roots.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, f"{where}.{child.name}" if inner else where)
+
+    for path in sorted(package.glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    assert set(brackets) == {"solver2d.OdeStage.__call__"}
+    assert roots == ["coefficients._root_pair"]

@@ -381,8 +381,6 @@ def test_put_curve_nodes_follow_the_flow():
     # curve itself at a tighter target is no reference)
     from scipy.integrate import solve_ivp
 
-    from drawdown_options.solver2d import _scalar_put_stage
-
     spec = sloped_spec("put")
     grid = default_put_grid(spec)
     curve = put_boundary_2d(spec)
@@ -390,7 +388,7 @@ def test_put_curve_nodes_follow_the_flow():
 
     def slope(t, g):
         s = float(np.exp(t))
-        return [s * _scalar_put_stage(spec, s)(float(g[0]))[0]]
+        return [s * _put_stage(spec, s)(float(g[0]))]
 
     g0 = float(put_asymptote(spec, grid[0]))
     ref = solve_ivp(
@@ -452,18 +450,26 @@ def test_default_put_grid_shape():
 
 
 # ---------------------------------------------------------------------------
-# the scalar stage pinned to the array stage, and to recorded bits
+# the put's stage on floats pinned to its array path, and to recorded bits
+
+
+def _put_stage(spec, s):
+    """The 2D put curve's stage at s: OdeStage on the roots at (s, 0), on floats."""
+    from drawdown_options.coefficients import _roots_along
+    from drawdown_options.solver2d import OdeStage
+
+    return OdeStage(*_roots_along(spec, s, 0.0, "s"), s, spec.strike)
 
 
 def _array_put_stage(spec):
-    """The put ODE through OdeStage and roots_arrays at y = 0."""
+    """The put ODE through OdeStage and roots_arrays at y = 0, on one-element arrays."""
     from drawdown_options.coefficients import roots_arrays
     from drawdown_options.solver2d import OdeStage
 
     def stage(s):
-        g1, g2, dg1, dg2, _, _ = roots_arrays(spec, s, 0.0)
-        ode = OdeStage(g1, g2, dg1, dg2, s, spec.strike)
-        return lambda g: (ode(g), ode.a * g - ode.b)
+        g1, g2, dg1, dg2, _, _ = roots_arrays(spec, np.array([s]), np.array([0.0]))
+        ode = OdeStage(g1, g2, dg1, dg2, np.array([s]), spec.strike)
+        return lambda g: (ode(np.array([g]))[0], (ode.a * g - ode.b)[0])
 
     return stage
 
@@ -473,7 +479,8 @@ def _array_put_stage(spec):
     [("flat", 0.0), ("sloped", 0.0), ("sloped", 1e-4)],
 )
 def test_scalar_put_stage_matches_array_stage_bit_for_bit(kind, offset, monkeypatch):
-    # the one march driven with each stage gives the same curve, bit for bit
+    # the one march driven with the stage on floats and with its array path
+    # gives the same curve, bit for bit
     from drawdown_options import solver2d
 
     spec = flat_spec("put") if kind == "flat" else sloped_spec("put")
@@ -481,11 +488,12 @@ def test_scalar_put_stage_matches_array_stage_bit_for_bit(kind, offset, monkeypa
     array_stage = _array_put_stage(spec)
     built = []
 
-    def stage(spec, s):
+    def stage(g1, g2, dg1, dg2, s, strike):
         built.append(s)
-        return array_stage(s)
+        ode = array_stage(s)
+        return lambda g: ode(g)[0]
 
-    monkeypatch.setattr(solver2d, "_scalar_put_stage", stage)
+    monkeypatch.setattr(solver2d, "OdeStage", stage)
     ref = put_boundary_2d(spec, shoot_offset=offset)
     assert built
     assert np.array_equal(curve.values, ref.values)
@@ -493,23 +501,22 @@ def test_scalar_put_stage_matches_array_stage_bit_for_bit(kind, offset, monkeypa
 
 
 def test_scalar_put_stage_gives_nan_below_zero_like_the_array_stage():
-    # a rejected try can drive the level to 0 or below; the scalar stage
-    # then gives NaN, as the array stage does, so the try is retried
+    # a rejected try can drive the level to 0 or below; the stage on floats
+    # then gives NaN, as its array path does, so the try is retried
     # shorter instead of raising
-    from drawdown_options.solver2d import _scalar_put_stage
-
     spec = sloped_spec("put")
     array_stage = _array_put_stage(spec)
+    ode = _put_stage(spec, 2.5)
     with np.errstate(divide="ignore", invalid="ignore"):
         for g in (-0.3, -0.0, 0.0):
-            rhs, den = _scalar_put_stage(spec, 2.5)(g)
+            rhs, den = ode(g), ode.a * g - ode.b
             want_rhs, want_den = array_stage(2.5)(np.float64(g))
             assert np.isnan(rhs) and np.isnan(want_rhs)
             assert den == want_den
 
 
 def test_scalar_bracket_equals_the_array_bracket_bit_for_bit():
-    # the scalar put stage's bracket against OdeStage's on both of its
+    # OdeStage's bracket on floats against its array path on both of its
     # branches: the series where |u| < 1e-6 (which no put curve reaches)
     # and the exponential, on both sides of its +-700 clamp
     from drawdown_options.solver2d import _bracket, _scalar_bracket
@@ -531,7 +538,7 @@ def test_scalar_bracket_equals_the_array_bracket_bit_for_bit():
             got = _bracket(d, 1.0 / d, u, small)
         assert small.any() and (np.abs(d * u) > 700.0).any()
         for k, uk in enumerate(u.tolist()):
-            assert got[k].hex() == _scalar_bracket(d, uk).hex()
+            assert got[k].hex() == _scalar_bracket(d, 1.0 / d, uk).hex()
 
 
 def test_put_curve_matches_recorded_bits():
