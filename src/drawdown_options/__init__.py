@@ -24,7 +24,6 @@ from .errors import (
     NonConvergence,
     NonPositiveCoefficient,
     ResolutionWarning,
-    SingularDenominator,
     StepError,
     UnderdeterminedRegion,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "RunConfig",
     "SimConfig",
     "SimResult",
-    "SingularDenominator",
     "StateTriple",
     "StepError",
     "UnderdeterminedRegion",

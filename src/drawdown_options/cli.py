@@ -32,7 +32,6 @@ from .errors import (
     DomainError,
     NonConvergence,
     NonPositiveCoefficient,
-    SingularDenominator,
     StepError,
     UnderdeterminedRegion,
 )
@@ -315,9 +314,6 @@ def main(argv=None) -> int:
         return args.fn(cfg, args)
     except ConstraintBreach as exc:
         print(f"constraint breach: {exc}", file=sys.stderr)
-        return 2
-    except SingularDenominator as exc:
-        print(f"singular denominator: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

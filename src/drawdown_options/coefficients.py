@@ -269,20 +269,23 @@ def _root_slopes(r, delta, sigma, pair, d_delta, d_sigma):
     return phi + t, phi - t
 
 
-def _roots_along(spec: ModelSpec, s, y, wrt):
-    """(gamma1, gamma2, dgamma1, dgamma2) with partials along s or y.
+def _roots_along(spec: ModelSpec, s, y, wrt=None):
+    """(gamma1, gamma2), then their partials along wrt when it names "s" or "y".
 
-    For points already checked against the quadrant (a marcher validates
-    its lattice once).  Only the partials the caller needs are evaluated;
-    the values are those of roots_arrays, bit for bit.
+    Checks nothing: the caller keeps (s, y) on the quadrant, through
+    :func:`check_quadrant` where nothing else does.  Only the partials the
+    caller asks for are evaluated; the values are those of roots_arrays,
+    bit for bit, on floats or arrays alike.
     """
     d, g = spec.delta_field, spec.sigma_field
+    delta, sigma = d.value(s, y), g.value(s, y)
+    pair = _root_pair(spec.r, delta, sigma)
+    if wrt is None:
+        return pair[:2]
     if wrt == "s":
         dd, dsg = d.d_ds(s, y), g.d_ds(s, y)
     else:
         dd, dsg = d.d_dy(s, y), g.d_dy(s, y)
-    delta, sigma = d.value(s, y), g.value(s, y)
-    pair = _root_pair(spec.r, delta, sigma)
     return pair[:2] + _root_slopes(spec.r, delta, sigma, pair, dd, dsg)
 
 

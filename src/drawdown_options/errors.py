@@ -13,13 +13,6 @@ class ConstraintBreach(RuntimeError):
     """A boundary trajectory touched its hard constraint surface."""
 
 
-class SingularDenominator(RuntimeError):
-    """The boundary ODE's shared denominator vanished (exit code 2).
-
-    No march raises it now: the band check keeps the denominator's sign.
-    """
-
-
 class StepError(RuntimeError):
     """A step at the shortest allowed length still missed the per-step error target."""
 

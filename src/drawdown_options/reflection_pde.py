@@ -18,7 +18,7 @@ one stacked, pivoted np.linalg.solve.
 
 The equations are built per line family as arrays: the pair relations of
 all rows in one batch, then those of all columns, each batch with one
-roots_arrays call, and the closures by kind.  The edge powers base**g go
+_roots_along call, and the closures by kind.  The edge powers base**g go
 through libm's pow, not numpy's SIMD power, whose last bit depends on which
 SIMD path the CPU dispatches to; so every entry has the bits of the same
 relation evaluated on its own, on any CPU.
@@ -49,7 +49,9 @@ import numpy as np
 # perfbench/tracer.py wraps these names here; the solve calls neither
 from scipy.sparse.linalg import lsqr, spsolve  # noqa: F401
 
-from .coefficients import _ORIENT, ModelSpec, _libm_pow, _pinned_pair, roots_arrays
+from .coefficients import (
+    _ORIENT, ModelSpec, _libm_pow, _pinned_pair, _roots_along, check_quadrant, roots_arrays,
+)
 from .errors import NonConvergence, UnderdeterminedRegion
 
 
@@ -263,11 +265,11 @@ def _pair_entries(spec: ModelSpec, s, y, along_s, h):
         raise UnderdeterminedRegion(
             f"pair relation at s={s[k]:g}, y={y[k]:g} straddles the diagonal"
         )
-    g1, g2, d1s, d2s, d1y, d2y = roots_arrays(spec, s, y)
-    slopes = (d1s, d2s) if along_s else (d1y, d2y)
+    check_quadrant(s, y)
+    g1, g2, dg1, dg2 = _roots_along(spec, s, y, "s" if along_s else "y")
     lb = np.log(base)
     out = []
-    for g, dg in zip((g1, g2), slopes):
+    for g, dg in zip((g1, g2), (dg1, dg2)):
         half = 0.5 * dg * lb
         out.append((_libm_pow(base, g), -1.0 / h + half, 1.0 / h + half))
     return out
@@ -323,7 +325,8 @@ def _closure_block(spec: ModelSpec, family, closures):
 
     combo = np.flatnonzero(kind == "combo")
     s, y = _point(along_s, fix[k[combo]], at[combo])
-    g1, g2, *_ = roots_arrays(spec, s, y)
+    check_quadrant(s, y)
+    g1, g2 = _roots_along(spec, s, y)
     end = pos[last[combo]]
     h = at[combo] - end
     tie = ~(np.abs(h) <= 1e-9 * (np.abs(end) + pos[-1] - pos[0]))

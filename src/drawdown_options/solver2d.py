@@ -31,7 +31,7 @@ from .coefficients import (
     _critical_level,
     _pinned_pair,
     _roots_along,
-    roots_arrays,
+    check_quadrant,
 )
 from .errors import (
     ConstraintBreach,
@@ -45,14 +45,14 @@ DEFAULT_N_STEPS = 4096
 EDGE_FRACTION = 1e-6
 
 
-def _non_finite_s(s) -> DomainError:
-    """The error for an s with a NaN or infinite entry, naming the first one."""
-    s = np.asarray(s, dtype=float)
-    if s.ndim == 0:
-        return DomainError(f"need a finite s, got s={s}")
-    k = np.argwhere(~np.isfinite(s))[0]
+def _non_finite(v, name="s") -> DomainError:
+    """The error for a v with a NaN or infinite entry, naming the first one."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        return DomainError(f"need a finite {name}, got {name}={v}")
+    k = np.argwhere(~np.isfinite(v))[0]
     at = ", ".join(str(int(i)) for i in k)
-    return DomainError(f"need a finite s, got s[{at}]={s[tuple(k)]}")
+    return DomainError(f"need a finite {name}, got {name}[{at}]={v[tuple(k)]}")
 
 
 def _require_s_only(spec: ModelSpec, o) -> None:
@@ -63,13 +63,6 @@ def _require_s_only(spec: ModelSpec, o) -> None:
             raise DomainError(
                 f"{name} depends on the drawdown; use the three-dimensional solver"
             )
-
-
-def _beta(spec: ModelSpec, s):
-    """Characteristic roots and their s-derivatives along y = 0."""
-    s = np.asarray(s, dtype=float)
-    g1, g2, dg1, dg2, _, _ = roots_arrays(spec, s, np.zeros_like(s))
-    return g1, g2, dg1, dg2
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +228,7 @@ class BoundaryCurve:
         lo, hi = self._range
         s = np.asarray(s, dtype=float)
         if not np.isfinite(s).all():
-            raise _non_finite_s(s)
+            raise _non_finite(s)
         if np.any(s < lo - 1e-12) or np.any(s > hi + 1e-12):
             raise DomainError("query outside the sampled range of the boundary curve")
         return self._spline(np.clip(s, lo, hi))
@@ -248,12 +241,15 @@ class BoundaryCurve:
 def call_boundary_2d(spec: ModelSpec, s):
     """Barrier level beta1 K / (beta1 - 1) for the running-max call.
 
-    s is a float or an array; a non-finite s raises DomainError.
+    s is a float or an array; a non-finite s, or one at or below 0, raises
+    DomainError.
     """
     _require_s_only(spec, _CALL)
+    s = s if isinstance(s, float) else np.asarray(s, dtype=float)
     if not np.isfinite(s).all():
-        raise _non_finite_s(s)
-    g1, g2, _, _ = _beta(spec, s)
+        raise _non_finite(s)
+    check_quadrant(s, 0.0)
+    g1, g2 = _roots_along(spec, s, 0.0)
     return _critical_level(g1, g2, spec.strike, _CALL.sign)
 
 
@@ -276,16 +272,16 @@ def _log_factor(spec: ModelSpec, s: float, anchor: float) -> float:
 
     A composite Gauss-Legendre rule in t = log q, where the integrand is
     beta1'(e**t) t e**t: GL_PANELS equal panels of 16 nodes each, with the
-    roots at every node from one ``_beta`` call.  The integrand is smooth
-    in t, and the rule matches an adaptive quadrature at 1e-13 to within
-    5e-16 relative on the reflection-region oracle's nodes (s in
-    [0.25, s*] of the s-sloped call).
+    root slopes at every node from one ``_roots_along`` call.  The
+    integrand is smooth in t, and the rule matches an adaptive quadrature
+    at 1e-13 to within 5e-16 relative on the reflection-region oracle's
+    nodes (s in [0.25, s*] of the s-sloped call).
     """
     edges = np.linspace(math.log(s), math.log(anchor), GL_PANELS + 1)
     half = 0.5 * (edges[1] - edges[0])
     t = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL_NODES).ravel()
     q = np.exp(t)
-    integrand = _beta(spec, q)[2] * t * q
+    integrand = _roots_along(spec, q, 0.0, "s")[2] * t * q
     return float(half * (integrand.reshape(GL_PANELS, -1) @ _GL_WEIGHTS).sum())
 
 
@@ -322,10 +318,10 @@ class CallSolution2D:
         spec = self.spec
         h = float(self.boundary(s))
         if h <= s:
-            g1 = float(_beta(spec, np.array([s]))[0][0])
+            g1 = _roots_along(spec, s, 0.0)[0]
             return h ** (1.0 - g1) / g1
         anchor = self._anchor_above(s)
-        g1a = float(_beta(spec, np.array([anchor]))[0][0])
+        g1a = _roots_along(spec, anchor, 0.0)[0]
         return np.exp(_log_factor(spec, s, anchor)) * anchor ** (1.0 - g1a) / g1a
 
     def value(self, x, s):
@@ -336,7 +332,7 @@ class CallSolution2D:
         h = float(self.boundary(s))
         if h <= s and x >= h:
             return x - self.spec.strike
-        g1 = float(_beta(self.spec, np.array([s]))[0][0])
+        g1 = _roots_along(self.spec, s, 0.0)[0]
         return self.coefficient(s) * x**g1
 
 
@@ -349,7 +345,8 @@ def put_asymptote(spec: ModelSpec, s=None):
     _require_s_only(spec, _PUT)
     if s is None:
         s = spec.domain_s_max
-    g1, g2, _, _ = _beta(spec, s)
+    check_quadrant(s, 0.0)
+    g1, g2 = _roots_along(spec, s, 0.0)
     return _critical_level(g1, g2, spec.strike, _PUT.sign)
 
 
@@ -365,7 +362,8 @@ class OdeStage:
     Construction computes everything that does not depend on the level (the
     factors of the denominator and numerators, the reciprocals inside the
     brackets), so a stepper that revisits the abscissa only pays for the
-    level-dependent part.  Callers silence floating-point warnings.
+    level-dependent part.  It silences no floating-point warning:
+    :func:`_march_lanes` runs every stage under one ``np.errstate``.
 
     A float level (a numpy scalar too) on a stage built on floats takes the
     array path's terms in float arithmetic, with the same bits; log and
@@ -495,8 +493,9 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
             live &= np.arange(q - p) < cut[ln]
         levels[p:q][live] = lev[live]
 
-    # lanes past a breach carry NaN and inf on purpose
-    with np.errstate(invalid="ignore", over="ignore"):
+    # lanes past a breach carry NaN and inf on purpose, and a float lane's
+    # zero level divides as a numpy zero does
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p = int(np.searchsorted(tau, 0.0, side="right"))
         if p:
             fill(0, p, lambda ln, nodes: np.full(ln.size, g) if one else g[ln])
@@ -651,10 +650,8 @@ class PutSolution2D:
     def coefficients(self, s: float):
         """Coefficients (D1, D2) of x**beta1 and x**beta2 on the slice."""
         g = float(self.curve(s))
-        g1, g2, _, _ = _beta(self.spec, np.array([float(s)]))
-        return _pinned_pair(
-            float(g1[0]), float(g2[0]), g, self.spec.strike, _PUT.sign
-        )
+        g1, g2 = _roots_along(self.spec, float(s), 0.0)
+        return _pinned_pair(g1, g2, g, self.spec.strike, _PUT.sign)
 
     def value(self, x, s):
         x = float(x)
@@ -665,5 +662,5 @@ class PutSolution2D:
         if x <= g or g >= s:
             return self.spec.strike - x
         d1, d2 = self.coefficients(s)
-        g1, g2, _, _ = _beta(self.spec, np.array([s]))
-        return d1 * x ** float(g1[0]) + d2 * x ** float(g2[0])
+        g1, g2 = _roots_along(self.spec, s, 0.0)
+        return d1 * x**g1 + d2 * x**g2

@@ -48,7 +48,6 @@ from .coefficients import (
     _pinned_pair,
     _roots_along,
     check_quadrant,
-    roots_arrays,
 )
 from .errors import DomainError, ResolutionWarning, UnderdeterminedRegion
 
@@ -73,6 +72,7 @@ from .solver2d import (
     _cell_crossing,
     _cut_error,
     _march_lanes,
+    _non_finite,
     _sign_changes,
 )
 
@@ -349,7 +349,7 @@ def _diagonal_seeds(o, spec: ModelSpec, curve, fixed, starts):
     the diagonal-restricted maximum-only curve (:func:`diagonal_put_curve`).
     """
     if o.sign > 0:
-        g1, g2, *_ = roots_arrays(spec, *o.swap(fixed, starts))
+        g1, g2 = _roots_along(spec, *o.swap(fixed, starts))
         return _critical_level(g1, g2, spec.strike, o.sign)
     return curve(starts)
 
@@ -358,10 +358,14 @@ def _build_surface(o, spec, curve, s_grid, y_grid):
     """March every slice from next to the diagonal, then label the lattice.
 
     curve is the put's diagonal curve, None for a call; the surface keeps it.
+    A NaN or infinite grid entry raises DomainError naming the first one.
     """
     o.require(spec)
     s_grid = np.asarray(s_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
+    for name, grid in (("s_grid", s_grid), ("y_grid", y_grid)):
+        if not np.isfinite(grid).all():
+            raise _non_finite(grid, name)
     fixed, move = o.swap(s_grid, y_grid)
     starts = fixed + o.direction * EDGE_FRACTION * spec.strike
     # each slice enters the lattice at the first node its march reaches
@@ -426,8 +430,9 @@ def _boundary_slice(o, spec, curve, fixed, nodes):
     """Barrier on one slice, marched from next to the diagonal through nodes.
 
     The lone slice of :func:`_march_slices`, on floats, from its start to
-    its last node (curve is None for a call).  The nodes must move
-    strictly away from the diagonal, from the slice's start on.  Serves
+    its last node (curve is None for a call).  The fixed coordinate and
+    the nodes must be finite, and the nodes must move strictly away from
+    the diagonal, from the slice's start on; else DomainError.  Serves
     the public slices and every direct-line re-march.  Returns the node
     levels, NaN from the first node the lane misses, and its status
     ``(kind, at)`` as in ``slice_status``.
@@ -435,6 +440,10 @@ def _boundary_slice(o, spec, curve, fixed, nodes):
     o.require(spec)
     fixed = float(fixed)
     nodes = np.asarray(nodes, dtype=float)
+    if not math.isfinite(fixed):
+        raise _non_finite(fixed, o.fixed)
+    if not np.isfinite(nodes).all():
+        raise _non_finite(nodes, f"{o.moving}_grid")
     start = fixed + o.direction * EDGE_FRACTION * spec.strike
     if nodes.size and (
         np.any(o.direction * np.diff(nodes) <= 0)
@@ -908,7 +917,7 @@ class _Solution3D:
             return Line(spec, o, s, y, level, branch)
         if s <= 0.0 or y < 0.0 or y > s:
             raise DomainError(f"need 0 <= y < s, got s={s}, y={y}")
-        g1, g2, *_ = (float(v) for v in roots_arrays(spec, s, y))
+        g1, g2 = _roots_along(spec, s, y)
         if branch == "reflect":
             c1, c2 = self._region_coeffs(s, y)
         else:
@@ -940,7 +949,7 @@ class _Solution3D:
         in index order, is every line the batch cannot take (not finite,
         off the quadrant and not stopped, or reflected with no region),
         which raises ``line``'s error.  Stopped lines take no roots;
-        reflected lines take one ``roots_arrays`` call and one ``coeffs_at``
+        reflected lines take one ``_roots_along`` call and one ``coeffs_at``
         call per region.
         """
         spec, o = self.spec, self._o
@@ -967,7 +976,7 @@ class _Solution3D:
             g1[k], g2[k], c1[k], c2[k] = ln.g1, ln.g2, ln.c1, ln.c2
         k = np.flatnonzero(reflect)
         if k.size:
-            g1[k], g2[k], *_ = roots_arrays(spec, s[k], y[k])
+            g1[k], g2[k] = _roots_along(spec, s[k], y[k])
             which = self._nearest_region(s[k], y[k])
             for r in np.unique(which):
                 at = k[which == r]

@@ -47,7 +47,6 @@ API = {
     "RunConfig": ("spec", "s_min", "s_max", "y_max", "n_s", "n_y", "sim", "output_dir"),
     "SimConfig": ("n_paths", "dt", "horizon", "seed", "block_size"),
     "SimResult": ("mean", "stderr", "n_paths", "n_horizon", "mean_stop_time"),
-    "SingularDenominator": EXCEPTION,
     "StateTriple": ("x", "s", "y"),
     "StepError": EXCEPTION,
     "UnderdeterminedRegion": EXCEPTION,
@@ -262,3 +261,55 @@ def test_one_bracket_caller_and_one_root_quadratic():
         walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
     assert set(brackets) == {"solver2d.OdeStage.__call__"}
     assert roots == ["coefficients._root_pair"]
+
+
+def _references(name):
+    """Where the package reads name, as "module.Qualified.scope" entries in walk order."""
+    package = pathlib.Path(drawdown_options.__file__).parent
+    found = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                found.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, f"{where}.{child.name}" if inner else where)
+
+    for path in sorted(package.glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+def test_roots_arrays_is_called_only_where_all_four_partials_are_read():
+    # roots_arrays evaluates both roots with all four partials; a solver
+    # path reads the pair, or one axis's partials, through _roots_along,
+    # and only the public roots, the residual check and ddopt roots, which
+    # report all six, call roots_arrays
+    assert set(_references("roots_arrays")) == {
+        "coefficients.roots", "reflection_pde.residual_grids", "cli.cmd_roots",
+    }
+
+
+def test_every_error_cli_main_maps_is_raised_by_the_package():
+    # an exit code for an error that no module outside errors, __init__ and
+    # cli names is a handler for what nothing raises
+    package = pathlib.Path(drawdown_options.__file__).parent
+    cli = ast.parse((package / "cli.py").read_text())
+    main = next(
+        node for node in cli.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    caught = set()
+    for node in ast.walk(main):
+        if isinstance(node, ast.ExceptHandler):
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {t.id for t in types}
+    ours = caught & set(vars(drawdown_options.errors))
+    named = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem not in ("errors", "__init__", "cli"):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            named |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert ours and ours <= named, sorted(ours - named)

@@ -230,7 +230,7 @@ def test_scalar_roots_equal_the_one_array_call_bit_for_bit(seed):
     s = np.concatenate([[14.187684540552567, 15.0], rng.uniform(1e-3, 20.0, 254)])
     y = np.concatenate([[0.0, 14.187684540552567], s[2:] * rng.uniform(0.0, 1.0, 254)])
     want = roots_arrays(spec, s, y)
-    along = {wrt: _roots_along(spec, s, y, wrt) for wrt in ("s", "y")}
+    along = {wrt: _roots_along(spec, s, y, wrt) for wrt in ("s", "y", None)}
     for k in range(s.size):
         for a, b in ((s[k], y[k]), (float(s[k]), float(y[k]))):
             got = roots_arrays(spec, a, b)

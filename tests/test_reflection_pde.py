@@ -640,6 +640,17 @@ def test_row_pair_off_the_quadrant_rejected_before_columns():
         solve_reflection_region(flat_call_spec(), region)
 
 
+def test_combo_closure_off_the_quadrant_rejected():
+    # the row at y = 0.5 is anchored at s = 0.4 < y, where no roots exist;
+    # its pair relation, at s = 2.25, lies on the quadrant and passes
+    s_grid, y_grid = np.array([2.0, 2.5]), np.array([0.5])
+    cols = [ColumnClosure(i, "combo", 0.7, s_grid[i] - 0.7, 0.5) for i in range(2)]
+    rows = [RowClosure(0, "combo", 0.4, 0.4, 0.1)]
+    region = RegionSpec(s_grid, y_grid, np.ones((2, 1), dtype=bool), cols, rows)
+    with pytest.raises(DomainError):
+        solve_reflection_region(flat_call_spec(), region)
+
+
 def test_coefficient_lattices_are_padded_on_the_first_query(monkeypatch):
     # a solve that no one queries pads no lattice; the first coeffs_at pads
     # both, once, and reads what lookups built at the solve would, bit for bit

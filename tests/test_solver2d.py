@@ -181,6 +181,16 @@ def test_flat_call_barrier_is_three_strikes():
     npt.assert_allclose(
         call_boundary_2d(spec, np.array([0.5, 2.0, 10.0])), 3.0, rtol=1e-12
     )
+    npt.assert_allclose(call_boundary_2d(spec, [0.5, 2.0]), 3.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, [1.0, 0.0]])
+def test_the_2d_roots_off_the_quadrant_raise(s):
+    # no roots exist at s <= 0: the critical levels raise, not read NaN
+    with pytest.raises(DomainError, match="requires s > 0"):
+        call_boundary_2d(flat_spec("call"), s)
+    with pytest.raises(DomainError, match="requires s > 0"):
+        put_asymptote(flat_spec("put"), s)
 
 
 def test_flat_call_reference_value():
@@ -576,6 +586,33 @@ def test_a_non_finite_s_is_named_by_its_index_in_a_long_array(solution):
     s[3000], s[4000] = np.inf, np.nan
     with pytest.raises(DomainError, match=r"got s\[3000\]=inf$"):
         sol.boundary(s)
+
+
+@pytest.mark.parametrize("seed, lane", [
+    pytest.param(np.array([1.0, 0.0]), [0, 1, 0, 1], id="array_lanes"),
+    pytest.param(0.0, [0, 0], id="float_lane"),
+])
+def test_a_lane_that_divides_by_zero_is_cut_without_a_warning(seed, lane):
+    # g' = 1 / g: a lane seeded at 0 divides by zero on its first slope, as
+    # a numpy zero (a float lane's zero level in OdeStage divides as one
+    # too); the march's one np.errstate keeps that silent, the lane's
+    # estimate is not finite, and the lane is cut at the shortest step
+    from drawdown_options.solver2d import _march_lanes
+
+    lane = np.array(lane)
+    tau = np.repeat([0.5, 1.0], lane.size // 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        levels, status, _ = _march_lanes(
+            lambda t: lambda g: np.float64(1.0) / g, seed, tau, lane,
+            (-np.inf, np.inf), 1e-10, 1.0,
+        )
+    cut = lane == lane[-1]
+    assert status[-1] == ("step", int(np.argmax(cut)))
+    assert np.isnan(levels[cut]).all()
+    if np.ndim(seed):  # the other lane runs on: g = sqrt(1 + 2 tau)
+        assert status[0] == ("ok", -1)
+        npt.assert_allclose(levels[~cut], np.sqrt([2.0, 3.0]), rtol=1e-9)
 
 
 @given(

@@ -972,6 +972,52 @@ def test_per_kind_entry_points_reject_the_other_kind(kind, entry):
         entry(other)
 
 
+_FLAT = {kind: make_spec(kind, ("constant", (0.03,))) for kind in ("call", "put")}
+
+
+@pytest.mark.parametrize("kind, build, message", [
+    pytest.param(
+        "call", lambda spec: call_boundary_slice(spec, np.nan, [1.5, 1.0]),
+        "need a finite s, got s=nan$", id="call_slice_nan_s",
+    ),
+    pytest.param(
+        "call", lambda spec: call_boundary_slice(spec, np.inf, [1.5, 1.0]),
+        "need a finite s, got s=inf$", id="call_slice_inf_s",
+    ),
+    pytest.param(
+        "call", lambda spec: call_boundary_slice(spec, 2.0, [1.5, np.nan, 0.5]),
+        r"need a finite y_grid, got y_grid\[1\]=nan$", id="call_slice_nan_y",
+    ),
+    pytest.param(
+        "put", lambda spec: put_boundary_slice(spec, 0.5, [1.0, np.nan]),
+        r"need a finite s_grid, got s_grid\[1\]=nan$", id="put_slice_nan_s",
+    ),
+    pytest.param(
+        "put", lambda spec: put_boundary_slice(spec, np.inf, [1.0, 2.0]),
+        "need a finite y, got y=inf$", id="put_slice_inf_y",
+    ),
+    pytest.param(
+        "put", lambda spec: put_boundary_slice(spec, np.nan, [1.0, 2.0]),
+        "need a finite y, got y=nan$", id="put_slice_nan_y",
+    ),
+    pytest.param(
+        "put",
+        lambda spec: build_put_surface(spec, np.r_[_S_NODES[:4], np.nan, _S_NODES[5:]], _Y_NODES),
+        r"need a finite s_grid, got s_grid\[4\]=nan$", id="put_surface_nan_s",
+    ),
+    pytest.param(
+        "call",
+        lambda spec: build_call_surface(spec, _S_NODES, np.r_[_Y_NODES[:6], np.inf]),
+        r"need a finite y_grid, got y_grid\[6\]=inf$", id="call_surface_inf_y",
+    ),
+])
+def test_a_non_finite_slice_or_surface_input_raises(kind, build, message):
+    # each of these once returned NaN levels (an all-NaN surface, a slice
+    # NaN from the bad node on), or named the wrong fault for an infinite y
+    with pytest.raises(DomainError, match=message):
+        build(_FLAT[kind])
+
+
 def test_drawdown_model_put_surface_orders_against_flat():
     # raising delta with the drawdown lowers the put barrier surface
     base = make_spec("put", ("constant", (0.02,)))
@@ -1457,8 +1503,8 @@ def test_long_direct_lines_are_remarched():
 def test_slice_integrates_where_the_line_march_raised():
     # the line march that preceded the lane march checked the denominator
     # inside the right-hand side, so a try heading far past a sign change,
-    # which the controller would have rejected anyway, raised
-    # SingularDenominator ("near 4") on this slice; the one march checks the
+    # which the controller would have rejected anyway, raised a singular
+    # denominator error ("near 4") on this slice; the one march checks the
     # nodes it fills, and every node follows a DOP853 march in log s
     from scipy.integrate import solve_ivp
 
