@@ -226,16 +226,21 @@ def eval_fields(spec: ModelSpec, s, y):
 def check_quadrant(s, y) -> None:
     """Raise DomainError unless every (s, y) pair has s > 0 and 0 <= y <= s.
 
-    NaN entries pass: lanes past a constraint breach carry them on purpose.
-    Two floats (numpy scalars included) are compared as floats.
+    The error names the first pair off the quadrant, in C order, with the
+    same text on floats as on arrays.  NaN entries pass: lanes past a
+    constraint breach carry them on purpose.  Two floats (numpy scalars
+    included) are compared as floats.
     """
     if isinstance(s, float) and isinstance(y, float):
-        bad = s <= 0 or y < 0 or y > s
+        if not (s <= 0 or y < 0 or y > s):
+            return
     else:
-        s_arr, y_arr = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
-        bad = np.any((s_arr <= 0) | (y_arr < 0) | (y_arr > s_arr))
-    if bad:
-        raise DomainError("eval_fields requires s > 0 and 0 <= y <= s")
+        s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
+        bad = (s <= 0) | (y < 0) | (y > s)
+        if not bad.any():
+            return
+        s, y = (np.broadcast_to(a, bad.shape).flat[np.argmax(bad)] for a in (s, y))
+    raise DomainError(f"need s > 0 and 0 <= y <= s, got s={float(s)!r}, y={float(y)!r}")
 
 
 def _root_pair(r, delta, sigma):

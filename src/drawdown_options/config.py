@@ -110,9 +110,7 @@ def parse_flat(text: str) -> dict[str, str]:
 
 
 def _get(pairs: dict[str, str], key: str, convert, default=None):
-    if key not in pairs:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
+    if key not in pairs:  # build_config has checked the required keys
         return default
     try:
         return convert(pairs[key])

@@ -7,14 +7,15 @@ s at the top edge x = s, and along y at the bottom edge x = s - y.  Both are
 discretized with midpoint (trapezoidal) differencing between adjacent nodes.
 
 Node (i, j) holds one equation per line family: its row's pair relation to
-(i + 1, j) and its column's to (i, j + 1), or, at a line's last active node,
-that line's closure; so every nonempty line needs exactly one closure.  A
-node's equations then reach only the next front i + j + 1, and the nodes are
-solved front by front in descending i + j, each as a 2x2 block in known far
-neighbours (block triangular form, after Duff, Erisman & Reid).  The one
-closure that reaches back, a column's C2 pin extrapolated from its top two
-nodes, joins them into one 4x4 block.  Each front's 2x2 blocks go through
-one stacked, pivoted np.linalg.solve.
+(i + 1, j) and its column's to (i, j + 1), or, at the last node of a run of
+active nodes along a line, that run's closure; so every run needs exactly
+one closure, and one system covers every active node.  A node's equations
+then reach only the next front i + j + 1, and the nodes are solved front by
+front in descending i + j, each as a 2x2 block in known far neighbours
+(block triangular form, after Duff, Erisman & Reid).  The one closure that
+reaches back, a column's C2 pin extrapolated from its top two nodes, joins
+them into one 4x4 block.  Each front's 2x2 blocks go through one stacked,
+pivoted np.linalg.solve, block by block.
 
 The equations are built per line family as arrays: the pair relations of
 all rows in one batch, then those of all columns, each batch with one
@@ -110,7 +111,7 @@ class RowClosure:
 
 @dataclass
 class RegionSpec:
-    """A reflection region: grids, active mask, and one closure per line."""
+    """A reflection region: grids, active mask, and one closure per run of each line."""
 
     s_grid: np.ndarray
     y_grid: np.ndarray
@@ -275,6 +276,13 @@ def _pair_entries(spec: ModelSpec, s, y, along_s, h):
     return out
 
 
+def _run_ends(act):
+    """Mask of the last node of every run of active nodes along axis 1 of act."""
+    ends = act.copy()
+    ends[:, :-1] &= ~act[:, 1:]
+    return ends
+
+
 def _pair_block(spec: ModelSpec, family):
     """Pair relations of one line family, one per pair of active neighbours.
 
@@ -283,8 +291,8 @@ def _pair_block(spec: ModelSpec, family):
     neighbour, and a zero right-hand side.
     """
     along_s, act, rnk, pos, fix = family
-    # lines are contiguous, so the far neighbour of position a is a + 1, and
-    # nonzero walks the lines in order and each line from its start
+    # a pair joins the neighbours a and a + 1 of one run, and nonzero walks
+    # the lines in order and each line from its start
     k, a = np.nonzero(act[:, :-1] & act[:, 1:])
     b = a + 1
     mid = 0.5 * (pos[a] + pos[b])
@@ -299,7 +307,8 @@ def _pair_block(spec: ModelSpec, family):
 def _closure_block(spec: ModelSpec, family, closures):
     """Closure equations of one line family, one per closure, in list order.
 
-    Each sits at its line's last active node.  Returns (node, own, far,
+    A line's closures, in list order, close its runs of active nodes in
+    ascending order, each at its run's last node.  Returns (node, own, far,
     other, rhs) as :func:`_pair_block` does; only a c2_zero pin over two or
     more nodes reaches another node, the one below, and the rest name -1.
     """
@@ -309,15 +318,17 @@ def _closure_block(spec: ModelSpec, family, closures):
     at = np.array([c.s_pos if along_s else c.y_pos for c in closures], dtype=float)
     x_base = np.array([c.x_base for c in closures], dtype=float)
     target = np.array([c.target for c in closures], dtype=float)
-    size = act[k].sum(axis=1)
-    last = np.argmax(act[k], axis=1) + size - 1
+    # the run ends in line order, each line's ascending, go to the closures
+    # taken stably by line
+    last = np.empty(k.size, dtype=int)
+    last[np.argsort(k, kind="stable")] = np.nonzero(_run_ends(act))[1]
     own, other = np.zeros((2, k.size, 2))
     far = np.full(k.size, -1)
     rhs = np.zeros(k.size)
     own[kind == "c1_zero", 0] = own[kind == "c2_zero", 1] = 1.0
-    # the C2 pin over two or more nodes: the line through the last two
+    # the C2 pin over two or more nodes: the line through the run's last two
     # nodes' C2 put onto the closure position
-    two = np.flatnonzero((kind == "c2_zero") & (size >= 2))
+    two = np.flatnonzero((kind == "c2_zero") & (last > 0) & act[k, last - 1])
     prev = last[two] - 1
     far[two] = rnk[k[two], prev]
     own[two, 1] = (at[two] - pos[prev]) / (pos[last[two]] - pos[prev])
@@ -389,12 +400,13 @@ def _node_equations(spec: ModelSpec, region: RegionSpec):
 
 
 def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientGrid:
-    """Solve the coupled reflection relations on one region.
+    """Solve the coupled reflection relations on every active node at once.
 
-    Every nonempty column of the active mask must be matched by exactly one
-    column closure and every nonempty row by exactly one row closure; any
-    mismatch, or a non-contiguous row or column, raises UnderdeterminedRegion.
-    A block that is singular or leaves its coefficients non-finite raises
+    Every run of active nodes along a column must be matched by exactly one
+    column closure and every run along a row by exactly one row closure
+    (see :func:`_closure_block` for which closure closes which run); any
+    mismatch raises UnderdeterminedRegion naming the first line off.  A
+    block that is singular or leaves its coefficients non-finite raises
     NonConvergence naming its node.
 
     A 4x4 block (a C2 pin's two nodes) is solved after the 2x2 blocks of
@@ -411,18 +423,18 @@ def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientG
         ("column", active, [c.i for c in region.column_closures]),
         ("row", active.T, [c.j for c in region.row_closures]),
     ):
-        # a line is contiguous when at most one run of active nodes starts on it
-        starts = lines[:, 0] + np.sum(lines[:, 1:] & ~lines[:, :-1], axis=1)
-        split = np.flatnonzero(starts > 1)
-        if split.size:
+        runs = _run_ends(lines).sum(axis=1)
+        k = np.array(closures, dtype=int)
+        off = k[(k < 0) | (k >= runs.size)]
+        if off.size:
+            raise UnderdeterminedRegion(f"a {name} closure names {name} {off[0]}, off the grid")
+        have = np.bincount(k, minlength=runs.size)
+        wrong = np.flatnonzero(have != runs)
+        if wrong.size:
+            m = wrong[0]
             raise UnderdeterminedRegion(
-                f"active nodes in {name} {split[0]} are not contiguous"
-            )
-        nonempty = set(np.flatnonzero(starts).tolist())
-        if set(closures) != nonempty or len(closures) != len(nonempty):
-            raise UnderdeterminedRegion(
-                f"need exactly one closure per nonempty {name}; have closures "
-                f"for {sorted(set(closures))} vs {name}s {sorted(nonempty)}"
+                f"{name} {m}: {runs[m]} runs of active nodes, {have[m]} closures; "
+                "need exactly one closure per run"
             )
 
     own, far, other, rhs = _node_equations(spec, region)

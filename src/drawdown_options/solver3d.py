@@ -12,7 +12,7 @@ partial history and is flagged instead of aborting the whole surface.
 Per node the barrier sorts the line into one of three branches: stopped
 (payoff), direct (barrier reachable, two-power value pinned at the barrier),
 or reflected (barrier out of reach; coefficients come from the reflection
-system solved over the whole reflected component).
+system, one per surface, solved over every reflected node at once).
 
 Call and put are one problem seen from two sides.  Everything that differs
 between the sides (payoff sign, slice axis and march direction, the line
@@ -32,7 +32,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import odestep
 from .coefficients import (
@@ -43,7 +42,6 @@ from .coefficients import (
     _critical_level,
     _d2value_dx2,
     _dvalue_dx,
-    _libm_pow,
     _Orientation,
     _pinned_pair,
     _roots_along,
@@ -61,6 +59,7 @@ from .reflection_pde import (
     _bilinear,
     _fill_inactive,
     _point,
+    _run_ends,
     solve_reflection_region,
 )
 from .solver2d import (
@@ -354,11 +353,12 @@ def _diagonal_seeds(o, spec: ModelSpec, curve, fixed, starts):
     return curve(starts)
 
 
-def _build_surface(o, spec, curve, s_grid, y_grid):
+def _build_surface(o, spec, make_curve, s_grid, y_grid):
     """March every slice from next to the diagonal, then label the lattice.
 
-    curve is the put's diagonal curve, None for a call; the surface keeps it.
     A NaN or infinite grid entry raises DomainError naming the first one.
+    Once the grids pass, make_curve() makes the put's diagonal curve (it is
+    None for a call), and the surface keeps it.
     """
     o.require(spec)
     s_grid = np.asarray(s_grid, dtype=float)
@@ -366,6 +366,7 @@ def _build_surface(o, spec, curve, s_grid, y_grid):
     for name, grid in (("s_grid", s_grid), ("y_grid", y_grid)):
         if not np.isfinite(grid).all():
             raise _non_finite(grid, name)
+    curve = make_curve() if make_curve else None
     fixed, move = o.swap(s_grid, y_grid)
     starts = fixed + o.direction * EDGE_FRACTION * spec.strike
     # each slice enters the lattice at the first node its march reaches
@@ -411,9 +412,10 @@ def build_put_surface(spec: ModelSpec, s_grid, y_grid) -> BoundarySurface:
     so the slice starts from the diagonal-restricted maximum-only curve.
     Each build marches that curve once, through :func:`diagonal_put_curve`,
     for every slice, and the surface keeps it: the direct-line re-marches
-    of a solution built on the surface start from the same seeds.
+    of a solution built on the surface start from the same seeds.  The
+    grids are checked before the curve is marched.
     """
-    return _build_surface(_PUT, spec, diagonal_put_curve(spec), s_grid, y_grid)
+    return _build_surface(_PUT, spec, lambda: diagonal_put_curve(spec), s_grid, y_grid)
 
 
 def diagonal_put_curve(spec: ModelSpec):
@@ -479,12 +481,13 @@ def put_boundary_slice(spec: ModelSpec, y, s_grid):
     """Put barrier on the fixed-y slice at the given ascending s nodes.
 
     Seeded at s = y + eps from the diagonal-restricted maximum-only curve,
-    which each call marches anew, and integrated upward in s.  The nodes
-    from the first one the march misses are NaN, whatever the failure: a
-    constraint breach (barrier leaving (0, min(strike, r strike / delta)))
-    or a failed step.
+    which each call marches anew once its input is checked, and integrated
+    upward in s.  The nodes from the first one the march misses are NaN,
+    whatever the failure: a constraint breach (barrier leaving
+    (0, min(strike, r strike / delta))) or a failed step.
     """
-    return _boundary_slice(_PUT, spec, diagonal_put_curve(spec), y, s_grid)[0]
+    # the march reads the curve once, at its seed, after the checks
+    return _boundary_slice(_PUT, spec, lambda s: diagonal_put_curve(spec)(s), y, s_grid)[0]
 
 
 def detect_regions_3d(spec: ModelSpec, surface: BoundarySurface) -> BoundarySurface:
@@ -628,36 +631,34 @@ def _crossing(grid, d, ok, a, b, bracket=None):
 
 
 def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
-    """Solve the coefficient system on every connected reflected component.
+    """Solve the coefficient system on every reflected node as one system.
 
-    One walk (:func:`_close_lines`) closes each nonempty column (along y at
-    fixed s) and row (along s at fixed y) past its last active node.  At the
-    line's open end (the diagonal or the lattice top for a column, the far s
-    edge for a row) a call column pins the extrapolated C2 to zero, a put
-    column pins the payoff at its floor crossing extrapolated toward the
-    diagonal (and raises if that lands on the diagonal, where the floor is
-    x = 0), a put row pins C1 to zero, and a call row raises.  At a
-    stopping curve the line pins the payoff at the crossing, refined through
-    three lattice samples and imposed through a virtual node so the pin
-    costs no extrapolation error; at a flagged node it raises.  The raises
-    are UnderdeterminedRegion.
+    Returns a list of one :class:`CoefficientGrid`, or an empty list when no
+    node reflects.  One walk (:func:`_close_lines`) closes each run of
+    reflected nodes along a column (along y at fixed s) or a row (along s
+    at fixed y) past its last node.  At the line's open end (the diagonal
+    or the lattice top for a column, the far s edge for a row) a call
+    column pins the extrapolated C2 to zero, a put column pins the payoff
+    at its floor crossing extrapolated toward the diagonal (and raises if
+    that lands on the diagonal, where the floor is x = 0), a put row pins
+    C1 to zero, and a call row raises.  At a stopping curve the run pins
+    the payoff at the crossing, refined through three lattice samples and
+    imposed through a virtual node so the pin costs no extrapolation error;
+    at a flagged node it raises.  The raises are UnderdeterminedRegion.
     """
     o = _ORIENT[surface.kind]
     s_grid, y_grid, v, labels = surface.s_grid, surface.y_grid, surface.values, surface.labels
-    comp, n_comp = ndimage.label(labels == "reflect")
-    grids = []
-    for c in range(1, n_comp + 1):
-        active = comp == c
-        # values, labels and activity indexed [line, node along the line]
-        cols = _close_lines(spec, o, (False, y_grid, s_grid, v, labels, active))
-        rows = _close_lines(spec, o, (True, s_grid, y_grid, v.T, labels.T, active.T))
-        region = RegionSpec(s_grid, y_grid, active, cols, rows)
-        grids.append(solve_reflection_region(spec, region))
-    return grids
+    active = labels == "reflect"
+    if not active.any():
+        return []
+    # values, labels and activity indexed [line, node along the line]
+    cols = _close_lines(spec, o, (False, y_grid, s_grid, v, labels, active))
+    rows = _close_lines(spec, o, (True, s_grid, y_grid, v.T, labels.T, active.T))
+    return [solve_reflection_region(spec, RegionSpec(s_grid, y_grid, active, cols, rows))]
 
 
 def _close_lines(spec: ModelSpec, o: _Orientation, family):
-    """The closure of each nonempty line of a family, in line order."""
+    """The closure of each run of active nodes of a family, in line and run order."""
     along_s, grid, fixed, v, labels, act = family
     closure, name = (RowClosure, "row at y") if along_s else (ColumnClosure, "column at s")
     s, y = _point(along_s, fixed[:, None], grid[None, :])
@@ -669,8 +670,8 @@ def _close_lines(spec: ModelSpec, o: _Orientation, family):
     # by the floor when it lies below the floor (put)
     band_on_s = o.above == "reflect"
     out = []
-    for k in np.flatnonzero(act.any(axis=1)).tolist():  # as Python ints
-        a, pos, on_s = np.flatnonzero(act[k])[-1], fixed[k], band_on_s
+    for k, a in zip(*(e.tolist() for e in np.nonzero(_run_ends(act)))):  # as Python ints
+        pos, on_s = fixed[k], band_on_s
         if a + 1 == grid.size or not inside[k, a + 1]:  # the open end
             if along_s and band_on_s:
                 raise UnderdeterminedRegion(
@@ -848,12 +849,8 @@ class _Solution3D:
         build = build_call_surface if self._o is _CALL else build_put_surface
         self.spec = spec
         self.surface = build(spec, s_grid, y_grid)
+        # zero or one coefficient grid, over every reflected node
         self.regions = build_reflection_regions(spec, self.surface)
-        self._boxes = []
-        for g in self.regions:
-            si = np.flatnonzero(g.active.any(axis=1))
-            yi = np.flatnonzero(g.active.any(axis=0))
-            self._boxes.append((g.s_grid[si[[0, -1]]], g.y_grid[yi[[0, -1]]]))
 
     def _level(self, s, y, cheap):
         """Barrier level of the x-line at (s, y), re-marched where it is pinned.
@@ -883,31 +880,13 @@ class _Solution3D:
             raise _cut_error(o, kind, what, f"{o.moving}={at:g}")
         return float(levels[-1])
 
-    def _no_region(self):
-        return DomainError(
-            "query falls in a reflected band but no reflected component "
-            "was solved; enlarge the lattice"
-        )
-
     def _region_coeffs(self, s, y):
         if not self.regions:
-            raise self._no_region()
-        return self.regions[int(self._nearest_region(s, y))].coeffs_at(s, y)
-
-    def _nearest_region(self, s, y):
-        """Index of the region whose lattice box lies nearest (s, y), the first on a tie.
-
-        Floats or arrays; squared distances go through libm's pow, so an
-        array entry picks what its float would.
-        """
-        if len(self._boxes) == 1:
-            return np.zeros(np.shape(s), dtype=int)
-        gaps = [
-            _libm_pow(np.maximum(np.maximum(s0 - s, 0.0), s - s1), 2.0)
-            + _libm_pow(np.maximum(np.maximum(y0 - y, 0.0), y - y1), 2.0)
-            for (s0, s1), (y0, y1) in self._boxes
-        ]
-        return np.argmin(gaps, axis=0)
+            raise DomainError(
+                "query falls in a reflected band but no reflected component "
+                "was solved; enlarge the lattice"
+            )
+        return self.regions[0].coeffs_at(s, y)
 
     def _line(self, s, y, level) -> Line:
         """The record of the x-line at floats (s, y) whose level is known."""
@@ -950,7 +929,7 @@ class _Solution3D:
         off the quadrant and not stopped, or reflected with no region),
         which raises ``line``'s error.  Stopped lines take no roots;
         reflected lines take one ``_roots_along`` call and one ``coeffs_at``
-        call per region.
+        call.
         """
         spec, o = self.spec, self._o
         s, y = (
@@ -977,10 +956,7 @@ class _Solution3D:
         k = np.flatnonzero(reflect)
         if k.size:
             g1[k], g2[k] = _roots_along(spec, s[k], y[k])
-            which = self._nearest_region(s[k], y[k])
-            for r in np.unique(which):
-                at = k[which == r]
-                c1[at], c2[at] = self.regions[r].coeffs_at(s[at], y[at])
+            c1[k], c2[k] = self.regions[0].coeffs_at(s[k], y[k])
         return Lines(spec, o, s, y, level, branch, g1, g2, c1, c2)
 
     def boundary(self, s, y):

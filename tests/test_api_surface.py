@@ -8,7 +8,10 @@ so it shows up as a test diff to review rather than slipping in.
 import argparse
 import ast
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import drawdown_options
 from drawdown_options.cli import build_parser
@@ -313,3 +316,34 @@ def test_every_error_cli_main_maps_is_raised_by_the_package():
             tree = ast.parse(path.read_text(), filename=str(path))
             named |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert ours and ours <= named, sorted(ours - named)
+
+
+def test_the_reflection_system_keeps_no_component_machinery():
+    # one system covers every reflected node: the package labels no
+    # components, keeps no per-component boxes and searches no nearest region
+    package = pathlib.Path(drawdown_options.__file__).parent
+    banned = {"ndimage", "_nearest_region", "_boxes"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [part for a in node.names for part in a.name.split(".")]
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [w for w in banned if w in node.value]
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            found += [f"{path.name}:{node.lineno}:{n}" for n in names if n in banned]
+    assert found == []
+
+
+def test_importing_the_package_leaves_scipy_ndimage_unloaded():
+    code = "import sys, drawdown_options; print('scipy.ndimage' in sys.modules)"
+    src = str(pathlib.Path(drawdown_options.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from drawdown_options import cli
+from drawdown_options import ConfigError, build_config, cli, parse_flat
 from drawdown_options.cli import main
 
 BASE = """\
@@ -275,6 +275,30 @@ def test_missing_required_key_exits_1(tmp_path):
     cfg = tmp_path / "broken.conf"
     cfg.write_text("r = 0.06\nstrike = 1.0\n")
     assert main(["roots", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(BASE + "grid.s_min = 0\n", "^grid.s_min must be positive, got 0.0$",
+                 id="s_min"),
+    pytest.param(
+        BASE + "grid.s_min = 2\ngrid.s_max = 1\n",
+        r"^grid.s_max must exceed grid.s_min, got \[2.0, 1.0\]$", id="s_max",
+    ),
+    pytest.param(BASE + "grid.y_max = -1\n", "^grid.y_max must be positive, got -1.0$",
+                 id="y_max"),
+    pytest.param(
+        BASE.replace("grid.n_s = 24", "grid.n_s = 8"),
+        "^grid counts must be at least 16, got n_s=8, n_y=16$", id="grid_counts",
+    ),
+    pytest.param(BASE + "grid.n_x 24\n",
+                 r"^line 14: expected 'key = value', got 'grid.n_x 24'$", id="malformed_line"),
+    pytest.param(BASE + " = 3\n", r"^line 14: empty key in ' = 3'$", id="empty_key"),
+    pytest.param(BASE + "sim.seed = two\n",
+                 r"^bad value for config key 'sim.seed': 'two'$", id="bad_value"),
+])
+def test_a_bad_config_raises_config_error(text, message):
+    with pytest.raises(ConfigError, match=message):
+        build_config(parse_flat(text))
 
 
 def test_missing_config_file_exits_1(tmp_path):

@@ -9,7 +9,6 @@ diagonal y -> s.  The audit, which reads one batch, must give the dict of
 the same checks taken line by line.
 """
 
-import dataclasses
 import warnings
 from functools import lru_cache
 
@@ -313,32 +312,6 @@ def test_linspace_rows_match_linspace_per_row():
         rows = _linspace_rows(start, stop, num)
         for k in range(start.size):
             assert rows[k].tobytes() == np.linspace(start[k], stop[k], num).tobytes()
-
-
-def test_lines_pick_the_nearest_region_as_line_does():
-    # two regions with different coefficients and overlapping boxes: every
-    # reflected line takes the same region in the batch as on its own
-    sol = solution("flat", "put")
-    grid = sol.regions[0]
-    twin = dataclasses.replace(grid, C1=2.0 * grid.C1, C2=2.0 * grid.C2)
-    (s0, s1), (y0, y1) = sol._boxes[0]
-    mid = 0.5 * (s0 + s1)
-    try:
-        sol.regions = [grid, twin]
-        sol._boxes = [((s0, mid), (y0, y1)), ((mid - 0.5, s1), (y0, y1))]
-        rng = np.random.default_rng(7)
-        ss = rng.uniform(s0, s1, 200)
-        ys = ss * rng.uniform(0.0, 0.95, 200)
-        got = sol.lines(ss, ys)
-        reflected = 0
-        for k, (s, y) in enumerate(zip(ss, ys)):
-            ln = sol.line(s, y)
-            assert _hex(got[k]) == _hex(ln)
-            reflected += ln.branch == "reflect"
-        assert reflected > 50
-    finally:
-        sol.regions = [grid]
-        sol._boxes = [((s0, s1), (y0, y1))]
 
 
 def test_lines_reject_bad_input():

@@ -526,11 +526,70 @@ def test_duplicate_column_closure_rejected():
 
 
 def test_non_contiguous_column_rejected():
+    # a puncture splits column 3 (and row 4) into two runs, and each keeps
+    # one closure; columns are checked first
     spec = flat_call_spec()
     region = flat_region()
-    region.active[3, 4] = False  # puncture splits column 3 into two runs
-    with pytest.raises(UnderdeterminedRegion):
+    region.active[3, 4] = False
+    msg = r"^column 3: 2 runs of active nodes, 1 closures; need exactly one closure per run$"
+    with pytest.raises(UnderdeterminedRegion, match=msg):
         solve_reflection_region(spec, region)
+
+
+def test_a_column_with_two_runs_solves_with_two_closures():
+    # a line's closures, in list order, close its runs in ascending order:
+    # the lower run of column 3 and the left run of row 4 close at the
+    # puncture, ahead of each line's own closure
+    spec = flat_call_spec()
+    region = flat_region()
+    region.active[3, 4] = False
+    s_cut, y_cut = region.s_grid[3], region.y_grid[4]
+    region.column_closures.insert(3, ColumnClosure(3, "c2_zero", y_pos=y_cut))
+    region.row_closures.insert(
+        4, RowClosure(4, "combo", s_pos=s_cut, x_base=s_cut, target=s_cut - 1.0)
+    )
+    grid = solve_reflection_region(spec, region)
+    for c in (grid.C1, grid.C2):
+        assert np.isfinite(c[region.active]).all() and np.isnan(c[3, 4])
+
+
+_FLAT = flat_region()
+
+
+@pytest.mark.parametrize("change, error, message", [
+    pytest.param(
+        {"active": np.ones((17, 8), dtype=bool)}, ValueError,
+        r"^active mask must be \(len\(s_grid\), len\(y_grid\)\)$", id="mask_shape",
+    ),
+    pytest.param(
+        {"s_grid": _FLAT.s_grid[::-1]}, ValueError,
+        "^grids must be strictly increasing$", id="s_order",
+    ),
+    pytest.param(
+        {"y_grid": np.r_[0.1, _FLAT.y_grid[:-1]]}, ValueError,
+        "^grids must be strictly increasing$", id="y_order",
+    ),
+    pytest.param(
+        {"active": np.zeros((17, 9), dtype=bool)}, UnderdeterminedRegion,
+        "^region has no active nodes$", id="empty",
+    ),
+    pytest.param(
+        {"row_closures": _FLAT.row_closures + [RowClosure(9, "c1_zero")]},
+        UnderdeterminedRegion, "^a row closure names row 9, off the grid$",
+        id="row_off_grid",
+    ),
+    pytest.param(
+        {"column_closures": [ColumnClosure(-1, "c2_zero", 1.0)] + _FLAT.column_closures},
+        UnderdeterminedRegion, "^a column closure names column -1, off the grid$",
+        id="column_off_grid",
+    ),
+])
+def test_a_malformed_region_raises_its_typed_error(change, error, message):
+    fields = {name: getattr(_FLAT, name) for name in (
+        "s_grid", "y_grid", "active", "column_closures", "row_closures"
+    )}
+    with pytest.raises(error, match=message):
+        solve_reflection_region(flat_call_spec(), RegionSpec(**{**fields, **change}))
 
 
 def test_combo_closure_requires_anchor_data():

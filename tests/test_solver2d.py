@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -184,13 +185,56 @@ def test_flat_call_barrier_is_three_strikes():
     npt.assert_allclose(call_boundary_2d(spec, [0.5, 2.0]), 3.0, rtol=1e-12)
 
 
-@pytest.mark.parametrize("s", [0.0, -1.0, [1.0, 0.0]])
-def test_the_2d_roots_off_the_quadrant_raise(s):
-    # no roots exist at s <= 0: the critical levels raise, not read NaN
-    with pytest.raises(DomainError, match="requires s > 0"):
+@pytest.mark.parametrize("s, bad", [
+    pytest.param(0.0, "0.0", id="0.0"),
+    pytest.param(-1.0, "-1.0", id="-1.0"),
+    pytest.param([1.0, 0.0], "0.0", id="s2"),
+])
+def test_the_2d_roots_off_the_quadrant_raise(s, bad):
+    # no roots exist at s <= 0: the critical levels raise, not read NaN, and
+    # name the first pair off the quadrant
+    msg = rf"^need s > 0 and 0 <= y <= s, got s={bad}, y=0\.0$"
+    with pytest.raises(DomainError, match=msg):
         call_boundary_2d(flat_spec("call"), s)
-    with pytest.raises(DomainError, match="requires s > 0"):
+    with pytest.raises(DomainError, match=msg):
         put_asymptote(flat_spec("put"), s)
+
+
+def _short_call():
+    # the flat call barrier h = 3 lies above every s of this domain
+    return dataclasses.replace(flat_spec("call"), domain_s_max=2.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(
+        lambda: put_boundary_2d(flat_spec("put"), np.ones((2, 2))), ValueError,
+        "^s_grid must hold at least two points$", id="grid_not_1d",
+    ),
+    pytest.param(
+        lambda: put_boundary_2d(flat_spec("put"), [1.0]), ValueError,
+        "^s_grid must hold at least two points$", id="grid_one_point",
+    ),
+    pytest.param(
+        lambda: put_boundary_2d(flat_spec("put"), [1.0, 3.0, 2.0]), ValueError,
+        "^s_grid must be strictly monotone$", id="grid_not_monotone",
+    ),
+    pytest.param(
+        lambda: put_boundary_2d(flat_spec("put"), [2.0, 1.0, 0.0]), DomainError,
+        "^the boundary grid must stay strictly positive$", id="grid_at_zero",
+    ),
+    pytest.param(
+        lambda: PutSolution2D(flat_spec("put")).value(2.0, 1.0), DomainError,
+        r"^need 0 < x <= s, got x=2.0, s=1.0$", id="put_value_off_the_slice",
+    ),
+    pytest.param(
+        lambda: CallSolution2D(_short_call()).value(1.0, 1.5), DomainError,
+        "^no barrier crossing above s=1.5 inside the truncated domain; "
+        "enlarge domain_s_max$", id="call_with_no_crossing_above",
+    ),
+])
+def test_a_bad_2d_input_raises_its_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_flat_call_reference_value():

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -25,7 +26,12 @@ from drawdown_options import (
 from drawdown_options import solver3d
 from drawdown_options.coefficients import _ORIENT, _critical_level, roots_arrays
 from drawdown_options.errors import ResolutionWarning, UnderdeterminedRegion
-from drawdown_options.reflection_pde import ColumnClosure, RowClosure
+from drawdown_options.reflection_pde import (
+    ColumnClosure,
+    RegionSpec,
+    RowClosure,
+    solve_reflection_region,
+)
 from drawdown_options.solver2d import _cell_crossing
 from drawdown_options.solver3d import (
     MAX_SWITCH_PAIRS,
@@ -318,8 +324,10 @@ def _crossing_by_calls(grid, d, valid, a, b):
 def _closures_by_loops(spec, surface):
     """Closures as a column loop and its mirrored row loop, the reference of the walk.
 
-    Returns the (column closures, row closures) of every reflected component,
-    or raises UnderdeterminedRegion where a line cannot be closed.
+    Every run of reflected nodes along a line, over the whole mask, is
+    closed past its last node.  Returns [(column closures, row closures)],
+    or [] when no node reflects, or raises UnderdeterminedRegion where a run
+    cannot be closed.
     """
     o = _ORIENT[surface.kind]
     s_grid, y_grid, v = surface.s_grid, surface.y_grid, surface.values
@@ -330,18 +338,16 @@ def _closures_by_loops(spec, surface):
     def line(s, y, on_s):
         return s if on_s else s - y
 
-    comp, n_comp = ndimage.label(surface.labels == "reflect")
-    out = []
-    for c in range(1, n_comp + 1):
-        active = comp == c
-        col_cl = []
-        row_cl = []
-        for i in range(n_s):
-            idx = np.flatnonzero(active[i])
-            if not idx.size:
-                continue
-            j2 = idx[-1]
+    active = surface.labels == "reflect"
+    if not active.any():
+        return []
+    col_cl = []
+    row_cl = []
+    for i in range(n_s):
+        for j2 in range(n_y):
             above = j2 + 1
+            if not active[i, j2] or (above < n_y and active[i, above]):
+                continue  # not the last node of a run
 
             def dcol(k, i=i):
                 return v[i, k] - line(s_grid[i], y_grid[k], band_on_s)
@@ -384,12 +390,11 @@ def _closures_by_loops(spec, surface):
             col_cl.append(
                 ColumnClosure(i, "combo", y_pos=y_star, x_base=x_base, target=target)
             )
-        for j in range(n_y):
-            idx = np.flatnonzero(active[:, j])
-            if not idx.size:
-                continue
-            i2 = idx[-1]
+    for j in range(n_y):
+        for i2 in range(n_s):
             right = i2 + 1
+            if not active[i2, j] or (right < n_s and active[right, j]):
+                continue  # not the last node of a run
             if right >= n_s:
                 if band_on_s:
                     raise UnderdeterminedRegion(
@@ -418,8 +423,7 @@ def _closures_by_loops(spec, surface):
             row_cl.append(
                 RowClosure(j, "combo", s_pos=s_star, x_base=x_base, target=target)
             )
-        out.append((col_cl, row_cl))
-    return out
+    return [(col_cl, row_cl)]
 
 
 def _closure_bits(closures):
@@ -443,7 +447,7 @@ def _closures_or_error(build, spec, surface):
 
 
 def _walk_closures(spec, surface):
-    """The closures build_reflection_regions hands to each region's solve."""
+    """The closures build_reflection_regions hands to its one solve, if any."""
     regions = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver3d, "solve_reflection_region", lambda _, r: regions.append(r))
@@ -470,6 +474,48 @@ def test_closure_walk_matches_the_loops_bit_for_bit(
         detect_regions_3d(spec, surf)
     want = _closures_or_error(_closures_by_loops, spec, surf)
     assert _closures_or_error(_walk_closures, spec, surf) == want
+
+
+def _closed_runs(lines, closures, key):
+    """Per closure, in list order, the last node of the run it closes along its line.
+
+    A line's closures close its runs of active nodes in ascending order.
+    """
+    ends = {k: np.flatnonzero(lines[k] & ~np.r_[lines[k, 1:], False]).tolist()
+            for k in range(lines.shape[0])}
+    return [ends[key(c)].pop(0) for c in closures]
+
+
+def test_one_system_solves_each_component_as_on_its_own():
+    # a drawdown put whose reflected band one direct column cuts in two: the
+    # solve of the whole mask gives every active node the C1 and C2 of its
+    # component's own solve, bit for bit
+    spec = make_spec("put", ("bounded_rational", (0.02, 0.0, 0.01)))
+    s_grid, y_grid = np.linspace(0.5, 8.0, 31), np.linspace(0.0, 6.0, 25)
+    v = build_put_surface(spec, s_grid, y_grid).values
+    cut = v[18] < s_grid[18] - y_grid  # the column's reflected nodes
+    v[18, cut] = s_grid[18] - 0.5 * y_grid[cut]
+    surf = BoundarySurface(s_grid, y_grid, v, "put")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        detect_regions_3d(spec, surf)
+    ((cols, rows),) = _walk_closures(spec, surf)
+    active = surf.labels == "reflect"
+    comp, n_comp = ndimage.label(active)
+    assert n_comp == 2
+    (whole,) = build_reflection_regions(spec, surf)
+    assert np.array_equal(whole.active, active)
+    col_ends = _closed_runs(active, cols, lambda c: c.i)
+    row_ends = _closed_runs(active.T, rows, lambda c: c.j)
+    for c in (1, 2):
+        own = RegionSpec(
+            s_grid, y_grid, comp == c,
+            [cl for cl, j in zip(cols, col_ends) if comp[cl.i, j] == c],
+            [cl for cl, i in zip(rows, row_ends) if comp[i, cl.j] == c],
+        )
+        alone = solve_reflection_region(spec, own)
+        for got, want in ((whole.C1, alone.C1), (whole.C2, alone.C2)):
+            assert got[comp == c].tobytes() == want[comp == c].tobytes()
 
 
 def _labelled_surface(kind, s_grid, y_grid, values):
@@ -1011,11 +1057,36 @@ _FLAT = {kind: make_spec(kind, ("constant", (0.03,))) for kind in ("call", "put"
         r"need a finite y_grid, got y_grid\[6\]=inf$", id="call_surface_inf_y",
     ),
 ])
-def test_a_non_finite_slice_or_surface_input_raises(kind, build, message):
+def test_a_non_finite_slice_or_surface_input_raises(kind, build, message, monkeypatch):
     # each of these once returned NaN levels (an all-NaN surface, a slice
-    # NaN from the bad node on), or named the wrong fault for an infinite y
+    # NaN from the bad node on), or named the wrong fault for an infinite y;
+    # a put's input is checked before its diagonal curve is marched
+    calls = []
+    monkeypatch.setattr(solver3d, "diagonal_put_curve", calls.append)
     with pytest.raises(DomainError, match=message):
         build(_FLAT[kind])
+    assert calls == []
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(
+        lambda _: build_call_surface(_FLAT["call"], [1e-6, 1.0], [0.0, 0.5]),
+        "^s_grid must start above the edge offset$", id="call_surface_at_the_edge",
+    ),
+    pytest.param(
+        lambda _: call_boundary_slice(_FLAT["call"], 1e-6, [0.0]),
+        "^slice level s=1e-06 must exceed the edge offset$", id="call_slice_at_the_edge",
+    ),
+    pytest.param(
+        lambda sol: dataclasses.replace(
+            sol.lines([2.0, 3.0], [0.5, 1.0]), y=np.array([0.5, 3.0])
+        ).values(np.array([[1.8], [2.5]])),
+        r"^need 0 <= y < s, got s=3.0, y=3.0$", id="lines_values_off_the_quadrant",
+    ),
+])
+def test_a_bad_3d_input_raises_its_typed_error(call, message, flat_put):
+    with pytest.raises(DomainError, match=message):
+        call(flat_put[1])
 
 
 def test_drawdown_model_put_surface_orders_against_flat():
