@@ -372,12 +372,23 @@ def _libm_pow(base, g):
     numpy's SIMD power can round the last bit differently from libm's pow,
     and which SIMD path runs depends on the CPU; libm keeps each entry equal
     to the scalar base**g (a Python float's or a numpy scalar's) on any CPU.
+    Floats go through math.pow; arrays through np.float_power, whose float64
+    loop calls libm's pow per entry.  An array raises where math.pow would
+    on its first such entry, in C order: ValueError for a NaN result or 0 to
+    a negative power from finite inputs, OverflowError for an overflow.
     """
     if np.ndim(base) == 0 and np.ndim(g) == 0:
         return math.pow(base, g)
-    b, e = np.broadcast_arrays(base, g)
-    out = list(map(math.pow, b.ravel().tolist(), e.ravel().tolist()))
-    return np.array(out, dtype=float).reshape(b.shape)
+    b, e = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(g, dtype=float))
+    with np.errstate(all="ignore"):
+        out = np.float_power(b, e)
+    bad = ~np.isfinite(out) & np.isfinite(b) & np.isfinite(e)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        if np.isinf(out.flat[k]) and b.flat[k] != 0.0:
+            raise OverflowError("math range error")
+        raise ValueError("math domain error")
+    return out
 
 
 def _dvalue_dx(c1, g1, c2, g2, x):

@@ -39,7 +39,6 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 import numpy as np
-from scipy.special import ndtri
 
 from .coefficients import _ORIENT, ModelSpec, StateTriple, _generator
 from .errors import ConfigError
@@ -307,7 +306,10 @@ def _normals(h):
     The midpoints are exact in double and lie in [2**-53, 1 - 2**-53], so
     every normal is finite, within about 8.2 of zero.  (With 53 bits the
     top midpoint 1 - 2**-54 would round to 1, where ndtri is infinite.)
+    scipy is imported here, so a process loads it at its first draw only.
     """
+    from scipy.special import ndtri
+
     return ndtri(((h >> np.uint64(12)) + 0.5) * _U52)
 
 

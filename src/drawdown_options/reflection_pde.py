@@ -47,13 +47,25 @@ from dataclasses import dataclass, field
 from math import isfinite, nan
 
 import numpy as np
-# perfbench/tracer.py wraps these names here; the solve calls neither
-from scipy.sparse.linalg import lsqr, spsolve  # noqa: F401
 
 from .coefficients import (
     _ORIENT, ModelSpec, _libm_pow, _pinned_pair, _roots_along, check_quadrant, roots_arrays,
 )
 from .errors import NonConvergence, UnderdeterminedRegion
+
+
+def __getattr__(name):
+    """scipy's lsqr and spsolve, loaded when first read (PEP 562).
+
+    perfbench/tracer.py wraps these names here; the solve calls neither, so
+    an import of the package loads no scipy.  Delete this with ROADMAP
+    item 9.
+    """
+    if name in ("lsqr", "spsolve"):
+        from scipy.sparse import linalg
+
+        return getattr(linalg, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_closure(closure, line, uses):

@@ -20,8 +20,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from . import odestep
 from .coefficients import (
@@ -150,7 +148,7 @@ def detect_switch_points(grid, curve_values, ref_values, refine=None):
             elif fhi == 0.0:
                 pos = hi[k]
             elif np.sign(flo) != np.sign(fhi):
-                pos = brentq(refine, lo[k], hi[k], xtol=1e-10, rtol=8.9e-16)
+                pos = _brentq(refine, lo[k], hi[k], xtol=1e-10, rtol=8.9e-16)
         crossings.append((float(pos), "enter" if falls[k] else "exit"))
 
     pos = np.array([p for p, _ in crossings])
@@ -159,18 +157,174 @@ def detect_switch_points(grid, curve_values, ref_values, refine=None):
     return crossings
 
 
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """A root of f in [a, b]: scipy.optimize.brentq, ported to floats.
+
+    The iteration is scipy's C ``brentq`` (Brent 1973: secant and inverse
+    quadratic steps, bisection as the fallback), step for step, so a float f
+    gives the same root bits.  It raises where scipy's raises: ValueError
+    for f(a) and f(b) of one sign or a NaN value of f, RuntimeError once
+    maxiter iterations have not converged.
+    """
+
+    def at(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = at(xpre), at(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+            math.copysign(1.0, fpre) != math.copysign(1.0, fcur)
+        ):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            # scipy's MIN(|spre|, 3 |sbis| - delta), argument for argument on a tie
+            if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = at(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def region_index_of(switches, s) -> int:
     """Count regions from the outside in: 0 above every switch point."""
     return int(sum(1 for pos, _ in switches if s < pos))
 
 
-class _Cubic:
-    """The cubic spline through (x, v): scipy's fit, evaluated in house.
+def _gtsv(dl, d, du, b):
+    """Solve a tridiagonal system as LAPACK's dgtsv does, on floats.
 
-    ``CubicSpline`` fits the not-a-knot spline; a call evaluates its
-    breakpoints x and coefficients c as ``PPoly.__call__`` does, bit for
-    bit.  A query q reads interval i = clip(searchsorted(x, q, "right") -
-    1, 0, n - 2), extrapolating past either end: the count of interior
+    dl, d and du are lists of the sub-, main and super-diagonal, which the
+    elimination overwrites, and b the one right-hand side.  Gaussian
+    elimination with partial pivoting row by row, then back substitution,
+    in the reference routine's order of operations, so the solution has
+    its bits; a zero pivot raises ValueError.  Returns the solution as a
+    list.
+    """
+    n = len(d)
+    di, bi = d[0], b[0]  # row i as the elimination has left it
+    for i in range(n - 1):
+        dli = dl[i]
+        if 0.0 <= dli <= di or abs(di) >= abs(dli):  # no row interchange
+            if di == 0.0:
+                raise ValueError("singular matrix")
+            fact = dli / di
+            d[i], b[i] = di, bi
+            di = d[i + 1] - fact * du[i]
+            bi = b[i + 1] - fact * bi
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1
+            fact = di / dli
+            d[i], b[i] = dli, b[i + 1]
+            di = du[i] - fact * d[i + 1]
+            du[i] = d[i + 1]
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            bi = bi - fact * b[i + 1]
+    d[n - 1], b[n - 1] = di, bi
+    if di == 0.0:
+        raise ValueError("singular matrix")
+    x1 = bi / di
+    out = [x1]
+    if n > 1:
+        x2, x1 = x1, (b[n - 2] - du[n - 2] * x1) / d[n - 2]
+        out.append(x1)
+        rows = zip(*(reversed(a[:n - 2]) for a in (b, du, dl, d)))
+        for bi, dui, dli, di in rows:
+            x2, x1 = x1, (bi - dui * x1 - dli * x2) / di
+            out.append(x1)
+    out.reverse()
+    return out
+
+
+def _not_a_knot(x, v):
+    """Breakpoints and PPoly rows of the not-a-knot cubic spline through (x, v).
+
+    scipy.interpolate.CubicSpline(x, v) ported, bit for bit for n = 2 and
+    n >= 4: the node slopes solve scipy's tridiagonal system, its
+    not-a-knot end rows included, through :func:`_gtsv`, and the Hermite
+    form's coefficients follow in scipy's order.  With two nodes both ends
+    take the chord's slope, through the same solve.  With three the spline
+    is the parabola through the nodes: scipy solves a dense 3x3 system for
+    its slopes through LAPACK, whose last bits vary with the BLAS kernels,
+    and here they are in closed form (README gives the difference).
+    x and v are one-dimensional and of one length.  Raises ValueError for
+    fewer than two nodes, a non-finite entry or x not strictly increasing,
+    as scipy does.
+    """
+    x = np.array(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if x.size < 2:
+        raise ValueError("`x` must contain at least 2 elements.")
+    if not np.isfinite(x).all():
+        raise ValueError("`x` must contain only finite values.")
+    if not np.isfinite(v).all():
+        raise ValueError("`y` must contain only finite values.")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("`x` must be strictly increasing sequence.")
+    slope = np.diff(v) / dx
+    if x.size == 2:
+        m = np.array(_gtsv([0.0], [1.0, 1.0], [0.0], [float(slope[0])] * 2))
+    elif x.size == 3:
+        # the parabola's slopes in closed form: s0 + s1 and s1 + s2 are twice
+        # the chords' slopes, as the first and last rows of scipy's system say
+        mid = float((dx[1] * slope[0] + dx[0] * slope[1]) / (dx[0] + dx[1]))
+        m = np.array([2 * slope[0] - mid, mid, 2 * slope[1] - mid])
+    else:
+        d = np.empty(x.size)
+        d[1:-1] = 2 * (dx[:-1] + dx[1:])
+        d[0], d[-1] = dx[1], dx[-2]
+        b = np.empty(x.size)
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        # the not-a-knot rows, as scipy writes them on numpy scalars
+        lo, hi = x[2] - x[0], x[-1] - x[-3]
+        b[0] = ((dx[0] + 2 * lo) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / lo
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * hi + dx[-1]) * dx[-2] * slope[-1]) / hi
+        dl = [*dx[1:].tolist(), float(hi)]
+        du = [float(lo), *dx[:-1].tolist()]
+        m = np.array(_gtsv(dl, d.tolist(), du, b.tolist()))
+    t = (m[:-1] + m[1:] - 2 * slope) / dx
+    return x, (t / dx, (slope - m[:-1]) / dx - t, m[:-1], v[:-1].copy())
+
+
+class _Cubic:
+    """The not-a-knot cubic spline through (x, v), fitted and evaluated in house.
+
+    :func:`_not_a_knot` fits it as ``CubicSpline`` does; a call evaluates
+    its breakpoints x and coefficients c as ``PPoly.__call__`` does, bit
+    for bit.  A query q reads interval i = clip(searchsorted(x, q, "right")
+    - 1, 0, n - 2), extrapolating past either end: the count of interior
     breakpoints at or below q.  With d = q - x[i] its value is ((0 + c3) +
     c2 d + c1 d**2) + c0 (d**2 d), the terms summed in scipy's order.
     Arrays go through numpy.  A float goes through bisect and float
@@ -182,10 +336,8 @@ class _Cubic:
     __slots__ = ("x", "_inner", "_rows", "_xv", "_inner_v", "_rows_v")
 
     def __init__(self, x, v):
-        fit = CubicSpline(x, v)
-        self.x = fit.x
+        self.x, self._rows = _not_a_knot(x, v)
         self._inner = self.x[1:-1]
-        self._rows = [np.ascontiguousarray(ck) for ck in fit.c]
         self._xv, self._inner_v = memoryview(self.x), memoryview(self._inner)
         self._rows_v = [memoryview(ck) for ck in self._rows]
 

@@ -353,19 +353,30 @@ def _diagonal_seeds(o, spec: ModelSpec, curve, fixed, starts):
     return curve(starts)
 
 
-def _build_surface(o, spec, make_curve, s_grid, y_grid):
-    """March every slice from next to the diagonal, then label the lattice.
+def _surface_grids(o, spec, s_grid, y_grid):
+    """The grids of an o-side surface as float arrays, once spec and grids pass.
 
-    A NaN or infinite grid entry raises DomainError naming the first one.
-    Once the grids pass, make_curve() makes the put's diagonal curve (it is
-    None for a call), and the surface keeps it.
+    A spec of the other payoff, an empty or multi-dimensional grid, or a
+    NaN or infinite grid entry (named, the first one) raises DomainError.
     """
     o.require(spec)
     s_grid = np.asarray(s_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
     for name, grid in (("s_grid", s_grid), ("y_grid", y_grid)):
+        if grid.ndim != 1 or not grid.size:
+            raise DomainError(f"{name} must be a one-dimensional grid of at least one node")
         if not np.isfinite(grid).all():
             raise _non_finite(grid, name)
+    return s_grid, y_grid
+
+
+def _build_surface(o, spec, make_curve, s_grid, y_grid):
+    """March every slice from next to the diagonal, then label the lattice.
+
+    The grids are those :func:`_surface_grids` passed.  make_curve() makes
+    the put's diagonal curve (it is None for a call), and the surface keeps
+    it.
+    """
     curve = make_curve() if make_curve else None
     fixed, move = o.swap(s_grid, y_grid)
     starts = fixed + o.direction * EDGE_FRACTION * spec.strike
@@ -400,7 +411,8 @@ def build_call_surface(spec: ModelSpec, s_grid, y_grid) -> BoundarySurface:
     The seed sits at y = s - eps where the drawdown floor is slack and the
     barrier matches the reachable-maximum form for the diagonal coefficients.
     """
-    if np.asarray(s_grid, dtype=float)[0] <= EDGE_FRACTION * spec.strike:
+    s_grid, y_grid = _surface_grids(_CALL, spec, s_grid, y_grid)
+    if s_grid[0] <= EDGE_FRACTION * spec.strike:
         raise DomainError("s_grid must start above the edge offset")
     return _build_surface(_CALL, spec, None, s_grid, y_grid)
 
@@ -415,6 +427,7 @@ def build_put_surface(spec: ModelSpec, s_grid, y_grid) -> BoundarySurface:
     of a solution built on the surface start from the same seeds.  The
     grids are checked before the curve is marched.
     """
+    s_grid, y_grid = _surface_grids(_PUT, spec, s_grid, y_grid)
     return _build_surface(_PUT, spec, lambda: diagonal_put_curve(spec), s_grid, y_grid)
 
 

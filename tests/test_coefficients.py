@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,6 +19,7 @@ from drawdown_options import (
     roots,
     roots_arrays,
 )
+from drawdown_options.coefficients import _libm_pow
 
 
 def make_spec(delta=("constant", (0.03,)), sigma=("constant", (0.2,)),
@@ -377,3 +380,34 @@ def test_pinned_pair_ignores_a_far_end_at_the_level(g1, g2, level, sign):
     assert _pinned_pair(g1, g2, level, 1.0, sign, x_end=level) == _pinned_pair(
         g1, g2, level, 1.0, sign
     )
+
+
+def _assert_libm_pow_is_math_pow(base, g):
+    """_libm_pow(base, g) equals math.pow on each broadcast pair, raises included."""
+    b, e = np.broadcast_arrays(base, g)
+    try:
+        want = np.array(list(map(math.pow, b.ravel().tolist(), e.ravel().tolist())))
+    except (ValueError, OverflowError) as err:
+        # the first raise in C order decides the error
+        with pytest.raises(type(err), match=f"^{err}$"):
+            _libm_pow(base, g)
+        return
+    got = _libm_pow(base, g)
+    assert got.shape == b.shape
+    assert got.tobytes() == want.tobytes()
+
+
+_POW_FLOATS = (
+    st.floats(-1e3, 1e3)
+    | st.floats(0.0, 10.0)
+    | st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, math.inf, -math.inf, math.nan])
+)
+
+
+@given(pairs=st.lists(st.tuples(_POW_FLOATS, _POW_FLOATS), min_size=1, max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_libm_pow_on_arrays_equals_math_pow_entry_for_entry(pairs):
+    bases, exps = (np.array(t) for t in zip(*pairs))
+    _assert_libm_pow_is_math_pow(bases, exps)
+    _assert_libm_pow_is_math_pow(bases[:, None], exps[:3])
+    _assert_libm_pow_is_math_pow(bases[0], exps)

@@ -1,12 +1,14 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 from drawdown_options import (
@@ -22,7 +24,10 @@ from drawdown_options import (
     detect_switch_points,
     put_boundary_2d,
 )
-from drawdown_options.solver2d import _Cubic, default_put_grid, put_asymptote
+from drawdown_options import solver2d
+from drawdown_options.solver2d import (
+    _brentq, _Cubic, _gtsv, _not_a_knot, default_put_grid, put_asymptote,
+)
 
 REFERENCE_CALL_VALUE = 1.0886621079036347  # x=2, s=2.5 in the flat model
 
@@ -660,15 +665,16 @@ def test_a_lane_that_divides_by_zero_is_cut_without_a_warning(seed, lane):
 
 
 @given(
-    steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=12),
+    steps=st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=12).filter(lambda s: len(s) != 2),
     x0=st.floats(-2.0, 2.0),
     data=st.data(),
 )
 @settings(max_examples=200, deadline=None)
 def test_cubic_evaluates_scipys_fit_bit_for_bit(steps, x0, data):
-    # the in-house evaluation equals CubicSpline's call on floats and on
-    # arrays: on every node (q = x[0] and x[-1] among them), inside, and
-    # extrapolated past both ends
+    # the in-house fit and evaluation equal CubicSpline's call on floats and
+    # on arrays: on every node (q = x[0] and x[-1] among them), inside, and
+    # extrapolated past both ends; three nodes fit the parabola in closed
+    # form (test_the_three_node_fit_is_the_parabola)
     x = np.cumsum([x0] + steps)
     v = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=x.size, max_size=x.size)))
     span = x[-1] - x[0]
@@ -683,3 +689,107 @@ def test_cubic_evaluates_scipys_fit_bit_for_bit(steps, x0, data):
         got = fit(qk)
         assert type(got) is float
         assert got.hex() == float(want[k]).hex()
+
+
+def _uneven_nodes(data, n):
+    """n strictly increasing nodes whose gaps span up to six decades."""
+    gaps = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n - 1, max_size=n - 1))
+    x = np.cumsum([data.draw(st.floats(-10.0, 10.0))] + [10.0**g for g in gaps])
+    assume(np.all(np.diff(x) > 0))
+    return x
+
+
+@given(n=st.sampled_from([2, *range(4, 65)]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_fit_equals_scipys_coefficients_bit_for_bit(n, data):
+    x = _uneven_nodes(data, n)
+    v = np.array(data.draw(st.lists(
+        st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1e-300]), min_size=n, max_size=n,
+    )))
+    want = CubicSpline(x, v)
+    breaks, rows = _not_a_knot(x, v)
+    assert breaks.tobytes() == want.x.tobytes()
+    assert np.stack(rows).tobytes() == want.c.tobytes()
+
+
+def test_the_fit_of_a_4097_node_put_curve_equals_scipys_bit_for_bit():
+    spec = sloped_spec("put")
+    curve = put_boundary_2d(spec)
+    assert curve.grid.size == 4097
+    _, rows = _not_a_knot(curve.grid, curve.values)
+    assert np.stack(rows).tobytes() == CubicSpline(curve.grid, curve.values).c.tobytes()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_three_node_fit_is_the_parabola(data):
+    # scipy solves a dense 3x3 system for the parabola's slopes through
+    # LAPACK; the closed form keeps the values at the nodes and stays
+    # within 1e-11 of scipy's slopes, relative to the larger chord slope
+    x = _uneven_nodes(data, 3)
+    v = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)))
+    want = CubicSpline(x, v).c
+    _, (c0, c1, c2, c3) = _not_a_knot(x, v)
+    assert c3.tobytes() == want[3].tobytes()
+    chord = np.max(np.abs(np.diff(v) / np.diff(x)))
+    assert np.all(np.abs(c2 - want[2]) <= 1e-11 * chord)
+    # a parabola: each piece's cubic term is rounding
+    assert np.all(np.abs(c0 * np.diff(x) ** 2) <= 32 * np.finfo(float).eps * chord)
+
+
+@given(n=st.integers(2, 12), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_gtsv_solves_as_lapacks_dgtsv_bit_for_bit(n, data):
+    # row interchanges and zero pivots included
+    entries = st.floats(-1e3, 1e3) | st.just(0.0)
+    dl, d, du, b = (
+        np.array(data.draw(st.lists(entries, min_size=k, max_size=k)))
+        for k in (n - 1, n, n - 1, n)
+    )
+    *_, want, info = dgtsv(dl.copy(), d.copy(), du.copy(), b.copy())
+    if info:
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            _gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist())
+    else:
+        got = np.array(_gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist()))
+        assert got.tobytes() == want.tobytes()
+
+
+def _brent_outcome(solver, f, a, b, **kw):
+    try:
+        return float(solver(f, a, b, **kw)).hex()
+    except (ValueError, RuntimeError) as err:
+        return type(err).__name__, str(err)
+
+
+_BRENT_FAMILIES = [
+    lambda c: lambda x: c[0] + c[1] * x + c[2] * x**3,
+    lambda c: lambda x: math.sin(3.0 * x + c[0]) - 0.5 * c[1],
+    lambda c: lambda x: math.atan(50.0 * (x - c[0])) + 1e-3 * c[1],
+    lambda c: lambda x: 1e-6 * (x - c[0]) ** 3,
+    lambda c: lambda x: math.nan if x > c[0] else x - c[1],
+]
+
+
+@given(
+    family=st.sampled_from(_BRENT_FAMILIES),
+    c=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    ends=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2, unique=True).map(sorted),
+    xtol=st.sampled_from([1e-10, 1e-4]),
+    rtol=st.sampled_from([8.9e-16, 1e-8]),
+    maxiter=st.sampled_from([100, 3]),
+)
+@settings(max_examples=400, deadline=None)
+def test_brent_returns_brentqs_root_bits_and_raises_where_it_raises(
+    family, c, ends, xtol, rtol, maxiter
+):
+    kw = dict(xtol=xtol, rtol=rtol, maxiter=maxiter)
+    f = family(c)
+    assert _brent_outcome(_brentq, f, *ends, **kw) == _brent_outcome(brentq, f, *ends, **kw)
+
+
+def test_brent_refines_the_switch_points_as_brentq_did(monkeypatch):
+    spec = sloped_spec("call")
+    want = CallSolution2D(spec).switches
+    monkeypatch.setattr(solver2d, "_brentq", brentq)
+    assert want and CallSolution2D(spec).switches == want

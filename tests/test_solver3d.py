@@ -1089,6 +1089,26 @@ def test_a_bad_3d_input_raises_its_typed_error(call, message, flat_put):
         call(flat_put[1])
 
 
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("empty", ["s_grid", "y_grid"])
+def test_an_empty_surface_grid_raises_domain_error(kind, empty, monkeypatch):
+    # an empty grid once raised a bare IndexError, and the put marched its
+    # diagonal curve first
+    build = {"call": build_call_surface, "put": build_put_surface}[kind]
+    grids = {"s_grid": _S_NODES, "y_grid": _Y_NODES, empty: []}
+    calls = []
+    monkeypatch.setattr(solver3d, "diagonal_put_curve", calls.append)
+    with pytest.raises(DomainError, match=f"^{empty} must be a one-dimensional grid"):
+        build(_FLAT[kind], grids["s_grid"], grids["y_grid"])
+    assert calls == []
+
+
+def test_a_call_surface_checks_the_spec_before_the_edge_offset():
+    # a put spec was told "s_grid must start above the edge offset"
+    with pytest.raises(DomainError, match="^spec is a put model, not a call model$"):
+        build_call_surface(_FLAT["put"], [1e-7, 1.0], [0.0, 0.5])
+
+
 def test_drawdown_model_put_surface_orders_against_flat():
     # raising delta with the drawdown lowers the put barrier surface
     base = make_spec("put", ("constant", (0.02,)))
