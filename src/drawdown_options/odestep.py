@@ -7,7 +7,10 @@ Two functions set it up: ``solver2d.put_boundary_2d`` for the 2D put
 curve, and ``solver3d._march_slices`` for the 3D slices, whose surface
 runs its slices as lanes.  The 2D curve, a public slice and a direct
 line's re-march are one lane each, which steps and evaluates its stage on
-Python floats, with the bits an array lane would give.
+Python floats, with the bits an array lane would give.  A direct line's
+lane has one node, the query point at the end of its lane time, so it is
+read from the landing step's :func:`dense_output` at theta = 1 and
+checked against its band on floats too, with no node arrays.
 
 :func:`checked_step` is one step of the embedded pair of Dormand & Prince
 (1980): it propagates the fifth-order state and reports the difference to

@@ -46,11 +46,16 @@ EDGE_FRACTION = 1e-6
 def _non_finite(v, name="s") -> DomainError:
     """The error for a v with a NaN or infinite entry, naming the first one."""
     v = np.asarray(v, dtype=float)
-    if v.ndim == 0:
-        return DomainError(f"need a finite {name}, got {name}={v}")
-    k = np.argwhere(~np.isfinite(v))[0]
+    return DomainError(f"need a finite {name}, got {_first_bad(v, ~np.isfinite(v), name)}")
+
+
+def _first_bad(v, bad, name):
+    """``name=v`` for a float or 0-d v, else ``name[index]=entry`` for v's first bad entry."""
+    if np.ndim(v) == 0:
+        return f"{name}={v}"
+    k = np.argwhere(bad)[0]
     at = ", ".join(str(int(i)) for i in k)
-    return DomainError(f"need a finite {name}, got {name}[{at}]={v[tuple(k)]}")
+    return f"{name}[{at}]={v[tuple(k)]}"
 
 
 def _require_s_only(spec: ModelSpec, o) -> None:
@@ -197,11 +202,11 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                stry = _c_div(-fcur * (xcur - xpre), fcur - fpre)
             else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                dpre = _c_div(fpre - fcur, xpre - xcur)
+                dblk = _c_div(fblk - fcur, xblk - xcur)
+                stry = _c_div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
             # scipy's MIN(|spre|, 3 |sbis| - delta), argument for argument on a tie
             if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
                 spre, scur = scur, stry  # a good short step
@@ -213,6 +218,19 @@ def _brentq(f, a, b, xtol, rtol, maxiter=100):
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = at(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _c_div(a, b):
+    """a / b as C divides doubles: a zero b gives inf or NaN, where Python raises.
+
+    A step of inf or NaN fails the short-step test, so the iteration bisects,
+    as scipy's does.
+    """
+    if b:
+        return a / b
+    if a == 0.0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def region_index_of(switches, s) -> int:
@@ -376,14 +394,34 @@ class BoundaryCurve:
         self._range = float(self.grid[0]), float(self.grid[-1])
 
     def __call__(self, s):
-        """The curve at s, a float or an array; a non-finite s raises DomainError."""
+        """The curve at s, a float or an array, clamped into its sampled range.
+
+        A float (a numpy scalar too) is checked and evaluated on floats and
+        gives a float, with the bits its entry in an array gets.  A
+        non-finite s, or one more than 1e-12 outside the range, raises
+        DomainError naming it (the first such entry of an array) and the
+        range.
+        """
         lo, hi = self._range
+        if isinstance(s, float):
+            s = float(s)
+            if not lo - 1e-12 <= s <= hi + 1e-12:
+                raise self._outside(s, None) if math.isfinite(s) else _non_finite(s)
+            return self._spline(min(max(s, lo), hi))
         s = np.asarray(s, dtype=float)
         if not np.isfinite(s).all():
             raise _non_finite(s)
-        if np.any(s < lo - 1e-12) or np.any(s > hi + 1e-12):
-            raise DomainError("query outside the sampled range of the boundary curve")
+        outside = (s < lo - 1e-12) | (s > hi + 1e-12)
+        if outside.any():
+            raise self._outside(s, outside)
         return self._spline(np.clip(s, lo, hi))
+
+    def _outside(self, s, bad):
+        lo, hi = self._range
+        return DomainError(
+            f"query {_first_bad(s, bad, 's')} outside the sampled range "
+            f"[{lo!r}, {hi!r}] of the boundary curve"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +635,10 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
     pair the march reaches, in ascending tau; band = (lo, hi) gives the
     open interval each node's level must lie in (each an array over the
     nodes, or one value for all).  A node at tau = 0 takes its lane's seed.
+    A float tau, 1.0, is a single lane's one node at its end, as a direct
+    line's re-march reads it: lane is unused, band holds two floats, and
+    the node is read from the landing step's extension at theta = 1 and
+    checked on floats, with no node array or mask.
 
     The steps take the lengths one :class:`odestep.StepSize` gives from
     the worst lane still under control, at the target tol, with the floor
@@ -609,24 +651,28 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
     r K / delta on its own side, so a level inside its band keeps the
     denominator's sign.
 
-    Nothing is raised.  Returns the node levels, NaN from where a lane was
-    cut; per lane its status ``(kind, node)``: ``("ok", -1)``, or
-    ``"constraint"`` (the level left its band) at the first node that
-    fails, or ``"step"`` (the estimate still missed tol at the floor) at
-    the first node that step would have filled; and the worst estimate of
-    the steps taken.
+    Nothing is raised.  Returns the node levels (a float for a float tau),
+    NaN from where a lane was cut; per lane its status ``(kind, node)``:
+    ``("ok", -1)``, or ``"constraint"`` (the level left its band) at the
+    first node that fails, or ``"step"`` (the estimate still missed tol at
+    the floor) at the first node that step would have filled; and the
+    worst estimate of the steps taken.
     """
-    one = np.ndim(g) == 0
+    one = isinstance(g, float)
     n = 1 if one else g.size
+    end = isinstance(tau, float)
+    status = [("ok", -1)] * n
+    floor = 1e-12 * scale
+
+    if end:
+        levels, (lo, hi) = math.nan, band
+    else:
+        levels = np.full(tau.size, np.nan)
+        lo, hi = (v if np.ndim(v) else np.full(tau.size, v) for v in band)
+        held = np.ones(n, dtype=bool)
 
     def at(v, ln):
         return v if one else v[ln]
-
-    levels = np.full(tau.size, np.nan)
-    status = [("ok", -1)] * n
-    lo, hi = (v if np.ndim(v) else np.full(tau.size, v) for v in band)
-    held = np.ones(n, dtype=bool)
-    floor = 1e-12 * scale
 
     def fill(p, q, level_of):
         """Write the nodes p:q of the lanes still held, after the band check."""
@@ -648,13 +694,13 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
     # lanes past a breach carry NaN and inf on purpose, and a float lane's
     # zero level divides as a numpy zero does
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = int(np.searchsorted(tau, 0.0, side="right"))
+        p = 0 if end else int(np.searchsorted(tau, 0.0, side="right"))
         if p:
             fill(0, p, lambda ln, nodes: np.full(ln.size, g) if one else g[ln])
         lane_stage = ReuseStages(stage)
         size = StepSize(tol)
         t, worst = 0.0, 0.0
-        while t < 1.0 and held.any():
+        while t < 1.0 and (end or held.any()):
             rest = 1.0 - t
             try_len = size.length(rest)
             landed = try_len == rest
@@ -667,6 +713,9 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
             if not size.stands(try_len, top):
                 continue
             if not top <= size.tol:
+                if end:  # the one node is lost, and the march with it
+                    status[0] = ("step", 0)
+                    break
                 failed = held & np.logical_not(rel <= size.tol)
                 # cut at the first node the step would have filled
                 later = np.flatnonzero(failed[lane[p:]]) + p
@@ -677,13 +726,21 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
                 top = 0.0 if one else float(np.max(rel, where=held, initial=0.0))
             worst = max(worst, top)
             size.after(try_len, landed, top)
-            q = int(tau.searchsorted(t_next, side="right"))
-            if q > p:
-                fill(p, q, lambda ln, nodes: dense_output(
-                    at(g, ln), at(g_new, ln), h, [at(k, ln) for k in slopes],
-                    (tau[nodes] - t) / h,
-                ))
-            p, g, t = q, g_new, t_next
+            if not end:
+                q = int(tau.searchsorted(t_next, side="right"))
+                if q > p:
+                    fill(p, q, lambda ln, nodes: dense_output(
+                        at(g, ln), at(g_new, ln), h, [at(k, ln) for k in slopes],
+                        (tau[nodes] - t) / h,
+                    ))
+                p = q
+            elif landed:
+                level = dense_output(g, g_new, h, slopes, 1.0)
+                if lo < level < hi:
+                    levels = level
+                else:
+                    status[0] = ("constraint", 0)
+            g, t = g_new, t_next
     return levels, status, worst
 
 

@@ -282,39 +282,38 @@ def _march_slices(o, spec, curve, fixed, lane, nodes):
     """March slices of orientation o from next to the diagonal through nodes.
 
     fixed holds each slice's fixed coordinate, or is a float for a lone
-    slice, which marches on floats through nodes given in march order.
-    lane and nodes list every node to read, by slice and moving coordinate,
-    at or past its slice's start and inside the quadrant.  Each slice
-    starts on its :func:`_diagonal_seeds` seed (curve is None for a call)
-    and is flagged ``"constraint"`` there if the seed lies outside its
-    band; the others are the lanes of one :func:`solver2d._march_lanes`,
-    each in its lane time tau, linear in :func:`_lane_u` from its start
-    (tau = 0) to its own last node (tau = 1), at ``odestep.STEP_REL_TOL``.
+    slice, which marches on floats through nodes given in march order, or
+    to nodes alone when nodes is a float: a direct line's query point, the
+    lane's one node, whose level comes back as a float.  lane and nodes
+    list every node to read, by slice and moving coordinate, at or past
+    its slice's start and inside the quadrant (a lone slice ignores lane).
+    Each slice starts on its :func:`_diagonal_seeds` seed (curve is None
+    for a call) and is flagged ``"constraint"`` there if the seed lies
+    outside its band; the others are the lanes of one
+    :func:`solver2d._march_lanes`, each in its lane time tau, linear in
+    :func:`_lane_u` from its start (tau = 0) to its own last node
+    (tau = 1), at ``odestep.STEP_REL_TOL``.
 
     Returns the node levels, NaN from the first node its slice misses, and
     per slice its status ``(kind, at)`` as in ``slice_status``.
     """
-    one = np.ndim(fixed) == 0
     start = fixed + o.direction * EDGE_FRACTION * spec.strike
     seed = _diagonal_seeds(o, spec, curve, fixed, start)
     lo, hi = o.band(spec, *o.swap(fixed, start))
-    held = np.atleast_1d((seed > lo) & (seed < hi))
-    status = [
-        ("ok", np.nan) if h else ("constraint", float(t))
-        for h, t in zip(held, np.atleast_1d(start))
-    ]
-    levels = np.full(nodes.size, np.nan)
     u = _lane_u(o, nodes)
+    one = isinstance(fixed, float)
     if one:
-        if not held[0]:
-            return levels, status
-        lanes, pick, seed = [0], slice(None), float(seed)
+        lone = isinstance(nodes, float)
+        if not lo < seed < hi:
+            return math.nan if lone else np.full(nodes.size, np.nan), [("constraint", start)]
         u0 = float(_lane_u(o, start))
-        du = float(u[-1]) - u0
-        tau = (u - u0) / du
-        # a query's re-march has one node, whose band is checked on floats
-        at = o.swap(fixed, nodes if nodes.size > 1 else nodes[0])
+        du = float(u if lone else u[-1]) - u0
+        seed, tau, at = float(seed), 1.0 if lone else (u - u0) / du, nodes
     else:
+        held = (seed > lo) & (seed < hi)
+        status = [
+            ("ok", np.nan) if h else ("constraint", float(t)) for h, t in zip(held, start)
+        ]
         lanes = np.flatnonzero(held)
         fixed, start, seed = fixed[lanes], start[lanes], seed[lanes]
         pick = np.flatnonzero(held[lane])
@@ -326,17 +325,21 @@ def _march_slices(o, spec, curve, fixed, lane, nodes):
         tau = (u[pick] - u0[li]) / du[li]
         order = np.argsort(tau, kind="stable")
         pick, lane, tau = pick[order], li[order], tau[order]
-        at = o.swap(fixed[lane], nodes[pick])
+        at = nodes[pick]
 
     got, cuts, _ = _march_lanes(
         _lane_stage(o, spec, fixed, u0, du), seed, tau, lane,
-        o.band(spec, *at), odestep.STEP_REL_TOL, spec.strike,
+        o.band(spec, *o.swap(fixed if one else fixed[lane], at)),
+        odestep.STEP_REL_TOL, spec.strike,
     )
+    if one:
+        ((kind, c),) = cuts
+        return got, [("ok", np.nan) if kind == "ok" else (kind, at if lone else float(at[c]))]
+    levels = np.full(nodes.size, np.nan)
     levels[pick] = got
-    cut_at = nodes[pick]
     for j, (kind, c) in zip(lanes, cuts):
         if kind != "ok":
-            status[j] = (kind, float(cut_at[c]))
+            status[j] = (kind, float(at[c]))
     return levels, status
 
 
@@ -445,34 +448,39 @@ def _boundary_slice(o, spec, curve, fixed, nodes):
     """Barrier on one slice, marched from next to the diagonal through nodes.
 
     The lone slice of :func:`_march_slices`, on floats, from its start to
-    its last node (curve is None for a call).  The fixed coordinate and
-    the nodes must be finite, and the nodes must move strictly away from
-    the diagonal, from the slice's start on; else DomainError.  Serves
-    the public slices and every direct-line re-march.  Returns the node
-    levels, NaN from the first node the lane misses, and its status
-    ``(kind, at)`` as in ``slice_status``.
+    its last node (curve is None for a call).  nodes is an array, or a
+    float: a direct line's query point, read as the lane's one node, with
+    its checks and its level on floats.  The fixed coordinate and the nodes
+    must be finite, and the nodes must move strictly away from the
+    diagonal, from the slice's start on; else DomainError.  Serves the
+    public slices and every direct-line re-march.  Returns the node levels
+    (a float for a float node), NaN from the first node the lane misses,
+    and its status ``(kind, at)`` as in ``slice_status``.
     """
     o.require(spec)
     fixed = float(fixed)
-    nodes = np.asarray(nodes, dtype=float)
+    lone = isinstance(nodes, float)
+    if not lone:
+        nodes = np.asarray(nodes, dtype=float)
     if not math.isfinite(fixed):
         raise _non_finite(fixed, o.fixed)
-    if not np.isfinite(nodes).all():
+    if not (math.isfinite(nodes) if lone else np.isfinite(nodes).all()):
         raise _non_finite(nodes, f"{o.moving}_grid")
     start = fixed + o.direction * EDGE_FRACTION * spec.strike
-    if nodes.size and (
-        np.any(o.direction * np.diff(nodes) <= 0)
-        or o.direction * (nodes[0] - start) < 0
-    ):
+    if lone:
+        astray = o.direction * (nodes - start) < 0
+    elif nodes.size:
+        astray = np.any(o.direction * np.diff(nodes) <= 0) or o.direction * (nodes[0] - start) < 0
+    else:
+        return nodes, ("ok", np.nan)
+    if astray:
         raise DomainError(
             f"{o.moving}_grid must move strictly away from the diagonal, "
             f"from {o.moving}={start:g} on"
         )
-    if not nodes.size:
-        return nodes, ("ok", np.nan)
     check_quadrant(*o.swap(fixed, nodes))
     levels, (status,) = _march_slices(
-        o, spec, curve, fixed, np.zeros(nodes.size, dtype=int), nodes
+        o, spec, curve, fixed, None if lone else np.zeros(nodes.size, dtype=int), nodes
     )
     return levels, status
 
@@ -487,7 +495,7 @@ def call_boundary_slice(spec: ModelSpec, s, y_grid):
     """
     if float(s) <= EDGE_FRACTION * spec.strike:
         raise DomainError(f"slice level s={float(s)} must exceed the edge offset")
-    return _boundary_slice(_CALL, spec, None, s, y_grid)[0]
+    return _boundary_slice(_CALL, spec, None, s, np.asarray(y_grid, dtype=float))[0]
 
 
 def put_boundary_slice(spec: ModelSpec, y, s_grid):
@@ -500,7 +508,9 @@ def put_boundary_slice(spec: ModelSpec, y, s_grid):
     (0, min(strike, r strike / delta))) or a failed step.
     """
     # the march reads the curve once, at its seed, after the checks
-    return _boundary_slice(_PUT, spec, lambda s: diagonal_put_curve(spec)(s), y, s_grid)[0]
+    return _boundary_slice(
+        _PUT, spec, lambda s: diagonal_put_curve(spec)(s), y, np.asarray(s_grid, dtype=float)
+    )[0]
 
 
 def detect_regions_3d(spec: ModelSpec, surface: BoundarySurface) -> BoundarySurface:
@@ -866,18 +876,22 @@ class _Solution3D:
         self.regions = build_reflection_regions(spec, self.surface)
 
     def _level(self, s, y, cheap):
-        """Barrier level of the x-line at (s, y), re-marched where it is pinned.
+        """Barrier level of the x-line at floats (s, y), re-marched where it is pinned.
 
         cheap is the interpolated level, ``surface.level_smooth(s, y)``.  A
         line whose interpolated level lies inside it (the branch whose value
         is pinned to the level) is re-marched from its diagonal seed to the
         query point, as a one-lane march of any length, for integration
-        rather than interpolation accuracy.  A put line's seed comes from
-        the diagonal curve its surface was built from.  Other lines take the
-        interpolated level.  A re-march that is cut raises the error of its
-        lane's status: StepError, or ConstraintBreach (a level, or the
-        seed, outside its band).  The band check is the only check on the
-        query's one node, and it keeps the slice ODE's denominator's sign.
+        rather than interpolation accuracy.  The query point is the lane's
+        one node, at its end, so the re-march stays on floats from the seed
+        to the level.  A put line's seed comes from the diagonal curve its
+        surface was built from; a seed outside that curve's range raises
+        DomainError naming the line, the seed and the range.  Other lines
+        take the interpolated level.  A re-march that is cut raises the
+        error of its lane's status: StepError, or ConstraintBreach (a level,
+        or the seed, outside its band).  The band check is the only check on
+        the query's one node, and it keeps the slice ODE's denominator's
+        sign.
         """
         spec, o, curve = self.spec, self._o, self.surface._seed_curve
         eps = EDGE_FRACTION * spec.strike
@@ -885,13 +899,16 @@ class _Solution3D:
             return cheap
         fixed, t = o.swap(s, y)
         start = fixed + o.direction * eps
-        if o.direction * (t - start) <= 0.0:
-            return float(_diagonal_seeds(o, spec, curve, fixed, start))
-        levels, (kind, at) = _boundary_slice(o, spec, curve, fixed, [t])
+        what = f"re-marched {o.kind} boundary of the line s={s:g}, y={y:g}"
+        try:
+            if o.direction * (t - start) <= 0.0:
+                return float(_diagonal_seeds(o, spec, curve, fixed, start))
+            level, (kind, at) = _boundary_slice(o, spec, curve, fixed, t)
+        except DomainError as e:
+            raise DomainError(f"{what}, seeded at {o.moving}={start!r}: {e}") from e
         if kind != "ok":
-            what = f"re-marched {o.kind} boundary of the line s={s:g}, y={y:g}"
             raise _cut_error(o, kind, what, f"{o.moving}={at:g}")
-        return float(levels[-1])
+        return float(level)
 
     def _region_coeffs(self, s, y):
         if not self.regions:

@@ -200,6 +200,39 @@ def test_one_slice_set_up_calls_the_march():
     assert users == ["solver2d.put_boundary_2d", "solver3d._march_slices"]
 
 
+def test_only_the_march_steps():
+    # one marcher, one error controller: only solver2d._march_lanes calls
+    # checked_step or builds a StepSize or a ReuseStages, so no path (a
+    # direct query's one node on floats among them) grows a stepping loop
+    # of its own; every other reference to the names, an import under an
+    # alias included, is a second stepper growing back (solver3d imports
+    # checked_step only for perfbench's tracer to wrap)
+    package = pathlib.Path(drawdown_options.__file__).parent
+    steppers = {"checked_step", "StepSize", "ReuseStages"}
+    users = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = child.name
+            else:
+                name = None
+            if name in steppers:
+                users.append((where, name))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, f"{where}.{child.name}" if inner else where)
+
+    for path in sorted(package.glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    imports = [("solver2d", name) for name in sorted(steppers)] + [("solver3d", "checked_step")]
+    calls = [("solver2d._march_lanes", name) for name in sorted(steppers)]
+    assert sorted(users) == sorted(imports + calls)
+
+
 def test_no_module_imports_scipy_at_module_level():
     # an import of the package loads no scipy: the Monte Carlo draws import
     # scipy.special at the first draw, and reflection_pde hands perfbench

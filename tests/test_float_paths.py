@@ -2,9 +2,10 @@
 
 A query at one point runs on Python floats (or numpy scalars, which are
 floats): the quadrant check, the characteristic roots, one lane of the
-boundary ODE's stage and the value along a line.  Each must give what its
-array path gives for the same point inside an array, compared as
-``float.hex``, and raise where the array path raises.
+boundary ODE's stage, the boundary curve, a direct line's re-march to its
+one node and the value along a line.  Each must give what its array path
+gives for the same point inside an array, compared as ``float.hex``, and
+raise where the array path raises.
 """
 
 import dataclasses
@@ -13,17 +14,20 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drawdown_options import (
     CoefficientField,
+    ConstraintBreach,
     DomainError,
     ModelSpec,
     NonPositiveCoefficient,
+    StepError,
     roots,
     roots_arrays,
 )
+from drawdown_options import odestep, solver3d
 from drawdown_options.coefficients import _roots_along, check_quadrant
 from drawdown_options.solver2d import OdeStage
 from test_line_batch import MODELS, solution
@@ -230,3 +234,166 @@ def test_line_value_rejects_a_line_off_the_quadrant_as_values_does():
             bad.values(np.array([1.9]))
         with pytest.raises(DomainError, match="need 0 <= y < s"):
             bad.value(1.9)
+
+
+# ---------------------------------------------------------------------------
+# the boundary curve at one point
+
+
+@lru_cache(maxsize=None)
+def _curve():
+    """The diagonal curve a y-only put's surface was seeded from."""
+    return solution("y_only", "put").surface._seed_curve
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_boundary_curve_on_a_float_equals_its_array_entry_bit_for_bit(data):
+    # inside the range, on its ends, within and past the 1e-12 slack on
+    # either side, and not finite; a float and a numpy scalar take the
+    # float path and give a float
+    curve = _curve()
+    lo, hi = curve._range
+    s = data.draw(st.one_of(
+        st.floats(lo, hi),
+        st.sampled_from([lo, hi, lo - 5e-13, hi + 5e-13, lo - 2e-12, hi + 2e-12,
+                         0.0, 30.0, np.nan, np.inf, -np.inf]),
+    ))
+    try:
+        want = curve(np.array([s]))[0]
+    except DomainError as exc:
+        message = str(exc).replace("s[0]=", "s=")
+        for a in (s, np.float64(s)):
+            with pytest.raises(DomainError, match=re.escape(message) + "$"):
+                curve(a)
+        return
+    for a in (s, np.float64(s)):
+        got = curve(a)
+        assert type(got) is float
+        assert got.hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("s, message", [
+    (np.nan, "need a finite s, got s=nan"),
+    (-np.inf, "need a finite s, got s=-inf"),
+    (20.0 + 2e-12, "query s=20.000000000002 outside the sampled range [1e-06, 20.0] "
+                   "of the boundary curve"),
+    (1e-6 - 2e-12, "query s=9.99998e-07 outside the sampled range [1e-06, 20.0] "
+                   "of the boundary curve"),
+])
+def test_boundary_curve_names_a_point_it_rejects(s, message):
+    curve = _curve()
+    for a in (s, np.float64(s)):
+        with pytest.raises(DomainError, match=re.escape(message) + "$"):
+            curve(a)
+    with pytest.raises(DomainError, match=re.escape(message.replace("s=", "s[1]=")) + "$"):
+        curve(np.array([1.0, s]))
+
+
+def test_a_direct_put_line_past_the_curve_names_its_seed_and_the_range():
+    # past domain_s_max (20) the interpolated level of this line reads
+    # direct, and its re-march needs a seed the diagonal curve never sampled
+    sol = solution("y_only", "put")
+    s, y = 30.0, 29.5
+    assert s - y <= sol.surface.level_smooth(s, y) <= s
+    message = (
+        "re-marched put boundary of the line s=30, y=29.5, seeded at s=29.500001: "
+        "query s=29.500001 outside the sampled range [1e-06, 20.0] of the boundary curve"
+    )
+    for query in (sol.line, sol.boundary, sol.branch):
+        with pytest.raises(DomainError, match=re.escape(message) + "$"):
+            query(s, y)
+
+
+# ---------------------------------------------------------------------------
+# a direct line's re-march: one node, on floats
+
+
+@st.composite
+def _direct_line(draw):
+    # a y-only put and an s-only call march in one step (their slice's
+    # right-hand side vanishes), an s-only put and a y-only call in several
+    model = draw(st.sampled_from([(n, k) for n in ("y_only", "s_only") for k in ("put", "call")]))
+    lines = _lines(*model)["direct"]
+    ln = lines[draw(st.integers(0, len(lines) - 1))]
+    s = ln.s * draw(st.floats(0.99, 1.01))
+    y = ln.y * draw(st.floats(0.99, 1.01))
+    return solution(*model), s, y
+
+
+def _slice_args(sol, s, y):
+    """(o, spec, curve, fixed) of the line's slice, its start and its node."""
+    o = sol._o
+    fixed, t = o.swap(s, y)
+    start = fixed + o.direction * solver3d.EDGE_FRACTION * sol.spec.strike
+    return (o, sol.spec, sol.surface._seed_curve, fixed), start, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_direct_line(), fracs=st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_a_direct_line_is_the_last_node_of_its_lane_marched_through_arrays(case, fracs):
+    # the node's lane time is 1 whichever nodes come before it, so the
+    # controller takes the same steps and the landing step's extension
+    # gives the same bits
+    sol, s, y = case
+    ln = sol.line(s, y)
+    args, start, t = _slice_args(sol, s, y)
+    assume(ln.branch == "direct" and args[0].direction * (t - start) > 0)
+    d = args[0].direction
+    nodes = np.unique(start + np.array(fracs) * (t - start))
+    nodes = nodes[(d * (nodes - start) > 0) & (d * (t - nodes) > 0)]
+    nodes = np.append(nodes if d > 0 else nodes[::-1], t)
+    levels, status = solver3d._boundary_slice(*args, nodes)
+    assert status[0] == "ok"
+    level, status = solver3d._boundary_slice(*args, t)
+    assert status[0] == "ok" and type(level) is float
+    assert ln.level.hex() == level.hex() == levels[-1].hex()
+
+
+def _tight_band(o, t):
+    """o with a band that no level meets at the line's node or past it."""
+    def band(spec, s, y):
+        lo, hi = o.band(spec, s, y)
+        past = o.direction * (o.swap(s, y)[1] - t) >= 0
+        return lo, np.where(past, lo, hi)
+
+    return dataclasses.replace(o, band=band)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_direct_line(), fault=st.sampled_from(["seed", "level", "step"]))
+def test_a_cut_direct_line_raises_what_its_one_node_array_lane_reports(case, fault):
+    # a seed outside its band, the node's level outside its band, and a
+    # step that misses its target at the floor (a lane whose right-hand
+    # side vanishes meets any target, and is not cut): the float node's
+    # status and level equal those of the same lane with the node in an
+    # array, and the query raises that status's typed error
+    sol, s, y = case
+    args, start, t = _slice_args(sol, s, y)
+    assume(sol.line(s, y).branch == "direct" and args[0].direction * (t - start) > 0)
+    o = args[0]
+    with pytest.MonkeyPatch.context() as m:
+        if fault == "seed":
+            m.setattr(solver3d, "_diagonal_seeds", lambda *a: 0.0)
+        elif fault == "level":
+            o = _tight_band(o, t)
+            m.setattr(sol, "_o", o)
+        else:
+            m.setattr(odestep, "STEP_REL_TOL", 0.0)
+        levels, want = solver3d._boundary_slice(o, *args[1:], np.array([t]))
+        level, got = solver3d._boundary_slice(o, *args[1:], t)
+        assert float(level).hex() == levels[0].hex() or np.isnan(level) and np.isnan(levels[0])
+        assert got == want or got[0] == want[0] == "ok"
+        if got[0] == "ok":
+            assert fault == "step" and sol.line(s, y).level.hex() == level.hex()
+            return
+        kind, at = got
+        how = {"constraint": f"left {o.band_text}",
+               "step": "failed its error check at the shortest step"}[kind]
+        error = {"constraint": ConstraintBreach, "step": StepError}[kind]
+        message = (f"re-marched {o.kind} boundary of the line s={s:g}, y={y:g} {how} "
+                   f"at {o.moving}={at:g}")
+        with pytest.raises(error, match=re.escape(message) + "$"):
+            sol.line(s, y)
+    assert (kind, at) == {"seed": ("constraint", start), "level": ("constraint", t),
+                          "step": ("step", t)}[fault]

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgtsv
@@ -771,6 +771,10 @@ _BRENT_FAMILIES = [
 ]
 
 
+@example(  # a zero divisor in the extrapolation: scipy's C step reads inf and bisects
+    family=_BRENT_FAMILIES[0], c=[2.516352368971005e-301, 0.0, 2.516352368971005e-301],
+    ends=[-2.0, 0.0], xtol=1e-10, rtol=8.9e-16, maxiter=100,
+)
 @given(
     family=st.sampled_from(_BRENT_FAMILIES),
     c=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),

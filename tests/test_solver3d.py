@@ -1567,7 +1567,8 @@ def test_cut_remarch_raises_its_typed_error(monkeypatch):
     assert sol.branch(s, y) == "direct"
 
     def breached(stage, g, tau, *rest):
-        return np.full(tau.size, np.nan), [("constraint", 0)], 0.0
+        # tau is the float 1.0 for a direct line's one node
+        return np.full(np.size(tau), np.nan), [("constraint", 0)], 0.0
 
     monkeypatch.setattr(solver3d, "_march_lanes", breached)
     with pytest.raises(ConstraintBreach, match=r"left \(0, min\(L, rL/delta\)\)"):
