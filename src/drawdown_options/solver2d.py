@@ -316,8 +316,11 @@ def _not_a_knot(x, v):
         m = np.array(_gtsv([0.0], [1.0, 1.0], [0.0], [float(slope[0])] * 2))
     elif x.size == 3:
         # the parabola's slopes in closed form: s0 + s1 and s1 + s2 are twice
-        # the chords' slopes, as the first and last rows of scipy's system say
-        mid = float((dx[1] * slope[0] + dx[0] * slope[1]) / (dx[0] + dx[1]))
+        # the chords' slopes, as the first and last rows of scipy's system say;
+        # the gaps' weights are at most 1, so no product of a gap and a
+        # subnormal chord slope underflows on its way to s1
+        span = dx[0] + dx[1]
+        mid = float(dx[1] / span * slope[0] + dx[0] / span * slope[1])
         m = np.array([2 * slope[0] - mid, mid, 2 * slope[1] - mid])
     else:
         d = np.empty(x.size)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -720,21 +721,45 @@ def test_the_fit_of_a_4097_node_put_curve_equals_scipys_bit_for_bit():
     assert np.stack(rows).tobytes() == CubicSpline(curve.grid, curve.values).c.tobytes()
 
 
-@given(data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_the_three_node_fit_is_the_parabola(data):
+def _check_three_node_fit(x, v):
     # scipy solves a dense 3x3 system for the parabola's slopes through
-    # LAPACK; the closed form keeps the values at the nodes and stays
-    # within 1e-11 of scipy's slopes, relative to the larger chord slope
-    x = _uneven_nodes(data, 3)
-    v = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)))
+    # LAPACK; the closed form keeps the values at the nodes, lies within
+    # 2 (eps * chord + the least subnormal) of the exact parabola's slopes
+    # from the same float chord slopes, and within 1e-11 of scipy's slopes,
+    # relative to the larger chord slope, save where scipy's own slopes
+    # stray further than that from the parabola (its products underflow)
     want = CubicSpline(x, v).c
     _, (c0, c1, c2, c3) = _not_a_knot(x, v)
     assert c3.tobytes() == want[3].tobytes()
-    chord = np.max(np.abs(np.diff(v) / np.diff(x)))
-    assert np.all(np.abs(c2 - want[2]) <= 1e-11 * chord)
+    slope = np.diff(v) / np.diff(x)
+    chord = np.max(np.abs(slope))
+    h0, h1, m0, m1 = map(Fraction, [*np.diff(x).tolist(), *slope.tolist()])
+    mid = (h1 * m0 + h0 * m1) / (h0 + h1)
+    unit = Fraction(np.finfo(float).eps) * Fraction(chord) + Fraction(5e-324)
+    for got, sci, exact in zip(c2.tolist(), want[2].tolist(), [2 * m0 - mid, mid]):
+        assert abs(Fraction(got) - exact) <= 2 * unit
+        slack = max(Fraction(1e-11) * Fraction(chord), abs(Fraction(sci) - exact) + 2 * unit)
+        assert abs(Fraction(got) - Fraction(sci)) <= slack
     # a parabola: each piece's cubic term is rounding
     assert np.all(np.abs(c0 * np.diff(x) ** 2) <= 32 * np.finfo(float).eps * chord)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_three_node_fit_is_the_parabola(data):
+    x = _uneven_nodes(data, 3)
+    v = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)))
+    _check_three_node_fit(x, v)
+
+
+def test_the_three_node_fit_of_subnormal_values_is_the_parabola():
+    # scipy's slopes are -5e-324 and 5e-324, the exact ones -2.5e-324 and
+    # 2.5e-324: a tie either way, so 1e-11 of the chord slope, which rounds
+    # to 0, bounds no float answer
+    _check_three_node_fit(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 5e-324]))
+    # a gap times a chord slope underflows: scipy's slopes stray 145
+    # subnormals from the parabola's, the fit's less than one
+    _check_three_node_fit(np.cumsum([0.0, 1e-3, 1e-2]), np.array([0.0, -1e-322, 1e-320]))
 
 
 @given(n=st.integers(2, 12), data=st.data())
