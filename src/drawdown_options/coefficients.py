@@ -348,21 +348,40 @@ def _pinned_pair(g1, g2, level, strike, sign, target=None, x_end=None):
     conditions at the original level are then off by O(shift^2) only.  A far
     end at the level itself holds the target by construction and is not
     tested: the test would only compare two roundings of one number.
+
+    Floats, or arrays with one pin per entry (the reflection closures pin
+    every anchor of a family at once); every power goes through libm's pow
+    (:func:`_libm_pow`), so each entry has the bits of the same pin on
+    floats.  Arrays divide as numpy does: a zero denominator gives inf or
+    NaN where floats raise ZeroDivisionError.
     """
     e = 0.0 if target is None else target - sign * (level - strike)
 
     def pair(lv):
         return tuple(
             (sign * (go - 1.0) * (lv - go * strike / (go - 1.0)) + go * e)
-            / ((go - g) * lv**g)
+            / ((go - g) * _libm_pow(lv, g))
             for g, go in ((g1, g2), (g2, g1))
         )
 
     c1, c2 = pair(level)
-    if x_end is not None and x_end > 0.0 and x_end != level:
-        val = c1 * x_end**g1 + c2 * x_end**g2
-        if val < max(sign * (x_end - strike), 0.0):
-            c1, c2 = pair(_critical_level(g1, g2, strike, sign))
+    if x_end is None:
+        return c1, c2
+    if not isinstance(x_end, np.ndarray):
+        if x_end > 0.0 and x_end != level:
+            val = c1 * _libm_pow(x_end, g1) + c2 * _libm_pow(x_end, g2)
+            if val < max(sign * (x_end - strike), 0.0):
+                c1, c2 = pair(_critical_level(g1, g2, strike, sign))
+        return c1, c2
+    # one pin per entry: a far end that is not tested reads the level's
+    # pair, and powers it away from 0 so that no entry raises
+    tested = (x_end > 0.0) & (x_end != level)
+    x = np.where(tested, x_end, 1.0)
+    val = c1 * _libm_pow(x, g1) + c2 * _libm_pow(x, g2)
+    low = tested & (val < np.maximum(sign * (x_end - strike), 0.0))
+    if low.any():
+        k1, k2 = pair(_critical_level(g1, g2, strike, sign))
+        c1, c2 = np.where(low, k1, c1), np.where(low, k2, c2)
     return c1, c2
 
 
@@ -377,7 +396,7 @@ def _libm_pow(base, g):
     on its first such entry, in C order: ValueError for a NaN result or 0 to
     a negative power from finite inputs, OverflowError for an overflow.
     """
-    if np.ndim(base) == 0 and np.ndim(g) == 0:
+    if isinstance(base, float) and isinstance(g, float) or np.ndim(base) == np.ndim(g) == 0:
         return math.pow(base, g)
     b, e = np.broadcast_arrays(np.asarray(base, dtype=float), np.asarray(g, dtype=float))
     with np.errstate(all="ignore"):
@@ -476,13 +495,15 @@ class _Orientation:
 
 
 def _call_band(spec: ModelSpec, s, y):
-    d = spec.delta_field.value(s, y)
-    return np.maximum(spec.strike, spec.r * spec.strike / d), np.inf
+    k, q = spec.strike, spec.r * spec.strike / spec.delta_field.value(s, y)
+    # on a float, np.maximum's result by one comparison: a NaN q is kept
+    return (k if k >= q else q) if isinstance(q, float) else np.maximum(k, q), np.inf
 
 
 def _put_band(spec: ModelSpec, s, y):
-    d = spec.delta_field.value(s, y)
-    return 0.0, np.minimum(spec.strike, spec.r * spec.strike / d)
+    k, q = spec.strike, spec.r * spec.strike / spec.delta_field.value(s, y)
+    # on a float, np.minimum's result by one comparison: a NaN q is kept
+    return 0.0, (k if k <= q else q) if isinstance(q, float) else np.minimum(k, q)
 
 
 _CALL = _Orientation(

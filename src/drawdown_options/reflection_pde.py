@@ -15,11 +15,14 @@ front in descending i + j, each as a 2x2 block in known far neighbours
 (block triangular form, after Duff, Erisman & Reid).  The one closure that
 reaches back, a column's C2 pin extrapolated from its top two nodes, joins
 them into one 4x4 block.  Each front's 2x2 blocks go through one stacked,
-pivoted np.linalg.solve, block by block.
+pivoted LAPACK solve, block by block.
 
-The equations are built per line family as arrays: the pair relations of
-all rows in one batch, then those of all columns, each batch with one
-_roots_along call, and the closures by kind.  The edge powers base**g go
+The sweep order depends on the lattice shape and the pins alone, so the
+nodes are ranked in it first, and every equation is written at its node's
+sweep position as it is built.  The equations are built per line family as
+arrays: the pair relations of all rows in one batch, then those of all
+columns, each batch with one _roots_along call, and the closures by kind,
+every combo anchor of a family pinned at once.  The edge powers base**g go
 through libm's pow, not numpy's SIMD power, whose last bit depends on which
 SIMD path the CPU dispatches to; so every entry has the bits of the same
 relation evaluated on its own, on any CPU.
@@ -45,8 +48,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import isfinite, nan
+from operator import attrgetter
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _lapack_solve
 
 from .coefficients import (
     _ORIENT, ModelSpec, _libm_pow, _pinned_pair, _roots_along, check_quadrant, roots_arrays,
@@ -295,14 +300,39 @@ def _run_ends(act):
     return ends
 
 
-def _pair_block(spec: ModelSpec, family):
-    """Pair relations of one line family, one per pair of active neighbours.
+def _closure_table(closures, along_s, act):
+    """A family's closures as arrays, in list order.
 
-    Returns (node, own, far, other, rhs): each relation sits at its near
-    node, with its entries on that node's (C1, C2) and on those of its far
-    neighbour, and a zero right-hand side.
+    Returns kind, line index k, position, x_base and target, and the last
+    node of the run each closure closes: a line's closures, in list order,
+    close its runs of active nodes in ascending order, so the run ends in
+    line order, each line's ascending, go to the closures taken stably by
+    line.  act is indexed [line, position along the line].
+    """
+    line, pos = ("j", "s_pos") if along_s else ("i", "y_pos")
+    fields = zip(*map(attrgetter("kind", line, pos, "x_base", "target"), closures))
+    kind, k, at, x_base, target = (
+        np.array(f, dtype=d) for f, d in zip(fields, (str, int, float, float, float))
+    )
+    last = np.empty(k.size, dtype=int)
+    last[np.argsort(k, kind="stable")] = np.nonzero(_run_ends(act))[1]
+    return kind, k, at, x_base, target, last
+
+
+def _pinned_below(kind, k, last, act):
+    """Mask of the C2 pins over two or more nodes: the closures that reach back."""
+    return (kind == "c2_zero") & (last > 0) & act[k, last - 1]
+
+
+def _pair_block(spec: ModelSpec, family, eqs, e):
+    """Write equation e of each node with an active far neighbour: its pair relation.
+
+    Each relation sits at its near node, with its entries on that node's
+    (C1, C2) and on those of its far neighbour, and a zero right-hand side;
+    eqs = (own, far, other, rhs) as :func:`_node_equations` returns them.
     """
     along_s, act, rnk, pos, fix = family
+    own, far, other, _ = eqs
     # a pair joins the neighbours a and a + 1 of one run, and nonzero walks
     # the lines in order and each line from its start
     k, a = np.nonzero(act[:, :-1] & act[:, 1:])
@@ -311,40 +341,30 @@ def _pair_block(spec: ModelSpec, family):
     (p1, near1, far1), (p2, near2, far2) = _pair_entries(
         spec, *_point(along_s, fix[k], mid), along_s, pos[b] - pos[a]
     )
-    own = np.stack([p1 * near1, p2 * near2], axis=1)
-    other = np.stack([p1 * far1, p2 * far2], axis=1)
-    return rnk[k, a], own, rnk[k, b], other, np.zeros(k.size)
+    node = rnk[k, a]
+    own[node, e, 0], own[node, e, 1] = p1 * near1, p2 * near2
+    other[node, e, 0], other[node, e, 1] = p1 * far1, p2 * far2
+    far[node, e] = rnk[k, b]
 
 
-def _closure_block(spec: ModelSpec, family, closures):
-    """Closure equations of one line family, one per closure, in list order.
+def _closure_block(spec: ModelSpec, family, closures, eqs, e):
+    """Write equation e of each run's last node: the closure of its run.
 
-    A line's closures, in list order, close its runs of active nodes in
-    ascending order, each at its run's last node.  Returns (node, own, far,
-    other, rhs) as :func:`_pair_block` does; only a c2_zero pin over two or
-    more nodes reaches another node, the one below, and the rest name -1.
+    See :func:`_closure_table` for which closure closes which run.  Only a
+    c2_zero pin over two or more nodes reaches another node, the one below.
     """
     along_s, act, rnk, pos, fix = family
-    kind = np.array([c.kind for c in closures], dtype=object)
-    k = np.array([c.j if along_s else c.i for c in closures], dtype=int)
-    at = np.array([c.s_pos if along_s else c.y_pos for c in closures], dtype=float)
-    x_base = np.array([c.x_base for c in closures], dtype=float)
-    target = np.array([c.target for c in closures], dtype=float)
-    # the run ends in line order, each line's ascending, go to the closures
-    # taken stably by line
-    last = np.empty(k.size, dtype=int)
-    last[np.argsort(k, kind="stable")] = np.nonzero(_run_ends(act))[1]
-    own, other = np.zeros((2, k.size, 2))
-    far = np.full(k.size, -1)
-    rhs = np.zeros(k.size)
-    own[kind == "c1_zero", 0] = own[kind == "c2_zero", 1] = 1.0
+    own, far, other, rhs = eqs
+    kind, k, at, x_base, target, last = _closure_table(closures, along_s, act)
+    node = rnk[k, last]
+    own[node[kind == "c1_zero"], e, 0] = own[node[kind == "c2_zero"], e, 1] = 1.0
     # the C2 pin over two or more nodes: the line through the run's last two
     # nodes' C2 put onto the closure position
-    two = np.flatnonzero((kind == "c2_zero") & (last > 0) & act[k, last - 1])
+    two = np.flatnonzero(_pinned_below(kind, k, last, act))
     prev = last[two] - 1
-    far[two] = rnk[k[two], prev]
-    own[two, 1] = (at[two] - pos[prev]) / (pos[last[two]] - pos[prev])
-    other[two, 1] = 1.0 - own[two, 1]
+    far[node[two], e] = rnk[k[two], prev]
+    w = (at[two] - pos[prev]) / (pos[last[two]] - pos[prev])
+    own[node[two], e, 1], other[node[two], e, 1] = w, 1.0 - w
 
     combo = np.flatnonzero(kind == "combo")
     s, y = _point(along_s, fix[k[combo]], at[combo])
@@ -354,61 +374,93 @@ def _closure_block(spec: ModelSpec, family, closures):
     h = at[combo] - end
     tie = ~(np.abs(h) <= 1e-9 * (np.abs(end) + pos[-1] - pos[0]))
     # a closure at the last node pins the value there directly
-    on = combo[~tie]
-    own[on, 0] = _libm_pow(x_base[on], g1[~tie])
-    own[on, 1] = _libm_pow(x_base[on], g2[~tie])
-    rhs[on] = target[on]
+    on = node[combo[~tie]]
+    own[on, e, 0] = _libm_pow(x_base[combo[~tie]], g1[~tie])
+    own[on, e, 1] = _libm_pow(x_base[combo[~tie]], g2[~tie])
+    rhs[on, e] = target[combo[~tie]]
     # otherwise the anchor pair at the closure position is tied to the last
     # node by one more midpoint pair
     off = combo[tie]
     o = _ORIENT[spec.payoff_kind]
-    anchor = np.array(
-        [
-            _pinned_pair(a, b, xb, spec.strike, o.sign, t, x_end=e)
-            for a, b, xb, t, e in zip(
-                g1[tie].tolist(), g2[tie].tolist(), x_base[off].tolist(),
-                target[off].tolist(), o.edge(s, y)[tie].tolist(),
-            )
-        ],
-        dtype=float,
-    ).reshape(-1, 2)
+    a1, a2 = _pinned_pair(
+        g1[tie], g2[tie], x_base[off], spec.strike, o.sign, target[off], x_end=o.edge(s, y)[tie]
+    )
     (p1, near1, far1), (p2, near2, far2) = _pair_entries(
         spec, *_point(along_s, fix[k[off]], 0.5 * (end[tie] + at[off])), along_s, h[tie]
     )
-    own[off] = np.stack([p1 * near1, p2 * near2], axis=1)
+    own[node[off], e, 0], own[node[off], e, 1] = p1 * near1, p2 * near2
     # summed from +0.0, so two -0.0 terms leave no -0.0 right-hand side
-    rhs[off] = -(0.0 + anchor[:, 0] * p1 * far1 + anchor[:, 1] * p2 * far2)
-    return rnk[k, last], own, far, other, rhs
+    rhs[node[off], e] = -(0.0 + a1 * p1 * far1 + a2 * p2 * far2)
 
 
-def _node_equations(spec: ModelSpec, region: RegionSpec):
+def _node_equations(spec: ModelSpec, region: RegionSpec, rank=None):
     """Each active node's two equations, its row's (along s) then its column's.
 
-    With the nodes ranked s major, equation e of node n has the entries
-    own[n, e] on its (C1, C2), other[n, e] on those of node far[n, e] (-1
-    for none) and right-hand side rhs[n, e].  Row pair relations are built
-    first, then column ones, column closures and row closures.
+    rank[i, j] is the position of node (i, j) in the output, -1 off the
+    region; by default the nodes are ranked s major.  Equation e of the
+    node at position n has the entries own[n, e] on its (C1, C2), other[n,
+    e] on those of the node at position far[n, e] (-1 for none) and
+    right-hand side rhs[n, e].  Each block writes its equations at their
+    nodes' positions: row pair relations first, then column ones, column
+    closures and row closures, so the first bad relation raises in that
+    order.
     """
     active = region.active
     n = int(active.sum())
-    rank = -np.ones(active.shape, dtype=int)
-    rank[active] = np.arange(n)
+    if rank is None:
+        rank = np.full(active.shape, -1)
+        rank[active] = np.arange(n)
     # rows run along s at fixed y, columns along y at fixed s; each family
     # as (along s?, activity and node ranks indexed [line, position], the
     # grid the lines run along, the grid of their fixed coordinate)
     rows = (True, active.T, rank.T, region.s_grid, region.y_grid)
     cols = (False, active, rank, region.y_grid, region.s_grid)
-    own, other = np.zeros((2, n, 2, 2))
-    far = np.full((n, 2), -1)
-    rhs = np.zeros((n, 2))
-    for e, (node, *eqs) in (
-        (0, _pair_block(spec, rows)),
-        (1, _pair_block(spec, cols)),
-        (1, _closure_block(spec, cols, region.column_closures)),
-        (0, _closure_block(spec, rows, region.row_closures)),
-    ):
-        own[node, e], far[node, e], other[node, e], rhs[node, e] = eqs
-    return own, far, other, rhs
+    eqs = np.zeros((n, 2, 2)), np.full((n, 2), -1), np.zeros((n, 2, 2)), np.zeros((n, 2))
+    _pair_block(spec, rows, eqs, 0)
+    _pair_block(spec, cols, eqs, 1)
+    _closure_block(spec, cols, region.column_closures, eqs, 1)
+    _closure_block(spec, rows, region.row_closures, eqs, 0)
+    return eqs
+
+
+def _sweep_order(region: RegionSpec):
+    """Each active node's position in the sweep, and the sweep's blocks.
+
+    The fronts i + j run in descending order, and a front's 2x2 blocks go
+    first, by ascending i: that order depends on the lattice shape alone.
+    A C2 pin over two or more nodes is the one equation that reaches back;
+    its lower node moves up to its top node's front, and the two form a 4x4
+    block, solved after that front's 2x2 blocks (one of them is the lower
+    node's row neighbour) and after the front's 4x4 blocks in the columns to
+    its right (the next column's block, when its top is a node lower, holds
+    that neighbour): the lower node, then the top.  Returns the rank
+    lattice of :func:`_node_equations` and the blocks as Python tuples (lo,
+    hi, is it 4x4?) of positions.
+    """
+    active = region.active
+    n_s, n_y = active.shape
+    i, j = np.nonzero(active)
+    kind, k, _, _, _, last = _closure_table(region.column_closures, False, active)
+    pin = _pinned_below(kind, k, last, active)
+    # the s-major index of each pin's top node; its lower node is the one before
+    top = np.searchsorted(i * n_y + j, k[pin] * n_y + last[pin])
+    front, slot = i + j, i.copy()
+    slot[top] = 3 * n_s - 1 - 2 * i[top]
+    slot[top - 1], front[top - 1] = slot[top] - 1, front[top]
+    key = (n_s + n_y - 2 - front) * (3 * n_s) + slot
+    order = np.argsort(key)
+    rank = np.full(active.shape, -1)
+    rank[i[order], j[order]] = np.arange(i.size)
+    key = key[order]
+    # a block starts at each new front and at each pin's lower node
+    front, slot = np.divmod(key, 3 * n_s)
+    lower = (slot >= n_s) & (slot % 2 == n_s % 2)
+    start = lower.copy()
+    start[0], start[1:] = True, lower[1:] | (front[1:] != front[:-1])
+    starts = np.flatnonzero(start)
+    bounds = starts.tolist() + [i.size]
+    blocks = list(zip(bounds[:-1], bounds[1:], lower[starts].tolist()))
+    return rank, blocks
 
 
 def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientGrid:
@@ -416,15 +468,19 @@ def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientG
 
     Every run of active nodes along a column must be matched by exactly one
     column closure and every run along a row by exactly one row closure
-    (see :func:`_closure_block` for which closure closes which run); any
+    (see :func:`_closure_table` for which closure closes which run); any
     mismatch raises UnderdeterminedRegion naming the first line off.  A
     block that is singular or leaves its coefficients non-finite raises
-    NonConvergence naming its node.
+    NonConvergence naming its node: the first singular block in solve
+    order, else the first node whose coefficients are not finite.
 
-    A 4x4 block (a C2 pin's two nodes) is solved after the 2x2 blocks of
-    its top node's front, one of which is its lower node's row neighbour,
-    and after the blocks of that front in the columns to its right: the next
-    column's block, when its top is a node lower, holds that neighbour.
+    The equations are built at their sweep positions (:func:`_sweep_order`),
+    and the blocks are solved in that order.  Each block's stack goes
+    through numpy's LAPACK gufunc behind np.linalg.solve
+    (``numpy.linalg._umath_linalg.solve``, the same dgesv and the same
+    bits), called directly: its Python wrapper's checks cost more than most
+    fronts' solves.  A singular block leaves NaN there instead of raising,
+    so a failed sweep looks for the first singular block afterwards.
     """
     s_grid, y_grid, active = region.s_grid, region.y_grid, region.active
     n = int(active.sum())
@@ -449,48 +505,48 @@ def solve_reflection_region(spec: ModelSpec, region: RegionSpec) -> CoefficientG
                 "need exactly one closure per run"
             )
 
-    own, far, other, rhs = _node_equations(spec, region)
-    i, j = np.nonzero(active)
-    # the pin is the one equation that reaches a lower rank; its two nodes
-    # solve at the top's front after the 2x2 blocks, each such block at its
-    # own stage -i, since the next column's may hold a row neighbour
-    top = np.flatnonzero((far[:, 1] >= 0) & (far[:, 1] < np.arange(n)))
-    front, stage = i + j, np.full(n, -s_grid.size)
-    front[top - 1], stage[top - 1], stage[top] = front[top], -i[top], -i[top]
-    order = np.lexsort((j, i, stage, -front))
-    # the sweep keeps the nodes in solve order; a far node -1 reads x[n] = 0,
-    # and so does the coupling within a 4x4 block
-    at = np.full(n + 1, n)
-    at[order] = np.arange(n)
-    own, far, other, rhs = own[order], at[far[order]], other[order], rhs[order]
-    front, stage = front[order], stage[order]
-    paired = stage > -s_grid.size
-    far[paired, 1] = n
-    cut = (np.flatnonzero(np.diff(front) | np.diff(stage)) + 1).tolist()
+    rank, blocks = _sweep_order(region)
+    own, far, other, rhs = _node_equations(spec, region, rank)
+
+    def block(lo, hi, four):
+        if not four:
+            return own[lo:hi]
+        # the lower node, then the top: each one's column equation reaches
+        # the other
+        mats = np.zeros((1, 4, 4))
+        mats[0, :2, :2], mats[0, 2:, 2:] = own[lo], own[lo + 1]
+        mats[0, 1, 2:], mats[0, 3, :2] = other[lo, 1], other[lo + 1, 1]
+        return mats
+
+    # a far node -1 reads x[n] = 0, and so does the coupling within a 4x4
+    # block, whose nodes are still 0 when it is solved
     x = np.zeros((n + 1, 2))
+    with np.errstate(all="ignore"):
+        for lo, hi, four in blocks:
+            b = rhs[lo:hi] - np.add.reduce(other[lo:hi] * x.take(far[lo:hi], axis=0), 2)
+            shape = (1, 4, 1) if four else (hi - lo, 2, 1)
+            _lapack_solve(
+                block(lo, hi, four), b.reshape(shape), out=x[lo:hi].reshape(shape),
+                signature="dd->d",
+            )
 
     def failed(p):
-        s, y = s_grid[i[order[p]]], y_grid[j[order[p]]]
+        (i,), (j,) = np.nonzero(rank == p)
         why = "is singular or not finite"
-        return NonConvergence(f"reflection block at s={s:g}, y={y:g} {why}")
+        return NonConvergence(f"reflection block at s={s_grid[i]:g}, y={y_grid[j]:g} {why}")
 
-    with np.errstate(all="ignore"):
-        for lo, hi in zip([0] + cut, cut + [n]):
-            mats = own[lo:hi]
-            if paired[lo]:  # a 4x4 block: the lower node, then the top
-                mats = np.zeros((1, 4, 4))
-                mats[0, :2, :2], mats[0, 2:, 2:] = own[lo], own[lo + 1]
-                mats[0, 1, 2:], mats[0, 3, :2] = other[lo, 1], other[lo + 1, 1]
-            b = rhs[lo:hi] - (other[lo:hi] * x[far[lo:hi]]).sum(axis=2)
+    if not np.isfinite(x).all():
+        # where np.linalg.solve would have raised, in solve order
+        for lo, hi, four in blocks:
+            mats = block(lo, hi, four)
             try:
-                x[lo:hi] = np.linalg.solve(mats, b.reshape(len(mats), -1, 1)).reshape(-1, 2)
+                np.linalg.solve(mats, np.zeros(mats.shape[:-1] + (1,)))
             except np.linalg.LinAlgError:
                 k = int(np.argmin(np.abs(np.linalg.det(mats)) > 0))
-                raise failed(lo + k * (hi - lo) // len(mats))
-    if not np.isfinite(x).all():  # the first non-finite node in solve order
+                raise failed(lo + k * (hi - lo) // len(mats)) from None
         raise failed(int(np.argmin(np.isfinite(x).all(axis=1))))
     C1, C2 = np.full((2,) + active.shape, np.nan)
-    C1[i[order], j[order]], C2[i[order], j[order]] = x[:n].T
+    C1[active], C2[active] = x[rank[active]].T
     return CoefficientGrid(s_grid, y_grid, C1, C2, active)
 
 

@@ -72,24 +72,41 @@ def _require_s_only(spec: ModelSpec, o) -> None:
 # switch-point detection
 
 
-def _sign_changes(d, ok):
-    """Cells where d changes sign along every line of a lattice, in one scan.
+def _scan_nodes(ok):
+    """The set-up that every scan of one valid-node mask shares.
 
-    d and ok are indexed [line, node]; each line is read through its valid
-    nodes (ok) in order, so an invalid node is skipped, not a break.  The
-    previous nonzero sign is carried through exact zeros, so a touch that
-    comes back on the same side is no change, and zeros at a line's start
-    carry no sign.  Returns, per change in line order, its line, the valid
-    nodes lo and hi on either side, and whether d falls from positive to
-    negative.
+    ok is indexed [line, node].  Returns the valid nodes' lines and nodes in
+    line order, a mask of each line's first valid node (where a new line
+    starts among them), and per line the count of valid nodes before each
+    node, indexed [line, node] with one column more than ok.
     """
     line, node = np.nonzero(ok)
+    first = np.ones(line.size, dtype=bool)
+    first[1:] = line[1:] != line[:-1]
+    below = np.zeros((ok.shape[0], ok.shape[1] + 1), dtype=int)
+    np.cumsum(ok, axis=1, out=below[:, 1:])
+    return line, node, first, below
+
+
+def _sign_changes(d, nodes):
+    """Cells where d changes sign along every line of a lattice, in one scan.
+
+    d is indexed [line, node] and nodes is :func:`_scan_nodes` of its valid
+    mask; each line is read through its valid nodes in order, so an
+    invalid node is skipped, not a break.  The previous nonzero sign is
+    carried through exact zeros, so a touch that comes back on the same
+    side is no change, and zeros at a line's start carry no sign.  Returns,
+    per change in line order, its line, the valid nodes lo and hi on either
+    side, and whether d falls from positive to negative.
+    """
+    line, node, first, _ = nodes
     sgn = np.sign(d[line, node])
-    first = np.searchsorted(line, line)  # where each node's line starts
-    # the sign of the last nonzero at or before each node on its line
-    sgn = sgn[np.maximum.accumulate(np.where(sgn != 0.0, np.arange(sgn.size), first))]
+    # the sign of the last nonzero at or before each node on its line, or
+    # of the line's first node (a zero) when there is none
+    keep = np.where((sgn != 0.0) | first, np.arange(sgn.size), 0)
+    sgn = sgn[np.maximum.accumulate(keep)]
     a, b = sgn[:-1], sgn[1:]
-    c = np.flatnonzero((line[1:] == line[:-1]) & (a != 0.0) & (b != 0.0) & (a != b))
+    c = np.flatnonzero(~first[1:] & (a != 0.0) & (b != 0.0) & (a != b))
     return line[c], node[c], node[c + 1], a[c] > 0
 
 
@@ -98,16 +115,15 @@ def _cell_crossing(p0, p1, d0, d1):
     return p0 + (p1 - p0) * d0 / (d0 - d1)
 
 
-def _adjacent_messages(grid, ok, line, pos):
+def _adjacent_messages(grid, nodes, line, pos):
     """Warnings for consecutive crossings of a line that fall in adjacent cells.
 
-    grid runs along the lines of ok, and line and pos give each crossing in
-    line order.  A crossing's cell is counted among its line's valid nodes,
-    as a search of the valid nodes alone would count it.  Returns (line,
-    message) pairs.
+    grid runs along the lines of the scan whose :func:`_scan_nodes` set-up
+    is nodes, and line and pos give each crossing in line order.  A
+    crossing's cell is counted among its line's valid nodes, as a search of
+    the valid nodes alone would count it.  Returns (line, message) pairs.
     """
-    below = np.zeros((ok.shape[0], ok.shape[1] + 1), dtype=int)
-    np.cumsum(ok, axis=1, out=below[:, 1:])
+    below = nodes[3]
     cell = below[line, np.searchsorted(grid, pos)]
     near = np.flatnonzero((line[1:] == line[:-1]) & (np.abs(np.diff(cell)) <= 1))
     return [
@@ -139,7 +155,7 @@ def detect_switch_points(grid, curve_values, ref_values, refine=None):
     if not np.all(np.diff(grid) > 0):
         raise ValueError("grid must be strictly increasing")
 
-    every = np.ones((1, d.size), dtype=bool)
+    every = _scan_nodes(np.ones((1, d.size), dtype=bool))
     line, lo_k, hi_k, falls = _sign_changes(d[None, :], every)
     lo, hi = grid[lo_k], grid[hi_k]
     # where the two linear interpolants meet
@@ -648,11 +664,12 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
     at 1/1024 of lane time; every lane shares every step, and so every
     right-hand-side call.  A node a step passes takes its level from the
     step's continuous extension (:func:`odestep.dense_output`).  The band
-    check runs on the nodes each step fills.  It is also the denominator's
-    guard: the shared denominator a * level - b of :class:`OdeStage` is
-    (2 delta / sigma**2) (r K / delta - level), and each band stops at
-    r K / delta on its own side, so a level inside its band keeps the
-    denominator's sign.
+    check runs on the nodes each step fills; a single lane checks them at
+    once and writes them through a slice, lanes of an array march each
+    their own.  It is also the denominator's guard: the shared denominator
+    a * level - b of :class:`OdeStage` is (2 delta / sigma**2) (r K /
+    delta - level), and each band stops at r K / delta on its own side, so
+    a level inside its band keeps the denominator's sign.
 
     Nothing is raised.  Returns the node levels (a float for a float tau),
     NaN from where a lane was cut; per lane its status ``(kind, node)``:
@@ -674,11 +691,20 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
         lo, hi = (v if np.ndim(v) else np.full(tau.size, v) for v in band)
         held = np.ones(n, dtype=bool)
 
-    def at(v, ln):
-        return v if one else v[ln]
-
     def fill(p, q, level_of):
         """Write the nodes p:q of the lanes still held, after the band check."""
+        if one:  # every node is the one lane's
+            if not held[0]:  # cut by the step that reached these nodes
+                return
+            lev = level_of(None, slice(p, q))
+            inside = (lev > lo[p:q]) & (lev < hi[p:q])
+            if np.count_nonzero(inside) == q - p:
+                levels[p:q] = lev
+                return
+            c = int(inside.argmin())
+            status[0], held[0] = ("constraint", p + c), False
+            levels[p:p + c] = lev[:c]
+            return
         ln = lane[p:q]
         lev = level_of(ln, slice(p, q))
         live = held[ln]
@@ -699,7 +725,7 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p = 0 if end else int(np.searchsorted(tau, 0.0, side="right"))
         if p:
-            fill(0, p, lambda ln, nodes: np.full(ln.size, g) if one else g[ln])
+            fill(0, p, lambda ln, nodes: np.full(p, g) if one else g[ln])
         lane_stage = ReuseStages(stage)
         size = StepSize(tol)
         t, worst = 0.0, 0.0
@@ -733,8 +759,8 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
                 q = int(tau.searchsorted(t_next, side="right"))
                 if q > p:
                     fill(p, q, lambda ln, nodes: dense_output(
-                        at(g, ln), at(g_new, ln), h, [at(k, ln) for k in slopes],
-                        (tau[nodes] - t) / h,
+                        g if one else g[ln], g_new if one else g_new[ln], h,
+                        slopes if one else [k[ln] for k in slopes], (tau[nodes] - t) / h,
                     ))
                 p = q
             elif landed:

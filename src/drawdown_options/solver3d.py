@@ -30,6 +30,7 @@ import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -72,6 +73,7 @@ from .solver2d import (
     _cut_error,
     _march_lanes,
     _non_finite,
+    _scan_nodes,
     _sign_changes,
 )
 
@@ -541,42 +543,42 @@ def detect_regions_3d(spec: ModelSpec, surface: BoundarySurface) -> BoundarySurf
 
     fixed, move = o.swap(s_grid, y_grid)
     okf = o.fixed_major(valid)
+    nodes = _scan_nodes(okf)  # both slice scans read the same valid nodes
     # gap to each reference line, indexed [slice, node along the slice]
     gaps = {o.above: o.fixed_major(v - ss), o.below: o.fixed_major(v - floor)}
-    scans = [
-        (o.above, _switches(move, gaps[o.above], okf), "reachable-max line"),
-        (o.below, _switches(move, gaps[o.below], okf), "floor line"),
-    ]
-    switches = []
-    for k, pos in enumerate(fixed):
-        rec = {"reflect": [], "stop": []}
-        for label, (points, notes), ref in scans:
-            for msg in notes[k]:
-                warnings.warn(msg, ResolutionWarning, stacklevel=2)
-            pts = points[k]
-            if len(pts) > 2 * MAX_SWITCH_PAIRS:
-                warnings.warn(
-                    f"more than {MAX_SWITCH_PAIRS} switch pairs on slice "
-                    f"{o.fixed}={pos:g} vs {ref}; keeping the first "
-                    f"{2 * MAX_SWITCH_PAIRS}",
-                    ResolutionWarning,
-                    stacklevel=2,
-                )
-                pts = pts[: 2 * MAX_SWITCH_PAIRS]
-            rec[label] = pts
-        switches.append(rec)
+    most = 2 * MAX_SWITCH_PAIRS
+    points, notes = {}, []
+    for scan, (label, ref) in enumerate(((o.above, "reachable-max line"), (o.below, "floor line"))):
+        line, pos, falls, adjacent = _switches(move, gaps[label], nodes)
+        pairs = list(zip(pos.tolist(), np.where(falls, "enter", "exit").tolist()))
+        ends = np.searchsorted(line, np.arange(fixed.size + 1))
+        notes += [(k, scan, 0, msg) for k, msg in adjacent]
+        notes += [
+            (k, scan, 1, f"more than {MAX_SWITCH_PAIRS} switch pairs on slice "
+             f"{o.fixed}={fixed[k]:g} vs {ref}; keeping the first {most}")
+            for k in np.flatnonzero(np.diff(ends) > most).tolist()
+        ]
+        ends = ends.tolist()
+        points[label] = [pairs[a:min(b, a + most)] for a, b in zip(ends[:-1], ends[1:])]
+    # slice by slice, each scan's adjacent-cell warnings before its cut
+    for *_, msg in sorted(notes, key=lambda note: note[:3]):
+        warnings.warn(msg, ResolutionWarning, stacklevel=2)
+    switches = [{"reflect": r, "stop": s} for r, s in zip(points["reflect"], points["stop"])]
     # across the slices, per node of the moving axis: where the reflect band
     # gives way to the direct one, farthest from the diagonal (which closes
     # an s-scan at its low end and a y-scan at its high end)
-    leave = "enter" if o.above == "reflect" else "exit"
-    points, notes = _switches(fixed, gaps["reflect"].T, okf.T)
+    line, pos, falls, adjacent = _switches(fixed, gaps["reflect"].T, _scan_nodes(okf.T))
+    for _, msg in adjacent:
+        warnings.warn(msg, ResolutionWarning, stacklevel=2)
+    leave = falls == (o.above == "reflect")
+    line, pos = line[leave], pos[leave]
+    edge = np.ones(line.size, dtype=bool)
+    if o.fixed == "s":
+        edge[:-1] = line[:-1] != line[1:]
+    else:
+        edge[1:] = line[1:] != line[:-1]
     cap = np.full(move.size, np.nan)
-    for m, pts in enumerate(points):
-        for msg in notes[m]:
-            warnings.warn(msg, ResolutionWarning, stacklevel=2)
-        crossings = [p for p, d in pts if d == leave]
-        if crossings:
-            cap[m] = crossings[-1 if o.fixed == "s" else 0]
+    cap[line[edge]] = pos[edge]
     finite_cap = cap[np.isfinite(cap)]
     if finite_cap.size >= 2:
         d = np.diff(finite_cap)
@@ -592,65 +594,59 @@ def detect_regions_3d(spec: ModelSpec, surface: BoundarySurface) -> BoundarySurf
     return surface
 
 
-def _switches(grid, d, ok):
+def _switches(grid, d, nodes):
     """Switch points of d along every line of a lattice, in one scan.
 
-    d and ok are indexed [line, node along grid].  Returns, per line, the
-    (position, direction) pairs and the adjacent-cell warning messages that
-    ``detect_switch_points`` gives on the line's valid nodes.
+    d is indexed [line, node along grid], and nodes is the
+    :func:`solver2d._scan_nodes` set-up of its valid mask.  Returns the
+    crossings in line order, as arrays of their line, position and whether
+    d falls there ("enter"), and the adjacent-cell warnings as (line,
+    message) pairs: what ``detect_switch_points`` gives on each line's
+    valid nodes.
     """
-    line, lo, hi, falls = _sign_changes(d, ok)
+    line, lo, hi, falls = _sign_changes(d, nodes)
     pos = _cell_crossing(grid[lo], grid[hi], d[line, lo], d[line, hi])
-    points = [[] for _ in range(d.shape[0])]
-    for k, p, f in zip(line.tolist(), pos.tolist(), falls.tolist()):
-        points[k].append((p, "enter" if f else "exit"))
-    notes = [[] for _ in range(d.shape[0])]
-    for k, msg in _adjacent_messages(grid, ok, line, pos):
-        notes[k].append(msg)
-    return points, notes
+    return line, pos, falls, _adjacent_messages(grid, nodes, line, pos)
+
+
+def _min_max(v, lo, hi):
+    """min(max(v, lo), hi) elementwise, as Python's min and max pick: NaN v stays."""
+    v = np.where(lo > v, lo, v)
+    return np.where(hi < v, hi, v)
 
 
 def _quad_zero(ps, ds, lo, hi, lin):
-    """Zero of the parabola through three samples, kept inside [lo, hi].
+    """Zero of the parabola through three samples, kept inside [lo, hi], per lane.
 
-    Newton iteration started from the linear estimate; any failure to land
-    in the bracket falls back to that estimate, clipped.  Curvature of the
-    stopping curve otherwise leaves an O(step^2) bias in closure positions,
-    which the amplifying power of a long x-line turns into visible value
-    error near junctions.
+    Newton iteration started from the linear estimate, clipped into the
+    bracket; any failure to land in the bracket falls back to that start.
+    Curvature of the stopping curve otherwise leaves an O(step^2) bias in
+    closure positions, which the amplifying power of a long x-line turns
+    into visible value error near junctions.  Every argument is a float or
+    an array of lanes: each lane stops where the one-lane iteration stops
+    (a zero or non-finite derivative falls back at once; a step within
+    1e-15 of the bracket's scale, or 12 steps, ends it), with the same bits.
     """
-    start = min(max(float(lin), lo), hi)
-    pa, pb, pc = (float(p) for p in ps)
-    da, db, dc = (float(d) for d in ds)
-    f01 = (db - da) / (pb - pa)
-    f12 = (dc - db) / (pc - pb)
-    f012 = (f12 - f01) / (pc - pa)
-    z = start
-    for _ in range(12):
-        val = da + (z - pa) * (f01 + f012 * (z - pb))
-        der = f01 + f012 * ((z - pa) + (z - pb))
-        if der == 0.0 or not np.isfinite(der):
-            return start
-        step = val / der
-        z -= step
-        if abs(step) <= 1e-15 * max(abs(lo), abs(hi), 1.0):
-            break
-    if not np.isfinite(z) or z < lo or z > hi:
-        return start
-    return z
-
-
-def _crossing(grid, d, ok, a, b, bracket=None):
-    """Zero of d between nodes a and b, refined through a third node where ok.
-
-    d and ok run along grid; a zero extrapolated past b lies in bracket = (lo, hi).
-    """
-    lin = _cell_crossing(grid[a], grid[b], d[a], d[b])
-    lo, hi = bracket or (grid[a], grid[b])
-    k3 = a - 1 if a > 0 and ok[a - 1] else b + 1 if b + 1 < ok.size and ok[b + 1] else None
-    if k3 is None:
-        return lin if bracket is None else min(max(lin, lo), hi)
-    return _quad_zero((grid[k3], grid[a], grid[b]), (d[k3], d[a], d[b]), lo, hi, lin)
+    pa, pb, pc = ps
+    da, db, dc = ds
+    start = _min_max(np.asarray(lin, dtype=float), lo, hi)
+    with np.errstate(all="ignore"):
+        f01 = (db - da) / (pb - pa)
+        f12 = (dc - db) / (pc - pb)
+        f012 = (f12 - f01) / (pc - pa)
+        tol = 1e-15 * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+        z, run, fell = start, np.ones(start.shape, dtype=bool), np.zeros(start.shape, dtype=bool)
+        for _ in range(12):
+            val = da + (z - pa) * (f01 + f012 * (z - pb))
+            der = f01 + f012 * ((z - pa) + (z - pb))
+            fell |= run & ~((der != 0.0) & np.isfinite(der))
+            run &= ~fell
+            step = val / der
+            z = np.where(run, z - step, z)
+            run &= ~(np.abs(step) <= tol)
+            if not run.any():
+                break
+    return np.where(fell | ~np.isfinite(z) | (z < lo) | (z > hi), start, z)
 
 
 def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
@@ -681,7 +677,12 @@ def build_reflection_regions(spec: ModelSpec, surface: BoundarySurface):
 
 
 def _close_lines(spec: ModelSpec, o: _Orientation, family):
-    """The closure of each run of active nodes of a family, in line and run order."""
+    """The closure of each run of active nodes of a family, in line and run order.
+
+    Every run end's closure is worked out at once, on arrays; the closures
+    are then built in run order up to the first run that cannot be closed,
+    which raises.
+    """
     along_s, grid, fixed, v, labels, act = family
     closure, name = (RowClosure, "row at y") if along_s else (ColumnClosure, "column at s")
     s, y = _point(along_s, fixed[:, None], grid[None, :])
@@ -692,36 +693,76 @@ def _close_lines(spec: ModelSpec, o: _Orientation, family):
     # the reflect band is bounded by x = s when it lies above s (call) and
     # by the floor when it lies below the floor (put)
     band_on_s = o.above == "reflect"
-    out = []
-    for k, a in zip(*(e.tolist() for e in np.nonzero(_run_ends(act)))):  # as Python ints
-        pos, on_s = fixed[k], band_on_s
-        if a + 1 == grid.size or not inside[k, a + 1]:  # the open end
-            if along_s and band_on_s:
-                raise UnderdeterminedRegion(
-                    f"reflected {name}={pos:g} reaches the lattice edge; enlarge the s-range"
-                )
-            if along_s or band_on_s:
-                out.append(closure(k, "c1_zero") if along_s else closure(k, "c2_zero", pos))
-                continue
-            # extrapolate the floor crossing toward the diagonal through the
-            # column's top samples (flat when the column is too short)
-            at = min(pos - v[k, a], pos)
-            if a > 0 and ok[k, a - 1]:
-                at = _crossing(grid, gaps[False][k], ok[k], a - 1, a, (grid[a], pos))
-        elif labels[k, a + 1] == "":
-            why = "is cut by a flagged slice; refine the lattice or the step tolerance"
-            raise UnderdeterminedRegion(f"reflected {name}={pos:g} {why}")
-        else:
-            # a put row may run straight into the stop band above s
-            on_s = band_on_s or (along_s and labels[k, a + 1] == o.above)
-            at = _crossing(grid, gaps[on_s][k], ok[k], a, a + 1)
-        x_s, x_y = _point(along_s, pos, at)
-        x_base = x_s if on_s else x_s - x_y
-        if not x_base > 0.0:
-            why = "closes on the diagonal, where its floor x = s - y is 0; refine the lattice"
-            raise UnderdeterminedRegion(f"reflected {name}={pos:g} {why}")
-        out.append(closure(k, "combo", at, x_base, o.sign * (x_base - spec.strike)))
+    k, a = np.nonzero(_run_ends(act))
+    pos, last = fixed[k], grid.size - 1
+    beyond = labels[k, np.minimum(a + 1, last)]
+    open_end = (a == last) | ~inside[k, np.minimum(a + 1, last)]
+    # a put row may run straight into the stop band above s
+    on_s = band_on_s | (along_s & ~open_end & (beyond == o.above))
+    # past the run's end (b = a + 1), or, at a put column's open end, the
+    # floor crossing extrapolated toward the diagonal through the column's
+    # top samples (b = a), inside (grid[a], pos); flat when the column is
+    # too short
+    lane = ~open_end if along_s or band_on_s else ~open_end | ((a > 0) & ok[k, a - 1])
+    at = pos - v[k, a]
+    at = np.where(pos < at, pos, at)
+    first = np.where(open_end, a - 1, a)[lane]
+    hi = np.where(open_end, pos, grid[np.minimum(a + 1, last)])
+    at[lane] = _crossings(
+        grid, gaps, ok, k[lane], first, on_s[lane], (grid[a[lane]], hi[lane]), open_end[lane]
+    )
+    x_s, x_y = _point(along_s, pos, at)
+    x_base = np.where(on_s, x_s, x_s - x_y)
+    pinned = open_end & (along_s or band_on_s)  # c1_zero (a row), c2_zero (a column)
+    # the first run that cannot be closed, in run order, by its entry in _UNCLOSED
+    why = np.select(
+        [pinned & along_s & band_on_s, ~open_end & (beyond == ""), ~pinned & ~(x_base > 0.0)],
+        [1, 2, 3], 0,
+    )
+    bad = np.flatnonzero(why)
+    runs = zip(k.tolist(), pos.tolist(), pinned.tolist(), at.tolist(), x_base.tolist())
+    out = [
+        (closure(kk, "c1_zero") if along_s else closure(kk, "c2_zero", p)) if pin
+        else closure(kk, "combo", at_k, xb, o.sign * (xb - spec.strike))
+        for kk, p, pin, at_k, xb in islice(runs, bad[0] if bad.size else None)
+    ]
+    if bad.size:
+        raise UnderdeterminedRegion(
+            f"reflected {name}={pos[bad[0]]:g} {_UNCLOSED[why[bad[0]] - 1]}"
+        )
     return out
+
+
+# why a run cannot be closed
+_UNCLOSED = (
+    "reaches the lattice edge; enlarge the s-range",
+    "is cut by a flagged slice; refine the lattice or the step tolerance",
+    "closes on the diagonal, where its floor x = s - y is 0; refine the lattice",
+)
+
+
+def _crossings(grid, gaps, ok, k, a, on_s, bracket, clip):
+    """Zero of each lane's gap between its nodes a and a + 1 along line k.
+
+    gaps[on_s] and ok are indexed [line, node along grid].  Each zero is
+    refined through a third valid node, the one before a or else the one
+    after a + 1 (:func:`_quad_zero`); with none, it is the linear zero,
+    clipped into the lane's bracket where clip is set.
+    """
+    b = a + 1
+    n = grid.size
+
+    def d(m):
+        return np.where(on_s, gaps[True][k, m], gaps[False][k, m])
+
+    lo, hi = bracket
+    with np.errstate(all="ignore"):
+        lin = _cell_crossing(grid[a], grid[b], d(a), d(b))
+    before = (a > 0) & ok[k, np.maximum(a - 1, 0)]
+    after = (b + 1 < n) & ok[k, np.minimum(b + 1, n - 1)]
+    third = np.where(before, a - 1, np.minimum(b + 1, n - 1))
+    refined = _quad_zero((grid[third], grid[a], grid[b]), (d(third), d(a), d(b)), lo, hi, lin)
+    return np.where(before | after, refined, np.where(clip, _min_max(lin, lo, hi), lin))
 
 
 @dataclass(frozen=True)

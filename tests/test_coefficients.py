@@ -382,6 +382,86 @@ def test_pinned_pair_ignores_a_far_end_at_the_level(g1, g2, level, sign):
     )
 
 
+def _pinned_pair_with_float_powers(g1, g2, level, strike, sign, target, x_end):
+    """The pin on Python floats with the ** operator, the reference of both paths."""
+    e = target - sign * (level - strike)
+
+    def pair(lv):
+        return tuple(
+            (sign * (go - 1.0) * (lv - go * strike / (go - 1.0)) + go * e) / ((go - g) * lv**g)
+            for g, go in ((g1, g2), (g2, g1))
+        )
+
+    c1, c2 = pair(level)
+    if x_end > 0.0 and x_end != level:
+        if c1 * x_end**g1 + c2 * x_end**g2 < max(sign * (x_end - strike), 0.0):
+            c1, c2 = pair((g1 if sign > 0 else g2) * strike / ((g1 if sign > 0 else g2) - 1.0))
+    return c1, c2
+
+
+_pin = st.tuples(
+    st.floats(1.05, 30.0), st.floats(-30.0, -0.05), st.floats(0.2, 5.0),
+    st.floats(-0.2, 0.2),
+    # the far end: off the line, at the level, or a multiple of it (past the
+    # tangency, where the clamp can act)
+    st.one_of(st.sampled_from([0.0, -1.0, "level"]), st.floats(0.01, 20.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pins=st.lists(_pin, min_size=1, max_size=10), sign=st.sampled_from([1.0, -1.0]))
+def test_pinned_pair_on_arrays_equals_each_pin_on_floats(pins, sign):
+    # the reflection closures pin every anchor of a family at once; each
+    # entry has the bits of its own pin on floats, and powers through libm
+    # keep those of the ** operator
+    from drawdown_options.coefficients import _pinned_pair
+
+    g1, g2, level, excess, x_end = (np.array(v, dtype=object) for v in zip(*pins))
+    x_end = np.array([lv if x == "level" else lv * x for lv, x in zip(level, x_end)], dtype=float)
+    g1, g2, level, excess = (np.array(v, dtype=float) for v in (g1, g2, level, excess))
+    target = sign * (level - 1.0) + excess
+    c1, c2 = _pinned_pair(g1, g2, level, 1.0, sign, target, x_end=x_end)
+    for k in range(len(pins)):
+        args = (float(g1[k]), float(g2[k]), float(level[k]), 1.0, sign, float(target[k]))
+        one = _pinned_pair(*args, x_end=float(x_end[k]))
+        want = _pinned_pair_with_float_powers(*args, float(x_end[k]))
+        assert [float(c).hex() for c in (c1[k], c2[k])] == [c.hex() for c in one]
+        assert [c.hex() for c in one] == [c.hex() for c in want]
+
+
+class _Dividend:
+    """A stub spec whose dividend is the given value wherever it is read."""
+
+    def __init__(self, d):
+        self.r, self.strike = 0.06, 1.0
+        self.delta_field = self
+        self.d = d
+
+    def value(self, s, y):
+        # a numpy scalar on a float, so that a zero dividend divides as numpy does
+        return np.float64(self.d) if np.ndim(s) == 0 else np.full(np.shape(s), self.d)
+
+
+@pytest.mark.parametrize(
+    "d", [0.03, 0.06, 0.12, math.nan, math.inf, -math.inf, 0.0, -0.0, -0.03, 5e-324]
+)
+def test_a_float_band_keeps_numpys_bits(d):
+    # one float comparison in place of np.minimum or np.maximum: a NaN
+    # dividend keeps a NaN bound, where Python's min and max would give K;
+    # a signed zero dividend gives an infinite r K / delta, an infinite one
+    # a signed zero
+    from drawdown_options.coefficients import _call_band, _put_band
+
+    spec = _Dividend(d)
+    for band in (_put_band, _call_band):
+        with np.errstate(divide="ignore", over="ignore"):
+            lo, hi = band(spec, 2.0, 1.0)
+            a_lo, a_hi = band(spec, np.array([2.0]), np.array([1.0]))
+        assert [float(v).hex() for v in (lo, hi)] == [
+            float(np.ravel(v)[0]).hex() for v in (a_lo, a_hi)
+        ]
+
+
 def _assert_libm_pow_is_math_pow(base, g):
     """_libm_pow(base, g) equals math.pow on each broadcast pair, raises included."""
     b, e = np.broadcast_arrays(base, g)

@@ -24,10 +24,13 @@ from drawdown_options import (
     ModelSpec,
     NonPositiveCoefficient,
     StepError,
+    call_boundary_slice,
+    put_boundary_2d,
+    put_boundary_slice,
     roots,
     roots_arrays,
 )
-from drawdown_options import odestep, solver3d
+from drawdown_options import coefficients, odestep, solver2d, solver3d
 from drawdown_options.coefficients import _roots_along, check_quadrant
 from drawdown_options.solver2d import OdeStage
 from test_line_batch import MODELS, solution
@@ -397,3 +400,99 @@ def test_a_cut_direct_line_raises_what_its_one_node_array_lane_reports(case, fau
             sol.line(s, y)
     assert (kind, at) == {"seed": ("constraint", start), "level": ("constraint", t),
                           "step": ("step", t)}[fault]
+
+
+def _one_lane_marches(two_lanes):
+    """_march_lanes recording each many-node one-lane march, in either form.
+
+    With two_lanes, such a march runs as lane 0 of two equal lanes of an
+    array march (their error estimates agree, so the controller takes the
+    one lane's steps), and lane 0's levels and status come back with the
+    status's node index counted along lane 0.
+    """
+    march, seen = solver2d._march_lanes, []
+
+    def recorded(stage, g, tau, lane, band, tol, scale):
+        if not isinstance(g, float) or isinstance(tau, float):
+            return march(stage, g, tau, lane, band, tol, scale)
+        if not two_lanes:
+            out = march(stage, g, tau, lane, band, tol, scale)
+        else:
+            levels, ((kind, c), twin), worst = march(
+                stage, np.array([g, g]), np.repeat(tau, 2), np.tile([0, 1], tau.size),
+                tuple(np.repeat(b, 2) if np.ndim(b) else b for b in band), tol, scale,
+            )
+            assert twin == (kind, c + 1 if c >= 0 else c)
+            out = levels[0::2], [(kind, c // 2 if c >= 0 else c)], worst
+        seen.append(out)
+        return out
+
+    return recorded, seen
+
+
+def _narrowed(o, past):
+    """o with an empty band at every node where past(moving coordinate) holds."""
+    def band(spec, s, y):
+        lo, hi = o.band(spec, s, y)
+        return lo, np.where(past(o.swap(s, y)[1]), lo, hi)
+
+    return dataclasses.replace(o, band=band)
+
+
+@settings(max_examples=45, deadline=None)
+@given(
+    kind=st.sampled_from(["put_slice", "call_slice", "put_2d"]),
+    fault=st.sampled_from(["ok", "band", "step"]),
+    n=st.integers(2, 60),
+    cut=st.floats(0.0, 1.0),
+    c0=st.floats(0.018, 0.022),
+    slope=st.floats(0.0, 0.012),
+    at=st.floats(0.1, 0.9),
+)
+def test_a_many_node_lane_equals_lane_0_of_two_equal_lanes(kind, fault, n, cut, c0, slope, at):
+    # the one-lane march band-checks a step's nodes at once and writes them
+    # through a slice; the array march checks and writes them lane by lane:
+    # level for level and status for status they agree, on an ok lane, a
+    # lane cut by its band and a lane cut at the floor
+    eps = solver3d.EDGE_FRACTION
+    sigma = CoefficientField("constant", (0.2,))
+    if kind == "call_slice":
+        spec = ModelSpec(0.06, 1.0, "call", CoefficientField("s_only", (c0 + 0.01, slope)), sigma)
+        o, s = coefficients._CALL, 1.0 + 7.0 * at
+        nodes = np.linspace(s - eps - 0.01, 0.0, n)
+        module, run = solver3d, lambda: call_boundary_slice(spec, s, nodes)
+    elif kind == "put_slice":
+        field = CoefficientField("bounded_rational", (c0, 0.0, slope))
+        spec = ModelSpec(0.06, 1.0, "put", field, sigma)
+        o, y = coefficients._PUT, 4.0 * at
+        nodes = y + eps + np.linspace(0.01, 6.0, n)
+        module, run = solver3d, lambda: put_boundary_slice(spec, y, nodes)
+    else:
+        spec = ModelSpec(0.06, 1.0, "put", CoefficientField("s_only", (c0, slope)), sigma)
+        o, nodes = coefficients._PUT, solver2d.default_put_grid(spec, 8 + 4 * n)
+        module, run = solver2d, lambda: put_boundary_2d(spec, nodes).values
+    edge = nodes[min(int(cut * nodes.size), nodes.size - 1)]
+    d = -1.0 if kind == "put_2d" else o.direction  # the march's direction along nodes
+    outs = []
+    for two_lanes in (False, True):
+        recorded, seen = _one_lane_marches(two_lanes)
+        with pytest.MonkeyPatch.context() as m:
+            for mod in (solver2d, solver3d):
+                m.setattr(mod, "_march_lanes", recorded)
+            if fault == "band":
+                m.setattr(module, f"_{o.kind.upper()}",
+                          _narrowed(o, lambda t: d * (t - edge) >= 0))
+            elif fault == "step":
+                m.setattr(odestep, "STEP_REL_TOL", 0.0)
+            try:
+                got = _hexes(run())
+            except (ConstraintBreach, StepError) as e:
+                got = f"{type(e).__name__}: {e}"
+        outs.append((got, [(_hexes(lv), st_, float(w).hex()) for lv, st_, w in seen]))
+    assert outs[0] == outs[1]
+    got, seen = outs[0]
+    assert seen
+    if fault == "band":
+        assert seen[-1][1][0][0] == "constraint"
+    elif fault == "ok":
+        assert seen[-1][1][0][0] == "ok"

@@ -503,6 +503,127 @@ def test_a_singular_or_non_finite_block_raises_non_convergence(monkeypatch):
         assert calls[0] is True
 
 
+def test_the_first_singular_block_is_named_before_an_earlier_non_finite_one(monkeypatch):
+    # np.linalg.solve raised at the first singular block in solve order,
+    # after any number of blocks whose coefficients came out NaN; the sweep
+    # on the LAPACK gufunc finds that block after the fact.  The corner node
+    # (2, 0.5) is solved first and made NaN, the node (1, 0.1) last and
+    # made singular
+    node_equations = reflection_pde._node_equations
+
+    def broken(spec, region, rank=None):
+        own, far, other, rhs = node_equations(spec, region, rank)
+        own[rank[-1, -1]] = np.nan
+        own[rank[0, 0]] = 0.0
+        return own, far, other, rhs
+
+    monkeypatch.setattr(reflection_pde, "_node_equations", broken)
+    msg = r"^reflection block at s=1, y=0.1 is singular or not finite$"
+    with pytest.raises(NonConvergence, match=msg):
+        solve_reflection_region(flat_call_spec(), flat_region())
+
+
+def _pinned_staircase():
+    # every column but the last closes by a C2 pin over its top two nodes,
+    # and each top is a node below its left neighbour's: chained 4x4 blocks
+    tops = [6, 5, 4, 3, 2, 1, 0]
+    return tops, _staircase_region(tops, [False] * 7, ["combo"] * 7)
+
+
+def _regions_of_each_kind():
+    spec = _drawdown_put_spec()
+    regions = []
+    with pytest.MonkeyPatch.context() as m:
+        solve = solver3d.solve_reflection_region
+        m.setattr(solver3d, "solve_reflection_region",
+                  lambda spec, region: regions.append(region) or solve(spec, region))
+        PutSolution3D(spec, n_s=97, n_y=65)
+    staircase = ModelSpec(
+        r=0.06, strike=1.0, payoff_kind="call",
+        delta_field=CoefficientField("bounded_rational", (0.02, 0.01, 0.01)),
+        sigma_field=CoefficientField("constant", (0.2,)),
+    )
+    return [(spec, regions[0]), (staircase, _pinned_staircase()[1]), sloped_region(n_s=97)]
+
+
+def test_the_lapack_gufunc_sweep_has_np_linalg_solves_bits(monkeypatch):
+    # the sweep calls numpy's private gufunc behind np.linalg.solve; the
+    # same sweep through the public wrapper gives every coefficient's bits
+    def through_the_wrapper(a, b, out, signature):
+        assert signature == "dd->d"
+        out[...] = np.linalg.solve(a, b)
+
+    for spec, region in _regions_of_each_kind():
+        fast = solve_reflection_region(spec, region)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(reflection_pde, "_lapack_solve", through_the_wrapper)
+            ref = solve_reflection_region(spec, region)
+        for got, want in ((fast.C1, ref.C1), (fast.C2, ref.C2)):
+            assert got.tobytes() == want.tobytes()
+
+
+def _counted_solves(monkeypatch):
+    shapes = []
+    solve = reflection_pde._lapack_solve
+
+    def counted(a, b, **kwargs):
+        shapes.append(a.shape)
+        return solve(a, b, **kwargs)
+
+    monkeypatch.setattr(reflection_pde, "_lapack_solve", counted)
+    return shapes
+
+
+def test_the_sweep_solves_each_front_in_one_stack_and_no_closure_alone(monkeypatch):
+    # the 193x129 drawdown put: 11,656 reflected nodes on 309 fronts, and no
+    # C2 pin; one stacked solve per front, and the closure walk refines every
+    # run's crossing in one _quad_zero call per line family
+    shapes = _counted_solves(monkeypatch)
+    refines = []
+    quad_zero = solver3d._quad_zero
+    monkeypatch.setattr(solver3d, "_quad_zero", lambda *a: refines.append(1) or quad_zero(*a))
+    regions = []
+    solve = solver3d.solve_reflection_region
+    monkeypatch.setattr(solver3d, "solve_reflection_region",
+                        lambda spec, region: regions.append(region) or solve(spec, region))
+    (grid,) = PutSolution3D(_drawdown_put_spec()).regions
+    i, j = np.nonzero(grid.active)
+    assert i.size == 11656 and len(set((i + j).tolist())) == 309
+    assert len(shapes) == 309 and all(shape[1:] == (2, 2) for shape in shapes)
+    assert sum(shape[0] for shape in shapes) == i.size
+    ((region,),) = [regions]
+    assert len(region.column_closures) + len(region.row_closures) > 300
+    assert len(refines) <= 2
+
+
+def test_each_c2_pin_is_one_4x4_solve_after_its_front(monkeypatch):
+    shapes = _counted_solves(monkeypatch)
+    tops, region = _pinned_staircase()
+    solve_reflection_region(
+        ModelSpec(
+            r=0.06, strike=1.0, payoff_kind="call",
+            delta_field=CoefficientField("bounded_rational", (0.02, 0.01, 0.01)),
+            sigma_field=CoefficientField("constant", (0.2,)),
+        ),
+        region,
+    )
+    # a pinned column's top two nodes leave the 2x2 stacks; each pin's 4x4
+    # block follows its top's front
+    pins = [(i, t) for i, t in enumerate(tops) if t >= 1]
+    fronts = sorted(
+        {i + j for i, t in enumerate(tops) for j in range(t + 1) if t < 1 or j < t - 1}
+        | {i + t for i, t in pins},
+        reverse=True,
+    )
+    want = []
+    for f in fronts:
+        stacked = sum(1 for i, t in enumerate(tops) for j in range(t + 1)
+                      if i + j == f and (t < 1 or j < t - 1))
+        want += [(stacked, 2, 2)] if stacked else []
+        want += [(1, 4, 4)] * sum(1 for i, t in pins if i + t == f)
+    assert shapes == want
+
+
 # ---------------------------------------------------------------------------
 # closure bookkeeping
 

@@ -476,6 +476,68 @@ def test_closure_walk_matches_the_loops_bit_for_bit(
     assert _closures_or_error(_walk_closures, spec, surf) == want
 
 
+def _quad_zero_on_floats(ps, ds, lo, hi, lin):
+    """The one-lane Newton refine on Python floats, the reference of _quad_zero."""
+    start = min(max(float(lin), lo), hi)
+    pa, pb, pc = (float(p) for p in ps)
+    da, db, dc = (float(d) for d in ds)
+    f01 = (db - da) / (pb - pa)
+    f12 = (dc - db) / (pc - pb)
+    f012 = (f12 - f01) / (pc - pa)
+    z = start
+    for _ in range(12):
+        val = da + (z - pa) * (f01 + f012 * (z - pb))
+        der = f01 + f012 * ((z - pa) + (z - pb))
+        if der == 0.0 or not np.isfinite(der):
+            return start
+        step = val / der
+        z -= step
+        if abs(step) <= 1e-15 * max(abs(lo), abs(hi), 1.0):
+            break
+    if not np.isfinite(z) or z < lo or z > hi:
+        return start
+    return z
+
+
+_lane = st.tuples(
+    st.floats(-3.0, 3.0), st.floats(1e-3, 2.0), st.floats(1e-3, 2.0),
+    # sample values: a parabola, a line (no curvature), a flat run (a zero
+    # derivative), huge values (non-finite divided differences)
+    st.sampled_from(["parabola", "line", "flat", "huge"]),
+    st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+    # the linear start inside, outside or off the bracket
+    st.floats(-1.0, 2.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lanes=st.lists(_lane, min_size=1, max_size=12))
+def test_quad_zero_on_lanes_equals_the_float_loop_bit_for_bit(lanes):
+    # each lane stops where the float loop stops and falls back the same way
+    args = []
+    for p0, h1, h2, shape, a, b, c, frac in lanes:
+        ps = (p0, p0 + h1, p0 + h1 + h2)
+        if shape == "parabola":
+            ds = tuple(a + b * (p - ps[1]) + c * (p - ps[1]) ** 2 for p in ps)
+        elif shape == "line":
+            ds = tuple(a + b * (p - ps[1]) for p in ps)
+        elif shape == "flat":
+            ds = (a, a, a)
+        else:
+            ds = (a * 1e308, -b * 1e308, c * 1e308)
+        lo, hi = ps[1], ps[2]
+        args.append((ps, ds, lo, hi, lo + frac * (hi - lo)))
+    want = [_quad_zero_on_floats(*a) for a in args]
+    got = _quad_zero(
+        *(tuple(np.array([a[0][m] for a in args]) for m in range(3)),
+          tuple(np.array([a[1][m] for a in args]) for m in range(3))),
+        *(np.array([a[k] for a in args]) for k in (2, 3, 4)),
+    )
+    assert [float(g).hex() for g in got] == [float(w).hex() for w in want]
+    # and one lane as floats
+    assert float(_quad_zero(*args[0])).hex() == float(want[0]).hex()
+
+
 def _closed_runs(lines, closures, key):
     """Per closure, in list order, the last node of the run it closes along its line.
 
