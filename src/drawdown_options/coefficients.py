@@ -86,6 +86,19 @@ class CoefficientField:
             return self.params[2] / ((1.0 + y) * (1.0 + y)) + 0.0 * s
         return 0.0 * s + 0.0 * y
 
+    def varies_with(self, coord) -> bool:
+        """Whether the field can change along coord, "s" or "y".
+
+        False exactly when the partial :meth:`d_ds` or :meth:`d_dy` is
+        identically 0.0 for this family and its parameters: the family has
+        no term in coord, or that term's slope parameter is zero.
+        """
+        if coord == "s":
+            return self.family != "constant" and self.params[1] != 0.0
+        if coord == "y":
+            return self.family == "bounded_rational" and self.params[2] != 0.0
+        raise ValueError(f"coord must be 's' or 'y', got {coord!r}")
+
     def diagonal_restriction(self) -> "CoefficientField":
         """The field seen along s = y, expressed as an s_only member."""
         if self.family != "bounded_rational":
@@ -122,11 +135,7 @@ class ModelSpec:
             raise ValueError(f"payoff_kind must be 'call' or 'put', got {self.payoff_kind!r}")
         if not (0 < self.domain_s_max < math.inf and 0 < self.domain_y_max < math.inf):
             raise ValueError("domain box must have positive, finite extent")
-        s = np.geomspace(self.domain_s_max * 1e-6, self.domain_s_max, _AUDIT_GRID)
-        y = np.concatenate([[0.0], np.geomspace(self.domain_y_max * 1e-6,
-                                                self.domain_y_max, _AUDIT_GRID - 1)])
-        ss, yy = np.meshgrid(s, y, indexing="ij")
-        yy = np.minimum(yy, ss)  # audit the admissible quadrant y <= s
+        ss, yy = _audit_grid(self.domain_s_max, self.domain_y_max)
         vals = {}
         for name, field in (("delta", self.delta_field), ("sigma", self.sigma_field)):
             vals[name] = np.asarray(field.value(ss, yy), dtype=float)
@@ -168,6 +177,19 @@ class ModelSpec:
             domain_s_max=self.domain_s_max,
             domain_y_max=self.domain_y_max,
         )
+
+
+def _audit_grid(s_max, y_max):
+    """The (s, y) nodes, indexed [s, y], on which ModelSpec audits its fields.
+
+    64 log-spaced s from 1e-6 s_max to s_max, and y = 0 with 63 log-spaced
+    y from 1e-6 y_max to y_max, each y clipped to its s (the admissible
+    quadrant y <= s).
+    """
+    s = np.geomspace(s_max * 1e-6, s_max, _AUDIT_GRID)
+    y = np.concatenate([[0.0], np.geomspace(y_max * 1e-6, y_max, _AUDIT_GRID - 1)])
+    ss, yy = np.meshgrid(s, y, indexing="ij")
+    return ss, np.minimum(yy, ss)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,12 @@ line's re-march are one lane each, which steps and evaluates its stage on
 Python floats, with the bits an array lane would give.  A direct line's
 lane has one node, the query point at the end of its lane time, so it is
 read from the landing step's :func:`dense_output` at theta = 1 and
-checked against its band on floats too, with no node arrays.
+checked against its band on floats too, with no node arrays.  A slice
+whose fields do not vary along it has a vanishing right-hand side, so
+``solver3d._lane_stage`` gives it no stage and the march takes no step:
+each node takes its lane's seed, which is what a vanishing right-hand
+side leaves in :func:`checked_step`'s state and at every theta of
+:func:`dense_output`.
 
 :func:`checked_step` is one step of the embedded pair of Dormand & Prince
 (1980): it propagates the fifth-order state and reports the difference to

@@ -657,7 +657,11 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
     A float tau, 1.0, is a single lane's one node at its end, as a direct
     line's re-march reads it: lane is unused, band holds two floats, and
     the node is read from the landing step's extension at theta = 1 and
-    checked on floats, with no node array or mask.
+    checked on floats, with no node array or mask.  stage is None for
+    lanes whose right-hand side vanishes: no step is taken, and every node
+    takes its lane's seed through the same band check (a float tau's
+    through ``lo < level < hi``), with the statuses and the worst estimate,
+    0.0, that the one zero step would give.
 
     The steps take the lengths one :class:`odestep.StepSize` gives from
     the worst lane still under control, at the target tol, with the floor
@@ -723,6 +727,14 @@ def _march_lanes(stage, g, tau, lane, band, tol, scale):
     # lanes past a breach carry NaN and inf on purpose, and a float lane's
     # zero level divides as a numpy zero does
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if stage is None:  # still lanes: every node takes its lane's seed
+            if not end:
+                fill(0, tau.size, lambda ln, nodes: np.full(tau.size, g) if one else g[ln])
+            elif lo < g < hi:
+                levels = g
+            else:
+                status[0] = ("constraint", 0)
+            return levels, status, 0.0
         p = 0 if end else int(np.searchsorted(tau, 0.0, side="right"))
         if p:
             fill(0, p, lambda ln, nodes: np.full(p, g) if one else g[ln])

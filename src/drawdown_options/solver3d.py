@@ -264,7 +264,13 @@ def _lane_stage(o, spec, fixed, u0, du):
 
     fixed, u0 and du are per lane, arrays or floats alike; a lone lane
     stays on Python floats, whose arithmetic is numpy's to the bit.
+
+    None when neither field varies along the slice (o.moving): the roots'
+    partials along it are then 0.0, the right-hand side vanishes, and each
+    lane's barrier is its seed, so the march takes no step.
     """
+    if not (spec.delta_field.varies_with(o.moving) or spec.sigma_field.varies_with(o.moving)):
+        return None
     log_lane = o.fixed == "y"
 
     def stage(tau):
@@ -294,7 +300,9 @@ def _march_slices(o, spec, curve, fixed, lane, nodes):
     outside its band; the others are the lanes of one
     :func:`solver2d._march_lanes`, each in its lane time tau, linear in
     :func:`_lane_u` from its start (tau = 0) to its own last node
-    (tau = 1), at ``odestep.STEP_REL_TOL``.
+    (tau = 1), at ``odestep.STEP_REL_TOL``.  Where neither field varies
+    along the slices, :func:`_lane_stage` gives no stage and every node
+    takes its slice's seed, band-checked, with no step.
 
     Returns the node levels, NaN from the first node its slice misses, and
     per slice its status ``(kind, at)`` as in ``slice_status``.
@@ -310,7 +318,9 @@ def _march_slices(o, spec, curve, fixed, lane, nodes):
             return math.nan if lone else np.full(nodes.size, np.nan), [("constraint", start)]
         u0 = float(_lane_u(o, start))
         du = float(u if lone else u[-1]) - u0
-        seed, tau, at = float(seed), 1.0 if lone else (u - u0) / du, nodes
+        # du is 0 only where every node is the start, which tau = 0 reads
+        tau = 1.0 if lone else (u - u0) / du if du else np.zeros(nodes.size)
+        seed, at = float(seed), nodes
     else:
         held = (seed > lo) & (seed < hi)
         status = [
@@ -324,7 +334,7 @@ def _march_slices(o, spec, curve, fixed, lane, nodes):
         far = np.full(lanes.size, -np.inf)
         np.maximum.at(far, li, o.direction * u[pick])
         du = o.direction * far - u0
-        tau = (u[pick] - u0[li]) / du[li]
+        tau = np.divide(u[pick] - u0[li], du[li], out=np.zeros(pick.size), where=du[li] != 0)
         order = np.argsort(tau, kind="stable")
         pick, lane, tau = pick[order], li[order], tau[order]
         at = nodes[pick]
@@ -925,7 +935,9 @@ class _Solution3D:
         query point, as a one-lane march of any length, for integration
         rather than interpolation accuracy.  The query point is the lane's
         one node, at its end, so the re-march stays on floats from the seed
-        to the level.  A put line's seed comes from the diagonal curve its
+        to the level.  Where neither field varies along the slice, the
+        level is the seed, checked against the query point's band, and no
+        step is taken.  A put line's seed comes from the diagonal curve its
         surface was built from; a seed outside that curve's range raises
         DomainError naming the line, the seed and the range.  Other lines
         take the interpolated level.  A re-march that is cut raises the

@@ -19,6 +19,7 @@ from drawdown_options import (
     roots,
     roots_arrays,
 )
+from drawdown_options import coefficients
 from drawdown_options.coefficients import _libm_pow
 
 
@@ -85,6 +86,27 @@ def test_diagonal_restriction_merges_y_slope():
 
 
 _ARITY = {"constant": 1, "s_only": 2, "bounded_rational": 3}
+# zero slopes of either sign, ordinary ones and the smallest subnormal
+_SLOPES = (0.0, -0.0, 0.02, -0.01, 5e-324)
+
+
+@pytest.mark.parametrize("family", sorted(_ARITY))
+@pytest.mark.parametrize("coord", ["s", "y"])
+def test_varies_with_is_false_exactly_when_the_partial_vanishes(family, coord):
+    # a slice whose fields do not vary along it takes no step, so the
+    # predicate may say False only where the partial is 0.0 on every node
+    # of ModelSpec's audit grid (its default box)
+    ss, yy = coefficients._audit_grid(20.0, 20.0)
+    for s_slope in _SLOPES:
+        for y_slope in _SLOPES:
+            field = CoefficientField(family, (0.03, s_slope, y_slope)[: _ARITY[family]])
+            partial = (field.d_ds if coord == "s" else field.d_dy)(ss, yy)
+            assert field.varies_with(coord) == bool(np.any(partial != 0.0)), field
+
+
+def test_varies_with_names_only_s_or_y():
+    with pytest.raises(ValueError, match="coord must be 's' or 'y'"):
+        CoefficientField("constant", (0.2,)).varies_with("x")
 
 
 @st.composite

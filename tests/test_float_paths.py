@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drawdown_options import (
@@ -439,6 +439,10 @@ def _narrowed(o, past):
     return dataclasses.replace(o, band=band)
 
 
+@example(  # a still lane (slope 0): no step, every node its seed
+    kind="put_slice", fault="ok", n=12, cut=0.5, c0=0.02, slope=0.0, at=0.5,
+)
+@example(kind="put_slice", fault="band", n=12, cut=0.5, c0=0.02, slope=0.0, at=0.5)
 @settings(max_examples=45, deadline=None)
 @given(
     kind=st.sampled_from(["put_slice", "call_slice", "put_2d"]),
@@ -453,7 +457,9 @@ def test_a_many_node_lane_equals_lane_0_of_two_equal_lanes(kind, fault, n, cut, 
     # the one-lane march band-checks a step's nodes at once and writes them
     # through a slice; the array march checks and writes them lane by lane:
     # level for level and status for status they agree, on an ok lane, a
-    # lane cut by its band and a lane cut at the floor
+    # lane cut by its band and a lane cut at the floor; the put slice's
+    # dividend slopes along it (a zero slope makes it still), the call
+    # slice's across it, so the call slice is still
     eps = solver3d.EDGE_FRACTION
     sigma = CoefficientField("constant", (0.2,))
     if kind == "call_slice":
@@ -462,8 +468,7 @@ def test_a_many_node_lane_equals_lane_0_of_two_equal_lanes(kind, fault, n, cut, 
         nodes = np.linspace(s - eps - 0.01, 0.0, n)
         module, run = solver3d, lambda: call_boundary_slice(spec, s, nodes)
     elif kind == "put_slice":
-        field = CoefficientField("bounded_rational", (c0, 0.0, slope))
-        spec = ModelSpec(0.06, 1.0, "put", field, sigma)
+        spec = ModelSpec(0.06, 1.0, "put", CoefficientField("s_only", (c0, slope)), sigma)
         o, y = coefficients._PUT, 4.0 * at
         nodes = y + eps + np.linspace(0.01, 6.0, n)
         module, run = solver3d, lambda: put_boundary_slice(spec, y, nodes)

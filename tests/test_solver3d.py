@@ -1568,12 +1568,40 @@ def test_surface_steps_follow_the_controller_not_the_lattice(monkeypatch):
     "kind, delta",
     [("put", ("bounded_rational", (0.02, 0.0, 0.01))), ("call", ("s_only", (0.02, 0.02)))],
 )
-def test_vanishing_rhs_surface_takes_few_steps(kind, delta, monkeypatch):
-    # no slice moves off its seed, so the first try over the whole lane
-    # time stands
+def test_vanishing_rhs_surface_takes_no_step(kind, delta, monkeypatch):
+    # neither field varies along the slices, so the right-hand side
+    # vanishes, every slice keeps its seed and the march takes no step
     build = build_put_surface if kind == "put" else build_call_surface
     steps = _count_surface_steps(monkeypatch, build, make_spec(kind, delta), 256, 256)
-    assert 0 < steps <= 5
+    assert steps == 0
+
+
+@pytest.mark.parametrize(
+    "kind, delta",
+    [
+        ("put", ("s_only", (0.02, 0.01))),
+        ("put", ("bounded_rational", (0.02, 0.0, 0.01))),
+        ("call", ("bounded_rational", (0.02, 0.01, 0.01))),
+        ("call", ("s_only", (0.02, 0.02))),
+    ],
+)
+def test_a_slice_whose_only_node_is_its_start_takes_its_seed(kind, delta):
+    # its lane time has zero length, so the node sits at tau = 0: a sloped
+    # slice and a still one alike take the seed, with no 0/0 (which warned
+    # and left the node NaN under an "ok" status)
+    spec, eps = make_spec(kind, delta), solver3d.EDGE_FRACTION
+    if kind == "put":
+        fixed, start = 1.0, 1.0 + eps
+        surf = build_put_surface(spec, [0.5, start], [0.0, fixed])
+        at, two = surf.values[1, 1], put_boundary_slice(spec, fixed, [start, 2.0])
+        one = put_boundary_slice(spec, fixed, [start])
+    else:
+        fixed, start = 2.0, 2.0 - eps
+        surf = build_call_surface(spec, [1.0, fixed], [0.5, start])
+        at, two = surf.values[1, 1], call_boundary_slice(spec, fixed, [start, 0.5])
+        one = call_boundary_slice(spec, fixed, [start])
+    assert surf.slice_status[1] == ("ok", pytest.approx(np.nan, nan_ok=True))
+    assert at.hex() == two[0].hex() == one[0].hex()
 
 
 def test_sloped_put_keeps_the_y0_row(sloped_put):
